@@ -40,6 +40,9 @@ ROAD_TYPE_CODE = {
     HighwayClass.MOTORWAY: 1.0,
 }
 
+#: classes of features 4 and 5, in that order
+TRAVEL_TIME_CLASSES = (HighwayClass.MOTORWAY, HighwayClass.PRIMARY)
+
 DEFAULT_LANES = {
     HighwayClass.RESIDENTIAL: 1,
     HighwayClass.TERTIARY: 1,
@@ -164,20 +167,33 @@ def travel_time_to_class(
     reachable.
     """
     target = highway_class.base
-    if target not in (HighwayClass.MOTORWAY, HighwayClass.PRIMARY):
+    if target not in TRAVEL_TIME_CLASSES:
         raise ArgumentError(
             f"travel-time feature is defined for motorway/primary, got {highway_class.value}"
         )
-    if center.host_edge_class.base == target:
-        return 0.0
+    return _travel_times(graph, center, (target,))[0]
+
+
+def _travel_times(
+    graph: RoadGraph, center: CentralNode, targets: tuple[HighwayClass, ...]
+) -> list[float]:
+    """:func:`travel_time_to_class` for each base class in ``targets``.
+
+    Runs at most one Dijkstra and one scan of the edges for all of them.
+    """
+    host = center.host_edge_class.base
+    times = [0.0 if t == host else UNREACHABLE for t in targets]
+    pending = {t: k for k, t in enumerate(targets) if t != host}
+    if not pending:
+        return times
     dist = dijkstra_from(graph, center.node_id)
-    best = UNREACHABLE
     for e in graph.edges:
-        if e.highway_class.base == target:
+        k = pending.get(e.highway_class.base)
+        if k is not None:
             cand = min(dist[e.src], dist[e.dst])
-            if cand < best:
-                best = cand
-    return best
+            if cand < times[k]:
+                times[k] = cand
+    return times
 
 
 def build_embedding(
@@ -194,8 +210,7 @@ def build_embedding(
     back to a per-class default.
     """
     f1, f2, f3 = centrality_features(ego)
-    f4 = travel_time_to_class(graph, center, HighwayClass.MOTORWAY)
-    f5 = travel_time_to_class(graph, center, HighwayClass.PRIMARY)
+    f4, f5 = _travel_times(graph, center, TRAVEL_TIME_CLASSES)
     cls = road_type_override if road_type_override is not None else center.host_edge_class
     f6 = road_type_code(cls)
     if lanes_override is not None:

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 EARTH_RADIUS_M = 6371008.8  # IUGG mean Earth radius
 
 
@@ -20,6 +22,20 @@ def haversine_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     a = math.sin(dphi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2.0) ** 2
     # clamp guards rounding noise on antipodal / identical points
     return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(a)))
+
+
+def haversine_m_array(lat0: float, lon0: float, lats: np.ndarray, lons: np.ndarray) -> np.ndarray:
+    """:func:`haversine_m` from one point to arrays of points, vectorised.
+
+    Same formula, but numpy's sin/cos/arcsin may differ from the math
+    module's in the last bits, and so may the distances.
+    """
+    phi1 = math.radians(lat0)
+    phi2 = np.radians(lats)
+    dphi = phi2 - phi1
+    dlam = np.radians(lons - lon0)
+    a = np.sin(dphi / 2.0) ** 2 + math.cos(phi1) * np.cos(phi2) * np.sin(dlam / 2.0) ** 2
+    return 2.0 * EARTH_RADIUS_M * np.arcsin(np.sqrt(np.minimum(1.0, a)))
 
 
 class LocalProjection:

@@ -9,10 +9,14 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import os
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
 
 from .errors import (
     ArgumentError,
@@ -22,7 +26,7 @@ from .errors import (
     ParseError,
     StructuralError,
 )
-from .geo import haversine_m
+from .geo import haversine_m, haversine_m_array
 from .road_graph import Edge, HighwayClass, RoadGraph
 
 ACCEPTED_HIGHWAYS = {c.value for c in HighwayClass}
@@ -57,10 +61,93 @@ class Way:
 
 @dataclass
 class RawRoadData:
-    """Parsed extract: every node, plus the drivable ways only."""
+    """Parsed extract: every node, plus the drivable ways only.
+
+    ``index`` is a :class:`MapIndex` of the extract, built on first use
+    and kept for the object's lifetime, so every :func:`build_graph` call
+    on one extract shares it.  Treat ``nodes`` and ``ways`` as read-only
+    once a graph has been built: the index does not see later changes.
+    """
 
     nodes: dict[str, tuple[float, float]]
     ways: list[Way]
+
+    @cached_property
+    def index(self) -> "MapIndex":
+        return MapIndex(self)
+
+
+# the prefilter's numpy haversine is trusted this far from the radius;
+# nodes closer to it than this are decided by the scalar haversine_m
+_PREFILTER_BAND_M = 1e-3
+
+
+class MapIndex:
+    """What every radius graph of one extract needs, computed once.
+
+    The node lists of all ways are laid end to end as *occurrences*:
+    occurrence ``k`` is one node at one position of one way, and
+    ``way_start[w]`` is the first occurrence of way ``w``.  The arrays
+    over occurrences stand in for a node -> (way, position) map: one
+    gather of a per-node mask finds every way position a set of nodes
+    covers, in way order.
+
+    - ``node_ids``, ``lat``, ``lon``: the extract's nodes as rows.  A
+      last extra row at NaN stands for node ids no node element defines,
+      so it is never inside a radius.
+    - ``way_count[row]``: how many drivable ways pass through the node.
+    - ``occ_node``, ``occ_id``, ``way_of``: node row, node id and way of
+      each occurrence.
+    - ``pair_len[k]``: ``haversine_m`` from occurrence ``k`` to ``k + 1``
+      of the same way (0.0 after a way's last node).
+    - ``is_cut[k]``: the occurrence ends a junction-to-junction segment,
+      being a way's first or last node or a node of two or more ways.
+
+    Edges of whole segments are built on first use and kept, keyed by
+    segment and speed, so speeds that differ between calls (through
+    ``speed_overrides``) never share an edge.
+    """
+
+    def __init__(self, raw: RawRoadData):
+        self.node_ids = list(raw.nodes)
+        missing = len(self.node_ids)
+        latlon = np.array(list(raw.nodes.values()) + [(math.nan, math.nan)], dtype=float)
+        self.lat = latlon[:, 0].copy()
+        self.lon = latlon[:, 1].copy()
+
+        row = {nid: i for i, nid in enumerate(self.node_ids)}
+        self.occ_id = [nid for way in raw.ways for nid in way.node_ids]
+        self.occ_node = np.array([row.get(nid, missing) for nid in self.occ_id], dtype=np.int64)
+        self.way_start = np.cumsum([0] + [len(way.node_ids) for way in raw.ways])
+        self.way_of = np.repeat(np.arange(len(raw.ways)), np.diff(self.way_start))
+        # one count per (way, node) pair, however often the way repeats the node
+        way_node = np.unique(self.way_of * (missing + 1) + self.occ_node)
+        self.way_count = np.bincount(way_node % (missing + 1), minlength=missing + 1)
+
+        starts, stops = self.way_start[:-1], self.way_start[1:]
+        nonempty = stops > starts
+        self.is_cut = self.way_count[self.occ_node] >= 2
+        self.is_cut[starts[nonempty]] = True
+        self.is_cut[stops[nonempty] - 1] = True
+
+        lats = self.lat[self.occ_node].tolist()
+        lons = self.lon[self.occ_node].tolist()
+        self.pair_len = np.array(
+            list(map(haversine_m, lats, lons, lats[1:], lons[1:])) + [0.0], dtype=float
+        )
+        self.pair_len[stops[nonempty] - 1] = 0.0
+        self._whole_segment_edges: dict[tuple[int, float], tuple[Edge, ...]] = {}
+
+    def within(self, center: tuple[float, float], radius_m: float) -> np.ndarray:
+        """Boolean per node row: haversine to ``center`` is ``<= radius_m``."""
+        dist = haversine_m_array(center[0], center[1], self.lat, self.lon)
+        inside = dist <= radius_m - _PREFILTER_BAND_M
+        for r in np.flatnonzero(np.abs(dist - radius_m) <= _PREFILTER_BAND_M).tolist():
+            inside[r] = (
+                haversine_m(center[0], center[1], self.lat[r].item(), self.lon[r].item())
+                <= radius_m
+            )
+        return inside
 
 
 def _as_bytes(source) -> bytes:
@@ -182,6 +269,38 @@ def _is_oneway(tags: dict[str, str]) -> bool:
     return v in ("yes", "true", "1")
 
 
+def _way_attributes(way: Way, speed_overrides: dict[str, float] | None):
+    """(speed_kph, class, lanes, oneway) of a way's edges."""
+    cls = way.highway_class
+    speed = parse_maxspeed_kph(way.tags.get("maxspeed"))
+    if speed is None:
+        speed = default_speed(cls, speed_overrides)
+    return speed, cls, parse_lanes(way.tags.get("lanes")), _is_oneway(way.tags)
+
+
+def _segment_edges(
+    index: MapIndex, a: int, b: int, attrs: tuple
+) -> tuple[Edge, ...]:
+    """Edges of the way stretch from occurrence ``a`` to ``b``.
+
+    Empty for a closed loop back to its start or a zero-length stretch.
+    """
+    speed, cls, lanes, oneway = attrs
+    seg_len = 0.0
+    # summed pair by pair, in way order, so every graph of the extract
+    # gives a stretch the same float length
+    for pair in index.pair_len[a:b].tolist():
+        seg_len += pair
+    src, dst = index.occ_id[a], index.occ_id[b]
+    if src != dst and seg_len > 0.0:
+        travel_time = seg_len / (speed / 3.6)
+        forward = Edge(src, dst, seg_len, speed, travel_time, cls, lanes)
+        if oneway:
+            return (forward,)
+        return (forward, Edge(dst, src, seg_len, speed, travel_time, cls, lanes))
+    return ()
+
+
 def build_graph(
     raw: RawRoadData,
     center: tuple[float, float],
@@ -192,71 +311,61 @@ def build_graph(
 
     Nodes beyond ``radius_m`` (haversine) are dropped together with the
     way fragments through them.  Ways are split into edges at every node
-    shared by two or more retained ways; intermediate nodes contribute
-    geometry only (their haversine lengths are summed into the edge).
-    Two-way roads produce one edge per direction.
+    shared by two or more drivable ways of the extract; intermediate
+    nodes contribute geometry only (their haversine lengths are summed
+    into the edge).  Two-way roads produce one edge per direction.
+
+    The graph is cropped from ``raw.index`` (see :class:`MapIndex`),
+    built by the first call on an extract and reused by every later one:
+    only the ways through in-radius nodes are visited, and segments
+    wholly inside the radius reuse the edges built for them before.
+    Nodes and edges come out in way order, as a rescan of the whole
+    extract would give them.
     """
     if radius_m <= 0:
         raise ArgumentError(f"radius must be positive, got {radius_m}")
-    in_radius = {
-        nid
-        for nid, (lat, lon) in raw.nodes.items()
-        if haversine_m(center[0], center[1], lat, lon) <= radius_m
-    }
-
-    # a node used by >= 2 drivable ways is an intersection
-    way_count: dict[str, int] = {}
-    for way in raw.ways:
-        for nid in set(way.node_ids):
-            way_count[nid] = way_count.get(nid, 0) + 1
+    index = raw.index
+    occ = np.flatnonzero(index.within(center, radius_m)[index.occ_node])
 
     nodes: dict[str, tuple[float, float]] = {}
     edges: list[Edge] = []
-    for way in raw.ways:
-        cls = way.highway_class
-        speed = parse_maxspeed_kph(way.tags.get("maxspeed"))
-        if speed is None:
-            speed = default_speed(cls, speed_overrides)
-        lanes = parse_lanes(way.tags.get("lanes"))
-        oneway = _is_oneway(way.tags)
+    if occ.size:
+        # maximal runs of in-radius occurrences of one way; a segment
+        # ends at a run's ends and at every cut inside it
+        occ_way = index.way_of[occ]
+        run_start = np.ones(occ.size, dtype=bool)
+        run_start[1:] = (np.diff(occ) != 1) | (occ_way[1:] != occ_way[:-1])
+        run_end = np.roll(run_start, -1)
+        is_bound = run_start | run_end | index.is_cut[occ]
+        bounds = occ[is_bound]
+        seg = np.flatnonzero(~run_start[is_bound][1:])
+        starts, stops = bounds[seg], bounds[seg + 1]
+        # a segment between two cuts is a whole junction-to-junction
+        # segment of the map; the others are clipped by the radius
+        whole = index.is_cut[starts] & index.is_cut[stops]
 
-        # maximal runs of in-radius nodes; anything touching a dropped
-        # node is dropped with it
-        run: list[str] = []
-        runs: list[list[str]] = []
-        for nid in way.node_ids:
-            if nid in in_radius:
-                run.append(nid)
+        attrs: dict[int, tuple] = {}
+        memo = index._whole_segment_edges
+        for a, b, w, is_whole in zip(
+            starts.tolist(), stops.tolist(), index.way_of[starts].tolist(), whole.tolist()
+        ):
+            way_attrs = attrs.get(w)
+            if way_attrs is None:
+                way_attrs = attrs[w] = _way_attributes(raw.ways[w], speed_overrides)
+            if is_whole:
+                key = (a, way_attrs[0])
+                seg_edges = memo.get(key)
+                if seg_edges is None:
+                    # setdefault is atomic, so threads building the same
+                    # segment at once all keep the first one stored
+                    seg_edges = memo.setdefault(key, _segment_edges(index, a, b, way_attrs))
             else:
-                if len(run) >= 2:
-                    runs.append(run)
-                run = []
-        if len(run) >= 2:
-            runs.append(run)
-
-        for run in runs:
-            seg_start = 0
-            seg_len = 0.0
-            for i in range(1, len(run)):
-                a, b = run[i - 1], run[i]
-                seg_len += haversine_m(*raw.nodes[a], *raw.nodes[b])
-                is_cut = i == len(run) - 1 or way_count.get(run[i], 0) >= 2
-                if not is_cut:
-                    continue
-                src, dst = run[seg_start], run[i]
-                if src != dst and seg_len > 0.0:
-                    travel_time = seg_len / (speed / 3.6)
-                    nodes[src] = raw.nodes[src]
-                    nodes[dst] = raw.nodes[dst]
-                    edges.append(
-                        Edge(src, dst, seg_len, speed, travel_time, cls, lanes)
-                    )
-                    if not oneway:
-                        edges.append(
-                            Edge(dst, src, seg_len, speed, travel_time, cls, lanes)
-                        )
-                seg_start = i
-                seg_len = 0.0
+                seg_edges = _segment_edges(index, a, b, way_attrs)
+            if seg_edges:
+                src, dst = seg_edges[0].src, seg_edges[0].dst
+                nodes[src] = raw.nodes[src]
+                nodes[dst] = raw.nodes[dst]
+                edges.extend(seg_edges)
 
     if not edges:
         raise DomainError(

@@ -151,8 +151,9 @@ def embed_position(
 ) -> EmbeddedPosition:
     """Graph, central node, ego-graph and embedding for one position.
 
-    The graph is built fresh around the position so every embedding sees
-    the same radius of context regardless of other sensors.
+    The graph is cropped around the position from the extract's index,
+    so every embedding sees the same radius of context regardless of
+    other sensors.
     """
     graph = build_graph(raw, (lat, lon), cfg.radius_m, cfg.default_speeds or None)
     graph, central = insert_central_node(

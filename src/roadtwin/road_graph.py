@@ -253,10 +253,10 @@ def insert_central_node(
 
     # the reverse direction of a two-way host gets split through the same node
     reverse_idx = None
-    for i, e in enumerate(graph.edges):
+    for i in graph._out[host.dst]:
+        e = graph.edges[i]
         if (
             i != host_idx
-            and e.src == host.dst
             and e.dst == host.src
             and e.highway_class == host.highway_class
             and abs(e.length_m - host.length_m) <= 1e-6 * max(e.length_m, host.length_m)

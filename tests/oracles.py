@@ -14,13 +14,19 @@ evidence both are right:
                               regularized incomplete gamma function
                               (series + continued fraction), no scipy.
 * ``bfs_hops``              - undirected hop distances by plain BFS.
+* ``build_graph_full_scan`` - radius graph by rescanning every node and
+                              way of the extract with scalar haversine
+                              (the original ``build_graph``).
 """
 from __future__ import annotations
 
 import math
 from itertools import count
 
-from roadtwin.road_graph import RoadGraph
+from roadtwin.errors import ArgumentError, DomainError
+from roadtwin.geo import haversine_m
+from roadtwin.osm_ingest import RawRoadData, default_speed, parse_lanes, parse_maxspeed_kph
+from roadtwin.road_graph import Edge, RoadGraph
 
 INF = math.inf
 
@@ -252,3 +258,83 @@ def chi2_sf_series(x: float, df: int) -> float:
     if z < a + 1.0:
         return 1.0 - _gamma_p_series(a, z)
     return _gamma_q_contfrac(a, z)
+
+
+# ---------------------------------------------------------------------------
+# radius graph
+# ---------------------------------------------------------------------------
+
+def build_graph_full_scan(
+    raw: RawRoadData,
+    center: tuple[float, float],
+    radius_m: float = 2000.0,
+    speed_overrides: dict[str, float] | None = None,
+) -> RoadGraph:
+    """``build_graph`` as a full rescan of the extract on every call.
+
+    Tests every node with scalar haversine, recounts the ways through
+    every node, and walks every way pair by pair, re-measuring each
+    pair.  The production crop must give the same nodes, edges and
+    order.
+    """
+    if radius_m <= 0:
+        raise ArgumentError(f"radius must be positive, got {radius_m}")
+    in_radius = {
+        nid
+        for nid, (lat, lon) in raw.nodes.items()
+        if haversine_m(center[0], center[1], lat, lon) <= radius_m
+    }
+
+    way_count: dict[str, int] = {}
+    for way in raw.ways:
+        for nid in set(way.node_ids):
+            way_count[nid] = way_count.get(nid, 0) + 1
+
+    nodes: dict[str, tuple[float, float]] = {}
+    edges: list[Edge] = []
+    for way in raw.ways:
+        cls = way.highway_class
+        speed = parse_maxspeed_kph(way.tags.get("maxspeed"))
+        if speed is None:
+            speed = default_speed(cls, speed_overrides)
+        lanes = parse_lanes(way.tags.get("lanes"))
+        oneway = way.tags.get("oneway", "").strip().lower() in ("yes", "true", "1")
+
+        run: list[str] = []
+        runs: list[list[str]] = []
+        for nid in way.node_ids:
+            if nid in in_radius:
+                run.append(nid)
+            else:
+                if len(run) >= 2:
+                    runs.append(run)
+                run = []
+        if len(run) >= 2:
+            runs.append(run)
+
+        for run in runs:
+            seg_start = 0
+            seg_len = 0.0
+            for i in range(1, len(run)):
+                a, b = run[i - 1], run[i]
+                seg_len += haversine_m(*raw.nodes[a], *raw.nodes[b])
+                is_cut = i == len(run) - 1 or way_count.get(run[i], 0) >= 2
+                if not is_cut:
+                    continue
+                src, dst = run[seg_start], run[i]
+                if src != dst and seg_len > 0.0:
+                    travel_time = seg_len / (speed / 3.6)
+                    nodes[src] = raw.nodes[src]
+                    nodes[dst] = raw.nodes[dst]
+                    edges.append(Edge(src, dst, seg_len, speed, travel_time, cls, lanes))
+                    if not oneway:
+                        edges.append(Edge(dst, src, seg_len, speed, travel_time, cls, lanes))
+                seg_start = i
+                seg_len = 0.0
+
+    if not edges:
+        raise DomainError(
+            f"no drivable roads within {radius_m:.0f} m of "
+            f"({center[0]:.5f}, {center[1]:.5f})"
+        )
+    return RoadGraph(nodes, edges, center=(float(center[0]), float(center[1])), radius_m=float(radius_m))

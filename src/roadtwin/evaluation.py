@@ -13,7 +13,6 @@ from datetime import date
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy import stats as sstats
 
 from .embedding import RoadEmbedding
 from .errors import ArgumentError, AvailabilityError, DomainError
@@ -69,6 +68,10 @@ def friedman_test(errors) -> tuple[float, float]:
     statistic (no tie-variance correction) is referred to the chi-square
     distribution with k-1 degrees of freedom.
     """
+    # scipy.stats is imported on first use, so commands that run no rank
+    # test never pay for its import
+    from scipy import stats as sstats
+
     e = _error_matrix(errors)
     n, k = e.shape
     ranks = sstats.rankdata(e, method="average", axis=1)
@@ -115,6 +118,8 @@ def nemenyi_posthoc(
             raise ArgumentError(
                 f"no built-in critical value for k={k}, alpha={alpha}; supply q_crit"
             )
+    from scipy import stats as sstats
+
     statistic, p = friedman_test(e)
     significant = p < alpha
     ranks = sstats.rankdata(e, method="average", axis=1)

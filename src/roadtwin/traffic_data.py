@@ -118,7 +118,8 @@ class TrafficSeries:
         return bool((self.quality[self.date_index(d)] != QUALITY_MISSING).all())
 
     def complete_days(self) -> list[date]:
-        return [d for d in self.dates() if self.is_complete_day(d)]
+        complete = (self.quality != QUALITY_MISSING).all(axis=1)
+        return [self.start_date + timedelta(days=int(i)) for i in np.flatnonzero(complete)]
 
 
 def _read_text(source) -> str:
@@ -131,14 +132,27 @@ def _read_text(source) -> str:
     return source.decode("utf-8") if isinstance(source, bytes) else str(source)
 
 
-def _parse_traffic_text(
-    text: str, interval_min: int, on_duplicate: str
-) -> dict[str, dict[datetime, float]]:
-    """Validate raw CSV text into per-sensor timestamp->flow maps."""
-    if 1440 % interval_min != 0:
-        raise ArgumentError(f"interval {interval_min} does not divide 1440 minutes")
-    if on_duplicate not in ("error", "first"):
-        raise ArgumentError(f"on_duplicate must be 'error' or 'first', got {on_duplicate!r}")
+def _grid_series(sensor_id, interval_min, day, slot, flow) -> TrafficSeries:
+    """Series holding ``flow[i]`` at (``day[i]``, ``slot[i]``).
+
+    ``day`` holds proleptic Gregorian ordinals; the (day, slot) pairs
+    must be distinct.  Grid slots no row names stay missing.
+    """
+    first = int(day.min())
+    n_days = int(day.max()) - first + 1
+    flows = np.full((n_days, 1440 // interval_min), np.nan)
+    quality = np.full(flows.shape, QUALITY_MISSING, dtype=np.uint8)
+    flows[day - first, slot] = flow
+    quality[day - first, slot] = QUALITY_OBSERVED
+    return TrafficSeries(sensor_id, interval_min, date.fromordinal(first), flows, quality)
+
+
+def _parse_rows(text: str, interval_min: int, on_duplicate: str) -> dict[str, TrafficSeries]:
+    """Validate CSV text one row at a time; raises on the first bad row.
+
+    Accepts every ``datetime.fromisoformat`` form on the grid, and is the
+    one place that names the failing row.
+    """
     rows = list(csv.reader(io.StringIO(text)))
     rows_nonblank = [(i + 1, r) for i, r in enumerate(rows) if r]
     if not rows_nonblank or [c.strip() for c in rows_nonblank[0][1]] != TRAFFIC_HEADER:
@@ -177,24 +191,136 @@ def _parse_traffic_text(
         records[ts] = flow
     if not by_sensor:
         raise FormatError("traffic CSV holds no data rows")
-    return by_sensor
+
+    series = {}
+    for sid, records in by_sensor.items():
+        stamps = list(records)
+        series[sid] = _grid_series(
+            sid,
+            interval_min,
+            np.array([ts.toordinal() for ts in stamps]),
+            np.array([(ts.hour * 60 + ts.minute) // interval_min for ts in stamps]),
+            np.fromiter(records.values(), dtype=float, count=len(records)),
+        )
+    return series
 
 
-def _series_from_records(
-    sensor_id: str, records: dict[datetime, float], interval_min: int
-) -> TrafficSeries:
-    slots = 1440 // interval_min
-    first = min(records).date()
-    last = max(records).date()
-    n_days = (last - first).days + 1
-    flows = np.full((n_days, slots), np.nan)
-    quality = np.full((n_days, slots), QUALITY_MISSING, dtype=np.uint8)
-    for ts, flow in records.items():
-        day = (ts.date() - first).days
-        slot = (ts.hour * 60 + ts.minute) // interval_min
-        flows[day, slot] = flow
-        quality[day, slot] = QUALITY_OBSERVED
-    return TrafficSeries(sensor_id, interval_min, first, flows, quality)
+# byte columns of the 14 digits and of the 5 separators of a canonical
+# ``YYYY-MM-DDTHH:MM:SS`` timestamp
+_TS_DIGIT_COLS = np.array([0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18])
+_TS_SEP_COLS = np.array([4, 7, 10, 13, 16])
+_TS_SEPS = np.frombuffer(b"--T::", dtype=np.uint8)
+_ROW_SEPS = np.frombuffer(b",,\n", dtype=np.uint8)
+_DIGIT_WEIGHTS = np.array([1000, 100, 10, 1, 10, 1, 10, 1, 10, 1, 10, 1, 10, 1])
+_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+_DAYS_BEFORE_MONTH = np.concatenate(([0], np.cumsum(_MONTH_DAYS[:-1])))
+
+
+def _canonical_day_slot(
+    ts: np.ndarray, interval_min: int
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Day ordinals and grid slots of ``(n, 19)`` timestamp bytes.
+
+    None unless every row is a valid ``YYYY-MM-DDTHH:MM:SS`` on the
+    interval grid: year 0000, a day past the month's end, hour 24 or a
+    nonzero second all give None, as ``fromisoformat`` or the grid check
+    would reject them.
+    """
+    digits = ts[:, _TS_DIGIT_COLS] - ord("0")  # uint8: non-digits wrap above 9
+    if (digits > 9).any() or (ts[:, _TS_SEP_COLS] != _TS_SEPS).any():
+        return None
+    weighted = digits * _DIGIT_WEIGHTS
+    year = weighted[:, :4].sum(axis=1)
+    month, mday, hour, minute, second = weighted[:, 4:].reshape(-1, 5, 2).sum(axis=2).T
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    minute_of_day = hour * 60 + minute
+    valid = (
+        (year >= 1) & (month >= 1) & (month <= 12) & (mday >= 1)
+        & (mday <= _MONTH_DAYS[np.minimum(month, 12)] + (leap & (month == 2)))
+        & (hour <= 23) & (minute <= 59) & (second == 0)
+        & (minute_of_day % interval_min == 0)
+    )
+    if not valid.all():
+        return None
+    y = year - 1
+    day = (y * 365 + y // 4 - y // 100 + y // 400 + _DAYS_BEFORE_MONTH[month]
+           + (leap & (month > 2)) + mday)
+    return day, minute_of_day // interval_min
+
+
+def _parse_canonical(
+    text: str, interval_min: int, on_duplicate: str
+) -> dict[str, TrafficSeries] | None:
+    """Parse the whole text in array passes, or None if any row may be invalid.
+
+    Handles files whose rows all read ``sensor,YYYY-MM-DDTHH:MM:SS,flow``
+    with a valid on-grid timestamp and a finite non-negative flow, and
+    that hold no quote, carriage return or NUL.  Anything else returns
+    None and is left to :func:`_parse_rows`, which finds the bad row or
+    parses the other ``fromisoformat`` forms.
+    """
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    head, _, body = text.partition("\n")
+    body = body.rstrip("\n")
+    if [c.strip() for c in head.split(",")] != TRAFFIC_HEADER or not body:
+        return None
+    body += "\n"
+    buf = np.frombuffer(body.encode("utf-8"), dtype=np.uint8)
+    seps = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
+    if seps.size % 3 or (buf[seps].reshape(-1, 3) != _ROW_SEPS).any():
+        return None  # a row without exactly 3 fields, or a blank line
+    if (seps[1::3] - seps[0::3] != 20).any():
+        return None  # a timestamp of other than 19 bytes
+    fields = body.replace("\n", ",").split(",")
+    ts = np.frombuffer("".join(fields[1::3]).encode("utf-8"), dtype=np.uint8).reshape(-1, 19)
+    day_slot = _canonical_day_slot(ts, interval_min)
+    if day_slot is None:
+        return None
+    day, slot = day_slot
+    try:
+        flow = np.fromiter(map(float, fields[2::3]), dtype=float, count=len(ts))
+    except ValueError:
+        return None
+    if not (np.isfinite(flow) & (flow >= 0)).all():
+        return None
+
+    ids = fields[0:-1:3]
+    names = list(dict.fromkeys(ids))
+    if len(names) == 1:
+        groups = [np.arange(len(ids))]
+    else:
+        code = np.fromiter(map({sid: k for k, sid in enumerate(names)}.__getitem__, ids),
+                           dtype=np.intp, count=len(ids))
+        order = np.argsort(code, kind="stable")  # rows of one sensor, in file order
+        groups = np.split(order, np.flatnonzero(np.diff(code[order])) + 1)
+    series = {}
+    for sid, rows in zip(names, groups):
+        _, first = np.unique(day[rows] * (1440 // interval_min) + slot[rows], return_index=True)
+        if first.size < rows.size:
+            if on_duplicate == "error":
+                return None
+            rows = rows[first]
+        series[sid] = _grid_series(sid, interval_min, day[rows], slot[rows], flow[rows])
+    return series
+
+
+def _parse_traffic_text(
+    text: str, interval_min: int, on_duplicate: str
+) -> dict[str, TrafficSeries]:
+    """Validate raw CSV text into one series per sensor id.
+
+    Canonical files are parsed in whole-array passes; any other text,
+    valid or not, goes through the row loop, which keeps every error
+    message and row number.
+    """
+    if 1440 % interval_min != 0:
+        raise ArgumentError(f"interval {interval_min} does not divide 1440 minutes")
+    if on_duplicate not in ("error", "first"):
+        raise ArgumentError(f"on_duplicate must be 'error' or 'first', got {on_duplicate!r}")
+    return _parse_canonical(text, interval_min, on_duplicate) or _parse_rows(
+        text, interval_min, on_duplicate
+    )
 
 
 def load_series(source, interval_min: int = 15, on_duplicate: str = "error") -> TrafficSeries:
@@ -211,8 +337,8 @@ def load_series(source, interval_min: int = 15, on_duplicate: str = "error") -> 
         raise FormatError(
             f"mixed sensor ids in one series: {', '.join(sorted(by_sensor))}"
         )
-    (sensor_id, records), = by_sensor.items()
-    return _series_from_records(sensor_id, records, interval_min)
+    (series,) = by_sensor.values()
+    return series
 
 
 def load_traffic_csv(
@@ -220,10 +346,24 @@ def load_traffic_csv(
 ) -> dict[str, TrafficSeries]:
     """Load a traffic CSV that may combine several sensors."""
     by_sensor = _parse_traffic_text(_read_text(source), interval_min, on_duplicate)
-    return {
-        sid: _series_from_records(sid, records, interval_min)
-        for sid, records in sorted(by_sensor.items())
-    }
+    return dict(sorted(by_sensor.items()))
+
+
+def _slot_medians(flows: np.ndarray, observed: np.ndarray) -> np.ndarray:
+    """Per-slot median of the observed values; NaN for a slot with none.
+
+    Equals ``np.median`` of each slot's observed values bit for bit: the
+    middle value for an odd count, half the sum of the middle two for an
+    even one.  (``np.nanmedian`` halves twice the middle value for an odd
+    count, which overflows above 8.9e307.)
+    """
+    ranked = np.sort(np.where(observed, flows, np.nan), axis=0)  # NaN sorts last
+    count = observed.sum(axis=0)
+    slot = np.arange(flows.shape[1])
+    med = ranked[(count - 1) // 2, slot]
+    even = count % 2 == 0
+    med[even] = (med[even] + ranked[count[even] // 2, slot[even]]) / 2
+    return med
 
 
 @dataclass
@@ -253,61 +393,44 @@ def clean_series(
         raise ArgumentError(f"max gap must be >= 0, got {max_gap}")
     flows = series.flows.copy()
     quality = series.quality.copy()
-    slots = series.slots_per_day
 
     spikes = 0
     while True:
-        removed = 0
-        for slot in range(slots):
-            observed = quality[:, slot] == QUALITY_OBSERVED
-            col = flows[observed, slot]
-            if col.size == 0:
-                continue
-            med = float(np.median(col))
-            if med <= 0.0:
-                continue
-            mask = observed & (flows[:, slot] > spike_factor * med)
-            n = int(mask.sum())
-            if n:
-                flows[mask, slot] = np.nan
-                quality[mask, slot] = QUALITY_MISSING
-                removed += n
-        spikes += removed
+        observed = quality == QUALITY_OBSERVED
+        med = _slot_medians(flows, observed)
+        spike = observed & (flows > np.where(med > 0.0, spike_factor * med, np.inf))
+        removed = int(spike.sum())
         if removed == 0:
             break
+        flows[spike] = np.nan
+        quality[spike] = QUALITY_MISSING
+        spikes += removed
 
     # gap filling works on the flattened timeline so runs may span midnight
     flat_flow = flows.reshape(-1)
     flat_q = quality.reshape(-1)
-    interpolated = 0
-    n = flat_q.size
-    i = 0
-    while i < n:
-        if flat_q[i] != QUALITY_MISSING:
-            i += 1
-            continue
-        j = i
-        while j < n and flat_q[j] == QUALITY_MISSING:
-            j += 1
-        run = j - i
-        if 0 < run <= max_gap and i > 0 and j < n:
-            left = flat_flow[i - 1]
-            right = flat_flow[j]
-            for k in range(run):
-                frac = (k + 1) / (run + 1)
-                flat_flow[i + k] = left + (right - left) * frac
-                flat_q[i + k] = QUALITY_INTERPOLATED
-            interpolated += run
-        i = j
+    step = np.diff(np.concatenate(([0], flat_q == QUALITY_MISSING, [0])))
+    start = np.flatnonzero(step == 1)
+    run = np.flatnonzero(step == -1) - start
+    fill = (run <= max_gap) & (start > 0) & (start + run < flat_q.size)
+    start, run = start[fill], run[fill]
+    offset = np.arange(run.sum()) - np.repeat(np.cumsum(run) - run, run)  # k within its run
+    left = np.repeat(flat_flow[start - 1], run)
+    right = np.repeat(flat_flow[start + run], run)
+    frac = (offset + 1) / (np.repeat(run, run) + 1)
+    at = np.repeat(start, run) + offset
+    flat_flow[at] = left + (right - left) * frac
+    flat_q[at] = QUALITY_INTERPOLATED
 
+    missing = quality == QUALITY_MISSING
     cleaned = TrafficSeries(
         series.sensor_id, series.interval_min, series.start_date, flows, quality
     )
     stats = CleaningStats(
         spikes_removed=spikes,
-        slots_interpolated=interpolated,
-        slots_missing=int((quality == QUALITY_MISSING).sum()),
-        incomplete_days=sum(1 for d in cleaned.dates() if not cleaned.is_complete_day(d)),
+        slots_interpolated=int(run.sum()),
+        slots_missing=int(missing.sum()),
+        incomplete_days=int(missing.any(axis=1).sum()),
         total_days=cleaned.n_days,
     )
     return cleaned, stats

@@ -17,16 +17,35 @@ evidence both are right:
 * ``build_graph_full_scan`` - radius graph by rescanning every node and
                               way of the extract with scalar haversine
                               (the original ``build_graph``).
+* ``load_traffic_rowwise``  - traffic CSV through ``csv.reader`` and
+                              ``datetime.fromisoformat`` one row at a
+                              time (the original parser).
+* ``clean_series_loop``     - spike removal slot by slot and gap filling
+                              by walking the timeline (the original
+                              ``clean_series``).
 """
 from __future__ import annotations
 
+import csv
+import io
 import math
+from datetime import datetime
 from itertools import count
 
-from roadtwin.errors import ArgumentError, DomainError
+import numpy as np
+
+from roadtwin.errors import ArgumentError, DomainError, FormatError
 from roadtwin.geo import haversine_m
 from roadtwin.osm_ingest import RawRoadData, default_speed, parse_lanes, parse_maxspeed_kph
 from roadtwin.road_graph import Edge, RoadGraph
+from roadtwin.traffic_data import (
+    QUALITY_INTERPOLATED,
+    QUALITY_MISSING,
+    QUALITY_OBSERVED,
+    TRAFFIC_HEADER,
+    CleaningStats,
+    TrafficSeries,
+)
 
 INF = math.inf
 
@@ -338,3 +357,153 @@ def build_graph_full_scan(
             f"({center[0]:.5f}, {center[1]:.5f})"
         )
     return RoadGraph(nodes, edges, center=(float(center[0]), float(center[1])), radius_m=float(radius_m))
+
+
+# ---------------------------------------------------------------------------
+# traffic series
+# ---------------------------------------------------------------------------
+
+def load_traffic_rowwise(
+    text: str, interval_min: int = 15, on_duplicate: str = "error"
+) -> dict[str, TrafficSeries]:
+    """Traffic CSV text to per-sensor series, validating row by row.
+
+    Every row goes through ``csv.reader`` and ``datetime.fromisoformat``
+    and lands in a per-sensor timestamp -> flow dict before the grid is
+    filled slot by slot.  The production parser must give the same
+    series, and the same exception type and message on bad input.
+    """
+    if 1440 % interval_min != 0:
+        raise ArgumentError(f"interval {interval_min} does not divide 1440 minutes")
+    if on_duplicate not in ("error", "first"):
+        raise ArgumentError(f"on_duplicate must be 'error' or 'first', got {on_duplicate!r}")
+    rows = list(csv.reader(io.StringIO(text)))
+    rows_nonblank = [(i + 1, r) for i, r in enumerate(rows) if r]
+    if not rows_nonblank or [c.strip() for c in rows_nonblank[0][1]] != TRAFFIC_HEADER:
+        raise FormatError(f"bad traffic CSV header: expected {','.join(TRAFFIC_HEADER)}")
+
+    by_sensor: dict[str, dict[datetime, float]] = {}
+    for lineno, row in rows_nonblank[1:]:
+        if len(row) != 3:
+            raise FormatError(f"traffic CSV row {lineno}: expected 3 fields, got {len(row)}")
+        sid, ts_text, flow_text = row
+        try:
+            ts = datetime.fromisoformat(ts_text)
+        except ValueError as exc:
+            raise FormatError(f"traffic CSV row {lineno}: {exc}") from exc
+        if ts.tzinfo is not None:
+            raise FormatError(
+                f"traffic CSV row {lineno}: timestamps must be naive local civil time"
+            )
+        if ts.second or ts.microsecond or (ts.hour * 60 + ts.minute) % interval_min:
+            raise FormatError(
+                f"traffic CSV row {lineno}: {ts_text} is off the {interval_min}-minute grid"
+            )
+        try:
+            flow = float(flow_text)
+        except ValueError as exc:
+            raise FormatError(f"traffic CSV row {lineno}: {exc}") from exc
+        if not np.isfinite(flow) or flow < 0:
+            raise FormatError(
+                f"traffic CSV row {lineno}: flow must be finite and non-negative, got {flow_text}"
+            )
+        records = by_sensor.setdefault(sid, {})
+        if ts in records:
+            if on_duplicate == "error":
+                raise FormatError(f"traffic CSV row {lineno}: duplicate timestamp {ts_text}")
+            continue
+        records[ts] = flow
+    if not by_sensor:
+        raise FormatError("traffic CSV holds no data rows")
+
+    slots = 1440 // interval_min
+    series = {}
+    for sid, records in sorted(by_sensor.items()):
+        first = min(records).date()
+        n_days = (max(records).date() - first).days + 1
+        flows = np.full((n_days, slots), np.nan)
+        quality = np.full((n_days, slots), QUALITY_MISSING, dtype=np.uint8)
+        for ts, flow in records.items():
+            day = (ts.date() - first).days
+            slot = (ts.hour * 60 + ts.minute) // interval_min
+            flows[day, slot] = flow
+            quality[day, slot] = QUALITY_OBSERVED
+        series[sid] = TrafficSeries(sid, interval_min, first, flows, quality)
+    return series
+
+
+def clean_series_loop(
+    series: TrafficSeries, spike_factor: float = 5.0, max_gap: int = 4
+) -> tuple[TrafficSeries, CleaningStats]:
+    """Spike removal one slot column at a time, then gap filling by a walk.
+
+    Each pass takes ``np.median`` of one slot's observed values and
+    re-marks values above ``spike_factor`` times it, until a pass removes
+    nothing; the walk then finds each missing run on the flattened
+    timeline and fills it value by value.
+    """
+    if spike_factor <= 0:
+        raise ArgumentError(f"spike factor must be positive, got {spike_factor}")
+    if max_gap < 0:
+        raise ArgumentError(f"max gap must be >= 0, got {max_gap}")
+    flows = series.flows.copy()
+    quality = series.quality.copy()
+    slots = series.slots_per_day
+
+    spikes = 0
+    while True:
+        removed = 0
+        for slot in range(slots):
+            observed = quality[:, slot] == QUALITY_OBSERVED
+            col = flows[observed, slot]
+            if col.size == 0:
+                continue
+            med = float(np.median(col))
+            if med <= 0.0:
+                continue
+            mask = observed & (flows[:, slot] > spike_factor * med)
+            n = int(mask.sum())
+            if n:
+                flows[mask, slot] = np.nan
+                quality[mask, slot] = QUALITY_MISSING
+                removed += n
+        spikes += removed
+        if removed == 0:
+            break
+
+    flat_flow = flows.reshape(-1)
+    flat_q = quality.reshape(-1)
+    interpolated = 0
+    n = flat_q.size
+    i = 0
+    while i < n:
+        if flat_q[i] != QUALITY_MISSING:
+            i += 1
+            continue
+        j = i
+        while j < n and flat_q[j] == QUALITY_MISSING:
+            j += 1
+        run = j - i
+        if 0 < run <= max_gap and i > 0 and j < n:
+            left = flat_flow[i - 1]
+            right = flat_flow[j]
+            for k in range(run):
+                frac = (k + 1) / (run + 1)
+                flat_flow[i + k] = left + (right - left) * frac
+                flat_q[i + k] = QUALITY_INTERPOLATED
+            interpolated += run
+        i = j
+
+    cleaned = TrafficSeries(
+        series.sensor_id, series.interval_min, series.start_date, flows, quality
+    )
+    stats = CleaningStats(
+        spikes_removed=spikes,
+        slots_interpolated=interpolated,
+        slots_missing=int((quality == QUALITY_MISSING).sum()),
+        incomplete_days=sum(
+            1 for i in range(cleaned.n_days) if (quality[i] == QUALITY_MISSING).any()
+        ),
+        total_days=cleaned.n_days,
+    )
+    return cleaned, stats

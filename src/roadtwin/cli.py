@@ -196,19 +196,12 @@ def cmd_select(args, cfg: PipelineConfig):
     _require(cfg, "osm_path", "sensors_path")
     raw = parse_osm_extract(cfg.osm_path)
     sensors = pipeline.load_sensors(cfg.sensors_path)
-    target_id = "target"
-    if any(s.sensor_id == target_id for s in sensors):
-        raise ArgumentError(f"sensor id {target_id!r} clashes with the target placeholder")
-    target_pos = pipeline.embed_position(raw, cfg, target_id, args.lat, args.lon)
-    positions = pipeline.embed_sensors(raw, sensors, cfg)
-    pool = pipeline.normalize_positions(positions + [target_pos])
-    target_norm = pool[-1]
-    sensor_norm = pool[:-1]
+    target, positions = pipeline.embed_target(raw, sensors, cfg, args.lat, args.lon)
     emb_res = select_by_embedding(
-        target_norm.embedding, [p.embedding for p in sensor_norm], metric=cfg.distance
+        target.embedding, [p.embedding for p in positions], metric=cfg.distance
     )
     geo_res = select_by_geography(
-        target_id, (args.lat, args.lon), [(s.sensor_id, (s.lat, s.lon)) for s in sensors]
+        target.sensor_id, (args.lat, args.lon), [(s.sensor_id, (s.lat, s.lon)) for s in sensors]
     )
     with OutputStage(cfg.output_dir) as stage:
         write_csv(
@@ -392,14 +385,9 @@ def cmd_estimate(args, cfg: PipelineConfig):
     d = _parse_date(args.date)
     raw = parse_osm_extract(cfg.osm_path)
     sensors = pipeline.load_sensors(cfg.sensors_path)
-    target_id = "target"
-    if any(s.sensor_id == target_id for s in sensors):
-        raise ArgumentError(f"sensor id {target_id!r} clashes with the target placeholder")
-    target_pos = pipeline.embed_position(raw, cfg, target_id, args.lat, args.lon)
-    positions = pipeline.embed_sensors(raw, sensors, cfg)
-    pool = pipeline.normalize_positions(positions + [target_pos])
+    target, positions = pipeline.embed_target(raw, sensors, cfg, args.lat, args.lon)
     emb_res = select_by_embedding(
-        pool[-1].embedding, [p.embedding for p in pool[:-1]], metric=cfg.distance
+        target.embedding, [p.embedding for p in positions], metric=cfg.distance
     )
     series, _stats = pipeline.load_traffic_dir(cfg)
     if emb_res.selected_id not in series:
@@ -416,7 +404,7 @@ def cmd_estimate(args, cfg: PipelineConfig):
         write_csv(
             stage.path("generated_day.csv"),
             GENERATED_HEADER,
-            _generated_rows(target_id, [gen]),
+            _generated_rows(target.sensor_id, [gen]),
             config_hash=chash,
         )
         write_json(

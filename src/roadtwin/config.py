@@ -53,8 +53,6 @@ class PipelineConfig:
     distance: str = "l2"
     alpha: float = 0.05
     nemenyi_q: dict = field(default_factory=lambda: {"2": 1.959964, "3": 2.343})
-    # reserved for sampled diagnostics
-    seed: int = 0
 
     def validate(self) -> "PipelineConfig":
         if self.radius_m <= 0:
@@ -122,21 +120,11 @@ def _coerce(name: str, kind, raw):
         raise ArgumentError(f"bad value for config key {name!r}: {exc}") from exc
 
 
-def _field_types() -> dict[str, type]:
-    kinds: dict[str, type] = {}
-    for f in fields(PipelineConfig):
-        if f.name in ("osm_path", "sensors_path", "traffic_dir", "holidays_path", "output_dir", "distance"):
-            kinds[f.name] = str
-        elif f.name in ("default_speeds", "nemenyi_q"):
-            kinds[f.name] = dict
-        elif f.name in ("radius_m", "snap_threshold_m", "spike_factor", "alpha"):
-            kinds[f.name] = float
-        else:
-            kinds[f.name] = int
-    return kinds
+# ``from __future__ import annotations`` leaves each field's type as its
+# annotation text; ``str | None`` coerces like ``str`` (``None`` stays None)
+_ANNOTATION_TYPES = {"str | None": str, "str": str, "float": float, "int": int, "dict": dict}
 
-
-FIELD_TYPES = _field_types()
+FIELD_TYPES = {f.name: _ANNOTATION_TYPES[f.type] for f in fields(PipelineConfig)}
 
 
 def load_config(path: str | None = None, overrides: dict | None = None) -> PipelineConfig:

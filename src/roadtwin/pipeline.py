@@ -1,16 +1,14 @@
 """End-to-end orchestration shared by the CLI subcommands.
 
-Per-sensor graph construction and embedding, traffic loading/cleaning,
-and the full leave-one-out benchmark.  Per-sensor work fans out over a
-thread pool sized by the ``ROADTWIN_THREADS`` environment variable
-(0 = one per CPU); results are merged in input order so the output is
-independent of the thread count.
+Sensor loading, the one embedding path for sensors and targets (crop the
+radius graph, snap the position, take its ego-graph, build its features,
+then min-max normalise the joint pool), traffic loading and cleaning,
+and the full leave-one-out benchmark.
 """
 from __future__ import annotations
 
 import csv
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import evaluation, generation
@@ -30,32 +28,6 @@ from .traffic_data import (
     load_traffic_csv,
     mean_weekday_flow,
 )
-
-ENV_THREADS = "ROADTWIN_THREADS"
-
-
-def thread_count() -> int:
-    raw = os.environ.get(ENV_THREADS, "1")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise InputError(f"{ENV_THREADS} must be an integer, got {raw!r}") from exc
-    if n < 0:
-        raise InputError(f"{ENV_THREADS} must be >= 0, got {n}")
-    if n == 0:
-        return os.cpu_count() or 1
-    return n
-
-
-def parallel_map(fn, items):
-    """Map preserving input order, threaded when ROADTWIN_THREADS allows."""
-    items = list(items)
-    n = thread_count()
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
-
 
 # ---------------------------------------------------------------------------
 # sensors
@@ -172,12 +144,10 @@ def embed_position(
 
 
 def embed_sensors(raw: RawRoadData, sensors: list[SensorSpec], cfg: PipelineConfig) -> list[EmbeddedPosition]:
-    return parallel_map(
-        lambda s: embed_position(
-            raw, cfg, s.sensor_id, s.lat, s.lon, s.road_type_override, s.lanes_override
-        ),
-        sensors,
-    )
+    return [
+        embed_position(raw, cfg, s.sensor_id, s.lat, s.lon, s.road_type_override, s.lanes_override)
+        for s in sensors
+    ]
 
 
 def normalize_positions(positions: list[EmbeddedPosition]) -> list[EmbeddedPosition]:
@@ -186,6 +156,24 @@ def normalize_positions(positions: list[EmbeddedPosition]) -> list[EmbeddedPosit
         EmbeddedPosition(p.sensor_id, p.lat, p.lon, e, p.central)
         for p, e in zip(positions, normalized)
     ]
+
+
+TARGET_ID = "target"
+
+
+def embed_target(
+    raw: RawRoadData, sensors: list[SensorSpec], cfg: PipelineConfig, lat: float, lon: float
+) -> tuple[EmbeddedPosition, list[EmbeddedPosition]]:
+    """Normalised target and sensors, from one pool of sensors plus target.
+
+    The target is embedded under the id ``TARGET_ID``, which no sensor may
+    carry.
+    """
+    if any(s.sensor_id == TARGET_ID for s in sensors):
+        raise ArgumentError(f"sensor id {TARGET_ID!r} clashes with the target placeholder")
+    target = embed_position(raw, cfg, TARGET_ID, lat, lon)
+    pool = normalize_positions(embed_sensors(raw, sensors, cfg) + [target])
+    return pool[-1], pool[:-1]
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,12 @@ QUALITY_INTERPOLATED = 2
 
 TRAFFIC_HEADER = ["sensor_id", "timestamp", "flow"]
 
+# A series holds every day from its first row to its last, so one mistyped
+# year would allocate the whole gap; longer spans are rejected as input
+# errors.
+MAX_SPAN_YEARS = 50
+MAX_SPAN_DAYS = MAX_SPAN_YEARS * 366
+
 
 class HolidayCalendar:
     """Set of holiday dates."""
@@ -136,10 +142,17 @@ def _grid_series(sensor_id, interval_min, day, slot, flow) -> TrafficSeries:
     """Series holding ``flow[i]`` at (``day[i]``, ``slot[i]``).
 
     ``day`` holds proleptic Gregorian ordinals; the (day, slot) pairs
-    must be distinct.  Grid slots no row names stay missing.
+    must be distinct.  Grid slots no row names stay missing.  A span of
+    more than ``MAX_SPAN_DAYS`` days raises before anything is allocated.
     """
     first = int(day.min())
     n_days = int(day.max()) - first + 1
+    if n_days > MAX_SPAN_DAYS:
+        raise FormatError(
+            f"sensor {sensor_id!r}: rows run from {date.fromordinal(first).isoformat()} "
+            f"to {date.fromordinal(first + n_days - 1).isoformat()}, "
+            f"more than {MAX_SPAN_YEARS} years"
+        )
     flows = np.full((n_days, 1440 // interval_min), np.nan)
     quality = np.full(flows.shape, QUALITY_MISSING, dtype=np.uint8)
     flows[day - first, slot] = flow
@@ -294,15 +307,20 @@ def _parse_canonical(
                            dtype=np.intp, count=len(ids))
         order = np.argsort(code, kind="stable")  # rows of one sensor, in file order
         groups = np.split(order, np.flatnonzero(np.diff(code[order])) + 1)
-    series = {}
-    for sid, rows in zip(names, groups):
+    kept = []
+    for rows in groups:
         _, first = np.unique(day[rows] * (1440 // interval_min) + slot[rows], return_index=True)
         if first.size < rows.size:
             if on_duplicate == "error":
                 return None
             rows = rows[first]
-        series[sid] = _grid_series(sid, interval_min, day[rows], slot[rows], flow[rows])
-    return series
+        kept.append(rows)
+    # every row is vouched for before any series is built, so a span error
+    # is raised only where the row loop would raise it too
+    return {
+        sid: _grid_series(sid, interval_min, day[rows], slot[rows], flow[rows])
+        for sid, rows in zip(names, kept)
+    }
 
 
 def _parse_traffic_text(

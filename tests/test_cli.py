@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 
+import pytest
 
 from conftest import FIXTURE_DIR
 
@@ -458,6 +459,36 @@ def test_estimate_bad_date_exits_2(tmp_path):
     )
     assert proc.returncode == 2
     assert stderr_error(proc)["error"] == "ArgumentError"
+
+
+@pytest.mark.parametrize(
+    "command", [["select"], ["estimate", "--date", "2019-01-16"]], ids=["select", "estimate"]
+)
+def test_sensor_named_target_exits_2(tmp_path, command):
+    with open(os.path.join(FIXTURE_DIR, "sensors.csv"), encoding="utf-8") as fh:
+        text = fh.read()
+    assert "\ns3," in text
+    sensors = tmp_path / "sensors.csv"
+    sensors.write_text(text.replace("\ns3,", "\ntarget,"), encoding="utf-8")
+    out = tmp_path / "out"
+    proc = run_cli(
+        *command,
+        "--config",
+        CONFIG,
+        "--sensors_path",
+        str(sensors),
+        "--output_dir",
+        str(out),
+        "--lat",
+        "40.4500",
+        "--lon",
+        "-3.6900",
+    )
+    assert proc.returncode == 2
+    err = stderr_error(proc)
+    assert err["error"] == "ArgumentError"
+    assert err["message"] == "sensor id 'target' clashes with the target placeholder"
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,20 @@
 import os
-import time
 
 import numpy as np
 import pytest
 
 from roadtwin.config import PipelineConfig
-from roadtwin.errors import FormatError, InputError
+from roadtwin.errors import ArgumentError, FormatError, InputError
 from roadtwin.osm_ingest import HighwayClass
 from roadtwin.pipeline import (
+    TARGET_ID,
+    SensorSpec,
     embed_sensors,
+    embed_target,
     load_sensors,
     load_traffic_dir,
     normalize_positions,
-    parallel_map,
     run_benchmark,
-    thread_count,
 )
 
 
@@ -78,69 +78,8 @@ def test_load_sensors_missing_file(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# threading
-# ---------------------------------------------------------------------------
-
-def test_thread_count_default(monkeypatch):
-    monkeypatch.delenv("ROADTWIN_THREADS", raising=False)
-    assert thread_count() == 1
-
-
-def test_thread_count_env(monkeypatch):
-    monkeypatch.setenv("ROADTWIN_THREADS", "4")
-    assert thread_count() == 4
-
-
-def test_thread_count_zero_means_all_cpus(monkeypatch):
-    monkeypatch.setenv("ROADTWIN_THREADS", "0")
-    assert thread_count() == (os.cpu_count() or 1)
-
-
-@pytest.mark.parametrize("bad", ["-1", "abc", "1.5"])
-def test_thread_count_rejects_garbage(monkeypatch, bad):
-    monkeypatch.setenv("ROADTWIN_THREADS", bad)
-    with pytest.raises(InputError):
-        thread_count()
-
-
-def test_parallel_map_preserves_order(monkeypatch):
-    monkeypatch.setenv("ROADTWIN_THREADS", "4")
-
-    def slow_square(x):
-        time.sleep(0.002 * (7 - x % 8))  # later items finish earlier
-        return x * x
-
-    items = list(range(24))
-    assert parallel_map(slow_square, items) == [x * x for x in items]
-
-
-def test_parallel_map_propagates_exceptions(monkeypatch):
-    monkeypatch.setenv("ROADTWIN_THREADS", "3")
-
-    def boom(x):
-        if x == 5:
-            raise ValueError("five")
-        return x
-
-    with pytest.raises(ValueError, match="five"):
-        parallel_map(boom, range(10))
-
-
-# ---------------------------------------------------------------------------
 # embedding the fixture sensors
 # ---------------------------------------------------------------------------
-
-def test_embeddings_identical_across_thread_counts(minicity_raw, minicity_dir, monkeypatch):
-    cfg = fixture_cfg(minicity_dir)
-    sensors = load_sensors(cfg.sensors_path)
-    monkeypatch.setenv("ROADTWIN_THREADS", "1")
-    single = embed_sensors(minicity_raw, sensors, cfg)
-    monkeypatch.setenv("ROADTWIN_THREADS", "4")
-    multi = embed_sensors(minicity_raw, sensors, cfg)
-    assert [p.sensor_id for p in single] == [p.sensor_id for p in multi]
-    for a, b in zip(single, multi):
-        assert a.embedding.raw_vector() == b.embedding.raw_vector()
-
 
 def test_normalize_positions_round_trip(minicity_raw, minicity_dir):
     cfg = fixture_cfg(minicity_dir)
@@ -149,6 +88,25 @@ def test_normalize_positions_round_trip(minicity_raw, minicity_dir):
     for p in positions:
         assert p.embedding.normalized is not None
         assert all(0.0 <= v <= 1.0 for v in p.embedding.normalized)
+
+
+def test_embed_target_joins_the_sensor_pool(minicity_raw, minicity_dir):
+    cfg = fixture_cfg(minicity_dir)
+    sensors = load_sensors(cfg.sensors_path)
+    s1 = sensors[0]
+    target, positions = embed_target(minicity_raw, sensors, cfg, s1.lat, s1.lon)
+    assert target.sensor_id == TARGET_ID
+    assert [p.sensor_id for p in positions] == [s.sensor_id for s in sensors]
+    # s1 carries no override, so a target on its position is its twin
+    assert target.embedding.normalized == positions[0].embedding.normalized
+
+
+def test_embed_target_rejects_a_sensor_named_like_the_target(minicity_raw, minicity_dir):
+    cfg = fixture_cfg(minicity_dir)
+    sensors = load_sensors(cfg.sensors_path)
+    sensors[1] = SensorSpec(TARGET_ID, sensors[1].lat, sensors[1].lon)
+    with pytest.raises(ArgumentError, match="clashes with the target placeholder"):
+        embed_target(minicity_raw, sensors, cfg, sensors[0].lat, sensors[0].lon)
 
 
 def test_load_traffic_dir_cleans_everything(minicity_dir):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import make_series
+from roadtwin import traffic_data
 from roadtwin.errors import ArgumentError, AvailabilityError, DomainError, FormatError, InputError
 from roadtwin.traffic_data import (
     QUALITY_INTERPOLATED,
@@ -144,6 +145,45 @@ def test_load_missing_file_is_input_error(tmp_path):
 def test_empty_file_rejected():
     with pytest.raises(FormatError):
         load_series("sensor_id,timestamp,flow\n")
+
+
+# the canonical form takes the array pass, the short one the row loop
+SPAN_FORMS = {"canonical": "T00:15:00", "row loop": "T00:15"}
+
+
+@pytest.mark.parametrize("form", SPAN_FORMS.values(), ids=SPAN_FORMS.keys())
+@pytest.mark.parametrize("last", ["2119-01-07", "9019-01-07"])
+def test_span_of_more_than_50_years_rejected(monkeypatch, form, last):
+    text = csv_doc(["b,2019-01-07T00:00:00,1", f"a,2019-01-07{form},1", f"a,{last}{form},2"])
+    if form == SPAN_FORMS["canonical"]:
+        monkeypatch.setattr(traffic_data, "_parse_rows", None)  # array pass only
+    else:
+        assert traffic_data._parse_canonical(text, 15, "error") is None
+    with pytest.raises(FormatError) as info:
+        load_traffic_csv(text)
+    assert str(info.value) == f"sensor 'a': rows run from 2019-01-07 to {last}, more than 50 years"
+
+
+def test_row_errors_come_before_span_errors():
+    rows = ["a,2019-01-07T00:00:00,1", "a,2119-01-07T00:00:00,1",
+            "b,2019-01-07T00:00:00,1", "b,2019-01-07T00:00:00,2"]
+    with pytest.raises(FormatError, match="^traffic CSV row 5: duplicate timestamp"):
+        load_traffic_csv(csv_doc(rows))
+
+
+def test_span_limit_is_exact():
+    last = D + timedelta(days=traffic_data.MAX_SPAN_DAYS - 1)
+    rows = [f"a,{D.isoformat()}T00:00:00,1", f"a,{last.isoformat()}T00:00:00,2"]
+    assert load_series(csv_doc(rows), interval_min=1440).n_days == traffic_data.MAX_SPAN_DAYS
+    rows[1] = f"a,{(last + timedelta(days=1)).isoformat()}T00:00:00,2"
+    with pytest.raises(FormatError, match="more than 50 years"):
+        load_series(csv_doc(rows), interval_min=1440)
+
+
+def test_ten_year_span_loads():
+    s = load_series(csv_doc(["a,2019-01-07T00:00:00,1", "a,2029-01-07T23:45:00,2"]))
+    assert s.n_days == (date(2029, 1, 7) - D).days + 1
+    assert s.flows[0][0] == 1.0 and s.flows[-1][-1] == 2.0
 
 
 # ---------------------------------------------------------------------------

@@ -61,25 +61,71 @@ def _error_matrix(errors) -> np.ndarray:
     return e
 
 
+def _mean_ranks(e: np.ndarray) -> np.ndarray:
+    """Per-column mean of the rows' ascending ranks, ties sharing their mean rank.
+
+    A cell's rank is (cells below it in its row) + (cells equal to it,
+    itself included, + 1) / 2: an exact half-integer, so the column means
+    do not depend on summation order.
+    """
+    below = (e[:, None, :] < e[:, :, None]).sum(axis=2)
+    equal = (e[:, None, :] == e[:, :, None]).sum(axis=2)
+    return (below + (equal + 1) / 2.0).mean(axis=0)
+
+
+# log of the largest double, Cephes' underflow bound for the incomplete gamma
+_MAXLOG = 7.09782712893383996843e2
+
+
+def _chi2_sf(x: float, df: int) -> float:
+    """Chi-square survival function for integer ``df >= 1``, in closed form.
+
+    Even df: ``exp(-x/2) * sum_{i < df/2} (x/2)**i / i!``.  Odd df:
+    ``erfc(sqrt(x/2))`` plus ``exp(-x/2) * sum_{i < (df-1)/2}
+    (x/2)**(i + 1/2) / Gamma(i + 3/2)``.  Every term is positive, so
+    nothing cancels.  Where the leading factor ``z**a exp(-z) / Gamma(a)``
+    (``z = x/2``, ``a = df/2``) falls below ``exp(-_MAXLOG)`` the result
+    is 0.0, the underflow rule of the Cephes ``igamc`` routine.
+    """
+    if x <= 0.0:
+        return 1.0
+    z = x / 2.0
+    a = df / 2.0
+    if a * math.log(z) - z - math.lgamma(a) < -_MAXLOG:
+        return 0.0
+    if df % 2 == 0:
+        term = math.exp(-z)
+        total = term
+        for i in range(1, df // 2):
+            term *= z / i
+            total += term
+        return total
+    term = math.exp(-z) * math.sqrt(z) * 2.0 / math.sqrt(math.pi)
+    total = math.erfc(math.sqrt(z))
+    for i in range((df - 1) // 2):
+        total += term
+        term *= z / (i + 1.5)
+    return total
+
+
+def _friedman(mean_ranks: np.ndarray, n: int) -> tuple[float, float]:
+    k = mean_ranks.size
+    statistic = 12.0 * n / (k * (k + 1)) * float(np.sum(mean_ranks**2)) - 3.0 * n * (k + 1)
+    statistic = max(statistic, 0.0)  # guards float dust on fully tied input
+    return statistic, _chi2_sf(statistic, k - 1)
+
+
 def friedman_test(errors) -> tuple[float, float]:
     """Friedman rank test over an (observations x methods) error matrix.
 
     Rows are ranked ascending with mean ranks on ties; the classic
     statistic (no tie-variance correction) is referred to the chi-square
-    distribution with k-1 degrees of freedom.
+    distribution with k-1 degrees of freedom, whose survival function is
+    evaluated in closed form: a finite Poisson-type series for even k-1,
+    ``erfc`` plus a finite series for odd k-1.
     """
-    # scipy.stats is imported on first use, so commands that run no rank
-    # test never pay for its import
-    from scipy import stats as sstats
-
     e = _error_matrix(errors)
-    n, k = e.shape
-    ranks = sstats.rankdata(e, method="average", axis=1)
-    mean_ranks = ranks.mean(axis=0)
-    statistic = 12.0 * n / (k * (k + 1)) * float(np.sum(mean_ranks**2)) - 3.0 * n * (k + 1)
-    statistic = max(statistic, 0.0)  # guards float dust on fully tied input
-    p_value = float(sstats.chi2.sf(statistic, k - 1))
-    return statistic, p_value
+    return _friedman(_mean_ranks(e), e.shape[0])
 
 
 VERDICT_FIRST = "first_better"
@@ -118,12 +164,10 @@ def nemenyi_posthoc(
             raise ArgumentError(
                 f"no built-in critical value for k={k}, alpha={alpha}; supply q_crit"
             )
-    from scipy import stats as sstats
-
-    statistic, p = friedman_test(e)
+    rank_means = _mean_ranks(e)
+    statistic, p = _friedman(rank_means, n)
     significant = p < alpha
-    ranks = sstats.rankdata(e, method="average", axis=1)
-    mean_ranks = tuple(float(x) for x in ranks.mean(axis=0))
+    mean_ranks = tuple(float(x) for x in rank_means)
     cd = q_crit * math.sqrt(k * (k + 1) / (6.0 * n))
     verdicts: dict[tuple[int, int], str] = {}
     for i in range(k):

@@ -13,6 +13,9 @@ evidence both are right:
 * ``chi2_sf_series``        - chi-squared survival function from the
                               regularized incomplete gamma function
                               (series + continued fraction), no scipy.
+* ``average_ranks_sorted``  - per-row ascending ranks by sorting, each
+                              run of equal values given the mean of its
+                              positions.
 * ``bfs_hops``              - undirected hop distances by plain BFS.
 * ``build_graph_full_scan`` - radius graph by rescanning every node and
                               way of the extract with scalar haversine
@@ -277,6 +280,24 @@ def chi2_sf_series(x: float, df: int) -> float:
     if z < a + 1.0:
         return 1.0 - _gamma_p_series(a, z)
     return _gamma_q_contfrac(a, z)
+
+
+def average_ranks_sorted(errors) -> list[list[float]]:
+    """1-based ascending ranks of each row; tied runs share their mean position."""
+    out = []
+    for row in errors:
+        order = sorted(range(len(row)), key=lambda j: row[j])
+        ranks = [0.0] * len(row)
+        start = 0
+        while start < len(order):
+            end = start
+            while end + 1 < len(order) and row[order[end + 1]] == row[order[start]]:
+                end += 1
+            for pos in range(start, end + 1):
+                ranks[order[pos]] = (start + end) / 2.0 + 1.0
+            start = end + 1
+        out.append(ranks)
+    return out
 
 
 # ---------------------------------------------------------------------------

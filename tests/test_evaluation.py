@@ -3,10 +3,11 @@ from datetime import timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from helpers import MONDAY, emb, make_series
-from oracles import chi2_sf_series
+from oracles import average_ranks_sorted, chi2_sf_series
+from roadtwin.config import DECISIONS
 from roadtwin.errors import ArgumentError, AvailabilityError, DomainError
 from roadtwin.evaluation import (
     NEMENYI_Q_05,
@@ -32,6 +33,29 @@ err_matrix = st.lists(
              min_size=3, max_size=3),
     min_size=2, max_size=20,
 )
+
+# k = 2..6 methods (chi-square df 1..5, both parities); a few distinct rows
+# repeated up to 400 times reach statistics of about 1,500, where p underflows
+wide_err_matrix = st.integers(min_value=2, max_value=6).flatmap(
+    lambda k: st.tuples(
+        st.lists(st.lists(st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
+                          min_size=k, max_size=k),
+                 min_size=2, max_size=6),
+        st.integers(min_value=1, max_value=400),
+    ).map(lambda rows_reps: rows_reps[0] * rows_reps[1])
+)
+
+# small integer cells, so most rows hold ties
+tied_int_matrix = st.integers(min_value=2, max_value=6).flatmap(
+    lambda k: st.lists(st.lists(st.integers(min_value=0, max_value=3), min_size=k, max_size=k),
+                       min_size=2, max_size=30)
+)
+
+
+def ordered_rows(k, forward, backward=0, tied=0):
+    """Rows ranking the k methods 1..k, k..1, or all tied."""
+    return ([list(range(k))] * forward + [list(range(k))[::-1]] * backward
+            + [[0] * k] * tied)
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +135,66 @@ def test_friedman_p_matches_series_oracle(errors):
     assert p == pytest.approx(chi2_sf_series(stat, 2), abs=1e-8)
     assert stat >= 0.0
     assert 0.0 <= p <= 1.0
+
+
+@given(wide_err_matrix)
+# statistics of 1,420-1,500 on either side of where p underflows to 0.0
+@example(ordered_rows(2, 1420))
+@example(ordered_rows(2, 1500))
+@example(ordered_rows(3, 714))
+@example(ordered_rows(4, 479))
+@example(ordered_rows(5, 362))
+@example(ordered_rows(6, 290))
+def test_friedman_p_matches_series_oracle_for_df_1_to_5(errors):
+    stat, p = friedman_test(errors)
+    df = len(errors[0]) - 1
+    # the oracle's exp(-z + a log z - lgamma(a)) is good to about z * 2.2e-16
+    # relative (z <= 750); below 1e-300 both sides are denormal dust or 0.0
+    assert p == pytest.approx(chi2_sf_series(stat, df), rel=1e-12, abs=1e-300)
+    assert 0.0 <= p <= 1.0
+
+
+# p-values of scipy.stats.chi2.sf (scipy 1.17.1) at the statistics these
+# matrices give, recorded once: (k, forward rows, backward rows, tied rows, p)
+SCIPY_CHI2_SF = [
+    (2, 3, 0, 0, 0.08326451666355042),
+    (2, 9, 4, 0, 0.16551785869746796),
+    (2, 40, 25, 5, 0.07299804543011248),
+    (2, 700, 0, 0, 2.990226975124623e-154),
+    (2, 1450, 0, 0, 0.0),
+    (3, 5, 2, 0, 0.27645304662956666),
+    (3, 300, 200, 1, 2.145099625223384e-09),
+    (4, 6, 1, 2, 0.03960235520756403),
+    (4, 60, 0, 0, 8.819945436737102e-39),
+    (5, 3, 2, 0, 0.9384480644498935),
+    (5, 200, 90, 0, 4.846911120528676e-35),
+    (6, 4, 1, 0, 0.1090641579497718),
+    (6, 300, 0, 0, 0.0),
+]
+
+
+@pytest.mark.parametrize("k,forward,backward,tied,expected", SCIPY_CHI2_SF)
+def test_friedman_p_matches_recorded_scipy_values(k, forward, backward, tied, expected):
+    _, p = friedman_test(ordered_rows(k, forward, backward, tied))
+    assert p == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def test_friedman_statistic_omits_tie_correction():
+    # scipy.stats.friedmanchisquare divides by 1 - sum(t^3 - t) / (n k (k^2 - 1))
+    # and reports 3.7142857142857144 here
+    assert DECISIONS["friedman_tie_correction"] == "omitted"
+    stat, p = friedman_test([[1, 1, 2], [1, 2, 3]])
+    assert stat == 3.25
+    assert p == pytest.approx(0.196911675204194, rel=1e-12)
+
+
+@given(tied_int_matrix)
+def test_mean_ranks_match_sorted_oracle(errors):
+    k = len(errors[0])
+    oracle = average_ranks_sorted(errors)
+    expected = tuple(sum(row[j] for row in oracle) / len(oracle) for j in range(k))
+    # half-integer ranks sum exactly, so the means agree to the last bit
+    assert nemenyi_posthoc(errors, q_crit=1.0).mean_ranks == expected
 
 
 @given(err_matrix)

@@ -43,6 +43,7 @@ from .generation import (
     fit_cluster_model,
     generate_cluster,
     generate_copy,
+    generator,
 )
 from .osm_ingest import (
     HighwayClass,
@@ -121,6 +122,7 @@ __all__ = [
     "fit_cluster_model",
     "generate_cluster",
     "generate_copy",
+    "generator",
     # map ingestion
     "HighwayClass",
     "RawRoadData",

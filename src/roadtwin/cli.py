@@ -27,7 +27,7 @@ from .osm_ingest import graph_to_csv, build_graph, parse_osm_extract
 from .output import OutputStage, check_config_hash, read_csv, round6, write_csv, write_json
 from .selection import select_by_embedding, select_by_geography, similarity_percent
 from .svgplot import profile_svg
-from .traffic_data import daily_profile, mean_weekday_flow, slice_day
+from .traffic_data import DAY_FILTERS, daily_profile, mean_weekday_flow, slice_day
 
 EMBEDDINGS_HEADER = (
     ["sensor_id"]
@@ -78,16 +78,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("profile", help="daily profiles as CSV and SVG")
     _add_config_flags(p)
     p.add_argument("--sensor", help="restrict to one sensor id")
-    p.add_argument(
-        "--day-filter", default="weekdays", choices=("weekdays", "weekends", "all")
-    )
+    p.add_argument("--day-filter", default="weekdays", choices=DAY_FILTERS)
 
     p = sub.add_parser("synthesize", help="generate daily traffic for a date range")
     _add_config_flags(p)
     p.add_argument("--source", required=True, help="source sensor id")
     p.add_argument("--start", required=True, help="first date (ISO)")
     p.add_argument("--end", required=True, help="last date (ISO, inclusive)")
-    p.add_argument("--method", default="cluster", choices=("cluster", "copy"))
+    p.add_argument("--method", default=generation.METHOD_CLUSTER, choices=generation.METHODS)
     p.add_argument("--target-id", help="id written on output rows (default: source id)")
 
     p = sub.add_parser("evaluate", help="score generated days against recorded ones")
@@ -103,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lat", type=float, required=True)
     p.add_argument("--lon", type=float, required=True)
     p.add_argument("--date", required=True, help="date to generate (ISO)")
-    p.add_argument("--method", default="cluster", choices=("cluster", "copy"))
+    p.add_argument("--method", default=generation.METHOD_CLUSTER, choices=generation.METHODS)
     return parser
 
 
@@ -267,15 +265,8 @@ def cmd_synthesize(args, cfg: PipelineConfig):
     if end < start:
         raise ArgumentError(f"end date {args.end} before start date {args.start}")
     dates = [start + timedelta(days=i) for i in range((end - start).days + 1)]
-    source = series[args.source]
-    out_days = []
-    if args.method == "cluster":
-        model = generation.fit_cluster_model(source, holidays)
-        for d in dates:
-            out_days.append(generation.generate_cluster(model, d, holidays))
-    else:
-        for d in dates:
-            out_days.append(generation.generate_copy(source, d))
+    generate = generation.generator(args.method, series[args.source], holidays)
+    out_days = [generate(d) for d in dates]
     target_id = args.target_id or args.source
     with OutputStage(cfg.output_dir) as stage:
         write_csv(
@@ -392,13 +383,8 @@ def cmd_estimate(args, cfg: PipelineConfig):
     series, _stats = pipeline.load_traffic_dir(cfg)
     if emb_res.selected_id not in series:
         raise InputError(f"selected sensor {emb_res.selected_id!r} has no traffic series")
-    source = series[emb_res.selected_id]
     holidays = pipeline.load_holidays(cfg)
-    if args.method == "cluster":
-        model = generation.fit_cluster_model(source, holidays)
-        gen = generation.generate_cluster(model, d, holidays)
-    else:
-        gen = generation.generate_copy(source, d)
+    gen = generation.generator(args.method, series[emb_res.selected_id], holidays)(d)
     chash = cfg.config_hash()
     with OutputStage(cfg.output_dir) as stage:
         write_csv(

@@ -13,6 +13,7 @@ import os
 from dataclasses import dataclass, field, fields
 
 from .errors import ArgumentError, FormatError, InputError
+from .selection import DISTANCE_METRICS
 
 # Tie-break and convention choices that shape the numbers, recorded in
 # every report so results stay interpretable.
@@ -52,7 +53,6 @@ class PipelineConfig:
     # selection and statistics
     distance: str = "l2"
     alpha: float = 0.05
-    nemenyi_q: dict = field(default_factory=lambda: {"2": 1.959964, "3": 2.343})
 
     def validate(self) -> "PipelineConfig":
         if self.radius_m <= 0:
@@ -69,21 +69,14 @@ class PipelineConfig:
             raise ArgumentError(f"spike_factor must be positive, got {self.spike_factor}")
         if self.max_gap < 0:
             raise ArgumentError(f"max_gap must be >= 0, got {self.max_gap}")
-        if self.distance not in ("l2", "l1"):
+        if self.distance not in DISTANCE_METRICS:
             raise ArgumentError(f"distance must be 'l2' or 'l1', got {self.distance!r}")
         if not 0.0 < self.alpha < 1.0:
             raise ArgumentError(f"alpha must be in (0, 1), got {self.alpha}")
         for k, v in self.default_speeds.items():
             if float(v) <= 0:
                 raise ArgumentError(f"default speed for {k!r} must be positive, got {v}")
-        for k, v in self.nemenyi_q.items():
-            if float(v) <= 0:
-                raise ArgumentError(f"nemenyi_q[{k!r}] must be positive, got {v}")
         return self
-
-    def nemenyi_q_for(self, k: int) -> float | None:
-        v = self.nemenyi_q.get(str(k))
-        return None if v is None else float(v)
 
     def snapshot(self) -> dict:
         """Canonical JSON-ready view of the configuration.

@@ -78,6 +78,11 @@ class RoadEmbedding:
             self.lanes,
         )
 
+    @property
+    def road_class(self) -> HighwayClass:
+        """Base road class that feature 6 encodes (override included)."""
+        return next(c for c, code in ROAD_TYPE_CODE.items() if code == self.road_type_code)
+
 
 def betweenness(graph: RoadGraph | EgoGraph) -> dict[str, float]:
     """Shortest-path betweenness centrality of every node.

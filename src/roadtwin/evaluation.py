@@ -8,6 +8,7 @@ Nemenyi post-hoc procedure rank generation methods over many days.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 from datetime import date
 from typing import Callable, Mapping, Sequence
@@ -21,9 +22,9 @@ from .selection import SelectionResult, select_by_embedding, select_by_geography
 from .traffic_data import TrafficProfile, TrafficSeries, slice_day
 
 # critical values of the studentized-range-based Nemenyi statistic at
-# alpha = 0.05, by number of compared methods; other (k, alpha) pairs
-# must be supplied by the caller / config
-NEMENYI_Q_05 = {2: 1.959964, 3: 2.343}
+# alpha = 0.05, by number of compared methods (k = 2 is derived from
+# alpha instead); other (k, alpha) pairs must be supplied by the caller
+NEMENYI_Q_05 = {3: 2.343}
 
 
 def rmse(observed: Sequence[float], predicted: Sequence[float]) -> float:
@@ -152,13 +153,19 @@ def nemenyi_posthoc(
     critical difference ``q * sqrt(k (k + 1) / (6 n))``; the one with
     the lower mean rank (lower error) wins.  When the Friedman test is
     not significant at ``alpha`` every pair is a tie.
+
+    Without ``q_crit``, k = 2 uses the normal quantile ``z(1 - alpha/2)``,
+    which Nemenyi's q equals for two methods (Demšar 2006), at any alpha;
+    k = 3 at alpha = 0.05 uses :data:`NEMENYI_Q_05`.
     """
     e = _error_matrix(errors)
     n, k = e.shape
     if not 0.0 < alpha < 1.0:
         raise ArgumentError(f"alpha must be in (0, 1), got {alpha}")
     if q_crit is None:
-        if alpha == 0.05 and k in NEMENYI_Q_05:
+        if k == 2:
+            q_crit = statistics.NormalDist().inv_cdf(1.0 - alpha / 2.0)
+        elif alpha == 0.05 and k in NEMENYI_Q_05:
             q_crit = NEMENYI_Q_05[k]
         else:
             raise ArgumentError(

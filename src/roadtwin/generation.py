@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import date
+from typing import Callable
 
 import numpy as np
 
@@ -19,6 +20,7 @@ N_DAY_CLASSES = 14
 
 METHOD_CLUSTER = "cluster"
 METHOD_COPY = "copy"
+METHODS = (METHOD_CLUSTER, METHOD_COPY)
 
 
 def day_class(d: date, holidays: HolidayCalendar | None = None) -> int:
@@ -107,3 +109,18 @@ def generate_copy(source: TrafficSeries, d: date) -> GeneratedDay:
     of that date (which covers all future dates).
     """
     return GeneratedDay(d, METHOD_COPY, slice_day(source, d), "none")
+
+
+def generator(
+    method: str, source: TrafficSeries, holidays: HolidayCalendar | None = None
+) -> Callable[[date], GeneratedDay]:
+    """Day generator of one method from ``source``, one of :data:`METHODS`.
+
+    The cluster model is fitted here, once, and only for ``cluster``.
+    """
+    if method == METHOD_CLUSTER:
+        model = fit_cluster_model(source, holidays)
+        return lambda d: generate_cluster(model, d, holidays)
+    if method == METHOD_COPY:
+        return lambda d: generate_copy(source, d)
+    raise ArgumentError(f"unknown generation method {method!r}; expected one of {METHODS}")

@@ -356,9 +356,7 @@ def build_graph(
                 key = (a, way_attrs[0])
                 seg_edges = memo.get(key)
                 if seg_edges is None:
-                    # setdefault is atomic, so threads building the same
-                    # segment at once all keep the first one stored
-                    seg_edges = memo.setdefault(key, _segment_edges(index, a, b, way_attrs))
+                    seg_edges = memo[key] = _segment_edges(index, a, b, way_attrs)
             else:
                 seg_edges = _segment_edges(index, a, b, way_attrs)
             if seg_edges:
@@ -372,7 +370,7 @@ def build_graph(
             f"no drivable roads within {radius_m:.0f} m of "
             f"({center[0]:.5f}, {center[1]:.5f})"
         )
-    return RoadGraph(nodes, edges, center=(float(center[0]), float(center[1])), radius_m=float(radius_m))
+    return RoadGraph(nodes, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -419,12 +417,7 @@ def _strip_comments(text: str) -> str:
     return "\n".join(l for l in text.splitlines() if not l.startswith("#"))
 
 
-def graph_from_csv(
-    nodes_csv: str,
-    edges_csv: str,
-    center: tuple[float, float] | None = None,
-    radius_m: float | None = None,
-) -> RoadGraph:
+def graph_from_csv(nodes_csv: str, edges_csv: str) -> RoadGraph:
     """Inverse of :func:`graph_to_csv`; leading '#' comment lines are skipped."""
     nodes_csv = _strip_comments(nodes_csv)
     edges_csv = _strip_comments(edges_csv)
@@ -461,4 +454,4 @@ def graph_from_csv(
             )
         except ValueError as exc:
             raise FormatError(f"edges CSV row {lineno}: {exc}") from exc
-    return RoadGraph(nodes, edges, center=center, radius_m=radius_m)
+    return RoadGraph(nodes, edges)

@@ -15,7 +15,6 @@ from . import evaluation, generation
 from .config import DECISIONS, PipelineConfig
 from .embedding import RoadEmbedding, build_embedding, normalize_pool
 from .errors import ArgumentError, FormatError, InputError
-from .generation import METHOD_CLUSTER, METHOD_COPY
 from .osm_ingest import RawRoadData, build_graph, parse_lanes
 from .road_graph import CentralNode, HighwayClass, ego_graph, insert_central_node
 from .output import round6
@@ -235,7 +234,7 @@ def build_segment_records(
                 embedding=p.embedding,
                 profile=daily_profile(s, "weekdays", holidays),
                 mean_weekday_flow=mean_weekday_flow(s, holidays),
-                road_type=p.central.host_edge_class.base.value,
+                road_type=p.embedding.road_class.value,
             )
         )
     return records
@@ -268,23 +267,18 @@ def run_benchmark(cfg: PipelineConfig) -> dict:
         target_id = outcome.target_id
         source_id = outcome.embedding_result.selected_id
         target_series = series[target_id]
-        source_series = series[source_id]
-        model = generation.fit_cluster_model(source_series, holidays)
         generators = {
-            METHOD_CLUSTER: lambda d: generation.generate_cluster(model, d, holidays),
-            METHOD_COPY: lambda d: generation.generate_copy(source_series, d),
+            m: generation.generator(m, series[source_id], holidays) for m in generation.METHODS
         }
         mean_flow = mean_weekday_flow(target_series, holidays)
         table = evaluation.generation_benchmark(target_series, mean_flow, generators)
         complete = table.complete_matrix()
-        k = len(table.methods)
         stats_block: dict = {
             "days_evaluated": len(table.dates),
             "days_in_rank_test": int(table.complete_mask().sum()),
         }
         if complete.shape[0] >= 2:
-            q = cfg.nemenyi_q_for(k)
-            nem = evaluation.nemenyi_posthoc(complete, alpha=cfg.alpha, q_crit=q)
+            nem = evaluation.nemenyi_posthoc(complete, alpha=cfg.alpha)
             stats_block["friedman"] = {
                 "statistic": round6(nem.friedman_statistic),
                 "p_value": round6(nem.friedman_p),

@@ -72,17 +72,9 @@ class RoadGraph:
     graph.
     """
 
-    def __init__(
-        self,
-        nodes: dict[str, tuple[float, float]],
-        edges: list[Edge],
-        center: tuple[float, float] | None = None,
-        radius_m: float | None = None,
-    ):
+    def __init__(self, nodes: dict[str, tuple[float, float]], edges: list[Edge]):
         self.nodes = dict(nodes)
         self.edges = list(edges)
-        self.center = center
-        self.radius_m = radius_m
         self._out: dict[str, list[int]] = {n: [] for n in self.nodes}
         self._in: dict[str, list[int]] = {n: [] for n in self.nodes}
         for i, e in enumerate(self.edges):
@@ -93,9 +85,6 @@ class RoadGraph:
 
     def __len__(self) -> int:
         return len(self.nodes)
-
-    def out_edges(self, node: str) -> list[Edge]:
-        return [self.edges[i] for i in self._out[node]]
 
     def neighbors_undirected(self, node: str) -> list[str]:
         """Successors and predecessors, deduplicated, in adjacency order."""
@@ -152,15 +141,6 @@ def shortest_travel_time(graph: RoadGraph, src: str, dst: str) -> float:
     return dijkstra_from(graph, src)[dst]
 
 
-def _projection_for(graph: RoadGraph) -> LocalProjection:
-    if graph.center is not None:
-        return LocalProjection(*graph.center)
-    # fall back to the node centroid for graphs built by hand in tests
-    lats = [c[0] for c in graph.nodes.values()]
-    lons = [c[1] for c in graph.nodes.values()]
-    return LocalProjection(sum(lats) / len(lats), sum(lons) / len(lons))
-
-
 def _split_edge(e: Edge, t: float, node_id: str) -> tuple[Edge, Edge]:
     """Split ``e`` at parameter t from src; lengths and times stay proportional."""
     first = replace(
@@ -188,10 +168,12 @@ def insert_central_node(
     """Place a virtual node for a sensor on the nearest edge.
 
     The sensor position is projected onto every edge (straight segment
-    between its endpoints, in a local flat projection).  The host edge is
-    split at the foot of the perpendicular into two edges whose lengths
-    sum to the original and whose travel times stay proportional; the
-    opposite direction of a two-way road is split through the same node.
+    between its endpoints, in a flat projection centred on the position
+    itself, so the snap does not depend on where the graph was cropped).
+    The host edge is split at the foot of the perpendicular into two
+    edges whose lengths sum to the original and whose travel times stay
+    proportional; the opposite direction of a two-way road is split
+    through the same node.
     A projection landing within ``JUNCTION_REUSE_M`` of an existing
     endpoint reuses that junction instead.
 
@@ -199,7 +181,7 @@ def insert_central_node(
     """
     if not graph.edges:
         raise SnapError(f"sensor {sensor_id!r}: graph has no edges to snap to")
-    proj = _projection_for(graph)
+    proj = LocalProjection(lat, lon)
     px, py = proj.to_xy(lat, lon)
     xy = {n: proj.to_xy(*graph.nodes[n]) for n in graph.nodes}
 
@@ -225,26 +207,12 @@ def insert_central_node(
     fy = ay + t * (by - ay)
 
     # reuse an existing junction when the foot is essentially on it
-    if math.hypot(fx - ax, fy - ay) <= JUNCTION_REUSE_M:
-        central = CentralNode(
-            node_id=host.src,
-            sensor_id=sensor_id,
-            lat=graph.nodes[host.src][0],
-            lon=graph.nodes[host.src][1],
-            host_edge_class=host.highway_class,
-            host_edge_lanes=host.lanes,
-        )
-        return graph, central
-    if math.hypot(fx - bx, fy - by) <= JUNCTION_REUSE_M:
-        central = CentralNode(
-            node_id=host.dst,
-            sensor_id=sensor_id,
-            lat=graph.nodes[host.dst][0],
-            lon=graph.nodes[host.dst][1],
-            host_edge_class=host.highway_class,
-            host_edge_lanes=host.lanes,
-        )
-        return graph, central
+    for node, (nx, ny) in ((host.src, (ax, ay)), (host.dst, (bx, by))):
+        if math.hypot(fx - nx, fy - ny) <= JUNCTION_REUSE_M:
+            lat_n, lon_n = graph.nodes[node]
+            return graph, CentralNode(
+                node, sensor_id, lat_n, lon_n, host.highway_class, host.lanes
+            )
 
     node_id = f"site:{sensor_id}"
     if node_id in graph.nodes:
@@ -275,16 +243,8 @@ def insert_central_node(
 
     nodes = dict(graph.nodes)
     nodes[node_id] = (flat, flon)
-    out = RoadGraph(nodes, new_edges, center=graph.center, radius_m=graph.radius_m)
-    central = CentralNode(
-        node_id=node_id,
-        sensor_id=sensor_id,
-        lat=flat,
-        lon=flon,
-        host_edge_class=host.highway_class,
-        host_edge_lanes=host.lanes,
-    )
-    return out, central
+    central = CentralNode(node_id, sensor_id, flat, flon, host.highway_class, host.lanes)
+    return RoadGraph(nodes, new_edges), central
 
 
 def ego_graph(graph: RoadGraph, center: CentralNode, hops: int) -> EgoGraph:
@@ -312,5 +272,4 @@ def ego_graph(graph: RoadGraph, center: CentralNode, hops: int) -> EgoGraph:
     keep = set(depth)
     nodes = {n: graph.nodes[n] for n in graph.nodes if n in keep}
     edges = [e for e in graph.edges if e.src in keep and e.dst in keep]
-    sub = RoadGraph(nodes, edges, center=graph.center, radius_m=graph.radius_m)
-    return EgoGraph(graph=sub, center=center, hops=hops)
+    return EgoGraph(graph=RoadGraph(nodes, edges), center=center, hops=hops)

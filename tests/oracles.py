@@ -377,7 +377,7 @@ def build_graph_full_scan(
             f"no drivable roads within {radius_m:.0f} m of "
             f"({center[0]:.5f}, {center[1]:.5f})"
         )
-    return RoadGraph(nodes, edges, center=(float(center[0]), float(center[1])), radius_m=float(radius_m))
+    return RoadGraph(nodes, edges)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,11 @@ small fixture city, then inspects exit codes, the JSON error envelope on
 stderr, and the files written to the output directory.
 """
 import json
+import math
 import os
 import subprocess
 import sys
+from statistics import NormalDist
 
 import pytest
 
@@ -512,3 +514,32 @@ def test_benchmark_outputs(tmp_path):
     assert summary[1] == "target_id,method,mean_nrmse,std_nrmse,road_type,best_methods"
     assert len(summary) == 2 + 8 * 2  # two methods per target
     assert "benchmark: 8 targets" in proc.stdout
+
+
+def test_benchmark_alpha_sets_the_critical_difference(tmp_path):
+    out = tmp_path / "out"
+    proc = run_cli("benchmark", "--config", CONFIG, "--output_dir", str(out), "--alpha", "0.01")
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert report["config"]["alpha"] == 0.01
+    q = NormalDist().inv_cdf(0.995)
+    for target in report["targets"]:
+        gen = target["generation"]
+        cd = gen["nemenyi"]["critical_difference"]
+        assert cd == pytest.approx(q / math.sqrt(gen["days_in_rank_test"]), rel=1e-5)
+
+
+def test_config_with_nemenyi_q_exits_2(tmp_path):
+    with open(CONFIG, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    for key in ("osm_path", "sensors_path", "traffic_dir", "holidays_path"):
+        doc[key] = os.path.join(FIXTURE_DIR, doc[key])
+    doc["nemenyi_q"] = {"2": 2.575829}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    proc = run_cli("benchmark", "--config", str(config), "--output_dir", str(tmp_path / "out"))
+    assert proc.returncode == 2
+    err = stderr_error(proc)
+    assert err["error"] == "ArgumentError"
+    assert "nemenyi_q" in err["message"]
+    assert not (tmp_path / "out").exists()

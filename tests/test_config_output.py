@@ -54,13 +54,6 @@ def test_validation_rejects_bad_values(field, value):
         cfg.validate()
 
 
-def test_nemenyi_q_lookup():
-    cfg = PipelineConfig()
-    assert cfg.nemenyi_q_for(2) == pytest.approx(1.959964)
-    assert cfg.nemenyi_q_for(3) == pytest.approx(2.343)
-    assert cfg.nemenyi_q_for(4) is None
-
-
 def test_decisions_travel_in_snapshot_reports():
     # the decision record is a plain dict ready for report embedding
     assert DECISIONS["ego_hop_reachability"] == "undirected"

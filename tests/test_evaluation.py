@@ -1,5 +1,6 @@
 import math
 from datetime import timedelta
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -290,6 +291,17 @@ def test_nemenyi_verdicts_antisymmetric_under_column_reversal(errors):
             assert mirrored == VERDICT_SECOND
         else:
             assert mirrored == VERDICT_FIRST
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.05, 0.2])
+def test_nemenyi_two_methods_take_q_from_alpha(alpha):
+    # for k = 2, Nemenyi's q is the normal quantile z(1 - alpha/2)
+    errors = [[1.0, 2.0]] * 9 + [[2.0, 1.0]]
+    res = nemenyi_posthoc(errors, alpha=alpha)
+    q = NormalDist().inv_cdf(1.0 - alpha / 2.0)
+    assert res.critical_difference == pytest.approx(q / math.sqrt(10), rel=1e-12)
+    if alpha == 0.05:
+        assert q == pytest.approx(1.959964, abs=1e-6)
 
 
 def test_nemenyi_unsupported_k_needs_explicit_q():

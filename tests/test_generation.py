@@ -6,12 +6,14 @@ import pytest
 from helpers import make_series
 from roadtwin.errors import ArgumentError, AvailabilityError, DomainError
 from roadtwin.generation import (
+    METHODS,
     N_DAY_CLASSES,
     ClusterModel,
     day_class,
     fit_cluster_model,
     generate_cluster,
     generate_copy,
+    generator,
 )
 from roadtwin.traffic_data import HolidayCalendar
 
@@ -183,3 +185,37 @@ def test_copy_incomplete_day_raises():
     src = make_series({MON: arr})
     with pytest.raises(AvailabilityError):
         generate_copy(src, MON)
+
+
+# ---------------------------------------------------------------------------
+# method dispatch
+# ---------------------------------------------------------------------------
+
+def test_generator_matches_each_method():
+    cal = HolidayCalendar([MON + timedelta(days=70)])
+    src = three_mondays()
+    model = fit_cluster_model(src, cal)
+    assert METHODS == ("cluster", "copy")
+    for d in (MON, MON + timedelta(days=70)):
+        out = generator("cluster", src, cal)(d)
+        want = generate_cluster(model, d, cal)
+        assert (out.method, out.fallback) == (want.method, want.fallback)
+        assert np.array_equal(out.values, want.values)
+    out = generator("copy", src, cal)(MON)
+    assert out.method == "copy"
+    assert np.array_equal(out.values, generate_copy(src, MON).values)
+
+
+def test_generator_fits_a_model_only_for_cluster():
+    arr = np.full(96, 5.0)
+    arr[8:20] = np.nan
+    src = make_series({MON: arr})  # no complete day to fit on
+    with pytest.raises(DomainError):
+        generator("cluster", src)
+    with pytest.raises(AvailabilityError):
+        generator("copy", src)(MON)
+
+
+def test_generator_rejects_an_unknown_method():
+    with pytest.raises(ArgumentError, match="bogus"):
+        generator("bogus", three_mondays())

@@ -276,8 +276,7 @@ def test_speed_override_changes_travel_time():
 
 def test_graph_csv_round_trip(minicity_graph):
     nodes_csv, edges_csv = graph_to_csv(minicity_graph)
-    g2 = graph_from_csv(nodes_csv, edges_csv,
-                        center=minicity_graph.center, radius_m=minicity_graph.radius_m)
+    g2 = graph_from_csv(nodes_csv, edges_csv)
     assert g2.nodes == minicity_graph.nodes
     assert len(g2.edges) == len(minicity_graph.edges)
     for a, b in zip(minicity_graph.edges, g2.edges):

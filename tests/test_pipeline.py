@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from roadtwin.config import PipelineConfig
+from roadtwin.embedding import road_type_code
 from roadtwin.errors import ArgumentError, FormatError, InputError
 from roadtwin.osm_ingest import HighwayClass
 from roadtwin.pipeline import (
@@ -186,6 +187,15 @@ def test_benchmark_generation_tables(benchmark_result):
         assert table.nrmse.shape == (len(table.dates), 2)
         finite = table.nrmse[~np.isnan(table.nrmse)]
         assert (finite >= 0).all()
+
+
+def test_benchmark_reports_the_road_class_the_embedding_encodes(benchmark_result):
+    road_types = {t["target_id"]: t["road_type"] for t in benchmark_result["report"]["targets"]}
+    # s4 sits on a tertiary road, and the sensors file overrides it to secondary
+    assert road_types["s4"] == "secondary"
+    for seg in benchmark_result["segments"]:
+        assert road_types[seg.sensor_id] == seg.road_type
+        assert road_type_code(HighwayClass(seg.road_type)) == seg.embedding.road_type_code
 
 
 def test_benchmark_requires_inputs():

@@ -1,12 +1,15 @@
 import math
+import os
 
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import FIXTURE_DIR
 from helpers import LAT0, LON0, east_of, geo_graph, make_graph, north_of
 from oracles import bfs_hops, floyd_warshall
 from roadtwin.errors import ArgumentError, SnapError
-from roadtwin.osm_ingest import HighwayClass
+from roadtwin.osm_ingest import HighwayClass, build_graph
+from roadtwin.pipeline import load_sensors
 from roadtwin.road_graph import (
     Edge,
     RoadGraph,
@@ -209,6 +212,22 @@ def test_lanes_flow_through_split():
     g2, central = insert_central_node(g, "s1", north_of(LAT0, 200.0), LON0)
     assert central.host_edge_lanes == 3
     assert all(ch.lanes == 3 for ch in g2.edges)
+
+
+MINICITY_SENSORS = load_sensors(os.path.join(FIXTURE_DIR, "sensors.csv"))
+
+
+@pytest.mark.parametrize("sensor", MINICITY_SENSORS, ids=lambda s: s.sensor_id)
+def test_snap_does_not_depend_on_the_crop_center(minicity_raw, sensor):
+    # the same position snapped on graphs cropped around itself and around
+    # a point 0.002 degrees north must give the same node and split edges
+    snaps = []
+    for center in ((sensor.lat, sensor.lon), (sensor.lat + 0.002, sensor.lon)):
+        graph = build_graph(minicity_raw, center, 2000.0)
+        g2, central = insert_central_node(graph, sensor.sensor_id, sensor.lat, sensor.lon)
+        touching = [e for e in g2.edges if central.node_id in (e.src, e.dst)]
+        snaps.append((central, touching))
+    assert snaps[0] == snaps[1]
 
 
 # ---------------------------------------------------------------------------

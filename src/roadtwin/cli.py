@@ -184,7 +184,8 @@ def cmd_embed(args, cfg: PipelineConfig):
 
 
 def _selection_rows(result):
-    sim_known = result.method == "embedding"
+    # only an l2 embedding result has a similarity scale
+    sim_known = result.similarity_pct is not None
     for rank, (sid, dist) in enumerate(result.ranking, start=1):
         sim = similarity_percent(dist) if sim_known else None
         yield [result.target_id, rank, sid, dist, sim, result.method]

@@ -1,6 +1,6 @@
 """OpenStreetMap XML ingestion into a directed road graph.
 
-Parses the XML subset used here (node / way / nd / tag), keeps drivable
+Stream-parses the XML subset used here (node / way / nd / tag), keeps drivable
 road classes only, and assembles edges with per-class free-flow speeds,
 haversine lengths and travel times.  Also provides the CSV on-disk
 format for graphs.
@@ -12,7 +12,7 @@ import io
 import math
 import os
 import re
-import xml.etree.ElementTree as ET
+from xml.parsers import expat
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -99,7 +99,10 @@ class MapIndex:
     - ``occ_node``, ``occ_id``, ``way_of``: node row, node id and way of
       each occurrence.
     - ``pair_len[k]``: ``haversine_m`` from occurrence ``k`` to ``k + 1``
-      of the same way (0.0 after a way's last node).
+      of the same way (0.0 after a way's last node).  NaN until a crop
+      first reads the pair: :func:`build_graph` measures the pairs of
+      its radius that are still NaN, so pairs no crop reaches are never
+      measured.
     - ``is_cut[k]``: the occurrence ends a junction-to-junction segment,
       being a way's first or last node or a node of two or more ways.
 
@@ -130,11 +133,7 @@ class MapIndex:
         self.is_cut[starts[nonempty]] = True
         self.is_cut[stops[nonempty] - 1] = True
 
-        lats = self.lat[self.occ_node].tolist()
-        lons = self.lon[self.occ_node].tolist()
-        self.pair_len = np.array(
-            list(map(haversine_m, lats, lons, lats[1:], lons[1:])) + [0.0], dtype=float
-        )
+        self.pair_len = np.full(self.occ_node.size, math.nan)
         self.pair_len[stops[nonempty] - 1] = 0.0
         self._whole_segment_edges: dict[tuple[int, float], tuple[Edge, ...]] = {}
 
@@ -149,6 +148,17 @@ class MapIndex:
             )
         return inside
 
+    def measure_pairs(self, occ: np.ndarray) -> None:
+        """Fill ``pair_len`` from each occurrence in ``occ`` to the next
+        one, where still NaN, with one scalar ``haversine_m`` per pair."""
+        occ = occ[np.isnan(self.pair_len[occ])]
+        if occ.size:
+            a, b = self.occ_node[occ], self.occ_node[occ + 1]
+            self.pair_len[occ] = list(
+                map(haversine_m, self.lat[a].tolist(), self.lon[a].tolist(),
+                    self.lat[b].tolist(), self.lon[b].tolist())
+            )
+
 
 def _as_bytes(source) -> bytes:
     if isinstance(source, bytes):
@@ -162,51 +172,91 @@ def _as_bytes(source) -> bytes:
     raise ArgumentError(f"unsupported OSM source type: {type(source).__name__}")
 
 
-def _byte_offset(data: bytes, line: int, column: int) -> int:
-    lines = data.split(b"\n")
-    return sum(len(l) + 1 for l in lines[: line - 1]) + column
-
-
 def parse_osm_extract(source) -> RawRoadData:
     """Parse OSM XML bytes (or a file path) into :class:`RawRoadData`.
 
-    Keeps all nodes and only the ways whose ``highway`` tag is a drivable
+    Reads ``node`` and ``way`` elements that are direct children of the
+    root, and the ``nd`` / ``tag`` direct children of each such way;
+    namespaced elements and anything nested deeper are ignored.  Keeps
+    all nodes and only the ways whose ``highway`` tag is a drivable
     class; non-drivable ways (footways, cycleways, ...) are discarded.
-    Raises ``ParseError`` with the byte offset on malformed XML and
-    ``StructuralError`` when a retained way references a missing node.
+    The document is streamed through expat, never held as a tree.
+
+    Raises ``ParseError`` with the byte index on malformed XML (including
+    an entity reference it cannot expand), then ``FormatError`` for the
+    first node without a usable id/lat/lon, then ``StructuralError``
+    when a retained way references a missing node.
     """
     data = _as_bytes(source)
-    try:
-        root = ET.fromstring(data)
-    except ET.ParseError as exc:
-        line, col = exc.position
-        raise ParseError(
-            f"malformed XML at byte {_byte_offset(data, line, col)}: {exc.msg}"
-        ) from exc
-
     nodes: dict[str, tuple[float, float]] = {}
     ways: list[Way] = []
-    for elem in root:
-        if elem.tag == "node":
-            try:
-                nid = elem.attrib["id"]
-                lat = float(elem.attrib["lat"])
-                lon = float(elem.attrib["lon"])
-            except (KeyError, ValueError) as exc:
-                raise FormatError(f"node element missing id/lat/lon: {exc}") from exc
-            nodes[nid] = (lat, lon)
-        elif elem.tag == "way":
-            tags = {}
-            refs = []
-            for child in elem:
-                if child.tag == "nd":
-                    refs.append(child.attrib.get("ref", ""))
-                elif child.tag == "tag":
-                    k = child.attrib.get("k", "")
-                    if k in _KEEP_TAGS:
-                        tags[k] = child.attrib.get("v", "")
-            if tags.get("highway") in ACCEPTED_HIGHWAYS:
-                ways.append(Way(way_id=elem.attrib.get("id", ""), node_ids=refs, tags=tags))
+    bad_node = None  # first node error, raised once the whole XML is well formed
+    depth = 0  # of the open element; the root is 1
+    way = None  # the root-child way being read
+    external_entities = set()
+
+    def start(name, attrs):
+        nonlocal depth, way, bad_node
+        depth += 1
+        if depth == 2:
+            if name == "node":
+                try:
+                    nid = attrs["id"]
+                    nodes[nid] = (float(attrs["lat"]), float(attrs["lon"]))
+                except (KeyError, ValueError) as exc:
+                    if bad_node is None:
+                        bad_node = exc
+            elif name == "way":
+                way = Way(way_id=attrs.get("id", ""), node_ids=[], tags={})
+        elif depth == 3 and way is not None:
+            if name == "nd":
+                way.node_ids.append(attrs.get("ref", ""))
+            elif name == "tag":
+                k = attrs.get("k", "")
+                if k in _KEEP_TAGS:
+                    way.tags[k] = attrs.get("v", "")
+
+    def end(name):
+        nonlocal depth, way
+        if depth == 2 and way is not None:
+            if way.tags.get("highway") in ACCEPTED_HIGHWAYS:
+                ways.append(way)
+            way = None
+        depth -= 1
+
+    def entity_decl(name, is_parameter, value, base, system_id, public_id, notation):
+        if not is_parameter and system_id is not None:
+            external_entities.add(name)
+
+    def undefined_entity(name):
+        # expat skips such references silently; a tree parser rejects them
+        ref = f"&{name};".encode("utf-8")[:100].decode("utf-8", "replace")
+        raise ParseError(
+            f"malformed XML at byte {parser.CurrentByteIndex}: undefined entity {ref}: "
+            f"line {parser.CurrentLineNumber}, column {parser.CurrentColumnNumber}"
+        )
+
+    def external_ref(context, base, system_id, public_id):
+        # the one external entity among the open entities in ``context``
+        undefined_entity(next(n for n in context.split("\f") if n in external_entities))
+
+    # as in ElementTree, a namespaced name arrives as "uri}local", so it
+    # never equals "node", "way", "nd" or "tag"
+    parser = expat.ParserCreate(namespace_separator="}")
+    parser.StartElementHandler = start
+    parser.EndElementHandler = end
+    parser.EntityDeclHandler = entity_decl
+    parser.SkippedEntityHandler = lambda name, is_parameter: undefined_entity(name)
+    parser.ExternalEntityRefHandler = external_ref
+    try:
+        parser.Parse(data, True)
+    except expat.ExpatError as exc:
+        # an empty document reports byte -1
+        raise ParseError(
+            f"malformed XML at byte {max(parser.ErrorByteIndex, 0)}: {exc}"
+        ) from exc
+    if bad_node is not None:
+        raise FormatError(f"node element missing id/lat/lon: {bad_node}") from bad_node
 
     for way in ways:
         for ref in way.node_ids:
@@ -343,6 +393,9 @@ def build_graph(
         # a segment between two cuts is a whole junction-to-junction
         # segment of the map; the others are clipped by the radius
         whole = index.is_cut[starts] & index.is_cut[stops]
+        # every pair a segment sums runs from an occurrence to the next
+        # one of its run
+        index.measure_pairs(occ[~run_end])
 
         attrs: dict[int, tuple] = {}
         memo = index._whole_segment_edges

@@ -2,13 +2,14 @@
 from __future__ import annotations
 
 import math
+import random
 from datetime import date, timedelta
 
 import numpy as np
 
 from roadtwin.geo import EARTH_RADIUS_M
 from roadtwin.road_graph import Edge, RoadGraph
-from roadtwin.osm_ingest import HighwayClass
+from roadtwin.osm_ingest import HighwayClass, RawRoadData, Way
 from roadtwin.embedding import RoadEmbedding
 from roadtwin.traffic_data import (
     QUALITY_OBSERVED,
@@ -103,3 +104,74 @@ def week_of(start: date, n: int):
 
 
 MONDAY = date(2019, 1, 7)  # a plain Monday, no 2019 holiday nearby
+
+
+def osm_doc(nodes, ways):
+    """Tiny OSM XML builder: nodes {id: (lat, lon)}, ways [(id, refs, tags)]."""
+    parts = ['<?xml version="1.0" encoding="UTF-8"?>', '<osm version="0.6">']
+    for nid, (lat, lon) in nodes.items():
+        parts.append(f'<node id="{nid}" lat="{lat!r}" lon="{lon!r}"/>')
+    for wid, refs, tags in ways:
+        parts.append(f'<way id="{wid}">')
+        for r in refs:
+            parts.append(f'<nd ref="{r}"/>')
+        for k, v in tags.items():
+            parts.append(f'<tag k="{k}" v="{v}"/>')
+        parts.append("</way>")
+    parts.append("</osm>")
+    return "\n".join(parts).encode("utf-8")
+
+
+def grid_extract(n=14, spacing_m=110.0, bends=2, seed=7) -> RawRoadData:
+    """n x n junction grid of map-spanning ways with bend nodes between junctions.
+
+    Every 5th line is a oneway motorway and every 4th primary (some with
+    maxspeed and lanes tags); one vertical line is split into two ways
+    meeting mid-grid, and a footway-free residential loop closes on
+    itself.
+    """
+    rng = random.Random(seed)
+    nodes: dict[str, tuple[float, float]] = {}
+
+    def point(x_m, y_m):
+        lat = north_of(LAT0, y_m + rng.uniform(-3.0, 3.0))
+        return lat, east_of(lat, LON0, x_m + rng.uniform(-3.0, 3.0))
+
+    for i in range(n):
+        for j in range(n):
+            nodes[f"j{i}_{j}"] = point(i * spacing_m, j * spacing_m)
+
+    def line(ids_of, tag):
+        refs = []
+        for k in range(n):
+            refs.append(ids_of(k))
+            if k < n - 1:
+                for b in range(1, bends + 1):
+                    nid = f"{tag}b{k}_{b}"
+                    a, c = nodes[ids_of(k)], nodes[ids_of(k + 1)]
+                    f = b / (bends + 1)
+                    nodes[nid] = (a[0] + f * (c[0] - a[0]) + rng.uniform(-2e-5, 2e-5),
+                                  a[1] + f * (c[1] - a[1]) + rng.uniform(-2e-5, 2e-5))
+                    refs.append(nid)
+        return refs
+
+    def tags(i):
+        if i % 5 == 0:
+            return {"highway": "motorway", "oneway": "yes", "lanes": "3"}
+        if i % 4 == 0:
+            return {"highway": "primary", "maxspeed": "60", "lanes": "2"}
+        return {"highway": "residential" if i % 2 else "tertiary"}
+
+    ways = []
+    for i in range(n):
+        ways.append(Way(f"h{i}", line(lambda k, i=i: f"j{k}_{i}", f"h{i}"), tags(i)))
+        refs = line(lambda k, i=i: f"j{i}_{k}", f"v{i}")
+        if i == 3:
+            mid = refs.index(f"j{i}_{n // 2}")
+            ways.append(Way("v3a", refs[: mid + 1], tags(i)))
+            ways.append(Way("v3b", refs[mid:], {"highway": "secondary_link"}))
+        else:
+            ways.append(Way(f"v{i}", refs, tags(i)))
+    loop = ["j2_2", "j2_3", "j3_3", "j3_2", "j2_2"]
+    ways.append(Way("loop", loop, {"highway": "residential"}))
+    return RawRoadData(nodes=nodes, ways=ways)

@@ -20,6 +20,9 @@ evidence both are right:
 * ``build_graph_full_scan`` - radius graph by rescanning every node and
                               way of the extract with scalar haversine
                               (the original ``build_graph``).
+* ``parse_osm_extract_etree`` - OSM XML through a whole ``ElementTree``
+                              walked child by child (the original
+                              ``parse_osm_extract``).
 * ``load_traffic_rowwise``  - traffic CSV through ``csv.reader`` and
                               ``datetime.fromisoformat`` one row at a
                               time (the original parser).
@@ -32,14 +35,23 @@ from __future__ import annotations
 import csv
 import io
 import math
+import xml.etree.ElementTree as ET
 from datetime import datetime
 from itertools import count
 
 import numpy as np
 
-from roadtwin.errors import ArgumentError, DomainError, FormatError
+from roadtwin.errors import ArgumentError, DomainError, FormatError, ParseError, StructuralError
 from roadtwin.geo import haversine_m
-from roadtwin.osm_ingest import RawRoadData, default_speed, parse_lanes, parse_maxspeed_kph
+from roadtwin.osm_ingest import (
+    _KEEP_TAGS,
+    ACCEPTED_HIGHWAYS,
+    RawRoadData,
+    Way,
+    default_speed,
+    parse_lanes,
+    parse_maxspeed_kph,
+)
 from roadtwin.road_graph import Edge, RoadGraph
 from roadtwin.traffic_data import (
     QUALITY_INTERPOLATED,
@@ -298,6 +310,64 @@ def average_ranks_sorted(errors) -> list[list[float]]:
             start = end + 1
         out.append(ranks)
     return out
+
+
+# ---------------------------------------------------------------------------
+# OSM XML
+# ---------------------------------------------------------------------------
+
+def _byte_offset(data: bytes, line: int, column: int) -> int:
+    """Byte offset of an expat (line, column) position, counting the
+    column's characters as bytes and splitting lines on LF only; right
+    for ASCII documents with LF line ends."""
+    lines = data.split(b"\n")
+    return sum(len(l) + 1 for l in lines[: line - 1]) + column
+
+
+def parse_osm_extract_etree(data: bytes) -> RawRoadData:
+    """``parse_osm_extract`` on a whole ``ElementTree``: build the tree,
+    then walk the root's children and each way's children.  The
+    production stream parser must give the same nodes (in insertion
+    order) and ways, or the same exception type and message."""
+    try:
+        root = ET.fromstring(data)
+    except ET.ParseError as exc:
+        line, col = exc.position
+        raise ParseError(
+            f"malformed XML at byte {_byte_offset(data, line, col)}: {exc.msg}"
+        ) from exc
+
+    nodes: dict[str, tuple[float, float]] = {}
+    ways: list[Way] = []
+    for elem in root:
+        if elem.tag == "node":
+            try:
+                nid = elem.attrib["id"]
+                lat = float(elem.attrib["lat"])
+                lon = float(elem.attrib["lon"])
+            except (KeyError, ValueError) as exc:
+                raise FormatError(f"node element missing id/lat/lon: {exc}") from exc
+            nodes[nid] = (lat, lon)
+        elif elem.tag == "way":
+            tags = {}
+            refs = []
+            for child in elem:
+                if child.tag == "nd":
+                    refs.append(child.attrib.get("ref", ""))
+                elif child.tag == "tag":
+                    k = child.attrib.get("k", "")
+                    if k in _KEEP_TAGS:
+                        tags[k] = child.attrib.get("v", "")
+            if tags.get("highway") in ACCEPTED_HIGHWAYS:
+                ways.append(Way(way_id=elem.attrib.get("id", ""), node_ids=refs, tags=tags))
+
+    for way in ways:
+        for ref in way.node_ids:
+            if ref not in nodes:
+                raise StructuralError(
+                    f"way {way.way_id} references missing node {ref}"
+                )
+    return RawRoadData(nodes=nodes, ways=ways)
 
 
 # ---------------------------------------------------------------------------

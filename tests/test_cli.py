@@ -211,6 +211,28 @@ def test_select_ranks_both_methods(tmp_path):
     assert "embedding ->" in proc.stdout and "geographic ->" in proc.stdout
 
 
+def selection_rows_by_method(path):
+    rows = [line.split(",") for line in read_lines(path)[2:]]
+    return ([r for r in rows if r[5] == "embedding"], [r for r in rows if r[5] == "geographic"])
+
+
+@pytest.mark.parametrize("command, extra, n_targets", [
+    ("select", ("--lat", "40.4512", "--lon", "-3.6900"), 1),
+    ("benchmark", (), 8),
+])
+def test_l1_distance_leaves_similarity_blank(tmp_path, command, extra, n_targets):
+    # l1 distances exceed sqrt(7), so they have no similarity scale
+    out = tmp_path / "out"
+    proc = run_cli(command, "--config", CONFIG, "--output_dir", str(out), "--distance", "l1",
+                   *extra)
+    assert proc.returncode == 0, proc.stderr
+    emb, geo = selection_rows_by_method(out / "selection.csv")
+    assert len(emb) == len(geo) > 0
+    assert {r[0] for r in emb} == {r[0] for r in geo} and len({r[0] for r in emb}) == n_targets
+    assert all(r[4] == "" for r in emb + geo)
+    assert max(float(r[3]) for r in emb) > math.sqrt(7)
+
+
 # ---------------------------------------------------------------------------
 # profile
 # ---------------------------------------------------------------------------

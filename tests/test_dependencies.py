@@ -76,3 +76,18 @@ def test_benchmark_runs_without_loading_scipy(tmp_path, prelude):
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-1] == "0 []"
     assert os.path.isfile(tmp_path / "out" / "report.json")
+
+
+def test_cli_import_loads_no_element_tree():
+    # the OSM extract is stream-parsed with expat; no XML tree module loads
+    probe = (
+        "import sys\n"
+        "import roadtwin.cli\n"
+        "print(sorted(m for m in sys.modules if m == 'xml.etree' or m.startswith('xml.etree.')))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(ROOT, "src") + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "[]"

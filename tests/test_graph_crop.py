@@ -8,11 +8,11 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from helpers import LAT0, LON0, east_of, north_of
+from helpers import LAT0, LON0, east_of, grid_extract, north_of
 from oracles import build_graph_full_scan
 from roadtwin.errors import ArgumentError, DomainError
 from roadtwin.geo import haversine_m, haversine_m_array
-from roadtwin.osm_ingest import RawRoadData, Way, build_graph, graph_to_csv
+from roadtwin.osm_ingest import RawRoadData, Way, build_graph, graph_to_csv, parse_osm_extract
 
 MINICITY_CENTERS = [(40.45, -3.69), (40.447, -3.693), (40.4532, -3.6861), (40.44, -3.70)]
 
@@ -20,61 +20,6 @@ MINICITY_CENTERS = [(40.45, -3.69), (40.447, -3.693), (40.4532, -3.6861), (40.44
 def assert_same_graph(raw, center, radius_m, speed_overrides=None):
     expected = graph_to_csv(build_graph_full_scan(raw, center, radius_m, speed_overrides))
     assert graph_to_csv(build_graph(raw, center, radius_m, speed_overrides)) == expected
-
-
-def grid_extract(n=14, spacing_m=110.0, bends=2, seed=7) -> RawRoadData:
-    """n x n junction grid of map-spanning ways with bend nodes between junctions.
-
-    Every 5th line is a oneway motorway and every 4th primary (some with
-    maxspeed and lanes tags); one vertical line is split into two ways
-    meeting mid-grid, and a footway-free residential loop closes on
-    itself.
-    """
-    rng = random.Random(seed)
-    nodes: dict[str, tuple[float, float]] = {}
-
-    def point(x_m, y_m):
-        lat = north_of(LAT0, y_m + rng.uniform(-3.0, 3.0))
-        return lat, east_of(lat, LON0, x_m + rng.uniform(-3.0, 3.0))
-
-    for i in range(n):
-        for j in range(n):
-            nodes[f"j{i}_{j}"] = point(i * spacing_m, j * spacing_m)
-
-    def line(ids_of, tag):
-        refs = []
-        for k in range(n):
-            refs.append(ids_of(k))
-            if k < n - 1:
-                for b in range(1, bends + 1):
-                    nid = f"{tag}b{k}_{b}"
-                    a, c = nodes[ids_of(k)], nodes[ids_of(k + 1)]
-                    f = b / (bends + 1)
-                    nodes[nid] = (a[0] + f * (c[0] - a[0]) + rng.uniform(-2e-5, 2e-5),
-                                  a[1] + f * (c[1] - a[1]) + rng.uniform(-2e-5, 2e-5))
-                    refs.append(nid)
-        return refs
-
-    def tags(i):
-        if i % 5 == 0:
-            return {"highway": "motorway", "oneway": "yes", "lanes": "3"}
-        if i % 4 == 0:
-            return {"highway": "primary", "maxspeed": "60", "lanes": "2"}
-        return {"highway": "residential" if i % 2 else "tertiary"}
-
-    ways = []
-    for i in range(n):
-        ways.append(Way(f"h{i}", line(lambda k, i=i: f"j{k}_{i}", f"h{i}"), tags(i)))
-        refs = line(lambda k, i=i: f"j{i}_{k}", f"v{i}")
-        if i == 3:
-            mid = refs.index(f"j{i}_{n // 2}")
-            ways.append(Way("v3a", refs[: mid + 1], tags(i)))
-            ways.append(Way("v3b", refs[mid:], {"highway": "secondary_link"}))
-        else:
-            ways.append(Way(f"v{i}", refs, tags(i)))
-    loop = ["j2_2", "j2_3", "j3_3", "j3_2", "j2_2"]
-    ways.append(Way("loop", loop, {"highway": "residential"}))
-    return RawRoadData(nodes=nodes, ways=ways)
 
 
 @pytest.mark.parametrize("center", MINICITY_CENTERS)
@@ -198,3 +143,53 @@ def test_radius_and_empty_crop_errors():
             build_graph(raw, (LAT0, LON0), radius_m)
     with pytest.raises(DomainError, match="no drivable roads"):
         build_graph(raw, (LAT0 + 1.0, LON0), 1000.0)
+
+
+# pair lengths are measured when a crop first reads them
+
+def fresh_minicity(minicity_dir):
+    return parse_osm_extract(f"{minicity_dir}/minicity.osm")
+
+
+def assert_filled_pairs_are_haversine(index):
+    last = index.way_start[1:][np.diff(index.way_start) > 0] - 1
+    assert (index.pair_len[last] == 0.0).all()
+    filled = np.flatnonzero(~np.isnan(index.pair_len))
+    filled = filled[~np.isin(filled, last)]
+    a, b = index.occ_node[filled], index.occ_node[filled + 1]
+    expected = [haversine_m(*p) for p in zip(index.lat[a].tolist(), index.lon[a].tolist(),
+                                             index.lat[b].tolist(), index.lon[b].tolist())]
+    assert index.pair_len[filled].tolist() == expected
+    return filled.size
+
+
+@pytest.mark.parametrize("extract, centers, radius_m", [
+    ("minicity", [(40.45, -3.69), (40.4532, -3.6861)], 500.0),
+    ("grid", [(LAT0 + 0.004, LON0 + 0.004), (LAT0 + 0.006, LON0 + 0.007)], 450.0),
+])
+@pytest.mark.parametrize("order", [1, -1], ids=["forward", "reverse"])
+def test_overlapping_crops_measure_pairs_on_demand(minicity_dir, extract, centers, radius_m, order):
+    raw = fresh_minicity(minicity_dir) if extract == "minicity" else grid_extract()
+    index = raw.index
+    assert assert_filled_pairs_are_haversine(index) == 0
+    filled = []
+    for center in centers[::order]:
+        assert_same_graph(raw, center, radius_m)
+        filled.append(assert_filled_pairs_are_haversine(index))
+    # the second crop shares some pairs with the first and adds others,
+    # and neither reaches every pair
+    assert 0 < filled[0] < filled[1]
+    assert np.isnan(index.pair_len).any()
+
+
+@pytest.mark.parametrize("extract", ["minicity", "grid"])
+def test_whole_map_crop_leaves_no_pair_unmeasured(minicity_dir, extract):
+    raw = fresh_minicity(minicity_dir) if extract == "minicity" else grid_extract()
+    lats = [c[0] for c in raw.nodes.values()]
+    lons = [c[1] for c in raw.nodes.values()]
+    center = ((min(lats) + max(lats)) / 2, (min(lons) + max(lons)) / 2)
+    assert_same_graph(raw, center, 50_000.0)
+    assert not np.isnan(raw.index.pair_len).any()
+    assert_filled_pairs_are_haversine(raw.index)
+    for lat, lon in [(min(lats), min(lons)), (max(lats), max(lons))]:
+        assert_same_graph(raw, (lat, lon), 700.0)

@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from helpers import east_of, north_of
+from helpers import east_of, north_of, osm_doc
 from roadtwin.errors import (
     DomainError,
     FormatError,
@@ -23,22 +23,6 @@ from roadtwin.osm_ingest import (
 )
 
 LAT0, LON0 = 40.0, -3.0
-
-
-def osm_doc(nodes, ways):
-    """Tiny OSM XML builder: nodes {id: (lat, lon)}, ways [(id, refs, tags)]."""
-    parts = ['<?xml version="1.0" encoding="UTF-8"?>', '<osm version="0.6">']
-    for nid, (lat, lon) in nodes.items():
-        parts.append(f'<node id="{nid}" lat="{lat!r}" lon="{lon!r}"/>')
-    for wid, refs, tags in ways:
-        parts.append(f'<way id="{wid}">')
-        for r in refs:
-            parts.append(f'<nd ref="{r}"/>')
-        for k, v in tags.items():
-            parts.append(f'<tag k="{k}" v="{v}"/>')
-        parts.append("</way>")
-    parts.append("</osm>")
-    return "\n".join(parts).encode("utf-8")
 
 
 def two_node_doc(meters=1000.0, tags=None):

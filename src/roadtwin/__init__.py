@@ -47,6 +47,7 @@ from .generation import (
 )
 from .osm_ingest import (
     HighwayClass,
+    RadiusView,
     RawRoadData,
     build_graph,
     default_speed,
@@ -59,6 +60,7 @@ from .road_graph import (
     Edge,
     EgoGraph,
     RoadGraph,
+    SplitGraph,
     ego_graph,
     insert_central_node,
     shortest_travel_time,
@@ -125,6 +127,7 @@ __all__ = [
     "generator",
     # map ingestion
     "HighwayClass",
+    "RadiusView",
     "RawRoadData",
     "build_graph",
     "default_speed",
@@ -136,6 +139,7 @@ __all__ = [
     "Edge",
     "EgoGraph",
     "RoadGraph",
+    "SplitGraph",
     "ego_graph",
     "insert_central_node",
     "shortest_travel_time",

@@ -127,8 +127,10 @@ def _require(cfg: PipelineConfig, *keys: str):
 
 def cmd_ingest(args, cfg: PipelineConfig):
     _require(cfg, "osm_path")
+    if (args.center_lat is None) != (args.center_lon is None):
+        raise ArgumentError("--center-lat and --center-lon must be given together")
     raw = parse_osm_extract(cfg.osm_path)
-    if args.center_lat is not None and args.center_lon is not None:
+    if args.center_lat is not None:
         center = (args.center_lat, args.center_lon)
     else:
         _require(cfg, "sensors_path")

@@ -161,14 +161,13 @@ def road_type_code(highway_class: HighwayClass) -> float:
     return ROAD_TYPE_CODE[highway_class.base]
 
 
-def travel_time_to_class(
-    graph: RoadGraph, center: CentralNode, highway_class: HighwayClass
-) -> float:
+def travel_time_to_class(graph, center: CentralNode, highway_class: HighwayClass) -> float:
     """Minimum travel time from the center to a road of the given class.
 
-    Measured on the full graph, to the nearer endpoint of any edge of
-    that class (link roads count as the base class).  Zero when the
-    center itself sits on such a road; :data:`UNREACHABLE` when none is
+    Measured to the nearer endpoint of any edge of that class (link
+    roads count as the base class), by a search from the center that
+    stops at the first such endpoint it settles.  Zero when the center
+    itself sits on such a road; :data:`UNREACHABLE` when none is
     reachable.
     """
     target = highway_class.base
@@ -179,30 +178,33 @@ def travel_time_to_class(
     return _travel_times(graph, center, (target,))[0]
 
 
-def _travel_times(
-    graph: RoadGraph, center: CentralNode, targets: tuple[HighwayClass, ...]
-) -> list[float]:
+def _travel_times(graph, center: CentralNode, targets: tuple[HighwayClass, ...]) -> list[float]:
     """:func:`travel_time_to_class` for each base class in ``targets``.
 
-    Runs at most one Dijkstra and one scan of the edges for all of them.
+    Runs one Dijkstra for all of them, which stops once each class is
+    found.  Dijkstra settles nodes in order of travel time, so the first
+    settled node on an edge of a class, in either direction, is the
+    nearest endpoint of that class.
     """
     host = center.host_edge_class.base
     times = [0.0 if t == host else UNREACHABLE for t in targets]
     pending = {t: k for k, t in enumerate(targets) if t != host}
     if not pending:
         return times
-    dist = dijkstra_from(graph, center.node_id)
-    for e in graph.edges:
-        k = pending.get(e.highway_class.base)
-        if k is not None:
-            cand = min(dist[e.src], dist[e.dst])
-            if cand < times[k]:
-                times[k] = cand
+
+    def found_all(node: str, time: float) -> bool:
+        for _, e in graph.out_edges(node) + graph.in_edges(node):
+            k = pending.pop(e.highway_class.base, None)
+            if k is not None:
+                times[k] = time
+        return not pending
+
+    dijkstra_from(graph, center.node_id, stop=found_all)
     return times
 
 
 def build_embedding(
-    graph: RoadGraph,
+    graph,
     ego: EgoGraph,
     center: CentralNode,
     sensor_id: str | None = None,

@@ -2,8 +2,9 @@
 
 Stream-parses the XML subset used here (node / way / nd / tag), keeps drivable
 road classes only, and assembles edges with per-class free-flow speeds,
-haversine lengths and travel times.  Also provides the CSV on-disk
-format for graphs.
+haversine lengths and travel times: node by node through a lazy
+:class:`RadiusView` of the extract's index, or all at once through
+:func:`build_graph`.  Also provides the CSV on-disk format for graphs.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from .errors import (
     ParseError,
     StructuralError,
 )
-from .geo import haversine_m, haversine_m_array
+from .geo import EARTH_RADIUS_M, haversine_m, haversine_m_array
 from .road_graph import Edge, HighwayClass, RoadGraph
 
 ACCEPTED_HIGHWAYS = {c.value for c in HighwayClass}
@@ -65,8 +66,9 @@ class RawRoadData:
 
     ``index`` is a :class:`MapIndex` of the extract, built on first use
     and kept for the object's lifetime, so every :func:`build_graph` call
-    on one extract shares it.  Treat ``nodes`` and ``ways`` as read-only
-    once a graph has been built: the index does not see later changes.
+    and :class:`RadiusView` on one extract shares it.  Treat ``nodes``
+    and ``ways`` as read-only once a graph has been built: the index does
+    not see later changes.
     """
 
     nodes: dict[str, tuple[float, float]]
@@ -92,19 +94,25 @@ class MapIndex:
     gather of a per-node mask finds every way position a set of nodes
     covers, in way order.
 
-    - ``node_ids``, ``lat``, ``lon``: the extract's nodes as rows.  A
-      last extra row at NaN stands for node ids no node element defines,
-      so it is never inside a radius.
-    - ``way_count[row]``: how many drivable ways pass through the node.
+    - ``row``, ``lat``, ``lon``: the extract's nodes as rows (``row``
+      maps a node id to its row).  A last extra row at NaN stands for
+      node ids no node element defines, so it is never inside a radius.
     - ``occ_node``, ``occ_id``, ``way_of``: node row, node id and way of
       each occurrence.
+    - ``occ_by_node[node_occ[row]:node_occ[row + 1]]``: the occurrences
+      of one node row, in way order.
     - ``pair_len[k]``: ``haversine_m`` from occurrence ``k`` to ``k + 1``
       of the same way (0.0 after a way's last node).  NaN until a crop
-      first reads the pair: :func:`build_graph` measures the pairs of
-      its radius that are still NaN, so pairs no crop reaches are never
+      first reads the pair: a :class:`RadiusView` measures the pairs it
+      reads that are still NaN, so pairs no crop reaches are never
       measured.
     - ``is_cut[k]``: the occurrence ends a junction-to-junction segment,
       being a way's first or last node or a node of two or more ways.
+    - The segment table: segment ``s`` is the stretch of one way from
+      the cut ``seg_first[s]`` to the next cut ``seg_last[s]``, and
+      ``seg_box[:, s]`` is (lat min, lat max, lon min, lon max) over its
+      occurrences.  ``pair_seg[k]`` is the segment holding the pair from
+      occurrence ``k`` to ``k + 1`` (-1 after a way's last node).
 
     Edges of whole segments are built on first use and kept, keyed by
     segment and speed, so speeds that differ between calls (through
@@ -112,30 +120,57 @@ class MapIndex:
     """
 
     def __init__(self, raw: RawRoadData):
-        self.node_ids = list(raw.nodes)
-        missing = len(self.node_ids)
+        self.row = {nid: i for i, nid in enumerate(raw.nodes)}
+        missing = len(self.row)
         latlon = np.array(list(raw.nodes.values()) + [(math.nan, math.nan)], dtype=float)
         self.lat = latlon[:, 0].copy()
         self.lon = latlon[:, 1].copy()
 
-        row = {nid: i for i, nid in enumerate(self.node_ids)}
         self.occ_id = [nid for way in raw.ways for nid in way.node_ids]
-        self.occ_node = np.array([row.get(nid, missing) for nid in self.occ_id], dtype=np.int64)
+        # int32 keeps the per-occurrence tables small: an extract has far
+        # fewer than 2**31 nodes or occurrences
+        self.occ_node = np.array(
+            [self.row.get(nid, missing) for nid in self.occ_id], dtype=np.int32
+        )
         self.way_start = np.cumsum([0] + [len(way.node_ids) for way in raw.ways])
-        self.way_of = np.repeat(np.arange(len(raw.ways)), np.diff(self.way_start))
-        # one count per (way, node) pair, however often the way repeats the node
-        way_node = np.unique(self.way_of * (missing + 1) + self.occ_node)
-        self.way_count = np.bincount(way_node % (missing + 1), minlength=missing + 1)
+        self.way_of = np.repeat(np.arange(len(raw.ways), dtype=np.int32), np.diff(self.way_start))
+        # drivable ways through each node, one count per (way, node) pair
+        # however often the way repeats the node
+        way_node = np.unique(self.way_of.astype(np.int64) * (missing + 1) + self.occ_node)
+        way_count = np.bincount(way_node % (missing + 1), minlength=missing + 1)
 
         starts, stops = self.way_start[:-1], self.way_start[1:]
         nonempty = stops > starts
-        self.is_cut = self.way_count[self.occ_node] >= 2
+        self.is_cut = way_count[self.occ_node] >= 2
         self.is_cut[starts[nonempty]] = True
         self.is_cut[stops[nonempty] - 1] = True
 
         self.pair_len = np.full(self.occ_node.size, math.nan)
         self.pair_len[stops[nonempty] - 1] = 0.0
         self._whole_segment_edges: dict[tuple[int, float], tuple[Edge, ...]] = {}
+
+        # occurrences of each node row, in way order
+        self.occ_by_node = np.argsort(self.occ_node, kind="stable").astype(np.int32)
+        self.node_occ = np.zeros(missing + 2, dtype=np.int32)
+        np.cumsum(np.bincount(self.occ_node, minlength=missing + 1), out=self.node_occ[1:])
+
+        # segment table: consecutive cuts of one way
+        cuts = np.flatnonzero(self.is_cut)
+        same_way = self.way_of[cuts[:-1]] == self.way_of[cuts[1:]]
+        self.seg_first = cuts[:-1][same_way].astype(np.int32)
+        self.seg_last = cuts[1:][same_way].astype(np.int32)
+        occ = np.arange(self.occ_node.size, dtype=np.int32)
+        seg = np.searchsorted(self.seg_first, occ, side="right").astype(np.int32) - 1
+        # seg is -1 before the first segment, which the appended -1 rejects
+        self.pair_seg = np.where(occ < np.append(self.seg_last, -1)[seg], seg, -1)
+        # geometry bounding box of each segment; NaN rows (undefined
+        # nodes) are skipped, and a segment of them alone stays NaN
+        bounds = np.stack([self.seg_first, self.seg_last + 1], axis=1).ravel()
+        self.seg_box = np.array([
+            reduce.reduceat(np.append(coord[self.occ_node], math.nan), bounds)[::2]
+            for reduce, coord in
+            ((np.fmin, self.lat), (np.fmax, self.lat), (np.fmin, self.lon), (np.fmax, self.lon))
+        ]).reshape(4, -1)
 
     def within(self, center: tuple[float, float], radius_m: float) -> np.ndarray:
         """Boolean per node row: haversine to ``center`` is ``<= radius_m``."""
@@ -365,65 +400,187 @@ def build_graph(
     nodes contribute geometry only (their haversine lengths are summed
     into the edge).  Two-way roads produce one edge per direction.
 
-    The graph is cropped from ``raw.index`` (see :class:`MapIndex`),
-    built by the first call on an extract and reused by every later one:
-    only the ways through in-radius nodes are visited, and segments
+    Every edge of a :class:`RadiusView` of the extract, materialised at
+    once: only the ways through in-radius nodes are visited, and segments
     wholly inside the radius reuse the edges built for them before.
     Nodes and edges come out in way order, as a rescan of the whole
     extract would give them.
     """
-    if radius_m <= 0:
-        raise ArgumentError(f"radius must be positive, got {radius_m}")
-    index = raw.index
-    occ = np.flatnonzero(index.within(center, radius_m)[index.occ_node])
-
+    edges = [e for _, e in RadiusView(raw, center, radius_m, speed_overrides).edges()]
     nodes: dict[str, tuple[float, float]] = {}
-    edges: list[Edge] = []
-    if occ.size:
-        # maximal runs of in-radius occurrences of one way; a segment
-        # ends at a run's ends and at every cut inside it
-        occ_way = index.way_of[occ]
-        run_start = np.ones(occ.size, dtype=bool)
-        run_start[1:] = (np.diff(occ) != 1) | (occ_way[1:] != occ_way[:-1])
-        run_end = np.roll(run_start, -1)
-        is_bound = run_start | run_end | index.is_cut[occ]
-        bounds = occ[is_bound]
-        seg = np.flatnonzero(~run_start[is_bound][1:])
-        starts, stops = bounds[seg], bounds[seg + 1]
-        # a segment between two cuts is a whole junction-to-junction
-        # segment of the map; the others are clipped by the radius
-        whole = index.is_cut[starts] & index.is_cut[stops]
-        # every pair a segment sums runs from an occurrence to the next
-        # one of its run
-        index.measure_pairs(occ[~run_end])
-
-        attrs: dict[int, tuple] = {}
-        memo = index._whole_segment_edges
-        for a, b, w, is_whole in zip(
-            starts.tolist(), stops.tolist(), index.way_of[starts].tolist(), whole.tolist()
-        ):
-            way_attrs = attrs.get(w)
-            if way_attrs is None:
-                way_attrs = attrs[w] = _way_attributes(raw.ways[w], speed_overrides)
-            if is_whole:
-                key = (a, way_attrs[0])
-                seg_edges = memo.get(key)
-                if seg_edges is None:
-                    seg_edges = memo[key] = _segment_edges(index, a, b, way_attrs)
-            else:
-                seg_edges = _segment_edges(index, a, b, way_attrs)
-            if seg_edges:
-                src, dst = seg_edges[0].src, seg_edges[0].dst
-                nodes[src] = raw.nodes[src]
-                nodes[dst] = raw.nodes[dst]
-                edges.extend(seg_edges)
-
-    if not edges:
-        raise DomainError(
-            f"no drivable roads within {radius_m:.0f} m of "
-            f"({center[0]:.5f}, {center[1]:.5f})"
-        )
+    for e in edges:
+        nodes.setdefault(e.src, raw.nodes[e.src])
+        nodes.setdefault(e.dst, raw.nodes[e.dst])
     return RoadGraph(nodes, edges)
+
+
+# metres added to a near-point query, so that rounding in the box test
+# never drops an edge the snap's own projection puts within the bound
+_NEAR_MARGIN_M = 1.0
+
+
+class RadiusView:
+    """The radius graph around ``center``, built per node on first read.
+
+    Only the in-radius mask of ``raw.index`` (per node row and per
+    occurrence) is computed up front.  A node's out- and in-edges are
+    built the first time the node is read, from the radius pieces
+    (maximal in-radius runs of one segment) that start or end at one of
+    its occurrences.  Pair lengths are measured on first need and whole
+    segments go through the index's edge memo, so an edge has one value
+    however it is reached.  Edges are keyed by ``(piece start
+    occurrence, 0 forward / 1 backward)``, which sorts them in way
+    order; :func:`build_graph` materialises them all.
+
+    Reads: ``out_edges(v)`` and ``in_edges(v)`` (lists of ``(key, edge)``
+    in edge order), ``coords(v)``, ``has_node(v)`` and
+    ``edges_near(lat, lon, max_m)``.
+    """
+
+    def __init__(
+        self,
+        raw: RawRoadData,
+        center: tuple[float, float],
+        radius_m: float = 2000.0,
+        speed_overrides: dict[str, float] | None = None,
+    ):
+        if radius_m <= 0:
+            raise ArgumentError(f"radius must be positive, got {radius_m}")
+        self.raw = raw
+        self.index = raw.index
+        self.center = center
+        self.radius_m = radius_m
+        self.speed_overrides = speed_overrides
+        self._inside = self.index.within(center, radius_m)
+        self._inside_occ = self._inside[self.index.occ_node]
+        self._adjacent: dict[str, tuple[list, list]] = {}
+        self._pieces: dict[int, list[tuple[int, int]]] = {}
+        self._piece_edges: dict[int, tuple[Edge, ...]] = {}
+        self._attrs: dict[int, tuple] = {}
+
+    def coords(self, node: str) -> tuple[float, float]:
+        return self.raw.nodes[node]
+
+    def has_node(self, node: str) -> bool:
+        out, inn = self._adjacency(node)
+        return bool(out or inn)
+
+    def out_edges(self, node: str) -> list[tuple[tuple[int, int], Edge]]:
+        return self._adjacency(node)[0]
+
+    def in_edges(self, node: str) -> list[tuple[tuple[int, int], Edge]]:
+        return self._adjacency(node)[1]
+
+    def edges(self) -> list[tuple[tuple[int, int], Edge]]:
+        """``(key, edge)`` of every edge, in edge order.
+
+        Raises ``DomainError`` when the radius holds no edge.
+        """
+        inside = self._inside_occ
+        pair_seg = self.index.pair_seg[:-1]
+        pairs = np.flatnonzero(inside[:-1] & inside[1:] & (pair_seg >= 0))
+        # one batch rather than one call per piece
+        self.index.measure_pairs(pairs)
+        edges = self._keyed_edges(np.unique(pair_seg[pairs]))
+        if not edges:
+            raise DomainError(
+                f"no drivable roads within {self.radius_m:.0f} m of "
+                f"({self.center[0]:.5f}, {self.center[1]:.5f})"
+            )
+        return edges
+
+    def edges_near(self, lat: float, lon: float, max_m: float | None):
+        """``(key, edge)`` of every edge that may lie within ``max_m`` of
+        the position, in edge order; :meth:`edges` when ``max_m`` is None.
+
+        A segment is kept when its bounding box, in the equirectangular
+        projection around the position, comes within ``max_m`` (plus a
+        margin): every chord of a piece lies inside its segment's box.
+        """
+        if max_m is None:
+            return self.edges()
+        lat_min, lat_max, lon_min, lon_max = self.index.seg_box
+        kx = math.radians(1.0) * EARTH_RADIUS_M * math.cos(math.radians(lat))
+        ky = math.radians(1.0) * EARTH_RADIUS_M
+        dx = np.maximum(np.maximum(lon_min - lon, lon - lon_max), 0.0) * kx
+        dy = np.maximum(np.maximum(lat_min - lat, lat - lat_max), 0.0) * ky
+        return self._keyed_edges(np.flatnonzero(dx * dx + dy * dy <= (max_m + _NEAR_MARGIN_M) ** 2))
+
+    def _keyed_edges(self, segs: np.ndarray) -> list[tuple[tuple[int, int], Edge]]:
+        """``(key, edge)`` of the pieces of segments ``segs`` (ascending)."""
+        return [
+            ((a, d), e)
+            for s in segs.tolist()
+            for a, b in self._segment_pieces(s)
+            for d, e in enumerate(self._edges(s, a, b))
+        ]
+
+    def _segment_pieces(self, s: int) -> list[tuple[int, int]]:
+        """(first, last) occurrence of each in-radius run of segment ``s``
+        that holds at least one pair."""
+        pieces = self._pieces.get(s)
+        if pieces is None:
+            index = self.index
+            first, last = int(index.seg_first[s]), int(index.seg_last[s])
+            inside = self._inside_occ[first : last + 1].tolist() + [False]
+            pieces = self._pieces[s] = []
+            start = None
+            for k, ok in enumerate(inside, start=first):
+                if ok and start is None:
+                    start = k
+                elif not ok and start is not None:
+                    if k - 1 > start:
+                        pieces.append((start, k - 1))
+                    start = None
+        return pieces
+
+    def _edges(self, s: int, a: int, b: int) -> tuple[Edge, ...]:
+        """Edges of the piece from occurrence ``a`` to ``b`` of segment
+        ``s``, as :func:`build_graph` builds them."""
+        edges = self._piece_edges.get(a)
+        if edges is None:
+            index = self.index
+            w = int(index.way_of[a])
+            attrs = self._attrs.get(w)
+            if attrs is None:
+                attrs = self._attrs[w] = _way_attributes(self.raw.ways[w], self.speed_overrides)
+            whole = a == index.seg_first[s] and b == index.seg_last[s]
+            key = (a, attrs[0])
+            edges = index._whole_segment_edges.get(key) if whole else None
+            if edges is None:
+                index.measure_pairs(np.arange(a, b))
+                edges = _segment_edges(index, a, b, attrs)
+                if whole:
+                    index._whole_segment_edges[key] = edges
+            self._piece_edges[a] = edges
+        return edges
+
+    def _adjacency(self, node: str) -> tuple[list, list]:
+        adjacent = self._adjacent.get(node)
+        if adjacent is None:
+            index = self.index
+            out: list = []
+            inn: list = []
+            r = index.row.get(node)
+            if r is not None and self._inside[r]:
+                # the pieces with an end at one of the node's occurrences;
+                # occurrence k sits in the segments of pairs k - 1 and k
+                pieces: dict[int, tuple[int, int]] = {}
+                for k in index.occ_by_node[index.node_occ[r] : index.node_occ[r + 1]].tolist():
+                    for s in {int(index.pair_seg[k]), int(index.pair_seg[k - 1]) if k else -1}:
+                        if s >= 0:
+                            for a, b in self._segment_pieces(s):
+                                if k == a or k == b:
+                                    pieces[a] = (s, b)
+                for a in sorted(pieces):
+                    s, b = pieces[a]
+                    for d, e in enumerate(self._edges(s, a, b)):
+                        if e.src == node:
+                            out.append(((a, d), e))
+                        if e.dst == node:
+                            inn.append(((a, d), e))
+            adjacent = self._adjacent[node] = (out, inn)
+        return adjacent
 
 
 # ---------------------------------------------------------------------------

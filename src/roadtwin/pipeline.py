@@ -1,9 +1,9 @@
 """End-to-end orchestration shared by the CLI subcommands.
 
-Sensor loading, the one embedding path for sensors and targets (crop the
-radius graph, snap the position, take its ego-graph, build its features,
-then min-max normalise the joint pool), traffic loading and cleaning,
-and the full leave-one-out benchmark.
+Sensor loading, the one embedding path for sensors and targets (open a
+lazy radius view of the map index, snap the position, take its
+ego-graph, build its features, then min-max normalise the joint pool),
+traffic loading and cleaning, and the full leave-one-out benchmark.
 """
 from __future__ import annotations
 
@@ -15,7 +15,8 @@ from . import evaluation, generation
 from .config import DECISIONS, PipelineConfig
 from .embedding import RoadEmbedding, build_embedding, normalize_pool
 from .errors import ArgumentError, FormatError, InputError
-from .osm_ingest import RawRoadData, build_graph, parse_lanes
+# build_graph is no longer called here; perfbench/spans.py rebinds it by this name
+from .osm_ingest import RadiusView, RawRoadData, build_graph, parse_lanes  # noqa: F401
 from .road_graph import CentralNode, HighwayClass, ego_graph, insert_central_node
 from .output import round6
 from .traffic_data import (
@@ -120,13 +121,15 @@ def embed_position(
     road_type_override: HighwayClass | None = None,
     lanes_override: int | None = None,
 ) -> EmbeddedPosition:
-    """Graph, central node, ego-graph and embedding for one position.
+    """Central node, ego-graph and embedding for one position.
 
-    The graph is cropped around the position from the extract's index,
-    so every embedding sees the same radius of context regardless of
-    other sensors.
+    The radius graph around the position is read from the extract's
+    index node by node (:class:`RadiusView`), so every embedding sees the
+    same radius of context regardless of other sensors, and only the
+    nodes the snap, the ego-graph and the travel-time search reach are
+    built.
     """
-    graph = build_graph(raw, (lat, lon), cfg.radius_m, cfg.default_speeds or None)
+    graph = RadiusView(raw, (lat, lon), cfg.radius_m, cfg.default_speeds or None)
     graph, central = insert_central_node(
         graph, sensor_id, lat, lon, snap_threshold_m=cfg.snap_threshold_m
     )
@@ -257,6 +260,8 @@ def run_benchmark(cfg: PipelineConfig) -> dict:
     sensors = load_sensors(cfg.sensors_path)
     holidays = load_holidays(cfg)
     positions = normalize_positions(embed_sensors(raw, sensors, cfg))
+    # nothing reads the map again: free it and its index before the traffic loads
+    del raw
     series, cleaning = load_traffic_dir(cfg)
     segments = build_segment_records(positions, series, holidays)
 

@@ -4,6 +4,14 @@ Holds the graph data model (nodes with coordinates, directed edges with
 length / speed / travel time), insertion of a virtual central node at a
 sensor position, hop-limited ego-graph extraction, and travel-time
 shortest paths.
+
+Insertion, ego-graphs and shortest paths read a graph only through
+``out_edges(v)`` / ``in_edges(v)`` (``(key, edge)`` pairs, keys sorting
+in edge order), ``coords(v)``, ``has_node(v)`` and
+``edges_near(lat, lon, max_m)``.  :class:`RoadGraph` holds every edge;
+``osm_ingest.RadiusView`` builds a radius graph node by node as these
+reads reach it, so an embedding never materialises more of the map than
+its ego-graph and its shortest-path search touch.
 """
 from __future__ import annotations
 
@@ -11,6 +19,7 @@ import heapq
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from operator import itemgetter
 
 from .errors import ArgumentError, SnapError
 from .geo import LocalProjection, point_segment_projection
@@ -86,19 +95,87 @@ class RoadGraph:
     def __len__(self) -> int:
         return len(self.nodes)
 
+    def out_edges(self, node: str) -> list[tuple[int, Edge]]:
+        return [(i, self.edges[i]) for i in self._out[node]]
+
+    def in_edges(self, node: str) -> list[tuple[int, Edge]]:
+        return [(i, self.edges[i]) for i in self._in[node]]
+
+    def coords(self, node: str) -> tuple[float, float]:
+        return self.nodes[node]
+
+    def has_node(self, node: str) -> bool:
+        return node in self.nodes
+
+    def edges_near(self, lat: float, lon: float, max_m: float | None):
+        """Every edge: a RoadGraph keeps no spatial index."""
+        return enumerate(self.edges)
+
     def neighbors_undirected(self, node: str) -> list[str]:
         """Successors and predecessors, deduplicated, in adjacency order."""
-        seen: dict[str, None] = {}
-        for i in self._out[node]:
-            seen.setdefault(self.edges[i].dst, None)
-        for i in self._in[node]:
-            seen.setdefault(self.edges[i].src, None)
-        seen.pop(node, None)
-        return list(seen)
+        return _neighbors_undirected(self, node)
 
-    def _check_node(self, node: str):
-        if node not in self.nodes:
-            raise ArgumentError(f"unknown node id: {node!r}")
+
+class SplitGraph:
+    """``base`` with a virtual node splitting one edge and its reverse.
+
+    Each split edge gives way to its two halves in its own place: the
+    halves of the edge keyed ``k`` are keyed ``k + (0,)`` (towards the
+    virtual node) and ``k + (1,)`` (away from it), so ``base``'s keys must
+    be tuples.
+    """
+
+    def __init__(self, base, node_id: str, latlon: tuple[float, float], halves: dict):
+        self.base = base
+        self.node_id = node_id
+        self.latlon = latlon
+        self._halves = halves
+        self._site_in = sorted(((k + (0,), h[0]) for k, h in halves.items()), key=itemgetter(0))
+        self._site_out = sorted(((k + (1,), h[1]) for k, h in halves.items()), key=itemgetter(0))
+
+    def _swap(self, keyed, half: int):
+        return [
+            (k + (half,), self._halves[k][half]) if k in self._halves else (k, e)
+            for k, e in keyed
+        ]
+
+    def out_edges(self, node: str) -> list:
+        if node == self.node_id:
+            return self._site_out
+        return self._swap(self.base.out_edges(node), 0)
+
+    def in_edges(self, node: str) -> list:
+        if node == self.node_id:
+            return self._site_in
+        return self._swap(self.base.in_edges(node), 1)
+
+    def coords(self, node: str) -> tuple[float, float]:
+        return self.latlon if node == self.node_id else self.base.coords(node)
+
+    def has_node(self, node: str) -> bool:
+        return node == self.node_id or self.base.has_node(node)
+
+    def edges_near(self, lat: float, lon: float, max_m: float | None):
+        near = []
+        for k, e in self.base.edges_near(lat, lon, max_m):
+            halves = self._halves.get(k)
+            near.extend(((k + (0,), halves[0]), (k + (1,), halves[1])) if halves else ((k, e),))
+        return near
+
+
+def _check_node(graph, node: str):
+    if not graph.has_node(node):
+        raise ArgumentError(f"unknown node id: {node!r}")
+
+
+def _neighbors_undirected(graph, node: str) -> list[str]:
+    seen: dict[str, None] = {}
+    for _, e in graph.out_edges(node):
+        seen.setdefault(e.dst, None)
+    for _, e in graph.in_edges(node):
+        seen.setdefault(e.src, None)
+    seen.pop(node, None)
+    return list(seen)
 
 
 @dataclass(frozen=True)
@@ -110,35 +187,44 @@ class EgoGraph:
     hops: int
 
 
-def dijkstra_from(graph: RoadGraph, src: str) -> dict[str, float]:
-    """Travel-time distance from ``src`` to every node (inf if unreachable)."""
-    graph._check_node(src)
-    dist = {n: math.inf for n in graph.nodes}
-    dist[src] = 0.0
+def dijkstra_from(graph, src: str, stop=None) -> dict[str, float]:
+    """Travel-time distance from ``src`` to each node, in settling order.
+
+    Without ``stop`` that is every node ``src`` reaches; a
+    :class:`RoadGraph` also lists the others, at ``inf``.  ``stop(node,
+    time)`` is asked about each node as it settles, and a true answer
+    ends the search: the result then holds the nodes settled so far,
+    whose times are final.
+    """
+    _check_node(graph, src)
+    dist: dict[str, float] = {}
+    best = {src: 0.0}
     # node id in the heap entry keeps pop order deterministic on ties
     heap: list[tuple[float, str]] = [(0.0, src)]
-    done: set[str] = set()
     while heap:
         d, v = heapq.heappop(heap)
-        if v in done:
+        if v in dist:
             continue
-        done.add(v)
-        for i in graph._out[v]:
-            e = graph.edges[i]
+        dist[v] = d
+        if stop is not None and stop(v, d):
+            break
+        for _, e in graph.out_edges(v):
             nd = d + e.travel_time_s
-            if nd < dist[e.dst]:
-                dist[e.dst] = nd
+            if nd < best.get(e.dst, math.inf):
+                best[e.dst] = nd
                 heapq.heappush(heap, (nd, e.dst))
+    if isinstance(graph, RoadGraph):
+        return {**dict.fromkeys(graph.nodes, math.inf), **dist}
     return dist
 
 
-def shortest_travel_time(graph: RoadGraph, src: str, dst: str) -> float:
+def shortest_travel_time(graph, src: str, dst: str) -> float:
     """Minimum directed travel time in seconds; ``math.inf`` when unreachable."""
-    graph._check_node(src)
-    graph._check_node(dst)
+    _check_node(graph, src)
+    _check_node(graph, dst)
     if src == dst:
         return 0.0
-    return dijkstra_from(graph, src)[dst]
+    return dijkstra_from(graph, src, stop=lambda v, d: v == dst).get(dst, math.inf)
 
 
 def _split_edge(e: Edge, t: float, node_id: str) -> tuple[Edge, Edge]:
@@ -158,18 +244,36 @@ def _split_edge(e: Edge, t: float, node_id: str) -> tuple[Edge, Edge]:
     return first, second
 
 
+def _nearest_edge(graph, keyed_edges, proj: LocalProjection, px: float, py: float):
+    """``(distance, (src, dst), key, t, edge)`` of the edge nearest to
+    (px, py), ties going to the smaller (src, dst) and then the earlier
+    edge; None when there is no edge."""
+    xy: dict[str, tuple[float, float]] = {}
+    best = None
+    for k, e in keyed_edges:
+        for n in (e.src, e.dst):
+            if n not in xy:
+                xy[n] = proj.to_xy(*graph.coords(n))
+        t, d = point_segment_projection(px, py, *xy[e.src], *xy[e.dst])
+        key = (d, (e.src, e.dst), k, t, e)
+        if best is None or key[:3] < best[:3]:
+            best = key
+    return best
+
+
 def insert_central_node(
-    graph: RoadGraph,
+    graph,
     sensor_id: str,
     lat: float,
     lon: float,
     snap_threshold_m: float = 100.0,
-) -> tuple[RoadGraph, CentralNode]:
+):
     """Place a virtual node for a sensor on the nearest edge.
 
-    The sensor position is projected onto every edge (straight segment
-    between its endpoints, in a flat projection centred on the position
-    itself, so the snap does not depend on where the graph was cropped).
+    The sensor position is projected onto every edge within
+    ``snap_threshold_m`` (straight segment between its endpoints, in a
+    flat projection centred on the position itself, so the snap does not
+    depend on where the graph was cropped).
     The host edge is split at the foot of the perpendicular into two
     edges whose lengths sum to the original and whose travel times stay
     proportional; the opposite direction of a two-way road is split
@@ -177,84 +281,70 @@ def insert_central_node(
     A projection landing within ``JUNCTION_REUSE_M`` of an existing
     endpoint reuses that junction instead.
 
-    Raises ``SnapError`` when no edge lies within ``snap_threshold_m``.
+    Returns the graph with the node inserted and the node: a new
+    :class:`RoadGraph` for a RoadGraph, a :class:`SplitGraph` over any
+    other graph.  Raises ``SnapError`` when no edge lies within
+    ``snap_threshold_m``.
     """
-    if not graph.edges:
-        raise SnapError(f"sensor {sensor_id!r}: graph has no edges to snap to")
     proj = LocalProjection(lat, lon)
     px, py = proj.to_xy(lat, lon)
-    xy = {n: proj.to_xy(*graph.nodes[n]) for n in graph.nodes}
-
-    best: tuple[float, tuple[str, str], int, float] | None = None
-    for i, e in enumerate(graph.edges):
-        ax, ay = xy[e.src]
-        bx, by = xy[e.dst]
-        t, d = point_segment_projection(px, py, ax, ay, bx, by)
-        key = (d, (e.src, e.dst), i, t)
-        if best is None or key[:3] < best[:3]:
-            best = key
-    dist, _, host_idx, t = best
-    if dist > snap_threshold_m:
+    best = _nearest_edge(graph, graph.edges_near(lat, lon, snap_threshold_m), proj, px, py)
+    if best is None or best[0] > snap_threshold_m:
+        # the message names the nearest edge of the whole graph
+        best = _nearest_edge(graph, graph.edges_near(lat, lon, None), proj, px, py)
+        if best is None:
+            raise SnapError(f"sensor {sensor_id!r}: graph has no edges to snap to")
         raise SnapError(
-            f"sensor {sensor_id!r}: nearest edge is {dist:.1f} m away, "
+            f"sensor {sensor_id!r}: nearest edge is {best[0]:.1f} m away, "
             f"beyond the {snap_threshold_m:.1f} m snap threshold"
         )
-
-    host = graph.edges[host_idx]
-    ax, ay = xy[host.src]
-    bx, by = xy[host.dst]
+    _, (src, dst), host_key, t, host = best
+    ax, ay = proj.to_xy(*graph.coords(src))
+    bx, by = proj.to_xy(*graph.coords(dst))
     fx = ax + t * (bx - ax)
     fy = ay + t * (by - ay)
 
     # reuse an existing junction when the foot is essentially on it
-    for node, (nx, ny) in ((host.src, (ax, ay)), (host.dst, (bx, by))):
+    for node, (nx, ny) in ((src, (ax, ay)), (dst, (bx, by))):
         if math.hypot(fx - nx, fy - ny) <= JUNCTION_REUSE_M:
-            lat_n, lon_n = graph.nodes[node]
+            lat_n, lon_n = graph.coords(node)
             return graph, CentralNode(
                 node, sensor_id, lat_n, lon_n, host.highway_class, host.lanes
             )
 
     node_id = f"site:{sensor_id}"
-    if node_id in graph.nodes:
+    if graph.has_node(node_id):
         raise ArgumentError(f"sensor {sensor_id!r} already inserted in this graph")
-    flat, flon = proj.to_latlon(fx, fy)
+    latlon = proj.to_latlon(fx, fy)
 
     # the reverse direction of a two-way host gets split through the same node
-    reverse_idx = None
-    for i in graph._out[host.dst]:
-        e = graph.edges[i]
+    halves = {host_key: _split_edge(host, t, node_id)}
+    for k, e in graph.out_edges(dst):
         if (
-            i != host_idx
-            and e.dst == host.src
+            k != host_key
+            and e.dst == src
             and e.highway_class == host.highway_class
             and abs(e.length_m - host.length_m) <= 1e-6 * max(e.length_m, host.length_m)
         ):
-            reverse_idx = i
+            halves[k] = _split_edge(e, 1.0 - t, node_id)
             break
 
-    new_edges: list[Edge] = []
-    for i, e in enumerate(graph.edges):
-        if i == host_idx:
-            new_edges.extend(_split_edge(e, t, node_id))
-        elif i == reverse_idx:
-            new_edges.extend(_split_edge(e, 1.0 - t, node_id))
-        else:
-            new_edges.append(e)
-
-    nodes = dict(graph.nodes)
-    nodes[node_id] = (flat, flon)
-    central = CentralNode(node_id, sensor_id, flat, flon, host.highway_class, host.lanes)
-    return RoadGraph(nodes, new_edges), central
+    central = CentralNode(node_id, sensor_id, *latlon, host.highway_class, host.lanes)
+    if isinstance(graph, RoadGraph):
+        edges = [h for i, e in enumerate(graph.edges) for h in halves.get(i, (e,))]
+        return RoadGraph({**graph.nodes, node_id: latlon}, edges), central
+    return SplitGraph(graph, node_id, latlon, halves), central
 
 
-def ego_graph(graph: RoadGraph, center: CentralNode, hops: int) -> EgoGraph:
+def ego_graph(graph, center: CentralNode, hops: int) -> EgoGraph:
     """Induced subgraph of nodes within ``hops`` undirected hops of the center.
 
-    Hop counting ignores edge direction; the induced edges keep theirs.
+    Hop counting ignores edge direction; the induced edges keep theirs,
+    in the graph's edge order.
     """
     if hops < 1:
         raise ArgumentError(f"hop limit must be >= 1, got {hops}")
-    graph._check_node(center.node_id)
+    _check_node(graph, center.node_id)
 
     depth = {center.node_id: 0}
     frontier = [center.node_id]
@@ -263,13 +353,15 @@ def ego_graph(graph: RoadGraph, center: CentralNode, hops: int) -> EgoGraph:
         for v in frontier:
             if depth[v] == hops:
                 continue
-            for w in graph.neighbors_undirected(v):
+            for w in _neighbors_undirected(graph, v):
                 if w not in depth:
                     depth[w] = depth[v] + 1
                     nxt.append(w)
         frontier = nxt
 
-    keep = set(depth)
-    nodes = {n: graph.nodes[n] for n in graph.nodes if n in keep}
-    edges = [e for e in graph.edges if e.src in keep and e.dst in keep]
-    return EgoGraph(graph=RoadGraph(nodes, edges), center=center, hops=hops)
+    keyed = [ke for v in depth for ke in graph.out_edges(v) if ke[1].dst in depth]
+    keyed.sort(key=itemgetter(0))
+    nodes = {v: graph.coords(v) for v in depth}
+    return EgoGraph(
+        graph=RoadGraph(nodes, [e for _, e in keyed]), center=center, hops=hops
+    )

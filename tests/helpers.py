@@ -175,3 +175,127 @@ def grid_extract(n=14, spacing_m=110.0, bends=2, seed=7) -> RawRoadData:
     loop = ["j2_2", "j2_3", "j3_3", "j3_2", "j2_2"]
     ways.append(Way("loop", loop, {"highway": "residential"}))
     return RawRoadData(nodes=nodes, ways=ways)
+
+
+def tangled_extract() -> RawRoadData:
+    """Loops, repeated nodes, a zero-length pair, a single-node way, an
+    empty way and a reference to a node with no coordinates."""
+    nodes = {
+        "a": (LAT0, LON0),
+        "b": (north_of(LAT0, 200), LON0),
+        "c": (north_of(LAT0, 400), LON0),
+        "d": (north_of(LAT0, 400), east_of(LAT0, LON0, 250)),
+        "e": (LAT0, east_of(LAT0, LON0, 250)),
+        "f": (north_of(LAT0, 600), LON0),
+        "twin": (north_of(LAT0, 200), LON0),
+        "g": (north_of(LAT0, -150), LON0),
+        "h": (north_of(LAT0, -300), LON0),
+        "i": (north_of(LAT0, -400), east_of(LAT0, LON0, 100)),
+        "j": (north_of(LAT0, -400), east_of(LAT0, LON0, -100)),
+    }
+    ways = [
+        Way("1", ["a", "b", "c", "d", "e", "a"], {"highway": "tertiary"}),
+        Way("2", ["b", "twin", "d"], {"highway": "primary", "oneway": "true"}),
+        Way("3", ["c", "f", "ghost", "f"], {"highway": "residential", "maxspeed": "20 mph"}),
+        Way("4", ["e", "d", "e"], {"highway": "residential"}),
+        Way("5", ["f"], {"highway": "residential"}),
+        Way("6", [], {"highway": "residential"}),
+        # h is on this way only, twice: not a junction
+        Way("7", ["a", "g", "h", "i", "j", "h", "e"], {"highway": "secondary"}),
+    ]
+    return RawRoadData(nodes=nodes, ways=ways)
+
+
+def shapes_extract():
+    """Map shapes a real extract has, laid out in metres around (LAT0, LON0).
+
+    Returns ``(raw, probes)``; ``probes`` maps a name to a (lat, lon)
+    position next to the shape it is named after:
+
+    - ``curve``: on the chord of a residential way bending 200 m east of
+      it (``curve_apex`` sits on the bend itself, far from the chord,
+      and a 230 m radius around ``curve_reentry`` holds both ends of the
+      bend but not its apex, so the way leaves the radius and re-enters);
+    - ``dual``: midway between the two oneway carriageways of a dual
+      secondary road, 5 m from each (equidistant);
+    - ``middle``: on a straight way whose only junctions are 1 km away on
+      either side, so a small radius keeps its middle alone;
+    - ``repeat``: next to a way that passes one of its nodes twice;
+    - ``parallel``: on the common chord of two residential ways between
+      the same two junctions, over the same geometry (equal lengths);
+    - ``near_junction``: 10 m off the primary road, with the foot 0.3 m
+      from a junction;
+    - ``oneway_in``: 2 m off a tertiary road, with the foot 0.2 m from a
+      junction where a oneway residential road leads away south; it can
+      only be driven towards the junction;
+    - ``hub``: on the primary road in the middle of everything.
+
+    A oneway motorway runs 2.6 km north of the origin: it and the bend of
+    its ramp lie more than 2 km from every probe.
+    """
+    nodes: dict[str, tuple[float, float]] = {}
+
+    def at(nid, x_m, y_m):
+        lat = north_of(LAT0, y_m)
+        nodes[nid] = (lat, east_of(lat, LON0, x_m))
+        return nid
+
+    def pos(x_m, y_m):
+        lat = north_of(LAT0, y_m)
+        return lat, east_of(lat, LON0, x_m)
+
+    ways = []
+    # primary spine along y = 0
+    spine = [at(f"p{i}", x, 0.0) for i, x in enumerate((-600.0, -300.0, 0.0, 300.0, 600.0))]
+    ways.append(Way("spine", spine, {"highway": "primary", "lanes": "2"}))
+    # a residential way bending east between p2 and c_top (chord along x = 0)
+    bend = [at(f"cb{k}", 200.0 * math.sin(math.pi * k / 8), 200.0 - 200.0 * math.cos(math.pi * k / 8))
+            for k in range(1, 8)]
+    ways.append(Way("curve", ["p2", *bend, at("c_top", 0.0, 400.0)], {"highway": "residential"}))
+    ways.append(Way("top", ["c_top", at("t_w", -300.0, 400.0), "p1"], {"highway": "tertiary"}))
+    # dual carriageway: eastbound at y = -30, westbound at y = -40
+    ways.append(Way("dual_e", [at("de0", -500.0, -30.0), at("de1", 0.0, -30.0), at("de2", 500.0, -30.0)],
+                    {"highway": "secondary", "oneway": "yes", "lanes": "2"}))
+    ways.append(Way("dual_w", [at("dw0", 500.0, -40.0), at("dw1", 0.0, -40.0), at("dw2", -500.0, -40.0)],
+                    {"highway": "secondary", "oneway": "yes", "lanes": "2"}))
+    ways.append(Way("dual_link_e", ["de2", "p4", "dw0"], {"highway": "secondary_link"}))
+    ways.append(Way("dual_link_w", ["dw2", "p0", "de0"], {"highway": "secondary_link"}))
+    # a long straight way, junctions only at its ends
+    long_refs = [at(f"l{k}", -1000.0 + 100.0 * k, 700.0) for k in range(21)]
+    ways.append(Way("long", long_refs, {"highway": "residential", "maxspeed": "20 mph"}))
+    ways.append(Way("long_w", ["l0", at("lw", -1000.0, 0.0), "p0"], {"highway": "tertiary"}))
+    ways.append(Way("long_e", ["l20", at("le", 1000.0, 0.0), "p4"], {"highway": "tertiary"}))
+    # a way through r1 twice, r1 on no other way
+    ways.append(Way("repeat", ["p1", at("r1", -300.0, -150.0), at("r2", -250.0, -250.0),
+                               at("r3", -350.0, -250.0), "r1", at("r4", -300.0, -350.0)],
+                    {"highway": "residential"}))
+    # two ways between q0 and q1 over the same geometry
+    at("q0", 300.0, -150.0)
+    at("q1", 300.0, -450.0)
+    ways.append(Way("par_a", ["q0", at("qa", 340.0, -300.0), "q1"], {"highway": "residential"}))
+    ways.append(Way("par_b", ["q0", at("qb", 340.0, -300.0), "q1"], {"highway": "residential"}))
+    ways.append(Way("par_link", ["p3", "q0"], {"highway": "residential"}))
+    # a tertiary road to the south, and a oneway leading away south from
+    # its junction s0, drivable only towards s0
+    ways.append(Way("south", [at("s_w", -400.0, -1200.0), at("s0", 0.0, -1200.0),
+                              at("s_e", 400.0, -1200.0)], {"highway": "tertiary"}))
+    ways.append(Way("oneway_in", [at("o2", 0.0, -1500.0), at("o1", 0.0, -1350.0), "s0"],
+                    {"highway": "residential", "oneway": "yes"}))
+    # a motorway far north
+    ways.append(Way("motorway", [at("m0", -1500.0, 2600.0), at("m1", 1500.0, 2600.0)],
+                    {"highway": "motorway", "oneway": "yes", "lanes": "3"}))
+    ways.append(Way("m_ramp", ["m1", at("mr", 1500.0, 2200.0), "l20"], {"highway": "motorway_link"}))
+
+    probes = {
+        "curve": pos(15.0, 200.0),
+        "curve_apex": pos(205.0, 200.0),
+        "curve_reentry": pos(-50.0, 200.0),
+        "dual": pos(100.0, -35.0),
+        "middle": pos(10.0, 690.0),
+        "repeat": pos(-290.0, -200.0),
+        "parallel": pos(305.0, -300.0),
+        "near_junction": pos(0.3, -10.0),
+        "oneway_in": pos(0.2, -1198.0),
+        "hub": pos(-150.0, 4.0),
+    }
+    return RawRoadData(nodes=nodes, ways=ways), probes

@@ -20,6 +20,10 @@ evidence both are right:
 * ``build_graph_full_scan`` - radius graph by rescanning every node and
                               way of the extract with scalar haversine
                               (the original ``build_graph``).
+* ``embed_position_radius_graph`` - one position's embedding through the
+                              whole radius graph: full crop, snap
+                              against every edge, full Dijkstra and a
+                              scan of every edge (the original path).
 * ``parse_osm_extract_etree`` - OSM XML through a whole ``ElementTree``
                               walked child by child (the original
                               ``parse_osm_extract``).
@@ -33,15 +37,24 @@ evidence both are right:
 from __future__ import annotations
 
 import csv
+import heapq
 import io
 import math
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 from datetime import datetime
 from itertools import count
 
 import numpy as np
 
-from roadtwin.errors import ArgumentError, DomainError, FormatError, ParseError, StructuralError
+from roadtwin.errors import (
+    ArgumentError,
+    DomainError,
+    FormatError,
+    ParseError,
+    SnapError,
+    StructuralError,
+)
 from roadtwin.geo import haversine_m
 from roadtwin.osm_ingest import (
     _KEEP_TAGS,
@@ -52,7 +65,17 @@ from roadtwin.osm_ingest import (
     parse_lanes,
     parse_maxspeed_kph,
 )
-from roadtwin.road_graph import Edge, RoadGraph
+from roadtwin.embedding import TRAVEL_TIME_CLASSES, UNREACHABLE, build_embedding
+from roadtwin.geo import LocalProjection, point_segment_projection
+from roadtwin.road_graph import (
+    JUNCTION_REUSE_M,
+    CentralNode,
+    Edge,
+    EgoGraph,
+    HighwayClass,
+    RoadGraph,
+    _split_edge,
+)
 from roadtwin.traffic_data import (
     QUALITY_INTERPOLATED,
     QUALITY_MISSING,
@@ -448,6 +471,212 @@ def build_graph_full_scan(
             f"({center[0]:.5f}, {center[1]:.5f})"
         )
     return RoadGraph(nodes, edges)
+
+
+# ---------------------------------------------------------------------------
+# embedding through a whole radius graph
+# ---------------------------------------------------------------------------
+# The functions below are the embedding path as it was before positions
+# were embedded from the map index node by node: each position crops the
+# whole radius graph, snaps against every edge of it, and runs a full
+# Dijkstra over it.  Only their names changed, and ``_check_node`` became
+# an inline test.
+
+def embed_position_radius_graph(
+    raw: RawRoadData,
+    cfg,
+    sensor_id: str,
+    lat: float,
+    lon: float,
+    road_type_override=None,
+    lanes_override=None,
+):
+    """``pipeline.embed_position`` through a materialised radius graph.
+
+    Returns ``(embedding, central, ego)``.  The centrality features and
+    the host-derived ones come from the production ``build_embedding``;
+    the two travel times are then replaced by a full Dijkstra and a scan
+    of every edge.
+    """
+    graph = build_graph_full_scan(raw, (lat, lon), cfg.radius_m, cfg.default_speeds or None)
+    graph, central = _insert_central_node_scan(
+        graph, sensor_id, lat, lon, snap_threshold_m=cfg.snap_threshold_m
+    )
+    ego = _ego_graph_full(graph, central, cfg.ego_hops)
+    emb = build_embedding(
+        graph,
+        ego,
+        central,
+        sensor_id=sensor_id,
+        road_type_override=road_type_override,
+        lanes_override=lanes_override,
+    )
+    f4, f5 = _travel_times_full_scan(graph, central, TRAVEL_TIME_CLASSES)
+    emb = replace(emb, travel_time_motorway_s=f4, travel_time_primary_s=f5)
+    return emb, central, ego
+
+
+def _dijkstra_full(graph: RoadGraph, src: str) -> dict[str, float]:
+    """Travel-time distance from ``src`` to every node (inf if unreachable)."""
+    if src not in graph.nodes:
+        raise ArgumentError(f"unknown node id: {src!r}")
+    dist = {n: math.inf for n in graph.nodes}
+    dist[src] = 0.0
+    # node id in the heap entry keeps pop order deterministic on ties
+    heap: list[tuple[float, str]] = [(0.0, src)]
+    done: set[str] = set()
+    while heap:
+        d, v = heapq.heappop(heap)
+        if v in done:
+            continue
+        done.add(v)
+        for i in graph._out[v]:
+            e = graph.edges[i]
+            nd = d + e.travel_time_s
+            if nd < dist[e.dst]:
+                dist[e.dst] = nd
+                heapq.heappush(heap, (nd, e.dst))
+    return dist
+
+
+def _insert_central_node_scan(
+    graph: RoadGraph,
+    sensor_id: str,
+    lat: float,
+    lon: float,
+    snap_threshold_m: float = 100.0,
+) -> tuple[RoadGraph, CentralNode]:
+    """Place a virtual node for a sensor on the nearest edge.
+
+    The sensor position is projected onto every edge (straight segment
+    between its endpoints, in a flat projection centred on the position
+    itself, so the snap does not depend on where the graph was cropped).
+    The host edge is split at the foot of the perpendicular into two
+    edges whose lengths sum to the original and whose travel times stay
+    proportional; the opposite direction of a two-way road is split
+    through the same node.
+    A projection landing within ``JUNCTION_REUSE_M`` of an existing
+    endpoint reuses that junction instead.
+
+    Raises ``SnapError`` when no edge lies within ``snap_threshold_m``.
+    """
+    if not graph.edges:
+        raise SnapError(f"sensor {sensor_id!r}: graph has no edges to snap to")
+    proj = LocalProjection(lat, lon)
+    px, py = proj.to_xy(lat, lon)
+    xy = {n: proj.to_xy(*graph.nodes[n]) for n in graph.nodes}
+
+    best: tuple[float, tuple[str, str], int, float] | None = None
+    for i, e in enumerate(graph.edges):
+        ax, ay = xy[e.src]
+        bx, by = xy[e.dst]
+        t, d = point_segment_projection(px, py, ax, ay, bx, by)
+        key = (d, (e.src, e.dst), i, t)
+        if best is None or key[:3] < best[:3]:
+            best = key
+    dist, _, host_idx, t = best
+    if dist > snap_threshold_m:
+        raise SnapError(
+            f"sensor {sensor_id!r}: nearest edge is {dist:.1f} m away, "
+            f"beyond the {snap_threshold_m:.1f} m snap threshold"
+        )
+
+    host = graph.edges[host_idx]
+    ax, ay = xy[host.src]
+    bx, by = xy[host.dst]
+    fx = ax + t * (bx - ax)
+    fy = ay + t * (by - ay)
+
+    # reuse an existing junction when the foot is essentially on it
+    for node, (nx, ny) in ((host.src, (ax, ay)), (host.dst, (bx, by))):
+        if math.hypot(fx - nx, fy - ny) <= JUNCTION_REUSE_M:
+            lat_n, lon_n = graph.nodes[node]
+            return graph, CentralNode(
+                node, sensor_id, lat_n, lon_n, host.highway_class, host.lanes
+            )
+
+    node_id = f"site:{sensor_id}"
+    if node_id in graph.nodes:
+        raise ArgumentError(f"sensor {sensor_id!r} already inserted in this graph")
+    flat, flon = proj.to_latlon(fx, fy)
+
+    # the reverse direction of a two-way host gets split through the same node
+    reverse_idx = None
+    for i in graph._out[host.dst]:
+        e = graph.edges[i]
+        if (
+            i != host_idx
+            and e.dst == host.src
+            and e.highway_class == host.highway_class
+            and abs(e.length_m - host.length_m) <= 1e-6 * max(e.length_m, host.length_m)
+        ):
+            reverse_idx = i
+            break
+
+    new_edges: list[Edge] = []
+    for i, e in enumerate(graph.edges):
+        if i == host_idx:
+            new_edges.extend(_split_edge(e, t, node_id))
+        elif i == reverse_idx:
+            new_edges.extend(_split_edge(e, 1.0 - t, node_id))
+        else:
+            new_edges.append(e)
+
+    nodes = dict(graph.nodes)
+    nodes[node_id] = (flat, flon)
+    central = CentralNode(node_id, sensor_id, flat, flon, host.highway_class, host.lanes)
+    return RoadGraph(nodes, new_edges), central
+
+
+def _ego_graph_full(graph: RoadGraph, center: CentralNode, hops: int) -> EgoGraph:
+    """Induced subgraph of nodes within ``hops`` undirected hops of the center.
+
+    Hop counting ignores edge direction; the induced edges keep theirs.
+    """
+    if hops < 1:
+        raise ArgumentError(f"hop limit must be >= 1, got {hops}")
+    if center.node_id not in graph.nodes:
+        raise ArgumentError(f"unknown node id: {center.node_id!r}")
+
+    depth = {center.node_id: 0}
+    frontier = [center.node_id]
+    while frontier:
+        nxt: list[str] = []
+        for v in frontier:
+            if depth[v] == hops:
+                continue
+            for w in graph.neighbors_undirected(v):
+                if w not in depth:
+                    depth[w] = depth[v] + 1
+                    nxt.append(w)
+        frontier = nxt
+
+    keep = set(depth)
+    nodes = {n: graph.nodes[n] for n in graph.nodes if n in keep}
+    edges = [e for e in graph.edges if e.src in keep and e.dst in keep]
+    return EgoGraph(graph=RoadGraph(nodes, edges), center=center, hops=hops)
+
+
+def _travel_times_full_scan(
+    graph: RoadGraph, center: CentralNode, targets: tuple[HighwayClass, ...]
+) -> list[float]:
+    """``travel_time_to_class`` for each base class in ``targets``.
+
+    Runs at most one Dijkstra and one scan of the edges for all of them.
+    """
+    host = center.host_edge_class.base
+    times = [0.0 if t == host else UNREACHABLE for t in targets]
+    pending = {t: k for k, t in enumerate(targets) if t != host}
+    if not pending:
+        return times
+    dist = _dijkstra_full(graph, center.node_id)
+    for e in graph.edges:
+        k = pending.get(e.highway_class.base)
+        if k is not None:
+            cand = min(dist[e.src], dist[e.dst])
+            if cand < times[k]:
+                times[k] = cand
+    return times
 
 
 # ---------------------------------------------------------------------------

@@ -160,6 +160,17 @@ def test_ingest_defaults_center_to_sensor_centroid(tmp_path):
     assert manifest["center"] == {"lat": round6(lat), "lon": round6(lon)}
 
 
+@pytest.mark.parametrize("flag, value", [("--center-lat", "40.44"), ("--center-lon", "-3.69")])
+def test_ingest_lone_center_coordinate_exits_2(tmp_path, flag, value):
+    out = tmp_path / "out"
+    proc = run_cli("ingest", "--config", CONFIG, "--output_dir", str(out), flag, value)
+    assert proc.returncode == 2
+    err = stderr_error(proc)
+    assert err["error"] == "ArgumentError"
+    assert "--center-lat and --center-lon" in err["message"]
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # embed / select
 # ---------------------------------------------------------------------------

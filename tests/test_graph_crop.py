@@ -8,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from helpers import LAT0, LON0, east_of, grid_extract, north_of
+from helpers import LAT0, LON0, east_of, grid_extract, north_of, tangled_extract
 from oracles import build_graph_full_scan
 from roadtwin.errors import ArgumentError, DomainError
 from roadtwin.geo import haversine_m, haversine_m_array
@@ -86,32 +86,8 @@ def test_repeated_calls_with_varying_speeds_share_one_index():
 
 
 def test_crop_matches_full_scan_on_hand_built_extract():
-    # loops, repeated nodes, a zero-length pair, a single-node way, an
-    # empty way and a reference to a node with no coordinates
-    nodes = {
-        "a": (LAT0, LON0),
-        "b": (north_of(LAT0, 200), LON0),
-        "c": (north_of(LAT0, 400), LON0),
-        "d": (north_of(LAT0, 400), east_of(LAT0, LON0, 250)),
-        "e": (LAT0, east_of(LAT0, LON0, 250)),
-        "f": (north_of(LAT0, 600), LON0),
-        "twin": (north_of(LAT0, 200), LON0),
-        "g": (north_of(LAT0, -150), LON0),
-        "h": (north_of(LAT0, -300), LON0),
-        "i": (north_of(LAT0, -400), east_of(LAT0, LON0, 100)),
-        "j": (north_of(LAT0, -400), east_of(LAT0, LON0, -100)),
-    }
-    ways = [
-        Way("1", ["a", "b", "c", "d", "e", "a"], {"highway": "tertiary"}),
-        Way("2", ["b", "twin", "d"], {"highway": "primary", "oneway": "true"}),
-        Way("3", ["c", "f", "ghost", "f"], {"highway": "residential", "maxspeed": "20 mph"}),
-        Way("4", ["e", "d", "e"], {"highway": "residential"}),
-        Way("5", ["f"], {"highway": "residential"}),
-        Way("6", [], {"highway": "residential"}),
-        # h is on this way only, twice: not a junction
-        Way("7", ["a", "g", "h", "i", "j", "h", "e"], {"highway": "secondary"}),
-    ]
-    raw = RawRoadData(nodes=nodes, ways=ways)
+    raw = tangled_extract()
+    nodes = raw.nodes
     for center in [nodes["a"], nodes["c"], nodes["d"], nodes["h"], (north_of(LAT0, 300), LON0)]:
         for radius_m in [150.0, 210.0, 450.0, 5000.0]:
             try:

@@ -23,6 +23,7 @@ from . import evaluation, generation, pipeline
 from .config import PipelineConfig, load_config
 from .embedding import EMBEDDING_DIMS
 from .errors import ArgumentError, InputError, RoadTwinError
+from .geo import coordinate_problem
 from .osm_ingest import graph_to_csv, build_graph, parse_osm_extract
 from .output import OutputStage, check_config_hash, read_csv, round6, write_csv, write_json
 from .selection import select_by_embedding, select_by_geography, similarity_percent
@@ -112,6 +113,16 @@ def _config_from_args(args) -> PipelineConfig:
         if getattr(args, f"cfg_{f.name}", None) is not None
     }
     return load_config(args.config, overrides)
+
+
+def _check_positions(args):
+    """Reject a non-finite or out-of-range ``--lat``/``--lon`` or
+    ``--center-lat``/``--center-lon``."""
+    for lat_flag, lon_flag in (("lat", "lon"), ("center_lat", "center_lon")):
+        problem = coordinate_problem(getattr(args, lat_flag, None), getattr(args, lon_flag, None))
+        if problem:
+            flags = "/".join(f"--{f.replace('_', '-')}" for f in (lat_flag, lon_flag))
+            raise ArgumentError(f"{flags}: {problem}")
 
 
 def _require(cfg: PipelineConfig, *keys: str):
@@ -443,6 +454,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _config_from_args(args)
+        _check_positions(args)
         HANDLERS[args.command](args, cfg)
         return 0
     except RoadTwinError as exc:

@@ -9,10 +9,12 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field, fields
 
 from .errors import ArgumentError, FormatError, InputError
+from .osm_ingest import ACCEPTED_HIGHWAYS
 from .selection import DISTANCE_METRICS
 
 # Tie-break and convention choices that shape the numbers, recorded in
@@ -55,18 +57,17 @@ class PipelineConfig:
     alpha: float = 0.05
 
     def validate(self) -> "PipelineConfig":
-        if self.radius_m <= 0:
-            raise ArgumentError(f"radius_m must be positive, got {self.radius_m}")
+        for name in ("radius_m", "snap_threshold_m", "spike_factor"):
+            value = getattr(self, name)
+            # false for NaN as well
+            if not 0 < value < math.inf:
+                raise ArgumentError(f"{name} must be positive and finite, got {value}")
         if self.ego_hops < 1:
             raise ArgumentError(f"ego_hops must be >= 1, got {self.ego_hops}")
-        if self.snap_threshold_m <= 0:
-            raise ArgumentError(f"snap_threshold_m must be positive, got {self.snap_threshold_m}")
         if self.interval_min < 1 or 1440 % self.interval_min != 0:
             raise ArgumentError(
                 f"interval_min must divide 1440 minutes, got {self.interval_min}"
             )
-        if self.spike_factor <= 0:
-            raise ArgumentError(f"spike_factor must be positive, got {self.spike_factor}")
         if self.max_gap < 0:
             raise ArgumentError(f"max_gap must be >= 0, got {self.max_gap}")
         if self.distance not in DISTANCE_METRICS:
@@ -74,8 +75,16 @@ class PipelineConfig:
         if not 0.0 < self.alpha < 1.0:
             raise ArgumentError(f"alpha must be in (0, 1), got {self.alpha}")
         for k, v in self.default_speeds.items():
-            if float(v) <= 0:
-                raise ArgumentError(f"default speed for {k!r} must be positive, got {v}")
+            if k not in ACCEPTED_HIGHWAYS:
+                raise ArgumentError(
+                    f"default_speeds key {k!r} is not a road class "
+                    f"({', '.join(sorted(ACCEPTED_HIGHWAYS))})"
+                )
+            # a JSON number: bool is an int subclass, but true is no speed
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0 < v < math.inf:
+                raise ArgumentError(
+                    f"default speed for {k!r} must be a positive finite number, got {v!r}"
+                )
         return self
 
     def snapshot(self) -> dict:

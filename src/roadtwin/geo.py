@@ -13,6 +13,19 @@ import numpy as np
 EARTH_RADIUS_M = 6371008.8  # IUGG mean Earth radius
 
 
+def coordinate_problem(lat: float | None, lon: float | None) -> str | None:
+    """Why ``lat`` or ``lon`` is no valid coordinate, or None.
+
+    A latitude must be finite and in [-90, 90], a longitude finite and in
+    [-180, 180].  A side given as None is not checked.
+    """
+    for name, value, limit in (("latitude", lat, 90.0), ("longitude", lon, 180.0)):
+        # false for NaN as well
+        if value is not None and not -limit <= value <= limit:
+            return f"{name} {value} is not a finite number in [{-limit:g}, {limit:g}]"
+    return None
+
+
 def haversine_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     """Great-circle distance in metres between two points."""
     phi1 = math.radians(lat1)

@@ -13,6 +13,7 @@ import io
 import math
 import os
 import re
+from bisect import bisect_left
 from xml.parsers import expat
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -108,15 +109,10 @@ class MapIndex:
       measured.
     - ``is_cut[k]``: the occurrence ends a junction-to-junction segment,
       being a way's first or last node or a node of two or more ways.
-    - The segment table: segment ``s`` is the stretch of one way from
-      the cut ``seg_first[s]`` to the next cut ``seg_last[s]``, and
-      ``seg_box[:, s]`` is (lat min, lat max, lon min, lon max) over its
-      occurrences.  ``pair_seg[k]`` is the segment holding the pair from
-      occurrence ``k`` to ``k + 1`` (-1 after a way's last node).
 
-    Edges of whole segments are built on first use and kept, keyed by
-    segment and speed, so speeds that differ between calls (through
-    ``speed_overrides``) never share an edge.
+    The index holds no segments and no edges: each :class:`RadiusView`
+    cuts its own in-radius occurrences into pieces with ``way_of`` and
+    ``is_cut`` and builds their edges, so views share pair lengths only.
     """
 
     def __init__(self, raw: RawRoadData):
@@ -147,30 +143,11 @@ class MapIndex:
 
         self.pair_len = np.full(self.occ_node.size, math.nan)
         self.pair_len[stops[nonempty] - 1] = 0.0
-        self._whole_segment_edges: dict[tuple[int, float], tuple[Edge, ...]] = {}
 
         # occurrences of each node row, in way order
         self.occ_by_node = np.argsort(self.occ_node, kind="stable").astype(np.int32)
         self.node_occ = np.zeros(missing + 2, dtype=np.int32)
         np.cumsum(np.bincount(self.occ_node, minlength=missing + 1), out=self.node_occ[1:])
-
-        # segment table: consecutive cuts of one way
-        cuts = np.flatnonzero(self.is_cut)
-        same_way = self.way_of[cuts[:-1]] == self.way_of[cuts[1:]]
-        self.seg_first = cuts[:-1][same_way].astype(np.int32)
-        self.seg_last = cuts[1:][same_way].astype(np.int32)
-        occ = np.arange(self.occ_node.size, dtype=np.int32)
-        seg = np.searchsorted(self.seg_first, occ, side="right").astype(np.int32) - 1
-        # seg is -1 before the first segment, which the appended -1 rejects
-        self.pair_seg = np.where(occ < np.append(self.seg_last, -1)[seg], seg, -1)
-        # geometry bounding box of each segment; NaN rows (undefined
-        # nodes) are skipped, and a segment of them alone stays NaN
-        bounds = np.stack([self.seg_first, self.seg_last + 1], axis=1).ravel()
-        self.seg_box = np.array([
-            reduce.reduceat(np.append(coord[self.occ_node], math.nan), bounds)[::2]
-            for reduce, coord in
-            ((np.fmin, self.lat), (np.fmax, self.lat), (np.fmin, self.lon), (np.fmax, self.lon))
-        ]).reshape(4, -1)
 
     def within(self, center: tuple[float, float], radius_m: float) -> np.ndarray:
         """Boolean per node row: haversine to ``center`` is ``<= radius_m``."""
@@ -401,10 +378,9 @@ def build_graph(
     into the edge).  Two-way roads produce one edge per direction.
 
     Every edge of a :class:`RadiusView` of the extract, materialised at
-    once: only the ways through in-radius nodes are visited, and segments
-    wholly inside the radius reuse the edges built for them before.
-    Nodes and edges come out in way order, as a rescan of the whole
-    extract would give them.
+    once: only the in-radius stretches of ways are visited.  Nodes and
+    edges come out in way order, as a rescan of the whole extract would
+    give them.
     """
     edges = [e for _, e in RadiusView(raw, center, radius_m, speed_overrides).edges()]
     nodes: dict[str, tuple[float, float]] = {}
@@ -422,15 +398,16 @@ _NEAR_MARGIN_M = 1.0
 class RadiusView:
     """The radius graph around ``center``, built per node on first read.
 
-    Only the in-radius mask of ``raw.index`` (per node row and per
-    occurrence) is computed up front.  A node's out- and in-edges are
-    built the first time the node is read, from the radius pieces
-    (maximal in-radius runs of one segment) that start or end at one of
-    its occurrences.  Pair lengths are measured on first need and whole
-    segments go through the index's edge memo, so an edge has one value
-    however it is reached.  Edges are keyed by ``(piece start
-    occurrence, 0 forward / 1 backward)``, which sorts them in way
-    order; :func:`build_graph` materialises them all.
+    The view's *pieces* are found once, up front, from the in-radius
+    occurrences of ``raw.index``: a piece is a maximal in-radius run of
+    one junction-to-junction segment holding at least one pair, and
+    ``_first[i]`` and ``_last[i]`` are the first and last occurrence of
+    piece ``i``, in way order.  A piece's edges are built once, the first
+    time it is read, with its pair lengths measured on first need.  A
+    node's out- and in-edges are those of the pieces that start or end at
+    one of its occurrences.  Edges are keyed by ``(piece start
+    occurrence, 0 forward / 1 backward)``, which sorts them in way order;
+    :func:`build_graph` materialises them all.
 
     Reads: ``out_edges(v)`` and ``in_edges(v)`` (lists of ``(key, edge)``
     in edge order), ``coords(v)``, ``has_node(v)`` and
@@ -447,14 +424,24 @@ class RadiusView:
         if radius_m <= 0:
             raise ArgumentError(f"radius must be positive, got {radius_m}")
         self.raw = raw
-        self.index = raw.index
+        self.index = index = raw.index
         self.center = center
         self.radius_m = radius_m
         self.speed_overrides = speed_overrides
-        self._inside = self.index.within(center, radius_m)
-        self._inside_occ = self._inside[self.index.occ_node]
+        occ = np.flatnonzero(index.within(center, radius_m)[index.occ_node])
+        # pairs: in-radius occurrences followed by an in-radius one of their way
+        follows = (occ[1:] == occ[:-1] + 1) & (index.way_of[occ[1:]] == index.way_of[occ[:-1]])
+        pairs = occ[:-1][follows]
+        starts = np.ones(pairs.size, dtype=bool)
+        starts[1:] = pairs[1:] != pairs[:-1] + 1
+        starts |= index.is_cut[pairs]
+        ends = np.ones(pairs.size, dtype=bool)
+        ends[:-1] = starts[1:]
+        self._pairs = pairs
+        # lists, so that a node read looks its pieces up by bisection
+        self._first: list[int] = pairs[starts].tolist()
+        self._last: list[int] = (pairs[ends] + 1).tolist()
         self._adjacent: dict[str, tuple[list, list]] = {}
-        self._pieces: dict[int, list[tuple[int, int]]] = {}
         self._piece_edges: dict[int, tuple[Edge, ...]] = {}
         self._attrs: dict[int, tuple] = {}
 
@@ -476,12 +463,9 @@ class RadiusView:
 
         Raises ``DomainError`` when the radius holds no edge.
         """
-        inside = self._inside_occ
-        pair_seg = self.index.pair_seg[:-1]
-        pairs = np.flatnonzero(inside[:-1] & inside[1:] & (pair_seg >= 0))
         # one batch rather than one call per piece
-        self.index.measure_pairs(pairs)
-        edges = self._keyed_edges(np.unique(pair_seg[pairs]))
+        self.index.measure_pairs(self._pairs)
+        edges = self._keyed_edges(range(len(self._first)))
         if not edges:
             raise DomainError(
                 f"no drivable roads within {self.radius_m:.0f} m of "
@@ -493,66 +477,39 @@ class RadiusView:
         """``(key, edge)`` of every edge that may lie within ``max_m`` of
         the position, in edge order; :meth:`edges` when ``max_m`` is None.
 
-        A segment is kept when its bounding box, in the equirectangular
-        projection around the position, comes within ``max_m`` (plus a
-        margin): every chord of a piece lies inside its segment's box.
+        A piece is kept when the box of its chord (the box spanned by its
+        two end nodes), in the equirectangular projection around the
+        position, comes within ``max_m`` (plus a margin).  Its edges run
+        along that chord, which lies inside the box.
         """
         if max_m is None:
             return self.edges()
-        lat_min, lat_max, lon_min, lon_max = self.index.seg_box
+        index = self.index
+        ends = index.occ_node[np.array([self._first, self._last], dtype=np.intp)]
+        lat_end, lon_end = index.lat[ends], index.lon[ends]
         kx = math.radians(1.0) * EARTH_RADIUS_M * math.cos(math.radians(lat))
         ky = math.radians(1.0) * EARTH_RADIUS_M
-        dx = np.maximum(np.maximum(lon_min - lon, lon - lon_max), 0.0) * kx
-        dy = np.maximum(np.maximum(lat_min - lat, lat - lat_max), 0.0) * ky
-        return self._keyed_edges(np.flatnonzero(dx * dx + dy * dy <= (max_m + _NEAR_MARGIN_M) ** 2))
+        dx = (np.clip(lon, lon_end.min(axis=0), lon_end.max(axis=0)) - lon) * kx
+        dy = (np.clip(lat, lat_end.min(axis=0), lat_end.max(axis=0)) - lat) * ky
+        near = np.flatnonzero(dx * dx + dy * dy <= (max_m + _NEAR_MARGIN_M) ** 2)
+        return self._keyed_edges(near.tolist())
 
-    def _keyed_edges(self, segs: np.ndarray) -> list[tuple[tuple[int, int], Edge]]:
-        """``(key, edge)`` of the pieces of segments ``segs`` (ascending)."""
-        return [
-            ((a, d), e)
-            for s in segs.tolist()
-            for a, b in self._segment_pieces(s)
-            for d, e in enumerate(self._edges(s, a, b))
-        ]
+    def _keyed_edges(self, pieces) -> list[tuple[tuple[int, int], Edge]]:
+        """``(key, edge)`` of the given pieces (ascending), in edge order."""
+        return [((self._first[i], d), e) for i in pieces for d, e in enumerate(self._edges(i))]
 
-    def _segment_pieces(self, s: int) -> list[tuple[int, int]]:
-        """(first, last) occurrence of each in-radius run of segment ``s``
-        that holds at least one pair."""
-        pieces = self._pieces.get(s)
-        if pieces is None:
-            index = self.index
-            first, last = int(index.seg_first[s]), int(index.seg_last[s])
-            inside = self._inside_occ[first : last + 1].tolist() + [False]
-            pieces = self._pieces[s] = []
-            start = None
-            for k, ok in enumerate(inside, start=first):
-                if ok and start is None:
-                    start = k
-                elif not ok and start is not None:
-                    if k - 1 > start:
-                        pieces.append((start, k - 1))
-                    start = None
-        return pieces
-
-    def _edges(self, s: int, a: int, b: int) -> tuple[Edge, ...]:
-        """Edges of the piece from occurrence ``a`` to ``b`` of segment
-        ``s``, as :func:`build_graph` builds them."""
-        edges = self._piece_edges.get(a)
+    def _edges(self, i: int) -> tuple[Edge, ...]:
+        """Edges of piece ``i``, as :func:`build_graph` builds them."""
+        edges = self._piece_edges.get(i)
         if edges is None:
             index = self.index
+            a, b = self._first[i], self._last[i]
             w = int(index.way_of[a])
             attrs = self._attrs.get(w)
             if attrs is None:
                 attrs = self._attrs[w] = _way_attributes(self.raw.ways[w], self.speed_overrides)
-            whole = a == index.seg_first[s] and b == index.seg_last[s]
-            key = (a, attrs[0])
-            edges = index._whole_segment_edges.get(key) if whole else None
-            if edges is None:
-                index.measure_pairs(np.arange(a, b))
-                edges = _segment_edges(index, a, b, attrs)
-                if whole:
-                    index._whole_segment_edges[key] = edges
-            self._piece_edges[a] = edges
+            index.measure_pairs(np.arange(a, b))
+            edges = self._piece_edges[i] = _segment_edges(index, a, b, attrs)
         return edges
 
     def _adjacency(self, node: str) -> tuple[list, list]:
@@ -562,23 +519,19 @@ class RadiusView:
             out: list = []
             inn: list = []
             r = index.row.get(node)
-            if r is not None and self._inside[r]:
-                # the pieces with an end at one of the node's occurrences;
-                # occurrence k sits in the segments of pairs k - 1 and k
-                pieces: dict[int, tuple[int, int]] = {}
+            if r is not None:
+                # the pieces that start or end at one of the node's occurrences
+                pieces = set()
                 for k in index.occ_by_node[index.node_occ[r] : index.node_occ[r + 1]].tolist():
-                    for s in {int(index.pair_seg[k]), int(index.pair_seg[k - 1]) if k else -1}:
-                        if s >= 0:
-                            for a, b in self._segment_pieces(s):
-                                if k == a or k == b:
-                                    pieces[a] = (s, b)
-                for a in sorted(pieces):
-                    s, b = pieces[a]
-                    for d, e in enumerate(self._edges(s, a, b)):
-                        if e.src == node:
-                            out.append(((a, d), e))
-                        if e.dst == node:
-                            inn.append(((a, d), e))
+                    for ends in (self._first, self._last):
+                        i = bisect_left(ends, k)
+                        if i < len(ends) and ends[i] == k:
+                            pieces.add(i)
+                for key, e in self._keyed_edges(sorted(pieces)):
+                    if e.src == node:
+                        out.append((key, e))
+                    if e.dst == node:
+                        inn.append((key, e))
             adjacent = self._adjacent[node] = (out, inn)
         return adjacent
 

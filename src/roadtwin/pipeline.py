@@ -15,6 +15,7 @@ from . import evaluation, generation
 from .config import DECISIONS, PipelineConfig
 from .embedding import RoadEmbedding, build_embedding, normalize_pool
 from .errors import ArgumentError, FormatError, InputError
+from .geo import coordinate_problem
 # build_graph is no longer called here; perfbench/spans.py rebinds it by this name
 from .osm_ingest import RadiusView, RawRoadData, build_graph, parse_lanes  # noqa: F401
 from .road_graph import CentralNode, HighwayClass, ego_graph, insert_central_node
@@ -46,7 +47,11 @@ class SensorSpec:
 
 
 def load_sensors(path) -> list[SensorSpec]:
-    """Sensor positions CSV; the two override columns are optional."""
+    """Sensor positions CSV; the two override columns are optional.
+
+    Raises ``FormatError`` for a file without sensor rows and for a row
+    whose position is not a valid latitude and longitude.
+    """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
@@ -78,6 +83,9 @@ def load_sensors(path) -> list[SensorSpec]:
             lat, lon = float(row[1]), float(row[2])
         except ValueError as exc:
             raise FormatError(f"sensors CSV row {lineno}: {exc}") from exc
+        problem = coordinate_problem(lat, lon)
+        if problem:
+            raise FormatError(f"sensors CSV row {lineno}: {problem}")
         rt_override = None
         lanes_override = None
         if len(header) == 5:
@@ -95,6 +103,8 @@ def load_sensors(path) -> list[SensorSpec]:
                         f"sensors CSV row {lineno}: bad lanes override {row[4]!r}"
                     )
         sensors.append(SensorSpec(sid, lat, lon, rt_override, lanes_override))
+    if not sensors:
+        raise FormatError(f"sensors CSV {path} holds no sensor row")
     return sensors
 
 

@@ -229,6 +229,9 @@ def shapes_extract():
       junction where a oneway residential road leads away south; it can
       only be driven towards the junction;
     - ``hub``: on the primary road in the middle of everything.
+    - ``hook``: 40 m from the apex of a residential way that bends 200 m
+      north of its chord, so its geometry comes within a 100 m snap
+      threshold while its chord stays 160 m away.
 
     A oneway motorway runs 2.6 km north of the origin: it and the bend of
     its ramp lie more than 2 km from every probe.
@@ -281,6 +284,9 @@ def shapes_extract():
                               at("s_e", 400.0, -1200.0)], {"highway": "tertiary"}))
     ways.append(Way("oneway_in", [at("o2", 0.0, -1500.0), at("o1", 0.0, -1350.0), "s0"],
                     {"highway": "residential", "oneway": "yes"}))
+    # a way from the tertiary road's east end bending north of its chord
+    ways.append(Way("hook", ["s_e", at("hk1", 550.0, -1000.0), at("hk2", 700.0, -1200.0)],
+                    {"highway": "residential"}))
     # a motorway far north
     ways.append(Way("motorway", [at("m0", -1500.0, 2600.0), at("m1", 1500.0, 2600.0)],
                     {"highway": "motorway", "oneway": "yes", "lanes": "3"}))
@@ -297,5 +303,6 @@ def shapes_extract():
         "near_junction": pos(0.3, -10.0),
         "oneway_in": pos(0.2, -1198.0),
         "hub": pos(-150.0, 4.0),
+        "hook": pos(550.0, -1040.0),
     }
     return RawRoadData(nodes=nodes, ways=ways), probes

@@ -171,6 +171,85 @@ def test_ingest_lone_center_coordinate_exits_2(tmp_path, flag, value):
     assert not out.exists()
 
 
+def test_ingest_sensors_without_rows_exits_2(tmp_path):
+    sensors = tmp_path / "sensors.csv"
+    sensors.write_text("sensor_id,lat,lon,road_type_override,lanes_override\n")
+    out = tmp_path / "out"
+    proc = run_cli(
+        "ingest", "--config", CONFIG, "--sensors_path", str(sensors), "--output_dir", str(out)
+    )
+    assert proc.returncode == 2
+    assert stderr_error(proc) == {
+        "error": "FormatError",
+        "exit_code": 2,
+        "message": f"sensors CSV {sensors} holds no sensor row",
+    }
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lat, lon, bad", [
+    ("inf", "-3.69", "latitude inf"),
+    ("nan", "-3.69", "latitude nan"),
+    ("40.45", "nan", "longitude nan"),
+    ("95", "-3.69", "latitude 95.0"),
+])
+def test_sensor_with_bad_coordinates_exits_2(tmp_path, lat, lon, bad):
+    sensors = tmp_path / "sensors.csv"
+    with open(os.path.join(FIXTURE_DIR, "sensors.csv"), encoding="utf-8") as fh:
+        sensors.write_text(fh.read() + f"s9,{lat},{lon},,\n")
+    out = tmp_path / "out"
+    proc = run_cli(
+        "ingest", "--config", CONFIG, "--sensors_path", str(sensors), "--output_dir", str(out)
+    )
+    assert proc.returncode == 2
+    assert stderr_error(proc) == {
+        "error": "FormatError",
+        "exit_code": 2,
+        "message": f"sensors CSV row 10: {bad} is not a finite number in "
+                   + ("[-90, 90]" if bad.startswith("lat") else "[-180, 180]"),
+    }
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("select", "--lat", "inf", "--lon", "-3.69"),
+     "--lat/--lon: latitude inf is not a finite number in [-90, 90]"),
+    (("select", "--lat", "95", "--lon", "-3.69"),
+     "--lat/--lon: latitude 95.0 is not a finite number in [-90, 90]"),
+    (("estimate", "--lat", "40.45", "--lon", "nan", "--date", "2019-02-01"),
+     "--lat/--lon: longitude nan is not a finite number in [-180, 180]"),
+    (("ingest", "--center-lat", "inf", "--center-lon", "-3.69"),
+     "--center-lat/--center-lon: latitude inf is not a finite number in [-90, 90]"),
+    (("ingest", "--center-lat", "nan", "--center-lon", "-3.69"),
+     "--center-lat/--center-lon: latitude nan is not a finite number in [-90, 90]"),
+    (("ingest", "--center-lat", "40.45", "--center-lon", "-181"),
+     "--center-lat/--center-lon: longitude -181.0 is not a finite number in [-180, 180]"),
+], ids=["select-lat-inf", "select-lat-95", "estimate-lon-nan", "ingest-lat-inf",
+        "ingest-lat-nan", "ingest-lon-181"])
+def test_bad_coordinate_flag_exits_2(tmp_path, argv, message):
+    out = tmp_path / "out"
+    proc = run_cli(*argv, "--config", CONFIG, "--output_dir", str(out))
+    assert proc.returncode == 2
+    assert stderr_error(proc) == {"error": "ArgumentError", "exit_code": 2, "message": message}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--default_speeds", '{"primary": "fast"}', "default speed for 'primary'"),
+    ("--default_speeds", '{"primary": null}', "default speed for 'primary'"),
+    ("--default_speeds", '{"primery": 30}', "default_speeds key 'primery' is not a road class"),
+    ("--radius_m", "nan", "radius_m must be positive and finite"),
+], ids=["speed-text", "speed-null", "speed-key-typo", "radius-nan"])
+def test_bad_config_value_exits_2(tmp_path, flag, value, message):
+    out = tmp_path / "out"
+    proc = run_cli("embed", "--config", CONFIG, "--output_dir", str(out), flag, value)
+    assert proc.returncode == 2
+    err = stderr_error(proc)
+    assert (err["error"], err["exit_code"]) == ("ArgumentError", 2)
+    assert err["message"].startswith(message)
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # embed / select
 # ---------------------------------------------------------------------------

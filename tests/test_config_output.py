@@ -47,11 +47,32 @@ def test_defaults_pass_validation():
     ("distance", "cosine"),
     ("alpha", 0.0),
     ("alpha", 1.0),
+    ("radius_m", math.nan),
+    ("radius_m", math.inf),
+    ("snap_threshold_m", math.nan),
+    ("snap_threshold_m", math.inf),
+    ("spike_factor", math.nan),
+    ("spike_factor", math.inf),
+    ("default_speeds", {"primary": "fast"}),
+    ("default_speeds", {"primary": None}),
+    ("default_speeds", {"primary": True}),
+    ("default_speeds", {"primary": math.nan}),
+    ("default_speeds", {"primary": math.inf}),
+    ("default_speeds", {"primary": 0}),
+    ("default_speeds", {"primery": 30}),
+    ("default_speeds", {"living_street": 20}),
 ])
 def test_validation_rejects_bad_values(field, value):
     cfg = PipelineConfig(**{field: value})
     with pytest.raises(ArgumentError):
         cfg.validate()
+
+
+def test_validation_accepts_a_speed_for_every_road_class():
+    from roadtwin.road_graph import HighwayClass
+
+    speeds = {c.value: 10 + k + 0.5 * (k % 2) for k, c in enumerate(HighwayClass)}
+    assert PipelineConfig(default_speeds=speeds).validate().default_speeds == speeds
 
 
 def test_decisions_travel_in_snapshot_reports():

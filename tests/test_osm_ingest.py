@@ -2,7 +2,8 @@ from collections import Counter
 
 import pytest
 
-from helpers import east_of, north_of, osm_doc
+from helpers import east_of, north_of, osm_doc, shapes_extract
+from roadtwin.config import PipelineConfig
 from roadtwin.errors import (
     DomainError,
     FormatError,
@@ -10,9 +11,10 @@ from roadtwin.errors import (
     ParseError,
     StructuralError,
 )
-from roadtwin.geo import haversine_m
+from roadtwin.geo import LocalProjection, haversine_m, point_segment_projection
 from roadtwin.osm_ingest import (
     HighwayClass,
+    RadiusView,
     build_graph,
     default_speed,
     graph_from_csv,
@@ -21,6 +23,7 @@ from roadtwin.osm_ingest import (
     parse_maxspeed_kph,
     parse_osm_extract,
 )
+from test_index_embedding import assert_same_embedding
 
 LAT0, LON0 = 40.0, -3.0
 
@@ -252,6 +255,39 @@ def test_speed_override_changes_travel_time():
                     speed_overrides={"residential": 60.0})
     assert g.edges[0].speed_kph == 60.0
     assert g.edges[0].travel_time_s == pytest.approx(60.0, abs=1e-6)
+
+
+def test_chord_box_keeps_every_edge_the_snap_can_pick():
+    """The near query keeps a piece by the box of its chord, not of its
+    geometry; the snap projects onto chords, so no snap changes."""
+    raw, probes = shapes_extract()
+    lat, lon = probes["hook"]
+    proj = LocalProjection(lat, lon)
+    # the bend comes within 100 m of the position, its chord does not
+    assert haversine_m(lat, lon, *raw.nodes["hk1"]) < 100.0
+    chord_m = point_segment_projection(
+        0.0, 0.0, *proj.to_xy(*raw.nodes["s_e"]), *proj.to_xy(*raw.nodes["hk2"])
+    )[1]
+    assert 150.0 < chord_m < 170.0
+    view = RadiusView(raw, (lat, lon), 2000.0)
+    assert not [e for _, e in view.edges_near(lat, lon, 100.0) if "hk2" in (e.src, e.dst)]
+    assert {(e.src, e.dst) for _, e in view.edges_near(lat, lon, 170.0)} == {
+        ("s_e", "hk2"), ("hk2", "s_e")}
+
+    outcomes = {}
+    for radius_m in (150.0, 230.0, 400.0, 1000.0, 2000.0):
+        for threshold in (100.0, 170.0, 200.0, 300.0):
+            cfg = PipelineConfig(radius_m=radius_m, snap_threshold_m=threshold)
+            got = assert_same_embedding(raw, cfg, "hook", lat, lon)
+            outcomes[radius_m, threshold] = got if isinstance(got[0], str) else got[1]
+    assert outcomes[150.0, 100.0][0] == "DomainError"
+    assert outcomes[2000.0, 100.0] == (
+        "SnapError",
+        f"sensor 'hook': nearest edge is {chord_m:.1f} m away, beyond the 100.0 m snap threshold",
+    )
+    for threshold in (170.0, 200.0, 300.0):
+        central = outcomes[2000.0, threshold]
+        assert (central.node_id, central.host_edge_class) == ("site:hook", HighwayClass.RESIDENTIAL)
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,36 @@ def test_load_sensors_rejects_bad_header(tmp_path):
         load_sensors(str(p))
 
 
+def test_load_sensors_rejects_a_file_without_sensor_rows(tmp_path):
+    p = tmp_path / "sensors.csv"
+    p.write_text("sensor_id,lat,lon,road_type_override,lanes_override\n# no sensor yet\n")
+    with pytest.raises(FormatError, match="holds no sensor row"):
+        load_sensors(str(p))
+
+
+@pytest.mark.parametrize("lat, lon, bad", [
+    ("inf", "-3.0", "latitude inf"),
+    ("-inf", "-3.0", "latitude -inf"),
+    ("nan", "-3.0", "latitude nan"),
+    ("40.0", "nan", "longitude nan"),
+    ("95", "-3.0", "latitude 95.0"),
+    ("-90.5", "-3.0", "latitude -90.5"),
+    ("40.0", "180.25", "longitude 180.25"),
+    ("40.0", "-inf", "longitude -inf"),
+])
+def test_load_sensors_rejects_bad_coordinates(tmp_path, lat, lon, bad):
+    p = tmp_path / "sensors.csv"
+    p.write_text(f"sensor_id,lat,lon\nx1,40.0,-3.0\nx2,{lat},{lon}\n")
+    with pytest.raises(FormatError, match=f"sensors CSV row 3: {bad} is not a finite number"):
+        load_sensors(str(p))
+
+
+def test_load_sensors_accepts_the_coordinate_limits(tmp_path):
+    p = tmp_path / "sensors.csv"
+    p.write_text("sensor_id,lat,lon\nn,90,180\ns,-90,-180\n")
+    assert [(s.lat, s.lon) for s in load_sensors(str(p))] == [(90.0, 180.0), (-90.0, -180.0)]
+
+
 def test_load_sensors_missing_file(tmp_path):
     with pytest.raises(InputError):
         load_sensors(str(tmp_path / "nope.csv"))

@@ -43,6 +43,9 @@ ROAD_TYPE_CODE = {
 #: classes of features 4 and 5, in that order
 TRAVEL_TIME_CLASSES = (HighwayClass.MOTORWAY, HighwayClass.PRIMARY)
 
+# HighwayClass.base of each class, looked up once per edge the search reads
+_BASE_CLASS = {c: c.base for c in HighwayClass}
+
 DEFAULT_LANES = {
     HighwayClass.RESIDENTIAL: 1,
     HighwayClass.TERTIARY: 1,
@@ -89,49 +92,76 @@ def betweenness(graph: RoadGraph | EgoGraph) -> dict[str, float]:
 
     Travel-time-weighted directed shortest paths; all paths of exactly
     equal time are counted; endpoints are excluded; no normalization.
-    Heap entries carry node ids so tie handling is deterministic.
+
+    Runs over integer indices: a node's index is its rank in the sorted
+    node ids, and each node's out-edges are ``(index, travel time)``
+    pairs in the graph's edge order.  Heap entries break time ties on
+    the index, which is the order of the ids themselves, so nodes settle,
+    predecessor lists fill and dependencies add up in one fixed order,
+    and the result does not depend on how the graph lists its nodes.
     """
     if isinstance(graph, EgoGraph):
         graph = graph.graph
-    centrality = {v: 0.0 for v in graph.nodes}
     order = sorted(graph.nodes)
-    for s in order:
-        dist = {v: math.inf for v in order}
-        sigma = {v: 0 for v in order}
-        preds: dict[str, list[str]] = {v: [] for v in order}
+    rank = {v: i for i, v in enumerate(order)}
+    edges = graph.edges
+    out = [
+        [(rank[edges[i].dst], edges[i].travel_time_s) for i in graph._out[v]] for v in order
+    ]
+    n = len(order)
+    centrality = [0.0] * n
+    heappush, heappop = heapq.heappush, heapq.heappop
+    for s in range(n):
+        dist = [math.inf] * n
+        sigma = [0] * n
+        pred = [0] * n  # the predecessor that set dist
+        ties: list[tuple[int, int, float]] = []  # (node, predecessor, time) at an equal time
         dist[s] = 0.0
         sigma[s] = 1
-        finished: list[str] = []
-        done: set[str] = set()
-        heap: list[tuple[float, str]] = [(0.0, s)]
+        finished: list[int] = []
+        heap: list[tuple[float, int]] = [(0.0, s)]
         while heap:
-            d, v = heapq.heappop(heap)
-            if v in done:
+            d, v = heappop(heap)
+            # a node is pushed only at a strictly smaller time, so every
+            # entry after its first pop is stale
+            if d > dist[v]:
                 continue
-            done.add(v)
             finished.append(v)
-            for i in graph._out[v]:
-                e = graph.edges[i]
-                nd = d + e.travel_time_s
-                if nd < dist[e.dst]:
-                    dist[e.dst] = nd
-                    sigma[e.dst] = sigma[v]
-                    preds[e.dst] = [v]
-                    heapq.heappush(heap, (nd, e.dst))
-                elif nd == dist[e.dst]:
-                    sigma[e.dst] += sigma[v]
-                    preds[e.dst].append(v)
-        # dependency accumulation, farthest node first
-        delta = {v: 0.0 for v in finished}
-        for w in reversed(finished):
-            if sigma[w] == 0:
-                continue
-            coeff = (1.0 + delta[w]) / sigma[w]
-            for v in preds[w]:
-                delta[v] += sigma[v] * coeff
-            if w != s:
+            sv = sigma[v]
+            for w, t in out[v]:
+                nd = d + t
+                dw = dist[w]
+                if nd < dw:
+                    dist[w] = nd
+                    sigma[w] = sv
+                    pred[w] = v
+                    heappush(heap, (nd, w))
+                elif nd == dw:
+                    sigma[w] += sv
+                    ties.append((w, v, nd))
+        # dependency accumulation, farthest node first; the source (popped
+        # first) is left out, as nothing reads its dependency
+        delta = [0.0] * n
+        if ties:
+            # a node's predecessors: the one that set dist, then those that
+            # tied with it, unless a shorter arrival overtook them
+            more: dict[int, list[int]] = {}
+            for w, v, nd in ties:
+                if nd == dist[w]:
+                    more.setdefault(w, []).append(v)
+            for w in reversed(finished[1:]):
+                coeff = (1.0 + delta[w]) / sigma[w]
+                for v in (pred[w], *more.get(w, ())):
+                    delta[v] += sigma[v] * coeff
                 centrality[w] += delta[w]
-    return centrality
+        else:
+            # one predecessor each and every sigma 1: the same sums with the
+            # exact division and products by 1 left out
+            for w in reversed(finished[1:]):
+                dw = delta[w]
+                delta[pred[w]] += 1.0 + dw
+                centrality[w] += dw
+    return {v: centrality[rank[v]] for v in graph.nodes}
 
 
 def summarize_centrality(
@@ -193,10 +223,11 @@ def _travel_times(graph, center: CentralNode, targets: tuple[HighwayClass, ...])
         return times
 
     def found_all(node: str, time: float) -> bool:
-        for _, e in graph.out_edges(node) + graph.in_edges(node):
-            k = pending.pop(e.highway_class.base, None)
-            if k is not None:
-                times[k] = time
+        for keyed in (graph.out_edges(node), graph.in_edges(node)):
+            for _, e in keyed:
+                k = pending.pop(_BASE_CLASS[e.highway_class], None)
+                if k is not None:
+                    times[k] = time
         return not pending
 
     dijkstra_from(graph, center.node_id, stop=found_all)

@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ArgumentError, DomainError
-from .traffic_data import HolidayCalendar, TrafficSeries, slice_day
+from .traffic_data import HolidayCalendar, TrafficSeries, slice_day, slot_median
 
 N_DAY_CLASSES = 14
 
@@ -72,7 +72,7 @@ def fit_cluster_model(
     for d in days:
         groups.setdefault(day_class(d, holidays), []).append(series.date_index(d))
     patterns = {
-        cls: np.median(series.flows[rows], axis=0) for cls, rows in sorted(groups.items())
+        cls: slot_median(series.flows[rows]) for cls, rows in sorted(groups.items())
     }
     all_rows = [series.date_index(d) for d in days]
     return ClusterModel(
@@ -80,7 +80,7 @@ def fit_cluster_model(
         interval_min=series.interval_min,
         patterns=patterns,
         day_counts={cls: len(rows) for cls, rows in sorted(groups.items())},
-        overall_median=np.median(series.flows[all_rows], axis=0),
+        overall_median=slot_median(series.flows[all_rows]),
     )
 
 

@@ -84,6 +84,10 @@ class RawRoadData:
 # nodes closer to it than this are decided by the scalar haversine_m
 _PREFILTER_BAND_M = 1e-3
 
+# metres added to the radius of within()'s latitude band, so that rounding
+# in degrees never drops a row the haversine puts inside
+_BAND_MARGIN_M = 1.0
+
 
 class MapIndex:
     """What every radius graph of one extract needs, computed once.
@@ -109,6 +113,9 @@ class MapIndex:
       measured.
     - ``is_cut[k]``: the occurrence ends a junction-to-junction segment,
       being a way's first or last node or a node of two or more ways.
+    - ``lat_order``: the node rows by latitude (NaN last), and
+      ``lat_sorted``, ``lon_by_lat`` their coordinates in that order, for
+      the latitude band of :meth:`within`.
 
     The index holds no segments and no edges: each :class:`RadiusView`
     cuts its own in-radius occurrences into pieces with ``way_of`` and
@@ -132,8 +139,10 @@ class MapIndex:
         self.way_of = np.repeat(np.arange(len(raw.ways), dtype=np.int32), np.diff(self.way_start))
         # drivable ways through each node, one count per (way, node) pair
         # however often the way repeats the node
-        way_node = np.unique(self.way_of.astype(np.int64) * (missing + 1) + self.occ_node)
-        way_count = np.bincount(way_node % (missing + 1), minlength=missing + 1)
+        way_node = np.sort(self.way_of.astype(np.int64) * (missing + 1) + self.occ_node)
+        distinct = np.ones(way_node.size, dtype=bool)
+        distinct[1:] = way_node[1:] != way_node[:-1]
+        way_count = np.bincount(way_node[distinct] % (missing + 1), minlength=missing + 1)
 
         starts, stops = self.way_start[:-1], self.way_start[1:]
         nonempty = stops > starts
@@ -149,15 +158,36 @@ class MapIndex:
         self.node_occ = np.zeros(missing + 2, dtype=np.int32)
         np.cumsum(np.bincount(self.occ_node, minlength=missing + 1), out=self.node_occ[1:])
 
+        # within() reads its latitude band as slices of these
+        self.lat_order = np.argsort(self.lat, kind="stable").astype(np.int32)
+        self.lat_sorted = self.lat[self.lat_order]
+        self.lon_by_lat = self.lon[self.lat_order]
+        # the band bounds no row beyond the poles (a malformed extract)
+        self.on_globe = not (np.abs(self.lat) > 90.0).any()
+
     def within(self, center: tuple[float, float], radius_m: float) -> np.ndarray:
-        """Boolean per node row: haversine to ``center`` is ``<= radius_m``."""
-        dist = haversine_m_array(center[0], center[1], self.lat, self.lon)
-        inside = dist <= radius_m - _PREFILTER_BAND_M
-        for r in np.flatnonzero(np.abs(dist - radius_m) <= _PREFILTER_BAND_M).tolist():
-            inside[r] = (
-                haversine_m(center[0], center[1], self.lat[r].item(), self.lon[r].item())
-                <= radius_m
-            )
+        """Boolean per node row: haversine to ``center`` is ``<= radius_m``.
+
+        Only the rows of the latitude band ``|lat - center lat| <= (radius_m
+        + 1 m) / R`` (in degrees) are measured.  The band is exact: with
+        both latitudes within +-90 degrees, both cosines in the haversine
+        are non-negative, so the distance is at least ``R * |dphi|`` and no
+        row outside the band lies within the radius.  The 1 m margin covers
+        the rounding of degrees.  Every row is measured when the center or
+        a node lies beyond the poles.
+        """
+        lat0, lon0 = center
+        lo, hi = 0, self.lat.size
+        if self.on_globe and abs(lat0) <= 90.0:
+            half = math.degrees((radius_m + _BAND_MARGIN_M) / EARTH_RADIUS_M)
+            lo = np.searchsorted(self.lat_sorted, lat0 - half, side="left")
+            hi = np.searchsorted(self.lat_sorted, lat0 + half, side="right")
+        rows = self.lat_order[lo:hi]
+        dist = haversine_m_array(lat0, lon0, self.lat_sorted[lo:hi], self.lon_by_lat[lo:hi])
+        inside = np.zeros(self.lat.size, dtype=bool)
+        inside[rows[dist <= radius_m - _PREFILTER_BAND_M]] = True
+        for r in rows[np.abs(dist - radius_m) <= _PREFILTER_BAND_M].tolist():
+            inside[r] = haversine_m(lat0, lon0, self.lat[r].item(), self.lon[r].item()) <= radius_m
         return inside
 
     def measure_pairs(self, occ: np.ndarray) -> None:
@@ -170,6 +200,22 @@ class MapIndex:
                 map(haversine_m, self.lat[a].tolist(), self.lon[a].tolist(),
                     self.lat[b].tolist(), self.lon[b].tolist())
             )
+
+    def pair_lengths(self, a: int, b: int) -> list[float]:
+        """``pair_len[a:b]`` as a list, measuring the pairs still NaN first.
+
+        The common case, every pair already measured, costs one slice.
+        """
+        lengths = self.pair_len[a:b].tolist()
+        if any(map(math.isnan, lengths)):
+            rows = self.occ_node[a : b + 1]
+            lat, lon = self.lat[rows].tolist(), self.lon[rows].tolist()
+            lengths = [
+                haversine_m(lat[j], lon[j], lat[j + 1], lon[j + 1]) if math.isnan(x) else x
+                for j, x in enumerate(lengths)
+            ]
+            self.pair_len[a:b] = lengths
+        return lengths
 
 
 def _as_bytes(source) -> bytes:
@@ -341,9 +387,10 @@ def _way_attributes(way: Way, speed_overrides: dict[str, float] | None):
 
 
 def _segment_edges(
-    index: MapIndex, a: int, b: int, attrs: tuple
+    index: MapIndex, a: int, b: int, attrs: tuple, lengths: list[float]
 ) -> tuple[Edge, ...]:
-    """Edges of the way stretch from occurrence ``a`` to ``b``.
+    """Edges of the way stretch from occurrence ``a`` to ``b``, whose
+    pair lengths are ``lengths``.
 
     Empty for a closed loop back to its start or a zero-length stretch.
     """
@@ -351,7 +398,7 @@ def _segment_edges(
     seg_len = 0.0
     # summed pair by pair, in way order, so every graph of the extract
     # gives a stretch the same float length
-    for pair in index.pair_len[a:b].tolist():
+    for pair in lengths:
         seg_len += pair
     src, dst = index.occ_id[a], index.occ_id[b]
     if src != dst and seg_len > 0.0:
@@ -440,6 +487,7 @@ class RadiusView:
         self._pairs = pairs
         # lists, so that a node read looks its pieces up by bisection
         self._first: list[int] = pairs[starts].tolist()
+        self._way: list[int] = index.way_of[pairs[starts]].tolist()
         self._last: list[int] = (pairs[ends] + 1).tolist()
         self._adjacent: dict[str, tuple[list, list]] = {}
         self._piece_edges: dict[int, tuple[Edge, ...]] = {}
@@ -504,12 +552,13 @@ class RadiusView:
         if edges is None:
             index = self.index
             a, b = self._first[i], self._last[i]
-            w = int(index.way_of[a])
+            w = self._way[i]
             attrs = self._attrs.get(w)
             if attrs is None:
                 attrs = self._attrs[w] = _way_attributes(self.raw.ways[w], self.speed_overrides)
-            index.measure_pairs(np.arange(a, b))
-            edges = self._piece_edges[i] = _segment_edges(index, a, b, attrs)
+            edges = self._piece_edges[i] = _segment_edges(
+                index, a, b, attrs, index.pair_lengths(a, b)
+            )
         return edges
 
     def _adjacency(self, node: str) -> tuple[list, list]:
@@ -522,7 +571,8 @@ class RadiusView:
             if r is not None:
                 # the pieces that start or end at one of the node's occurrences
                 pieces = set()
-                for k in index.occ_by_node[index.node_occ[r] : index.node_occ[r + 1]].tolist():
+                lo, hi = index.node_occ[r : r + 2].tolist()
+                for k in index.occ_by_node[lo:hi].tolist():
                     for ends in (self._first, self._last):
                         i = bisect_left(ends, k)
                         if i < len(ends) and ends[i] == k:

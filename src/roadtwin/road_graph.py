@@ -130,8 +130,11 @@ class SplitGraph:
         self.node_id = node_id
         self.latlon = latlon
         self._halves = halves
-        self._site_in = sorted(((k + (0,), h[0]) for k, h in halves.items()), key=itemgetter(0))
-        self._site_out = sorted(((k + (1,), h[1]) for k, h in halves.items()), key=itemgetter(0))
+        site_in = sorted(((k + (0,), h[0]) for k, h in halves.items()), key=itemgetter(0))
+        site_out = sorted(((k + (1,), h[1]) for k, h in halves.items()), key=itemgetter(0))
+        # each node's (out, in) edges, swapped once: the ego-graph and the
+        # travel-time search read the same nodes several times
+        self._adjacent: dict[str, tuple[list, list]] = {node_id: (site_out, site_in)}
 
     def _swap(self, keyed, half: int):
         return [
@@ -139,15 +142,20 @@ class SplitGraph:
             for k, e in keyed
         ]
 
+    def _adjacency(self, node: str) -> tuple[list, list]:
+        adjacent = self._adjacent.get(node)
+        if adjacent is None:
+            adjacent = self._adjacent[node] = (
+                self._swap(self.base.out_edges(node), 0),
+                self._swap(self.base.in_edges(node), 1),
+            )
+        return adjacent
+
     def out_edges(self, node: str) -> list:
-        if node == self.node_id:
-            return self._site_out
-        return self._swap(self.base.out_edges(node), 0)
+        return self._adjacency(node)[0]
 
     def in_edges(self, node: str) -> list:
-        if node == self.node_id:
-            return self._site_in
-        return self._swap(self.base.in_edges(node), 1)
+        return self._adjacency(node)[1]
 
     def coords(self, node: str) -> tuple[float, float]:
         return self.latlon if node == self.node_id else self.base.coords(node)
@@ -201,6 +209,7 @@ def dijkstra_from(graph, src: str, stop=None) -> dict[str, float]:
     best = {src: 0.0}
     # node id in the heap entry keeps pop order deterministic on ties
     heap: list[tuple[float, str]] = [(0.0, src)]
+    inf = math.inf
     while heap:
         d, v = heapq.heappop(heap)
         if v in dist:
@@ -209,10 +218,11 @@ def dijkstra_from(graph, src: str, stop=None) -> dict[str, float]:
         if stop is not None and stop(v, d):
             break
         for _, e in graph.out_edges(v):
+            w = e.dst
             nd = d + e.travel_time_s
-            if nd < best.get(e.dst, math.inf):
-                best[e.dst] = nd
-                heapq.heappush(heap, (nd, e.dst))
+            if nd < best.get(w, inf):
+                best[w] = nd
+                heapq.heappush(heap, (nd, w))
     if isinstance(graph, RoadGraph):
         return {**dict.fromkeys(graph.nodes, math.inf), **dist}
     return dist

@@ -384,6 +384,16 @@ def _slot_medians(flows: np.ndarray, observed: np.ndarray) -> np.ndarray:
     return med
 
 
+def slot_median(block: np.ndarray) -> np.ndarray:
+    """Per-slot median over the rows (days) of a block with no missing value.
+
+    :func:`_slot_medians` with every value observed, so it equals
+    ``np.median(block, axis=0)`` bit for bit without loading ``numpy.ma``,
+    which ``np.median`` imports on first use.
+    """
+    return _slot_medians(block, np.ones(block.shape, dtype=bool))
+
+
 @dataclass
 class CleaningStats:
     spikes_removed: int = 0
@@ -497,7 +507,7 @@ def daily_profile(
         )
     rows = np.array([series.date_index(d) for d in days])
     block = series.flows[rows]
-    values = np.median(block, axis=0)
+    values = slot_median(block)
     if len(days) >= 2:
         stdev = np.std(block, axis=0, ddof=1)
     else:

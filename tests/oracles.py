@@ -16,7 +16,13 @@ evidence both are right:
 * ``average_ranks_sorted``  - per-row ascending ranks by sorting, each
                               run of equal values given the mean of its
                               positions.
+* ``betweenness_dicts``     - Brandes over dicts keyed by node id, heap
+                              ties broken on the ids (the original
+                              ``betweenness``).
 * ``bfs_hops``              - undirected hop distances by plain BFS.
+* ``within_full_scan``      - a map index's in-radius node rows by one
+                              haversine over every row (the original
+                              ``MapIndex.within``).
 * ``build_graph_full_scan`` - radius graph by rescanning every node and
                               way of the extract with scalar haversine
                               (the original ``build_graph``).
@@ -55,7 +61,7 @@ from roadtwin.errors import (
     SnapError,
     StructuralError,
 )
-from roadtwin.geo import haversine_m
+from roadtwin.geo import haversine_m, haversine_m_array
 from roadtwin.osm_ingest import (
     _KEEP_TAGS,
     ACCEPTED_HIGHWAYS,
@@ -239,6 +245,56 @@ def pair_count_spbc(graph: RoadGraph) -> dict[str, float]:
     return bc
 
 
+def betweenness_dicts(graph: RoadGraph | EgoGraph) -> dict[str, float]:
+    """Shortest-path betweenness centrality of every node.
+
+    Travel-time-weighted directed shortest paths; all paths of exactly
+    equal time are counted; endpoints are excluded; no normalization.
+    Heap entries carry node ids so tie handling is deterministic.
+    """
+    if isinstance(graph, EgoGraph):
+        graph = graph.graph
+    centrality = {v: 0.0 for v in graph.nodes}
+    order = sorted(graph.nodes)
+    for s in order:
+        dist = {v: math.inf for v in order}
+        sigma = {v: 0 for v in order}
+        preds: dict[str, list[str]] = {v: [] for v in order}
+        dist[s] = 0.0
+        sigma[s] = 1
+        finished: list[str] = []
+        done: set[str] = set()
+        heap: list[tuple[float, str]] = [(0.0, s)]
+        while heap:
+            d, v = heapq.heappop(heap)
+            if v in done:
+                continue
+            done.add(v)
+            finished.append(v)
+            for i in graph._out[v]:
+                e = graph.edges[i]
+                nd = d + e.travel_time_s
+                if nd < dist[e.dst]:
+                    dist[e.dst] = nd
+                    sigma[e.dst] = sigma[v]
+                    preds[e.dst] = [v]
+                    heapq.heappush(heap, (nd, e.dst))
+                elif nd == dist[e.dst]:
+                    sigma[e.dst] += sigma[v]
+                    preds[e.dst].append(v)
+        # dependency accumulation, farthest node first
+        delta = {v: 0.0 for v in finished}
+        for w in reversed(finished):
+            if sigma[w] == 0:
+                continue
+            coeff = (1.0 + delta[w]) / sigma[w]
+            for v in preds[w]:
+                delta[v] += sigma[v] * coeff
+            if w != s:
+                centrality[w] += delta[w]
+    return centrality
+
+
 def bfs_hops(graph: RoadGraph, src: str) -> dict[str, int]:
     """Undirected hop counts by plain breadth-first search."""
     seen = {src: 0}
@@ -396,6 +452,20 @@ def parse_osm_extract_etree(data: bytes) -> RawRoadData:
 # ---------------------------------------------------------------------------
 # radius graph
 # ---------------------------------------------------------------------------
+
+def within_full_scan(index, center: tuple[float, float], radius_m: float) -> np.ndarray:
+    """``MapIndex.within`` as a numpy haversine over every node row, with
+    the scalar ``haversine_m`` deciding the rows within 1e-3 m of the
+    radius (the original ``within``)."""
+    dist = haversine_m_array(center[0], center[1], index.lat, index.lon)
+    inside = dist <= radius_m - 1e-3
+    for r in np.flatnonzero(np.abs(dist - radius_m) <= 1e-3).tolist():
+        inside[r] = (
+            haversine_m(center[0], center[1], index.lat[r].item(), index.lon[r].item())
+            <= radius_m
+        )
+    return inside
+
 
 def build_graph_full_scan(
     raw: RawRoadData,

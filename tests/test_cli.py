@@ -524,6 +524,33 @@ def test_evaluate_rejects_mismatched_config_hash(tmp_path):
     assert "config hash" in err["message"]
 
 
+def test_evaluate_target_with_zero_mean_flow_exits_3(tmp_path):
+    # 14 days of zero flow: the day synthesizes, but its error cannot be
+    # normalised by a zero mean weekday flow
+    traffic = tmp_path / "traffic"
+    traffic.mkdir()
+    rows = ["sensor_id,timestamp,flow"] + [
+        f"z,2019-01-{day:02d}T{slot // 4:02d}:{slot % 4 * 15:02d}:00,0"
+        for day in range(7, 21) for slot in range(96)
+    ]
+    (traffic / "z.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"traffic_dir": "traffic"}), encoding="utf-8")
+    gen_out = tmp_path / "gen"
+    proc = run_cli("synthesize", "--config", str(config), "--output_dir", str(gen_out),
+                   "--source", "z", "--start", "2019-01-14", "--end", "2019-01-14")
+    assert proc.returncode == 0, proc.stderr
+    eval_out = tmp_path / "eval"
+    proc = run_cli("evaluate", "--config", str(config), "--output_dir", str(eval_out),
+                   "--generated", str(gen_out / "generated_days.csv"), "--target", "z")
+    assert proc.returncode == 3, proc.stderr
+    err = stderr_error(proc)
+    assert err["error"] == "DomainError"
+    assert err["exit_code"] == 3
+    assert "mean flow must be positive" in err["message"]
+    assert not eval_out.exists()
+
+
 # ---------------------------------------------------------------------------
 # estimate (end to end)
 # ---------------------------------------------------------------------------

@@ -91,3 +91,25 @@ def test_cli_import_loads_no_element_tree():
                          text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("argv", [["embed"], ["profile"], ["benchmark"]], ids=lambda a: a[0])
+def test_subcommands_load_no_numpy_ma(tmp_path, argv):
+    # np.median and np.unique import numpy.ma on first use, which costs
+    # more than the work they do here
+    probe = (
+        "import sys\n"
+        "from roadtwin.cli import main\n"
+        "rc = main(sys.argv[1:])\n"
+        "print(rc, sorted(m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(ROOT, "src") + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run(
+        [sys.executable, "-c", probe, *argv,
+         "--config", os.path.join(FIXTURE_DIR, "config.json"),
+         "--output_dir", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "0 []"

@@ -533,3 +533,20 @@ def test_mean_weekday_flow_no_weekdays_is_domain_error():
     sat = date(2019, 1, 12)
     with pytest.raises(DomainError):
         mean_weekday_flow(make_series({sat: 5.0}))
+
+
+def test_slot_median_equals_np_median_bit_for_bit():
+    rng = np.random.default_rng(23)
+    for k in range(3000):
+        shape = (int(rng.integers(1, 40)), int(rng.integers(1, 6)))
+        kind = k % 3
+        if kind == 0:
+            block = rng.integers(0, 50, size=shape).astype(float)
+        elif kind == 1:
+            block = rng.uniform(1e306, 1.7e308, size=shape)
+        else:
+            block = rng.normal(300.0, 120.0, size=shape)
+        with np.errstate(over="ignore"):  # both halve an overflowing sum
+            got = traffic_data.slot_median(block)
+            want = np.median(block, axis=0)
+        assert got.tobytes() == want.tobytes(), (k, block)

@@ -328,8 +328,8 @@ def cmd_evaluate(args, cfg: PipelineConfig):
             )
         generated = [slots[i] for i in range(target.slots_per_day)]
         real = slice_day(target, d)
-        nrmse = evaluation.nrmse(real, generated, mean_flow)
-        out_rows.append([args.target, d_text, method, evaluation.rmse(real, generated), nrmse])
+        r = evaluation.rmse(real, generated)
+        out_rows.append([args.target, d_text, method, r, evaluation.normalize_rmse(r, mean_flow)])
     with OutputStage(cfg.output_dir) as stage:
         write_csv(stage.path("errors.csv"), ERRORS_HEADER, out_rows, config_hash=chash)
     print(f"evaluate: {len(out_rows)} day(s) scored -> {cfg.output_dir}/errors.csv")

@@ -97,7 +97,7 @@ def betweenness(graph: RoadGraph | EgoGraph) -> dict[str, float]:
     node ids, and each node's out-edges are ``(index, travel time)``
     pairs in the graph's edge order.  Heap entries break time ties on
     the index, which is the order of the ids themselves, so nodes settle,
-    predecessor lists fill and dependencies add up in one fixed order,
+    predecessors collect and dependencies add up in one fixed order,
     and the result does not depend on how the graph lists its nodes.
     """
     if isinstance(graph, EgoGraph):
@@ -114,8 +114,7 @@ def betweenness(graph: RoadGraph | EgoGraph) -> dict[str, float]:
     for s in range(n):
         dist = [math.inf] * n
         sigma = [0] * n
-        pred = [0] * n  # the predecessor that set dist
-        ties: list[tuple[int, int, float]] = []  # (node, predecessor, time) at an equal time
+        preds: list[tuple[int, ...]] = [()] * n
         dist[s] = 0.0
         sigma[s] = 1
         finished: list[int] = []
@@ -134,33 +133,19 @@ def betweenness(graph: RoadGraph | EgoGraph) -> dict[str, float]:
                 if nd < dw:
                     dist[w] = nd
                     sigma[w] = sv
-                    pred[w] = v
+                    preds[w] = (v,)
                     heappush(heap, (nd, w))
                 elif nd == dw:
                     sigma[w] += sv
-                    ties.append((w, v, nd))
+                    preds[w] += (v,)
         # dependency accumulation, farthest node first; the source (popped
         # first) is left out, as nothing reads its dependency
         delta = [0.0] * n
-        if ties:
-            # a node's predecessors: the one that set dist, then those that
-            # tied with it, unless a shorter arrival overtook them
-            more: dict[int, list[int]] = {}
-            for w, v, nd in ties:
-                if nd == dist[w]:
-                    more.setdefault(w, []).append(v)
-            for w in reversed(finished[1:]):
-                coeff = (1.0 + delta[w]) / sigma[w]
-                for v in (pred[w], *more.get(w, ())):
-                    delta[v] += sigma[v] * coeff
-                centrality[w] += delta[w]
-        else:
-            # one predecessor each and every sigma 1: the same sums with the
-            # exact division and products by 1 left out
-            for w in reversed(finished[1:]):
-                dw = delta[w]
-                delta[pred[w]] += 1.0 + dw
-                centrality[w] += dw
+        for w in reversed(finished[1:]):
+            coeff = (1.0 + delta[w]) / sigma[w]
+            for v in preds[w]:
+                delta[v] += sigma[v] * coeff
+            centrality[w] += delta[w]
     return {v: centrality[rank[v]] for v in graph.nodes}
 
 

@@ -40,9 +40,14 @@ def rmse(observed: Sequence[float], predicted: Sequence[float]) -> float:
 
 def nrmse(observed, predicted, mean_flow: float) -> float:
     """RMSE normalized by the target's mean weekday flow."""
+    return normalize_rmse(rmse(observed, predicted), mean_flow)
+
+
+def normalize_rmse(error: float, mean_flow: float) -> float:
+    """An RMSE divided by the target's mean weekday flow, which must be positive."""
     if mean_flow <= 0:
         raise DomainError(f"mean flow must be positive to normalize, got {mean_flow}")
-    return rmse(observed, predicted) / mean_flow
+    return error / mean_flow
 
 
 # ---------------------------------------------------------------------------

@@ -190,17 +190,6 @@ class MapIndex:
             inside[r] = haversine_m(lat0, lon0, self.lat[r].item(), self.lon[r].item()) <= radius_m
         return inside
 
-    def measure_pairs(self, occ: np.ndarray) -> None:
-        """Fill ``pair_len`` from each occurrence in ``occ`` to the next
-        one, where still NaN, with one scalar ``haversine_m`` per pair."""
-        occ = occ[np.isnan(self.pair_len[occ])]
-        if occ.size:
-            a, b = self.occ_node[occ], self.occ_node[occ + 1]
-            self.pair_len[occ] = list(
-                map(haversine_m, self.lat[a].tolist(), self.lon[a].tolist(),
-                    self.lat[b].tolist(), self.lon[b].tolist())
-            )
-
     def pair_lengths(self, a: int, b: int) -> list[float]:
         """``pair_len[a:b]`` as a list, measuring the pairs still NaN first.
 
@@ -484,7 +473,6 @@ class RadiusView:
         starts |= index.is_cut[pairs]
         ends = np.ones(pairs.size, dtype=bool)
         ends[:-1] = starts[1:]
-        self._pairs = pairs
         # lists, so that a node read looks its pieces up by bisection
         self._first: list[int] = pairs[starts].tolist()
         self._way: list[int] = index.way_of[pairs[starts]].tolist()
@@ -511,8 +499,6 @@ class RadiusView:
 
         Raises ``DomainError`` when the radius holds no edge.
         """
-        # one batch rather than one call per piece
-        self.index.measure_pairs(self._pairs)
         edges = self._keyed_edges(range(len(self._first)))
         if not edges:
             raise DomainError(

@@ -51,7 +51,6 @@ from .osm_ingest import (
     RawRoadData,
     build_graph,
     default_speed,
-    graph_from_csv,
     graph_to_csv,
     parse_osm_extract,
 )
@@ -63,7 +62,6 @@ from .road_graph import (
     SplitGraph,
     ego_graph,
     insert_central_node,
-    shortest_travel_time,
 )
 from .selection import (
     SelectionResult,
@@ -78,7 +76,6 @@ from .traffic_data import (
     TrafficSeries,
     clean_series,
     daily_profile,
-    load_series,
     load_traffic_csv,
     mean_weekday_flow,
     slice_day,
@@ -131,7 +128,6 @@ __all__ = [
     "RawRoadData",
     "build_graph",
     "default_speed",
-    "graph_from_csv",
     "graph_to_csv",
     "parse_osm_extract",
     # road graph
@@ -142,7 +138,6 @@ __all__ = [
     "SplitGraph",
     "ego_graph",
     "insert_central_node",
-    "shortest_travel_time",
     # selection
     "SelectionResult",
     "embedding_distance",
@@ -155,7 +150,6 @@ __all__ = [
     "TrafficSeries",
     "clean_series",
     "daily_profile",
-    "load_series",
     "load_traffic_csv",
     "mean_weekday_flow",
     "slice_day",

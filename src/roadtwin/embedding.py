@@ -104,10 +104,7 @@ def betweenness(graph: RoadGraph | EgoGraph) -> dict[str, float]:
         graph = graph.graph
     order = sorted(graph.nodes)
     rank = {v: i for i, v in enumerate(order)}
-    edges = graph.edges
-    out = [
-        [(rank[edges[i].dst], edges[i].travel_time_s) for i in graph._out[v]] for v in order
-    ]
+    out = [[(rank[e.dst], e.travel_time_s) for _, e in graph.out_edges(v)] for v in order]
     n = len(order)
     centrality = [0.0] * n
     heappush, heappop = heapq.heappush, heapq.heappop

@@ -4,7 +4,7 @@ Stream-parses the XML subset used here (node / way / nd / tag), keeps drivable
 road classes only, and assembles edges with per-class free-flow speeds,
 haversine lengths and travel times: node by node through a lazy
 :class:`RadiusView` of the extract's index, or all at once through
-:func:`build_graph`.  Also provides the CSV on-disk format for graphs.
+:func:`build_graph`.  Also writes graphs in their CSV on-disk format.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ from .errors import (
     ParseError,
     StructuralError,
 )
-from .geo import EARTH_RADIUS_M, haversine_m, haversine_m_array
+from .geo import EARTH_RADIUS_M, coordinate_problem, haversine_m, haversine_m_array
 from .road_graph import Edge, HighwayClass, RoadGraph
 
 ACCEPTED_HIGHWAYS = {c.value for c in HighwayClass}
@@ -102,6 +102,8 @@ class MapIndex:
     - ``row``, ``lat``, ``lon``: the extract's nodes as rows (``row``
       maps a node id to its row).  A last extra row at NaN stands for
       node ids no node element defines, so it is never inside a radius.
+      A node that :func:`geo.coordinate_problem` objects to (beyond the
+      poles or +-180 degrees, NaN or infinite) raises ``FormatError``.
     - ``occ_node``, ``occ_id``, ``way_of``: node row, node id and way of
       each occurrence.
     - ``occ_by_node[node_occ[row]:node_occ[row + 1]]``: the occurrences
@@ -128,6 +130,12 @@ class MapIndex:
         latlon = np.array(list(raw.nodes.values()) + [(math.nan, math.nan)], dtype=float)
         self.lat = latlon[:, 0].copy()
         self.lon = latlon[:, 1].copy()
+        # NaN compares false, so a NaN coordinate is off the globe too
+        off_globe = ~((np.abs(self.lat[:-1]) <= 90.0) & (np.abs(self.lon[:-1]) <= 180.0))
+        if off_globe.any():
+            r = int(off_globe.argmax())
+            problem = coordinate_problem(self.lat[r].item(), self.lon[r].item())
+            raise FormatError(f"node {list(raw.nodes)[r]}: {problem}")
 
         self.occ_id = [nid for way in raw.ways for nid in way.node_ids]
         # int32 keeps the per-occurrence tables small: an extract has far
@@ -162,26 +170,22 @@ class MapIndex:
         self.lat_order = np.argsort(self.lat, kind="stable").astype(np.int32)
         self.lat_sorted = self.lat[self.lat_order]
         self.lon_by_lat = self.lon[self.lat_order]
-        # the band bounds no row beyond the poles (a malformed extract)
-        self.on_globe = not (np.abs(self.lat) > 90.0).any()
 
     def within(self, center: tuple[float, float], radius_m: float) -> np.ndarray:
         """Boolean per node row: haversine to ``center`` is ``<= radius_m``.
 
         Only the rows of the latitude band ``|lat - center lat| <= (radius_m
         + 1 m) / R`` (in degrees) are measured.  The band is exact: with
-        both latitudes within +-90 degrees, both cosines in the haversine
-        are non-negative, so the distance is at least ``R * |dphi|`` and no
-        row outside the band lies within the radius.  The 1 m margin covers
-        the rounding of degrees.  Every row is measured when the center or
-        a node lies beyond the poles.
+        both latitudes within +-90 degrees (the index holds no other rows,
+        and ``center`` must be a valid coordinate), both cosines in the
+        haversine are non-negative, so the distance is at least ``R *
+        |dphi|`` and no row outside the band lies within the radius.  The
+        1 m margin covers the rounding of degrees.
         """
         lat0, lon0 = center
-        lo, hi = 0, self.lat.size
-        if self.on_globe and abs(lat0) <= 90.0:
-            half = math.degrees((radius_m + _BAND_MARGIN_M) / EARTH_RADIUS_M)
-            lo = np.searchsorted(self.lat_sorted, lat0 - half, side="left")
-            hi = np.searchsorted(self.lat_sorted, lat0 + half, side="right")
+        half = math.degrees((radius_m + _BAND_MARGIN_M) / EARTH_RADIUS_M)
+        lo = np.searchsorted(self.lat_sorted, lat0 - half, side="left")
+        hi = np.searchsorted(self.lat_sorted, lat0 + half, side="right")
         rows = self.lat_order[lo:hi]
         dist = haversine_m_array(lat0, lon0, self.lat_sorted[lo:hi], self.lon_by_lat[lo:hi])
         inside = np.zeros(self.lat.size, dtype=bool)
@@ -459,6 +463,9 @@ class RadiusView:
     ):
         if radius_m <= 0:
             raise ArgumentError(f"radius must be positive, got {radius_m}")
+        problem = coordinate_problem(*center)
+        if problem:
+            raise ArgumentError(f"radius center: {problem}")
         self.raw = raw
         self.index = index = raw.index
         self.center = center
@@ -610,47 +617,3 @@ def graph_to_csv(graph: RoadGraph, config_hash: str | None = None) -> tuple[str,
             ]
         )
     return nbuf.getvalue(), ebuf.getvalue()
-
-
-def _strip_comments(text: str) -> str:
-    return "\n".join(l for l in text.splitlines() if not l.startswith("#"))
-
-
-def graph_from_csv(nodes_csv: str, edges_csv: str) -> RoadGraph:
-    """Inverse of :func:`graph_to_csv`; leading '#' comment lines are skipped."""
-    nodes_csv = _strip_comments(nodes_csv)
-    edges_csv = _strip_comments(edges_csv)
-    nrows = list(csv.reader(io.StringIO(nodes_csv)))
-    if not nrows or nrows[0] != NODES_HEADER:
-        raise FormatError(f"bad nodes CSV header: {nrows[0] if nrows else 'empty file'}")
-    nodes: dict[str, tuple[float, float]] = {}
-    for lineno, row in enumerate(nrows[1:], start=2):
-        if len(row) != 3:
-            raise FormatError(f"nodes CSV row {lineno}: expected 3 fields, got {len(row)}")
-        try:
-            nodes[row[0]] = (float(row[1]), float(row[2]))
-        except ValueError as exc:
-            raise FormatError(f"nodes CSV row {lineno}: {exc}") from exc
-
-    erows = list(csv.reader(io.StringIO(edges_csv)))
-    if not erows or erows[0] != EDGES_HEADER:
-        raise FormatError(f"bad edges CSV header: {erows[0] if erows else 'empty file'}")
-    edges: list[Edge] = []
-    for lineno, row in enumerate(erows[1:], start=2):
-        if len(row) != 7:
-            raise FormatError(f"edges CSV row {lineno}: expected 7 fields, got {len(row)}")
-        try:
-            edges.append(
-                Edge(
-                    src=row[0],
-                    dst=row[1],
-                    length_m=float(row[2]),
-                    speed_kph=float(row[3]),
-                    travel_time_s=float(row[4]),
-                    highway_class=HighwayClass(row[5]),
-                    lanes=None if row[6] == "" else int(row[6]),
-                )
-            )
-        except ValueError as exc:
-            raise FormatError(f"edges CSV row {lineno}: {exc}") from exc
-    return RoadGraph(nodes, edges)

@@ -111,10 +111,6 @@ class RoadGraph:
         """Every edge: a RoadGraph keeps no spatial index."""
         return enumerate(self.edges)
 
-    def neighbors_undirected(self, node: str) -> list[str]:
-        """Successors and predecessors, deduplicated, in adjacency order."""
-        return _neighbors_undirected(self, node)
-
 
 class SplitGraph:
     """``base`` with a virtual node splitting one edge and its reverse.
@@ -196,13 +192,12 @@ class EgoGraph:
 
 
 def dijkstra_from(graph, src: str, stop=None) -> dict[str, float]:
-    """Travel-time distance from ``src`` to each node, in settling order.
+    """Travel-time distance from ``src`` to each node it reaches, in
+    settling order; a node it cannot reach is absent, on any graph.
 
-    Without ``stop`` that is every node ``src`` reaches; a
-    :class:`RoadGraph` also lists the others, at ``inf``.  ``stop(node,
-    time)`` is asked about each node as it settles, and a true answer
-    ends the search: the result then holds the nodes settled so far,
-    whose times are final.
+    ``stop(node, time)`` is asked about each node as it settles, and a
+    true answer ends the search: the result then holds the nodes settled
+    so far, whose times are final.
     """
     _check_node(graph, src)
     dist: dict[str, float] = {}
@@ -223,18 +218,7 @@ def dijkstra_from(graph, src: str, stop=None) -> dict[str, float]:
             if nd < best.get(w, inf):
                 best[w] = nd
                 heapq.heappush(heap, (nd, w))
-    if isinstance(graph, RoadGraph):
-        return {**dict.fromkeys(graph.nodes, math.inf), **dist}
     return dist
-
-
-def shortest_travel_time(graph, src: str, dst: str) -> float:
-    """Minimum directed travel time in seconds; ``math.inf`` when unreachable."""
-    _check_node(graph, src)
-    _check_node(graph, dst)
-    if src == dst:
-        return 0.0
-    return dijkstra_from(graph, src, stop=lambda v, d: v == dst).get(dst, math.inf)
 
 
 def _split_edge(e: Edge, t: float, node_id: str) -> tuple[Edge, Edge]:

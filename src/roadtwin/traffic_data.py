@@ -160,7 +160,7 @@ def _grid_series(sensor_id, interval_min, day, slot, flow) -> TrafficSeries:
     return TrafficSeries(sensor_id, interval_min, date.fromordinal(first), flows, quality)
 
 
-def _parse_rows(text: str, interval_min: int, on_duplicate: str) -> dict[str, TrafficSeries]:
+def _parse_rows(text: str, interval_min: int) -> dict[str, TrafficSeries]:
     """Validate CSV text one row at a time; raises on the first bad row.
 
     Accepts every ``datetime.fromisoformat`` form on the grid, and is the
@@ -198,9 +198,7 @@ def _parse_rows(text: str, interval_min: int, on_duplicate: str) -> dict[str, Tr
             )
         records = by_sensor.setdefault(sid, {})
         if ts in records:
-            if on_duplicate == "error":
-                raise FormatError(f"traffic CSV row {lineno}: duplicate timestamp {ts_text}")
-            continue
+            raise FormatError(f"traffic CSV row {lineno}: duplicate timestamp {ts_text}")
         records[ts] = flow
     if not by_sensor:
         raise FormatError("traffic CSV holds no data rows")
@@ -261,16 +259,15 @@ def _canonical_day_slot(
     return day, minute_of_day // interval_min
 
 
-def _parse_canonical(
-    text: str, interval_min: int, on_duplicate: str
-) -> dict[str, TrafficSeries] | None:
+def _parse_canonical(text: str, interval_min: int) -> dict[str, TrafficSeries] | None:
     """Parse the whole text in array passes, or None if any row may be invalid.
 
     Handles files whose rows all read ``sensor,YYYY-MM-DDTHH:MM:SS,flow``
-    with a valid on-grid timestamp and a finite non-negative flow, and
-    that hold no quote, carriage return or NUL.  Anything else returns
-    None and is left to :func:`_parse_rows`, which finds the bad row or
-    parses the other ``fromisoformat`` forms.
+    with a valid on-grid timestamp and a finite non-negative flow, that
+    repeat no timestamp of a sensor, and that hold no quote, carriage
+    return or NUL.  Anything else returns None and is left to
+    :func:`_parse_rows`, which finds the bad row or parses the other
+    ``fromisoformat`` forms.
     """
     if '"' in text or "\r" in text or "\0" in text:
         return None
@@ -307,25 +304,20 @@ def _parse_canonical(
                            dtype=np.intp, count=len(ids))
         order = np.argsort(code, kind="stable")  # rows of one sensor, in file order
         groups = np.split(order, np.flatnonzero(np.diff(code[order])) + 1)
-    kept = []
     for rows in groups:
+        # a bare np.unique would import numpy.ma; return_index does not
         _, first = np.unique(day[rows] * (1440 // interval_min) + slot[rows], return_index=True)
         if first.size < rows.size:
-            if on_duplicate == "error":
-                return None
-            rows = rows[first]
-        kept.append(rows)
+            return None  # a repeated timestamp
     # every row is vouched for before any series is built, so a span error
     # is raised only where the row loop would raise it too
     return {
         sid: _grid_series(sid, interval_min, day[rows], slot[rows], flow[rows])
-        for sid, rows in zip(names, kept)
+        for sid, rows in zip(names, groups)
     }
 
 
-def _parse_traffic_text(
-    text: str, interval_min: int, on_duplicate: str
-) -> dict[str, TrafficSeries]:
+def _parse_traffic_text(text: str, interval_min: int) -> dict[str, TrafficSeries]:
     """Validate raw CSV text into one series per sensor id.
 
     Canonical files are parsed in whole-array passes; any other text,
@@ -334,36 +326,17 @@ def _parse_traffic_text(
     """
     if 1440 % interval_min != 0:
         raise ArgumentError(f"interval {interval_min} does not divide 1440 minutes")
-    if on_duplicate not in ("error", "first"):
-        raise ArgumentError(f"on_duplicate must be 'error' or 'first', got {on_duplicate!r}")
-    return _parse_canonical(text, interval_min, on_duplicate) or _parse_rows(
-        text, interval_min, on_duplicate
-    )
+    return _parse_canonical(text, interval_min) or _parse_rows(text, interval_min)
 
 
-def load_series(source, interval_min: int = 15, on_duplicate: str = "error") -> TrafficSeries:
-    """Load one sensor's series from ``sensor_id,timestamp,flow`` CSV.
+def load_traffic_csv(source, interval_min: int = 15) -> dict[str, TrafficSeries]:
+    """Load a ``sensor_id,timestamp,flow`` CSV that may combine several sensors.
 
     Timestamps must be naive ISO-8601 on the interval grid; grid slots
-    absent from the file become missing.  A file mixing several sensor
-    ids is rejected (use :func:`load_traffic_csv` for combined files).
-    ``on_duplicate="first"`` keeps the first record of a repeated
-    timestamp (for fall-back clock changes); the default raises.
+    absent from the file become missing.  A timestamp repeated for one
+    sensor raises ``FormatError`` naming its row.
     """
-    by_sensor = _parse_traffic_text(_read_text(source), interval_min, on_duplicate)
-    if len(by_sensor) != 1:
-        raise FormatError(
-            f"mixed sensor ids in one series: {', '.join(sorted(by_sensor))}"
-        )
-    (series,) = by_sensor.values()
-    return series
-
-
-def load_traffic_csv(
-    source, interval_min: int = 15, on_duplicate: str = "error"
-) -> dict[str, TrafficSeries]:
-    """Load a traffic CSV that may combine several sensors."""
-    by_sensor = _parse_traffic_text(_read_text(source), interval_min, on_duplicate)
+    by_sensor = _parse_traffic_text(_read_text(source), interval_min)
     return dict(sorted(by_sensor.items()))
 
 

@@ -295,6 +295,12 @@ def betweenness_dicts(graph: RoadGraph | EgoGraph) -> dict[str, float]:
     return centrality
 
 
+def _neighbors(graph: RoadGraph, v: str) -> list[str]:
+    """The other ends of ``v``'s edges in either direction, each once."""
+    ends = [e.dst for _, e in graph.out_edges(v)] + [e.src for _, e in graph.in_edges(v)]
+    return [w for w in dict.fromkeys(ends) if w != v]
+
+
 def bfs_hops(graph: RoadGraph, src: str) -> dict[str, int]:
     """Undirected hop counts by plain breadth-first search."""
     seen = {src: 0}
@@ -302,7 +308,7 @@ def bfs_hops(graph: RoadGraph, src: str) -> dict[str, int]:
     while queue:
         nxt = []
         for v in queue:
-            for w in graph.neighbors_undirected(v):
+            for w in _neighbors(graph, v):
                 if w not in seen:
                     seen[w] = seen[v] + 1
                     nxt.append(w)
@@ -715,7 +721,7 @@ def _ego_graph_full(graph: RoadGraph, center: CentralNode, hops: int) -> EgoGrap
         for v in frontier:
             if depth[v] == hops:
                 continue
-            for w in graph.neighbors_undirected(v):
+            for w in _neighbors(graph, v):
                 if w not in depth:
                     depth[w] = depth[v] + 1
                     nxt.append(w)
@@ -753,9 +759,7 @@ def _travel_times_full_scan(
 # traffic series
 # ---------------------------------------------------------------------------
 
-def load_traffic_rowwise(
-    text: str, interval_min: int = 15, on_duplicate: str = "error"
-) -> dict[str, TrafficSeries]:
+def load_traffic_rowwise(text: str, interval_min: int = 15) -> dict[str, TrafficSeries]:
     """Traffic CSV text to per-sensor series, validating row by row.
 
     Every row goes through ``csv.reader`` and ``datetime.fromisoformat``
@@ -765,8 +769,6 @@ def load_traffic_rowwise(
     """
     if 1440 % interval_min != 0:
         raise ArgumentError(f"interval {interval_min} does not divide 1440 minutes")
-    if on_duplicate not in ("error", "first"):
-        raise ArgumentError(f"on_duplicate must be 'error' or 'first', got {on_duplicate!r}")
     rows = list(csv.reader(io.StringIO(text)))
     rows_nonblank = [(i + 1, r) for i, r in enumerate(rows) if r]
     if not rows_nonblank or [c.strip() for c in rows_nonblank[0][1]] != TRAFFIC_HEADER:
@@ -799,9 +801,7 @@ def load_traffic_rowwise(
             )
         records = by_sensor.setdefault(sid, {})
         if ts in records:
-            if on_duplicate == "error":
-                raise FormatError(f"traffic CSV row {lineno}: duplicate timestamp {ts_text}")
-            continue
+            raise FormatError(f"traffic CSV row {lineno}: duplicate timestamp {ts_text}")
         records[ts] = flow
     if not by_sensor:
         raise FormatError("traffic CSV holds no data rows")

@@ -126,6 +126,7 @@ def test_acceptance_02_shortest_paths_vs_floyd_warshall(capsys):
             fw = floyd_warshall(g)
             for src in g.nodes:
                 dist = dijkstra_from(g, src)
+                assert not any(map(math.isinf, dist.values())), src
                 for dst in g.nodes:
                     a = dist.get(dst, math.inf)
                     b = fw[(src, dst)]

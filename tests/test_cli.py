@@ -14,6 +14,7 @@ from statistics import NormalDist
 import pytest
 
 from conftest import FIXTURE_DIR
+from helpers import osm_doc
 
 CONFIG = os.path.join(FIXTURE_DIR, "config.json")
 
@@ -207,6 +208,28 @@ def test_sensor_with_bad_coordinates_exits_2(tmp_path, lat, lon, bad):
         "exit_code": 2,
         "message": f"sensors CSV row 10: {bad} is not a finite number in "
                    + ("[-90, 90]" if bad.startswith("lat") else "[-180, 180]"),
+    }
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("far_node, bad", [
+    ((95.0, 180.0), "latitude 95.0 is not a finite number in [-90, 90]"),
+    ((math.nan, 0.0), "latitude nan is not a finite number in [-90, 90]"),
+], ids=["beyond-the-poles", "lat-nan"])
+def test_osm_node_with_bad_coordinates_exits_2(tmp_path, far_node, bad):
+    osm = tmp_path / "extract.osm"
+    osm.write_bytes(osm_doc({"1": (85.0, 0.0), "2": far_node, "3": (85.0, 0.002)},
+                            [("10", ["1", "2", "3"], {"highway": "residential"})]))
+    sensors = tmp_path / "sensors.csv"
+    sensors.write_text("sensor_id,lat,lon\ns1,85.0,0.001\ns2,85.0,0.0015\n")
+    out = tmp_path / "out"
+    proc = run_cli("embed", "--osm_path", str(osm), "--sensors_path", str(sensors),
+                   "--output_dir", str(out))
+    assert proc.returncode == 2
+    assert stderr_error(proc) == {
+        "error": "FormatError",
+        "exit_code": 2,
+        "message": f"node 2: {bad}",
     }
     assert not out.exists()
 

@@ -14,8 +14,8 @@ from helpers import LAT0, LON0, east_of, grid_extract, north_of, shapes_extract
 from oracles import betweenness_dicts, within_full_scan
 from roadtwin.config import PipelineConfig
 from roadtwin.embedding import betweenness
-from roadtwin.errors import SnapError
-from roadtwin.geo import haversine_m
+from roadtwin.errors import ArgumentError, FormatError, SnapError
+from roadtwin.geo import coordinate_problem, haversine_m
 from roadtwin.osm_ingest import HighwayClass, RadiusView, RawRoadData, Way
 from roadtwin.pipeline import load_sensors
 from roadtwin.road_graph import Edge, RoadGraph, ego_graph, insert_central_node
@@ -180,15 +180,39 @@ def test_within_near_the_poles_and_the_antimeridian(lat0, lon0):
         assert_same_mask(raw, (lat0, lon0), radius_m)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in sqrt:RuntimeWarning")
-def test_within_beyond_the_poles_measures_every_row():
-    # a malformed extract: the band bounds no row beyond the poles, and
-    # the haversine puts b (10 degrees of latitude away) within 112 m of
-    # (85.001, 0)
+def test_nodes_and_centers_beyond_the_poles_are_rejected():
+    # the latitude band bounds no row beyond the poles, so no such node
+    # enters the index and no such center reaches within()
     nodes = {"a": (LAT0, LON0), "b": (95.0, 180.0), "c": (89.99, 0.0), "d": (-91.0, LON0)}
     raw = RawRoadData(nodes=nodes, ways=[Way("1", ["a", "b"], {"highway": "residential"})])
-    assert raw.index.within((85.001, 0.0), 150.0)[raw.index.row["b"]]
-    for center in [(LAT0, LON0), (85.001, 0.0), (85.01, 0.0), (89.99, 0.0), (95.0, 180.0),
-                   (-89.0, LON0 + 180.0)]:
-        for radius_m in RADII_M + [2e6]:
-            assert_same_mask(raw, center, radius_m)
+    with pytest.raises(FormatError, match=r"^node b: latitude 95\.0 is not a finite number"):
+        raw.index
+    on_globe = RawRoadData(nodes={"a": nodes["a"], "c": nodes["c"]}, ways=[])
+    for center in [(95.0, 180.0), (-90.5, LON0), (math.nan, LON0), (LAT0, math.inf)]:
+        with pytest.raises(ArgumentError, match=r"^radius center: "):
+            RadiusView(on_globe, center, 150.0)
+
+
+def _at_and_beyond(limit):
+    return [-limit, limit, math.nextafter(-limit, -math.inf), math.nextafter(limit, math.inf)]
+
+
+EDGE_COORDINATES = [0.0, math.nan, math.inf, -math.inf]
+
+
+def test_index_and_view_reject_what_coordinate_problem_rejects():
+    on_globe = RawRoadData(nodes={"a": (LAT0, LON0)}, ways=[])
+    for lat in _at_and_beyond(90.0) + EDGE_COORDINATES:
+        for lon in _at_and_beyond(180.0) + EDGE_COORDINATES:
+            problem = coordinate_problem(lat, lon)
+            raw = RawRoadData(nodes={"a": (LAT0, LON0), "x": (lat, lon)}, ways=[])
+            if problem is None:
+                assert raw.index.row["x"] == 1
+                RadiusView(on_globe, (lat, lon), 150.0)
+                continue
+            with pytest.raises(FormatError) as info:
+                raw.index
+            assert str(info.value) == f"node x: {problem}"
+            with pytest.raises(ArgumentError) as info:
+                RadiusView(on_globe, (lat, lon), 150.0)
+            assert str(info.value) == f"radius center: {problem}"

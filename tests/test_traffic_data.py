@@ -16,13 +16,18 @@ from roadtwin.traffic_data import (
     clean_series,
     daily_profile,
     is_weekday,
-    load_series,
     load_traffic_csv,
     mean_weekday_flow,
     slice_day,
 )
 
 D = date(2019, 1, 7)  # Monday
+
+
+def load_one(source, interval_min=15):
+    """The one series of a single-sensor traffic CSV."""
+    (series,) = load_traffic_csv(source, interval_min).values()
+    return series
 
 
 def csv_doc(rows, header="sensor_id,timestamp,flow"):
@@ -44,7 +49,7 @@ def day_rows(sid, d, values, interval_min=15, skip=()):
 # ---------------------------------------------------------------------------
 
 def test_load_single_day():
-    s = load_series(csv_doc(day_rows("a", D, range(96))))
+    s = load_one(csv_doc(day_rows("a", D, range(96))))
     assert s.sensor_id == "a"
     assert s.n_days == 1
     assert s.slots_per_day == 96
@@ -53,7 +58,7 @@ def test_load_single_day():
 
 
 def test_load_missing_slots_marked():
-    s = load_series(csv_doc(day_rows("a", D, range(96), skip={3, 4})))
+    s = load_one(csv_doc(day_rows("a", D, range(96), skip={3, 4})))
     assert s.quality[0][3] == QUALITY_MISSING
     assert s.quality[0][4] == QUALITY_MISSING
     assert s.quality[0][5] == QUALITY_OBSERVED
@@ -61,7 +66,7 @@ def test_load_missing_slots_marked():
 
 def test_load_missing_middle_day_is_all_missing():
     rows = day_rows("a", D, [5.0] * 96) + day_rows("a", D + timedelta(days=2), [7.0] * 96)
-    s = load_series(csv_doc(rows))
+    s = load_one(csv_doc(rows))
     assert s.n_days == 3
     assert (s.quality[1] == QUALITY_MISSING).all()
     assert s.is_complete_day(D) and not s.is_complete_day(D + timedelta(days=1))
@@ -69,58 +74,46 @@ def test_load_missing_middle_day_is_all_missing():
 
 def test_load_bad_header():
     with pytest.raises(FormatError, match="header"):
-        load_series(csv_doc(["a,2019-01-07T00:00:00,1"], header="id,when,count"))
+        load_one(csv_doc(["a,2019-01-07T00:00:00,1"], header="id,when,count"))
 
 
 def test_load_reports_row_numbers():
     rows = ["a,2019-01-07T00:00:00,1", "a,2019-01-07T00:07:00,2"]  # second row off-grid
     with pytest.raises(FormatError, match="row 3"):
-        load_series(csv_doc(rows))
+        load_one(csv_doc(rows))
 
 
 def test_load_rejects_negative_flow():
     with pytest.raises(FormatError, match="row 2"):
-        load_series(csv_doc(["a,2019-01-07T00:00:00,-1"]))
+        load_one(csv_doc(["a,2019-01-07T00:00:00,-1"]))
 
 
 def test_load_rejects_non_finite_flow():
     with pytest.raises(FormatError):
-        load_series(csv_doc(["a,2019-01-07T00:00:00,nan"]))
+        load_one(csv_doc(["a,2019-01-07T00:00:00,nan"]))
     with pytest.raises(FormatError):
-        load_series(csv_doc(["a,2019-01-07T00:00:00,inf"]))
+        load_one(csv_doc(["a,2019-01-07T00:00:00,inf"]))
 
 
 def test_load_rejects_bad_timestamp():
     with pytest.raises(FormatError, match="row 2"):
-        load_series(csv_doc(["a,07/01/2019 00:00,1"]))
+        load_one(csv_doc(["a,07/01/2019 00:00,1"]))
 
 
 def test_load_rejects_timezone_aware():
     with pytest.raises(FormatError, match="row 2"):
-        load_series(csv_doc(["a,2019-01-07T00:00:00+01:00,1"]))
+        load_one(csv_doc(["a,2019-01-07T00:00:00+01:00,1"]))
 
 
 def test_load_rejects_wrong_field_count():
     with pytest.raises(FormatError, match="row 2"):
-        load_series(csv_doc(["a,2019-01-07T00:00:00"]))
+        load_one(csv_doc(["a,2019-01-07T00:00:00"]))
 
 
 def test_duplicate_timestamp_is_an_error():
     rows = ["a,2019-01-07T00:00:00,1", "a,2019-01-07T00:00:00,2"]
     with pytest.raises(FormatError, match="duplicate"):
-        load_series(csv_doc(rows))
-
-
-def test_duplicate_timestamp_keep_first():
-    rows = ["a,2019-01-07T00:00:00,1", "a,2019-01-07T00:00:00,2"]
-    s = load_series(csv_doc(rows), on_duplicate="first")
-    assert s.flows[0][0] == 1.0
-
-
-def test_load_series_rejects_mixed_sensors():
-    rows = ["a,2019-01-07T00:00:00,1", "b,2019-01-07T00:15:00,2"]
-    with pytest.raises(FormatError, match="mixed sensor ids"):
-        load_series(csv_doc(rows))
+        load_one(csv_doc(rows))
 
 
 def test_load_traffic_csv_splits_sensors():
@@ -133,18 +126,18 @@ def test_load_traffic_csv_splits_sensors():
 
 def test_load_five_minute_grid():
     rows = [f"a,2019-01-07T00:{m:02d}:00,1" for m in (0, 5, 10)]
-    s = load_series(csv_doc(rows), interval_min=5)
+    s = load_one(csv_doc(rows), 5)
     assert s.slots_per_day == 288
 
 
 def test_load_missing_file_is_input_error(tmp_path):
     with pytest.raises(InputError):
-        load_series(str(tmp_path / "missing.csv"))
+        load_one(str(tmp_path / "missing.csv"))
 
 
 def test_empty_file_rejected():
     with pytest.raises(FormatError):
-        load_series("sensor_id,timestamp,flow\n")
+        load_one("sensor_id,timestamp,flow\n")
 
 
 # the canonical form takes the array pass, the short one the row loop
@@ -158,7 +151,7 @@ def test_span_of_more_than_50_years_rejected(monkeypatch, form, last):
     if form == SPAN_FORMS["canonical"]:
         monkeypatch.setattr(traffic_data, "_parse_rows", None)  # array pass only
     else:
-        assert traffic_data._parse_canonical(text, 15, "error") is None
+        assert traffic_data._parse_canonical(text, 15) is None
     with pytest.raises(FormatError) as info:
         load_traffic_csv(text)
     assert str(info.value) == f"sensor 'a': rows run from 2019-01-07 to {last}, more than 50 years"
@@ -174,14 +167,14 @@ def test_row_errors_come_before_span_errors():
 def test_span_limit_is_exact():
     last = D + timedelta(days=traffic_data.MAX_SPAN_DAYS - 1)
     rows = [f"a,{D.isoformat()}T00:00:00,1", f"a,{last.isoformat()}T00:00:00,2"]
-    assert load_series(csv_doc(rows), interval_min=1440).n_days == traffic_data.MAX_SPAN_DAYS
+    assert load_one(csv_doc(rows), 1440).n_days == traffic_data.MAX_SPAN_DAYS
     rows[1] = f"a,{(last + timedelta(days=1)).isoformat()}T00:00:00,2"
     with pytest.raises(FormatError, match="more than 50 years"):
-        load_series(csv_doc(rows), interval_min=1440)
+        load_one(csv_doc(rows), 1440)
 
 
 def test_ten_year_span_loads():
-    s = load_series(csv_doc(["a,2019-01-07T00:00:00,1", "a,2029-01-07T23:45:00,2"]))
+    s = load_one(csv_doc(["a,2019-01-07T00:00:00,1", "a,2029-01-07T23:45:00,2"]))
     assert s.n_days == (date(2029, 1, 7) - D).days + 1
     assert s.flows[0][0] == 1.0 and s.flows[-1][-1] == 2.0
 
@@ -364,7 +357,7 @@ def test_cleaning_idempotent_on_random_series(data):
 
 
 def test_fixture_sensor_cleaning(minicity_dir):
-    s = load_series(f"{minicity_dir}/traffic/s3.csv")
+    s = load_one(f"{minicity_dir}/traffic/s3.csv")
     cleaned, stats = clean_series(s)
     assert stats.total_days == 60
     assert stats.spikes_removed == 1

@@ -25,7 +25,6 @@ from roadtwin.traffic_data import (
     TrafficSeries,
     clean_series,
     daily_profile,
-    load_series,
     load_traffic_csv,
 )
 
@@ -48,17 +47,9 @@ def outcome(fn, *args, **kwargs):
     return "ok", [(sid, series_bytes(s)) for sid, s in result.items()]
 
 
-def oracle_load_series(text, interval_min=15, on_duplicate="error"):
-    by_sensor = load_traffic_rowwise(text, interval_min, on_duplicate)
-    if len(by_sensor) != 1:
-        raise FormatError(f"mixed sensor ids in one series: {', '.join(sorted(by_sensor))}")
-    (series,) = by_sensor.values()
-    return series
-
-
-def assert_parse_parity(text, interval_min=15, on_duplicate="error"):
-    got = outcome(load_traffic_csv, text, interval_min, on_duplicate)
-    want = outcome(load_traffic_rowwise, text, interval_min, on_duplicate)
+def assert_parse_parity(text, interval_min=15):
+    got = outcome(load_traffic_csv, text, interval_min)
+    want = outcome(load_traffic_rowwise, text, interval_min)
     assert got == want
     return got
 
@@ -100,15 +91,14 @@ def test_combined_file_groups_rows_per_sensor(monkeypatch):
     assert [sid for sid, _ in got[1]] == ["a", "b", "c"]
 
 
-def test_keep_first_duplicate_takes_the_array_path(monkeypatch):
+def test_repeated_timestamp_leaves_the_array_path():
+    # a's repeat is two rows apart, with b's equal timestamp between them
     rows = ["a,2019-01-07T00:15:00,1", "a,2019-01-07T00:00:00,2",
-            "a,2019-01-07T00:15:00,3", "b,2019-01-07T00:15:00,4",
-            "a,2019-01-07T00:00:00,5"]
+            "b,2019-01-07T00:15:00,4", "a,2019-01-07T00:15:00,3"]
     text = HEADER + "\n".join(rows)  # no final newline
-    want = outcome(load_traffic_rowwise, text, 15, "first")
-    block_fallback(monkeypatch)
-    assert outcome(load_traffic_csv, text, 15, "first") == want
-    assert load_traffic_csv(text, 15, "first")["a"].flows[0][:2].tolist() == [2.0, 1.0]
+    assert traffic_data._parse_canonical(text, 15) is None
+    got = assert_parse_parity(text)
+    assert got == (FormatError, "traffic CSV row 5: duplicate timestamp 2019-01-07T00:15:00")
 
 
 @given(st.lists(st.dates(min_value=date(1, 1, 1), max_value=date(9999, 12, 31)),
@@ -116,7 +106,7 @@ def test_keep_first_duplicate_takes_the_array_path(monkeypatch):
 def test_day_arithmetic_matches_the_calendar(days):
     # one sensor per date keeps every grid one day long
     rows = [f"s{i},{d.isoformat()}T00:00:00,{i}" for i, d in enumerate(days)]
-    got = traffic_data._parse_canonical(HEADER + "\n".join(rows) + "\n", 15, "error")
+    got = traffic_data._parse_canonical(HEADER + "\n".join(rows) + "\n", 15)
     assert got is not None
     assert [got[f"s{i}"].start_date for i in range(len(days))] == days
 
@@ -151,16 +141,15 @@ def traffic_texts(draw, canonical_only=False):
     return HEADER + "\n".join(rows) + draw(st.sampled_from(["", "\n", "\n\n"]))
 
 
-@given(traffic_texts(), st.sampled_from(["error", "first"]))
-def test_mixed_forms_parse_like_the_oracle(text, on_duplicate):
-    assert_parse_parity(text, 15, on_duplicate)
+@given(traffic_texts())
+def test_mixed_forms_parse_like_the_oracle(text):
+    assert_parse_parity(text, 15)
 
 
 @given(traffic_texts(canonical_only=True), st.sampled_from([15, 30, 60]))
 def test_canonical_texts_parse_like_the_oracle(text, interval_min):
     # off-grid rows at 30/60 min and duplicates fall back and raise
-    assert_parse_parity(text, interval_min, "error")
-    assert_parse_parity(text, interval_min, "first")
+    assert_parse_parity(text, interval_min)
 
 
 # ---------------------------------------------------------------------------
@@ -212,9 +201,11 @@ ERROR_CASES = {
 
 
 @pytest.mark.parametrize("rows", ERROR_CASES.values(), ids=ERROR_CASES.keys())
-@pytest.mark.parametrize("on_duplicate", ["error", "first"])
-def test_error_parity(rows, on_duplicate):
-    assert_parse_parity(HEADER + "\n".join(rows) + "\n", 15, on_duplicate)
+# "error": the case alone; "first": the case followed by an off-grid row,
+# which must not displace the case's own first error
+@pytest.mark.parametrize("trailer", [[], ["a,2019-01-07T00:07:00,9"]], ids=["error", "first"])
+def test_error_parity(rows, trailer):
+    assert_parse_parity(HEADER + "\n".join(rows + trailer) + "\n")
 
 
 WHOLE_TEXTS = {
@@ -245,9 +236,8 @@ def test_whole_text_parity(text):
     ["b,2019-01-07T00:00:00,1", "a,2019-01-07T00:15:00,2", "c,2019-01-07T00:30:00,3"],
     ["a,2019-01-07T00:00:00,1", "b,2019-01-07T00:07:00,2"],  # row error comes first
 ], ids=["two ids", "three ids", "mixed ids and an off-grid row"])
-def test_load_series_mixed_id_parity(rows):
-    text = HEADER + "\n".join(rows) + "\n"
-    assert outcome(load_series, text) == outcome(oracle_load_series, text)
+def test_mixed_id_parity(rows):
+    assert_parse_parity(HEADER + "\n".join(rows) + "\n")
 
 
 def test_error_message_names_the_row():
@@ -321,7 +311,8 @@ def test_cleaning_fills_gaps_across_midnight_like_the_oracle():
 
 def test_fixture_cleaning_matches_the_oracle(minicity_dir):
     for name in sorted(os.listdir(os.path.join(minicity_dir, "traffic"))):
-        assert_clean_parity(load_series(os.path.join(minicity_dir, "traffic", name)), 5.0, 4)
+        for series in load_traffic_csv(os.path.join(minicity_dir, "traffic", name)).values():
+            assert_clean_parity(series, 5.0, 4)
 
 
 # ---------------------------------------------------------------------------

@@ -222,7 +222,9 @@ _TS_DIGIT_COLS = np.array([0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18])
 _TS_SEP_COLS = np.array([4, 7, 10, 13, 16])
 _TS_SEPS = np.frombuffer(b"--T::", dtype=np.uint8)
 _ROW_SEPS = np.frombuffer(b",,\n", dtype=np.uint8)
-_DIGIT_WEIGHTS = np.array([1000, 100, 10, 1, 10, 1, 10, 1, 10, 1, 10, 1, 10, 1])
+# int16 keeps the (n, 14) weighted digits small (each is at most 9000);
+# their sums widen to the default integer
+_DIGIT_WEIGHTS = np.array([1000, 100, 10, 1, 10, 1, 10, 1, 10, 1, 10, 1, 10, 1], dtype=np.int16)
 _MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 _DAYS_BEFORE_MONTH = np.concatenate(([0], np.cumsum(_MONTH_DAYS[:-1])))
 
@@ -305,9 +307,9 @@ def _parse_canonical(text: str, interval_min: int) -> dict[str, TrafficSeries] |
         order = np.argsort(code, kind="stable")  # rows of one sensor, in file order
         groups = np.split(order, np.flatnonzero(np.diff(code[order])) + 1)
     for rows in groups:
-        # a bare np.unique would import numpy.ma; return_index does not
-        _, first = np.unique(day[rows] * (1440 // interval_min) + slot[rows], return_index=True)
-        if first.size < rows.size:
+        # np.sort, not a bare np.unique, which imports numpy.ma
+        stamp = np.sort(day[rows] * (1440 // interval_min) + slot[rows])
+        if (stamp[1:] == stamp[:-1]).any():
             return None  # a repeated timestamp
     # every row is vouched for before any series is built, so a span error
     # is raised only where the row loop would raise it too

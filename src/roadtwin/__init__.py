@@ -12,7 +12,6 @@ from .embedding import (
     RoadEmbedding,
     betweenness,
     build_embedding,
-    centrality_features,
     normalize_pool,
     road_type_code,
     travel_time_to_class,
@@ -61,6 +60,7 @@ from .road_graph import (
     RoadGraph,
     SplitGraph,
     ego_graph,
+    index_graph,
     insert_central_node,
 )
 from .selection import (
@@ -93,7 +93,6 @@ __all__ = [
     "RoadEmbedding",
     "betweenness",
     "build_embedding",
-    "centrality_features",
     "normalize_pool",
     "road_type_code",
     "travel_time_to_class",
@@ -137,6 +136,7 @@ __all__ = [
     "RoadGraph",
     "SplitGraph",
     "ego_graph",
+    "index_graph",
     "insert_central_node",
     # selection
     "SelectionResult",

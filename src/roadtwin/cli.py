@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import fields
 from datetime import date, timedelta
@@ -242,6 +243,12 @@ def cmd_profile(args, cfg: PipelineConfig):
         if args.sensor not in series:
             raise ArgumentError(f"no traffic series for sensor {args.sensor!r}")
         ids = [args.sensor]
+    # each id names two output files, so it must not reach another directory
+    for sid in ids:
+        if any(sep and sep in sid for sep in (os.sep, os.altsep)):
+            raise InputError(
+                f"sensor id {sid!r} contains a path separator; it cannot name a profile file"
+            )
     chash = cfg.config_hash()
     with OutputStage(cfg.output_dir) as stage:
         for sid in ids:

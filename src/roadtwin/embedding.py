@@ -23,7 +23,7 @@ import statistics
 from dataclasses import dataclass, replace
 
 from .errors import ArgumentError
-from .road_graph import CentralNode, EgoGraph, HighwayClass, RoadGraph, dijkstra_from
+from .road_graph import CentralNode, EgoGraph, HighwayClass, IndexGraph, dijkstra_from
 
 log = logging.getLogger(__name__)
 
@@ -87,25 +87,20 @@ class RoadEmbedding:
         return next(c for c, code in ROAD_TYPE_CODE.items() if code == self.road_type_code)
 
 
-def betweenness(graph: RoadGraph | EgoGraph) -> dict[str, float]:
-    """Shortest-path betweenness centrality of every node.
+def betweenness(graph: IndexGraph) -> dict[str, float]:
+    """Shortest-path betweenness centrality of every node, in sorted-id
+    order.
 
     Travel-time-weighted directed shortest paths; all paths of exactly
     equal time are counted; endpoints are excluded; no normalization.
 
-    Runs over integer indices: a node's index is its rank in the sorted
-    node ids, and each node's out-edges are ``(index, travel time)``
-    pairs in the graph's edge order.  Heap entries break time ties on
-    the index, which is the order of the ids themselves, so nodes settle,
-    predecessors collect and dependencies add up in one fixed order,
-    and the result does not depend on how the graph lists its nodes.
+    Heap entries break time ties on the index, which is the order of the
+    ids themselves, so nodes settle, predecessors collect and
+    dependencies add up in one fixed order.  For a whole graph ``g``,
+    call ``betweenness(index_graph(g, g.nodes))``.
     """
-    if isinstance(graph, EgoGraph):
-        graph = graph.graph
-    order = sorted(graph.nodes)
-    rank = {v: i for i, v in enumerate(order)}
-    out = [[(rank[e.dst], e.travel_time_s) for _, e in graph.out_edges(v)] for v in order]
-    n = len(order)
+    out = graph.out
+    n = len(out)
     centrality = [0.0] * n
     heappush, heappop = heapq.heappush, heapq.heappop
     for s in range(n):
@@ -143,7 +138,7 @@ def betweenness(graph: RoadGraph | EgoGraph) -> dict[str, float]:
             for v in preds[w]:
                 delta[v] += sigma[v] * coeff
             centrality[w] += delta[w]
-    return {v: centrality[rank[v]] for v in graph.nodes}
+    return dict(zip(graph.nodes, centrality))
 
 
 def summarize_centrality(
@@ -161,11 +156,6 @@ def summarize_centrality(
         log.warning("degenerate ego-graph around %s: center only", center_id)
         return spbc[center_id], 0.0, 0.0
     return spbc[center_id], max(others), float(statistics.median(others))
-
-
-def centrality_features(ego: EgoGraph) -> tuple[float, float, float]:
-    """Centrality triple of an ego-graph: center, neighborhood max, median."""
-    return summarize_centrality(betweenness(ego.graph), ego.center.node_id)
 
 
 def road_type_code(highway_class: HighwayClass) -> float:
@@ -229,7 +219,7 @@ def build_embedding(
     Overrides take precedence over map tags; a missing lane tag falls
     back to a per-class default.
     """
-    f1, f2, f3 = centrality_features(ego)
+    f1, f2, f3 = summarize_centrality(betweenness(ego.graph), ego.center.node_id)
     f4, f5 = _travel_times(graph, center, TRAVEL_TIME_CLASSES)
     cls = road_type_override if road_type_override is not None else center.host_edge_class
     f6 = road_type_code(cls)
@@ -239,7 +229,7 @@ def build_embedding(
         lanes = center.host_edge_lanes
     else:
         lanes = DEFAULT_LANES[cls.base]
-    notes = () if len(ego.graph) > 1 else ("single_node_ego",)
+    notes = () if len(ego.graph.nodes) > 1 else ("single_node_ego",)
     return RoadEmbedding(
         sensor_id=sensor_id if sensor_id is not None else center.sensor_id,
         spbc_central=f1,

@@ -6,12 +6,16 @@ sensor position, hop-limited ego-graph extraction, and travel-time
 shortest paths.
 
 Insertion, ego-graphs and shortest paths read a graph only through
-``out_edges(v)`` / ``in_edges(v)`` (``(key, edge)`` pairs, keys sorting
-in edge order), ``coords(v)``, ``has_node(v)`` and
+``out_edges(v)`` / ``in_edges(v)`` (``(key, edge)`` pairs, tuple keys
+sorting in edge order), ``coords(v)``, ``has_node(v)`` and
 ``edges_near(lat, lon, max_m)``.  :class:`RoadGraph` holds every edge;
 ``osm_ingest.RadiusView`` builds a radius graph node by node as these
 reads reach it, so an embedding never materialises more of the map than
-its ego-graph and its shortest-path search touch.
+its ego-graph and its shortest-path search touch.  Insertion always
+returns a :class:`SplitGraph` overlay over the graph it was given (or
+that graph itself, when a junction is reused), and an ego-graph is an
+:class:`IndexGraph`: sorted node ids plus per-index out-lists, the form
+Brandes betweenness runs on.
 """
 from __future__ import annotations
 
@@ -92,14 +96,11 @@ class RoadGraph:
             self._out[e.src].append(i)
             self._in[e.dst].append(i)
 
-    def __len__(self) -> int:
-        return len(self.nodes)
+    def out_edges(self, node: str) -> list[tuple[tuple[int], Edge]]:
+        return [((i,), self.edges[i]) for i in self._out[node]]
 
-    def out_edges(self, node: str) -> list[tuple[int, Edge]]:
-        return [(i, self.edges[i]) for i in self._out[node]]
-
-    def in_edges(self, node: str) -> list[tuple[int, Edge]]:
-        return [(i, self.edges[i]) for i in self._in[node]]
+    def in_edges(self, node: str) -> list[tuple[tuple[int], Edge]]:
+        return [((i,), self.edges[i]) for i in self._in[node]]
 
     def coords(self, node: str) -> tuple[float, float]:
         return self.nodes[node]
@@ -109,7 +110,7 @@ class RoadGraph:
 
     def edges_near(self, lat: float, lon: float, max_m: float | None):
         """Every edge: a RoadGraph keeps no spatial index."""
-        return enumerate(self.edges)
+        return [((i,), e) for i, e in enumerate(self.edges)]
 
 
 class SplitGraph:
@@ -118,7 +119,8 @@ class SplitGraph:
     Each split edge gives way to its two halves in its own place: the
     halves of the edge keyed ``k`` are keyed ``k + (0,)`` (towards the
     virtual node) and ``k + (1,)`` (away from it), so ``base``'s keys must
-    be tuples.
+    be tuples.  Only the virtual node and the split edges' ends change
+    their edges; every other node is read from ``base``.
     """
 
     def __init__(self, base, node_id: str, latlon: tuple[float, float], halves: dict):
@@ -128,9 +130,13 @@ class SplitGraph:
         self._halves = halves
         site_in = sorted(((k + (0,), h[0]) for k, h in halves.items()), key=itemgetter(0))
         site_out = sorted(((k + (1,), h[1]) for k, h in halves.items()), key=itemgetter(0))
-        # each node's (out, in) edges, swapped once: the ego-graph and the
-        # travel-time search read the same nodes several times
+        # (out, in) edges of each node a split changes
         self._adjacent: dict[str, tuple[list, list]] = {node_id: (site_out, site_in)}
+        for end in {n for h in halves.values() for n in (h[0].src, h[1].dst)}:
+            self._adjacent[end] = (
+                self._swap(base.out_edges(end), 0),
+                self._swap(base.in_edges(end), 1),
+            )
 
     def _swap(self, keyed, half: int):
         return [
@@ -138,20 +144,13 @@ class SplitGraph:
             for k, e in keyed
         ]
 
-    def _adjacency(self, node: str) -> tuple[list, list]:
-        adjacent = self._adjacent.get(node)
-        if adjacent is None:
-            adjacent = self._adjacent[node] = (
-                self._swap(self.base.out_edges(node), 0),
-                self._swap(self.base.in_edges(node), 1),
-            )
-        return adjacent
-
     def out_edges(self, node: str) -> list:
-        return self._adjacency(node)[0]
+        adjacent = self._adjacent.get(node)
+        return self.base.out_edges(node) if adjacent is None else adjacent[0]
 
     def in_edges(self, node: str) -> list:
-        return self._adjacency(node)[1]
+        adjacent = self._adjacent.get(node)
+        return self.base.in_edges(node) if adjacent is None else adjacent[1]
 
     def coords(self, node: str) -> tuple[float, float]:
         return self.latlon if node == self.node_id else self.base.coords(node)
@@ -183,12 +182,32 @@ def _neighbors_undirected(graph, node: str) -> list[str]:
 
 
 @dataclass(frozen=True)
-class EgoGraph:
-    """Induced subgraph of nodes within ``hops`` undirected hops of the center."""
+class IndexGraph:
+    """A subgraph on integer indices: node ``i`` is ``nodes[i]``, the
+    ``i``-th smallest id, and ``out[i]`` holds the ``(j, travel_time_s)``
+    pairs of its out-edges within the subgraph, in edge order."""
 
-    graph: RoadGraph
+    nodes: list[str]
+    out: list[list[tuple[int, float]]]
+
+
+def index_graph(graph, nodes) -> IndexGraph:
+    """The subgraph of ``graph`` induced by ``nodes``, in index form."""
+    order = sorted(nodes)
+    rank = {v: i for i, v in enumerate(order)}
+    return IndexGraph(
+        order,
+        [[(rank[e.dst], e.travel_time_s) for _, e in graph.out_edges(v) if e.dst in rank]
+         for v in order],
+    )
+
+
+@dataclass(frozen=True)
+class EgoGraph:
+    """Induced subgraph of nodes within the hop limit of the center."""
+
+    graph: IndexGraph
     center: CentralNode
-    hops: int
 
 
 def dijkstra_from(graph, src: str, stop=None) -> dict[str, float]:
@@ -275,9 +294,9 @@ def insert_central_node(
     A projection landing within ``JUNCTION_REUSE_M`` of an existing
     endpoint reuses that junction instead.
 
-    Returns the graph with the node inserted and the node: a new
-    :class:`RoadGraph` for a RoadGraph, a :class:`SplitGraph` over any
-    other graph.  Raises ``SnapError`` when no edge lies within
+    Returns the graph with the node inserted and the node: a
+    :class:`SplitGraph` over ``graph``, or ``graph`` itself when a
+    junction is reused.  Raises ``SnapError`` when no edge lies within
     ``snap_threshold_m``.
     """
     proj = LocalProjection(lat, lon)
@@ -324,14 +343,12 @@ def insert_central_node(
             break
 
     central = CentralNode(node_id, sensor_id, *latlon, host.highway_class, host.lanes)
-    if isinstance(graph, RoadGraph):
-        edges = [h for i, e in enumerate(graph.edges) for h in halves.get(i, (e,))]
-        return RoadGraph({**graph.nodes, node_id: latlon}, edges), central
     return SplitGraph(graph, node_id, latlon, halves), central
 
 
 def ego_graph(graph, center: CentralNode, hops: int) -> EgoGraph:
-    """Induced subgraph of nodes within ``hops`` undirected hops of the center.
+    """Induced subgraph of nodes within ``hops`` undirected hops of the
+    center, in index form (:func:`index_graph`).
 
     Hop counting ignores edge direction; the induced edges keep theirs,
     in the graph's edge order.
@@ -353,9 +370,4 @@ def ego_graph(graph, center: CentralNode, hops: int) -> EgoGraph:
                     nxt.append(w)
         frontier = nxt
 
-    keyed = [ke for v in depth for ke in graph.out_edges(v) if ke[1].dst in depth]
-    keyed.sort(key=itemgetter(0))
-    nodes = {v: graph.coords(v) for v in depth}
-    return EgoGraph(
-        graph=RoadGraph(nodes, [e for _, e in keyed]), center=center, hops=hops
-    )
+    return EgoGraph(graph=index_graph(graph, depth), center=center)

@@ -41,7 +41,10 @@ def profile_svg(
     interval_min: int,
     title: str,
 ) -> str:
-    """SVG line plot of a daily profile with a +-1 stdev band."""
+    """SVG line plot of a daily profile with a +-1 stdev band.
+
+    ``title`` is plain text: its markup characters are escaped.
+    """
     values = np.asarray(values, dtype=float)
     stdev = np.asarray(stdev, dtype=float)
     n = values.size
@@ -63,6 +66,7 @@ def profile_svg(
     band_pts = [f"{_fmt(sx(i))},{_fmt(sy(upper[i]))}" for i in range(n)]
     band_pts += [f"{_fmt(sx(i))},{_fmt(sy(lower[i]))}" for i in range(n - 1, -1, -1)]
     line_pts = [f"{_fmt(sx(i))},{_fmt(sy(values[i]))}" for i in range(n)]
+    title = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '

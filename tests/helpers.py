@@ -8,7 +8,7 @@ from datetime import date, timedelta
 import numpy as np
 
 from roadtwin.geo import EARTH_RADIUS_M
-from roadtwin.road_graph import Edge, RoadGraph
+from roadtwin.road_graph import Edge, IndexGraph, RoadGraph
 from roadtwin.osm_ingest import HighwayClass, RawRoadData, Way
 from roadtwin.embedding import RoadEmbedding
 from roadtwin.traffic_data import (
@@ -58,6 +58,21 @@ def geo_graph(nodes, links, cls=HighwayClass.RESIDENTIAL, speed_kph=30.0, two_wa
         if two_way:
             edges.append(geo_edge(dst, src, nodes, cls, speed_kph))
     return RoadGraph(nodes, edges)
+
+
+def all_edges(graph) -> list[Edge]:
+    """Every edge of a graph or of an insertion result, in edge order."""
+    return [e for _, e in graph.edges_near(0.0, 0.0, None)]
+
+
+def edge_ends(edges) -> set[str]:
+    """The nodes the given edges touch."""
+    return {n for e in edges for n in (e.src, e.dst)}
+
+
+def index_pairs(graph: IndexGraph) -> list[tuple[str, str]]:
+    """``(src, dst)`` ids of an index-form graph's edges, per node."""
+    return [(graph.nodes[i], graph.nodes[j]) for i, out in enumerate(graph.out) for j, _ in out]
 
 
 def emb(sensor_id: str, normalized, raw=None) -> RoadEmbedding:

@@ -81,6 +81,7 @@ from roadtwin.road_graph import (
     HighwayClass,
     RoadGraph,
     _split_edge,
+    index_graph,
 )
 from roadtwin.traffic_data import (
     QUALITY_INTERPOLATED,
@@ -245,15 +246,13 @@ def pair_count_spbc(graph: RoadGraph) -> dict[str, float]:
     return bc
 
 
-def betweenness_dicts(graph: RoadGraph | EgoGraph) -> dict[str, float]:
+def betweenness_dicts(graph: RoadGraph) -> dict[str, float]:
     """Shortest-path betweenness centrality of every node.
 
     Travel-time-weighted directed shortest paths; all paths of exactly
     equal time are counted; endpoints are excluded; no normalization.
     Heap entries carry node ids so tie handling is deterministic.
     """
-    if isinstance(graph, EgoGraph):
-        graph = graph.graph
     centrality = {v: 0.0 for v in graph.nodes}
     order = sorted(graph.nodes)
     for s in order:
@@ -569,10 +568,11 @@ def embed_position_radius_graph(
 ):
     """``pipeline.embed_position`` through a materialised radius graph.
 
-    Returns ``(embedding, central, ego)``.  The centrality features and
-    the host-derived ones come from the production ``build_embedding``;
-    the two travel times are then replaced by a full Dijkstra and a scan
-    of every edge.
+    Returns ``(embedding, central, ego)``, the ego-graph as a RoadGraph.
+    The centrality features and the host-derived ones come from the
+    production ``build_embedding``, fed the ego-graph's index form; the
+    two travel times are then replaced by a full Dijkstra and a scan of
+    every edge.
     """
     graph = build_graph_full_scan(raw, (lat, lon), cfg.radius_m, cfg.default_speeds or None)
     graph, central = _insert_central_node_scan(
@@ -581,7 +581,7 @@ def embed_position_radius_graph(
     ego = _ego_graph_full(graph, central, cfg.ego_hops)
     emb = build_embedding(
         graph,
-        ego,
+        EgoGraph(index_graph(ego, ego.nodes), central),
         central,
         sensor_id=sensor_id,
         road_type_override=road_type_override,
@@ -704,7 +704,7 @@ def _insert_central_node_scan(
     return RoadGraph(nodes, new_edges), central
 
 
-def _ego_graph_full(graph: RoadGraph, center: CentralNode, hops: int) -> EgoGraph:
+def _ego_graph_full(graph: RoadGraph, center: CentralNode, hops: int) -> RoadGraph:
     """Induced subgraph of nodes within ``hops`` undirected hops of the center.
 
     Hop counting ignores edge direction; the induced edges keep theirs.
@@ -730,7 +730,7 @@ def _ego_graph_full(graph: RoadGraph, center: CentralNode, hops: int) -> EgoGrap
     keep = set(depth)
     nodes = {n: graph.nodes[n] for n in graph.nodes if n in keep}
     edges = [e for e in graph.edges if e.src in keep and e.dst in keep]
-    return EgoGraph(graph=RoadGraph(nodes, edges), center=center, hops=hops)
+    return RoadGraph(nodes, edges)
 
 
 def _travel_times_full_scan(

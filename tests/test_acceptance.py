@@ -32,7 +32,7 @@ from roadtwin.evaluation import (
     rmse,
 )
 from roadtwin.generation import fit_cluster_model, generate_cluster, generate_copy
-from roadtwin.road_graph import dijkstra_from
+from roadtwin.road_graph import dijkstra_from, index_graph
 from roadtwin.selection import embedding_distance, similarity_percent
 from roadtwin.traffic_data import (
     QUALITY_OBSERVED,
@@ -89,7 +89,7 @@ def test_acceptance_01_centrality_vs_enumeration(capsys):
         worst = 0.0
         t0 = time.perf_counter()
         for g in graphs:
-            got = betweenness(g)
+            got = betweenness(index_graph(g, g.nodes))
             want = enumerate_spbc(g)
             assert set(got) == set(want)
             worst = max(worst, max(abs(got[k] - want[k]) for k in got))

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 from statistics import NormalDist
+from xml.dom import minidom
 
 import pytest
 
@@ -365,6 +366,46 @@ def test_profile_writes_csv_and_svg(tmp_path):
     svg = (out / "profile_s3.svg").read_text(encoding="utf-8")
     assert svg.startswith("<svg") and "polyline" in svg
     assert "nan" not in svg
+
+
+def traffic_dir_with_ids(tmp_path, ids):
+    """A traffic directory holding fixture sensor s1's series once per id."""
+    traffic = tmp_path / "traffic"
+    traffic.mkdir()
+    text = open(os.path.join(FIXTURE_DIR, "traffic", "s1.csv"), encoding="utf-8").read()
+    for k, sid in enumerate(ids):
+        (traffic / f"t{k}.csv").write_text(text.replace("\ns1,", f"\n{sid},"), encoding="utf-8")
+    return traffic
+
+
+def test_profile_svg_escapes_markup_in_the_sensor_id(tmp_path):
+    out = tmp_path / "out"
+    traffic = traffic_dir_with_ids(tmp_path, ["a&b<c>", "abc"])
+    proc = run_cli("profile", "--config", CONFIG, "--output_dir", str(out),
+                   "--traffic_dir", str(traffic))
+    assert proc.returncode == 0, proc.stderr
+    svg = (out / "profile_a&b<c>.svg").read_text(encoding="utf-8")
+    doc = minidom.parseString(svg)
+    title = doc.getElementsByTagName("text")[0].firstChild.data
+    assert title.startswith("daily profile: a&b<c> (weekdays, ")
+    # only the title's escaped id tells the two plots apart
+    plain = (out / "profile_abc.svg").read_text(encoding="utf-8")
+    assert svg.replace("a&amp;b&lt;c&gt;", "abc") == plain
+    assert "&" not in plain and plain.count("<") == plain.count(">")
+
+
+def test_profile_rejects_a_sensor_id_with_a_path_separator(tmp_path):
+    out = tmp_path / "out"
+    traffic = traffic_dir_with_ids(tmp_path, ["abc", "x/y"])
+    proc = run_cli("profile", "--config", CONFIG, "--output_dir", str(out),
+                   "--traffic_dir", str(traffic))
+    assert proc.returncode == 2
+    assert stderr_error(proc) == {
+        "error": "InputError",
+        "exit_code": 2,
+        "message": "sensor id 'x/y' contains a path separator; it cannot name a profile file",
+    }
+    assert not out.exists()
 
 
 def test_profile_unknown_sensor_exits_2(tmp_path):

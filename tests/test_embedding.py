@@ -1,10 +1,12 @@
 import math
+import statistics
 
 import pytest
 from hypothesis import given, strategies as st
 
 from helpers import LAT0, LON0, east_of, emb, geo_edge, make_graph, north_of
 from oracles import enumerate_spbc, pair_count_spbc
+from roadtwin.config import DECISIONS
 from roadtwin.errors import ArgumentError
 from roadtwin.embedding import (
     DEFAULT_LANES,
@@ -20,8 +22,10 @@ from roadtwin.embedding import (
 from roadtwin.osm_ingest import HighwayClass
 from roadtwin.road_graph import (
     Edge,
+    EgoGraph,
     RoadGraph,
     ego_graph,
+    index_graph,
     insert_central_node,
 )
 
@@ -44,9 +48,14 @@ def small_digraphs(draw):
 # betweenness
 # ---------------------------------------------------------------------------
 
+def spbc(g: RoadGraph) -> dict[str, float]:
+    """Betweenness of a whole hand-built graph, through its index form."""
+    return betweenness(index_graph(g, g.nodes))
+
+
 def test_spbc_middle_of_directed_path():
     g = make_graph([("a", "b", 1), ("b", "c", 1)])
-    assert betweenness(g) == {"a": 0.0, "b": 1.0, "c": 0.0}
+    assert spbc(g) == {"a": 0.0, "b": 1.0, "c": 0.0}
 
 
 def test_spbc_star_center_counts_ordered_pairs():
@@ -55,35 +64,37 @@ def test_spbc_star_center_counts_ordered_pairs():
     triples = []
     for leaf in ("x", "y", "z"):
         triples += [("c", leaf, 1), (leaf, "c", 1)]
-    bc = betweenness(make_graph(triples))
+    bc = spbc(make_graph(triples))
     assert bc["c"] == 6.0
     assert bc["x"] == bc["y"] == bc["z"] == 0.0
 
 
 def test_spbc_splits_between_equal_time_routes():
     # two disjoint a->...->c routes of identical travel time share the count
+    assert DECISIONS["spbc_convention"] == "unnormalized_endpoint_excluded_all_equal_paths"
     g = make_graph([("a", "b", 2), ("b", "c", 2), ("a", "d", 1), ("d", "c", 3)])
-    bc = betweenness(g)
-    assert bc["b"] == 0.5
-    assert bc["d"] == 0.5
+    bc = spbc(g)
+    # both equal-time routes count, the pair's endpoints score nothing and
+    # the half shares stay unnormalized; the map is in sorted-id order
+    assert list(bc.items()) == [("a", 0.0), ("b", 0.5), ("c", 0.0), ("d", 0.5)]
 
 
 def test_spbc_directed_cycle():
     g = make_graph([("a", "b", 1), ("b", "c", 1), ("c", "a", 1)])
-    bc = betweenness(g)
+    bc = spbc(g)
     assert bc == {"a": 1.0, "b": 1.0, "c": 1.0}
 
 
 def test_spbc_endpoints_excluded():
     g = make_graph([("a", "b", 1), ("b", "c", 1), ("c", "d", 1)])
-    bc = betweenness(g)
+    bc = spbc(g)
     # b is interior for (a,c), (a,d); c for (a,d), (b,d)
     assert bc == {"a": 0.0, "b": 2.0, "c": 2.0, "d": 0.0}
 
 
 @given(small_digraphs())
 def test_spbc_matches_exhaustive_enumeration(g):
-    got = betweenness(g)
+    got = spbc(g)
     want = enumerate_spbc(g)
     for n in g.nodes:
         assert abs(got[n] - want[n]) < 1e-9
@@ -91,7 +102,7 @@ def test_spbc_matches_exhaustive_enumeration(g):
 
 @given(small_digraphs())
 def test_spbc_matches_pair_count_identity(g):
-    got = betweenness(g)
+    got = spbc(g)
     want = pair_count_spbc(g)
     for n in g.nodes:
         assert abs(got[n] - want[n]) < 1e-9
@@ -104,7 +115,7 @@ def test_spbc_invariant_under_time_rescaling(g, k):
         [Edge(e.src, e.dst, e.length_m, e.speed_kph, e.travel_time_s * k, e.highway_class)
          for e in g.edges],
     )
-    assert betweenness(g) == betweenness(scaled)
+    assert spbc(g) == spbc(scaled)
 
 
 def test_spbc_on_minicity_matches_pair_count(minicity_graph):
@@ -118,7 +129,7 @@ def test_spbc_on_minicity_matches_pair_count(minicity_graph):
               e.highway_class, e.lanes)
          for e in minicity_graph.edges],
     )
-    got = betweenness(seconds)
+    got = spbc(seconds)
     want = pair_count_spbc(seconds)
     assert set(got) == set(want)
     for n in got:
@@ -132,7 +143,7 @@ def test_spbc_parallel_edges_multiply_counts():
     nodes = {n: (0.0, 0.0) for n in "abc"}
     e = lambda u, v, w: Edge(u, v, w, 3.6, w, HighwayClass.RESIDENTIAL)
     g = RoadGraph(nodes, [e("a", "b", 1.0), e("a", "b", 1.0), e("b", "c", 1.0)])
-    got = betweenness(g)
+    got = spbc(g)
     want = enumerate_spbc(g)
     assert got == want
     assert got["b"] == 1.0
@@ -298,9 +309,7 @@ def test_single_node_ego_is_flagged():
     nodes = {"a": (LAT0, LON0), "b": (north_of(LAT0, 600.0), LON0)}
     g = RoadGraph(nodes, [geo_edge("a", "b", nodes, HighwayClass.SECONDARY, 50.0)])
     g2, central = insert_central_node(g, "s1", north_of(LAT0, 300.0), LON0)
-    iso = RoadGraph({central.node_id: (g2.nodes[central.node_id])}, [])
-    from roadtwin.road_graph import EgoGraph
-    ego = EgoGraph(graph=iso, center=central, hops=5)
+    ego = EgoGraph(graph=index_graph(g2, [central.node_id]), center=central)
     e = build_embedding(g2, ego, central, sensor_id="s1")
     assert "single_node_ego" in e.notes
     assert e.spbc_neighbors_max == 0.0
@@ -312,6 +321,7 @@ def test_single_node_ego_is_flagged():
 # ---------------------------------------------------------------------------
 
 def test_normalize_pool_min_max():
+    assert DECISIONS["feature_scaling"] == "min_max_over_joint_pool"
     a = emb("a", [0] * 7, raw=[0, 0, 0, 10, 10, 0.0, 1])
     b = emb("b", [0] * 7, raw=[4, 8, 2, 30, 20, 0.5, 2])
     c = emb("c", [0] * 7, raw=[8, 4, 1, 20, 30, 1.0, 3])
@@ -369,9 +379,16 @@ def test_normalize_bounds_property(rows):
 
 
 def test_minicity_embeddings_have_max_at_least_median(minicity_graph):
-    from roadtwin.embedding import centrality_features
+    assert DECISIONS["centrality_neighbor_scope"] == "all_ego_nodes_except_center"
     g2, central = insert_central_node(minicity_graph, "sx", 40.4501, -3.6918)
     ego = ego_graph(g2, central, 5)
-    f1, f2, f3 = centrality_features(ego)
+    centrality = betweenness(ego.graph)
+    f1, f2, f3 = summarize_centrality(centrality, central.node_id)
     assert f2 >= f3 >= 0.0
     assert f1 >= 0.0
+    # the neighbourhood is every ego node but the center
+    others = [centrality[v] for v in ego.graph.nodes if v != central.node_id]
+    assert len(others) == len(ego.graph.nodes) - 1 > 1
+    assert (f1, f2, f3) == (centrality[central.node_id], max(others), statistics.median(others))
+    e = build_embedding(g2, ego, central)
+    assert (e.spbc_central, e.spbc_neighbors_max, e.spbc_neighbors_median) == (f1, f2, f3)

@@ -408,6 +408,7 @@ def test_selection_benchmark_tie_verdict():
 # ---------------------------------------------------------------------------
 
 def test_generation_benchmark_with_unavailable_cells():
+    assert DECISIONS["generation_rank_days"] == "listwise_complete_rows"
     target = make_series({MONDAY + timedelta(days=i): 100.0 for i in range(4)})
 
     def perfect(d):

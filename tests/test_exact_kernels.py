@@ -18,7 +18,9 @@ from roadtwin.errors import ArgumentError, FormatError, SnapError
 from roadtwin.geo import coordinate_problem, haversine_m
 from roadtwin.osm_ingest import HighwayClass, RadiusView, RawRoadData, Way
 from roadtwin.pipeline import load_sensors
-from roadtwin.road_graph import Edge, RoadGraph, ego_graph, insert_central_node
+from roadtwin.road_graph import (
+    Edge, IndexGraph, RoadGraph, ego_graph, index_graph, insert_central_node,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -45,15 +47,23 @@ def tied_multigraphs(draw):
     return RoadGraph(nodes, edges)
 
 
-def assert_same_centrality(graph):
-    got = betweenness(graph)
-    # same floats, listed in the same node order
-    assert list(got.items()) == list(betweenness_dicts(graph).items())
+def assert_same_centrality(index: IndexGraph, graph: RoadGraph):
+    """Brandes on ``index`` equals the dict Brandes on ``graph``, the same
+    subgraph as a RoadGraph: same floats, listed in sorted-id order."""
+    got = betweenness(index)
+    assert list(got.items()) == sorted(betweenness_dicts(graph).items())
+
+
+def induced(graph, nodes) -> RoadGraph:
+    """The subgraph of any graph that ``nodes`` induce, as a RoadGraph."""
+    keep = set(nodes)
+    return RoadGraph({v: graph.coords(v) for v in nodes},
+                     [e for v in nodes for _, e in graph.out_edges(v) if e.dst in keep])
 
 
 @given(tied_multigraphs())
 def test_betweenness_equals_dict_brandes_on_tied_multigraphs(graph):
-    assert_same_centrality(graph)
+    assert_same_centrality(index_graph(graph, graph.nodes), graph)
 
 
 def test_betweenness_equals_dict_brandes_on_a_tied_grid():
@@ -67,11 +77,13 @@ def test_betweenness_equals_dict_brandes_on_a_tied_grid():
                     edges += [Edge(u, v, 1.0, 3.6, 1.0, HighwayClass.RESIDENTIAL),
                               Edge(v, u, 1.0, 3.6, 1.0, HighwayClass.RESIDENTIAL)]
     nodes = {f"g{i}_{j}": (0.0, 0.0) for j in range(5) for i in range(5)}
-    assert_same_centrality(RoadGraph(nodes, edges))
+    graph = RoadGraph(nodes, edges)
+    assert_same_centrality(index_graph(graph, graph.nodes), graph)
 
 
 def ego_graphs(raw, positions, hops=(1, 2, 3, 4)):
-    """Ego-graphs of every position that snaps, as the pipeline takes them."""
+    """``(graph, ego-graph)`` of every position that snaps, as the
+    pipeline takes them."""
     cfg = PipelineConfig()
     for sid, (lat, lon) in positions:
         graph = RadiusView(raw, (lat, lon), cfg.radius_m)
@@ -80,23 +92,23 @@ def ego_graphs(raw, positions, hops=(1, 2, 3, 4)):
         except SnapError:
             continue
         for h in hops:
-            yield ego_graph(graph, central, h)
+            yield graph, ego_graph(graph, central, h)
 
 
 def test_betweenness_equals_dict_brandes_on_minicity_ego_graphs(minicity_raw):
     sensors = load_sensors(os.path.join(FIXTURE_DIR, "sensors.csv"))
     egos = list(ego_graphs(minicity_raw, [(s.sensor_id, (s.lat, s.lon)) for s in sensors]))
     assert len(egos) == 4 * len(sensors)
-    for ego in egos:
-        assert_same_centrality(ego.graph)
+    for graph, ego in egos:
+        assert_same_centrality(ego.graph, induced(graph, ego.graph.nodes))
 
 
 def test_betweenness_equals_dict_brandes_on_shapes_ego_graphs():
     raw, probes = shapes_extract()
     egos = list(ego_graphs(raw, sorted(probes.items())))
     assert len(egos) >= 4 * 9
-    for ego in egos:
-        assert_same_centrality(ego.graph)
+    for graph, ego in egos:
+        assert_same_centrality(ego.graph, induced(graph, ego.graph.nodes))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import make_series
+from roadtwin.config import DECISIONS
 from roadtwin.errors import ArgumentError, AvailabilityError, DomainError
 from roadtwin.generation import (
     METHODS,
@@ -33,6 +34,7 @@ def test_day_class_weekdays():
 
 
 def test_day_class_holiday_shifts_by_seven():
+    assert DECISIONS["day_class_encoding"] == "weekday_index_plus_7_on_holidays"
     cal = HolidayCalendar([MON, SUN])
     assert day_class(MON, cal) == 7
     assert day_class(SUN, cal) == 13

@@ -2,14 +2,16 @@
 builds the radius graph node by node as the snap, the ego-graph and the
 travel-time search read it.  Every embedding, central node, ego-graph and
 error must equal those of the whole-radius-graph path
-(``oracles.embed_position_radius_graph``)."""
+(``oracles.embed_position_radius_graph``).  Ego-graphs are compared in
+both forms: the index form Brandes reads, and every field of every ego
+edge, as each ego node's out-edge list."""
 import math
 import random
 
 import pytest
 
 from helpers import grid_extract, shapes_extract, tangled_extract
-from oracles import embed_position_radius_graph
+from oracles import _insert_central_node_scan, embed_position_radius_graph
 from roadtwin import osm_ingest, pipeline
 from roadtwin.config import DECISIONS, PipelineConfig
 from roadtwin.embedding import UNREACHABLE, build_embedding
@@ -17,7 +19,9 @@ from roadtwin.errors import RoadTwinError
 from roadtwin.geo import LocalProjection, point_segment_projection
 from roadtwin.osm_ingest import RadiusView, build_graph
 from roadtwin.pipeline import SensorSpec, embed_position, embed_sensors, normalize_positions
-from roadtwin.road_graph import RoadGraph, dijkstra_from, ego_graph, insert_central_node
+from roadtwin.road_graph import (
+    RoadGraph, dijkstra_from, ego_graph, index_graph, insert_central_node,
+)
 
 from test_graph_crop import MINICITY_CENTERS
 from test_road_graph import MINICITY_SENSORS
@@ -25,9 +29,19 @@ from test_road_graph import MINICITY_SENSORS
 SPEEDS = {"residential": 45.0, "primary": 70.0, "motorway_link": 60.0}
 
 
+def ego_edges(graph, nodes) -> list[tuple[str, list]]:
+    """Each of ``nodes`` with its out-edges within ``nodes``, in edge order."""
+    keep = set(nodes)
+    return [(v, [e for _, e in graph.out_edges(v) if e.dst in keep]) for v in nodes]
+
+
+def flat(per_node) -> list:
+    return [e for _, edges in per_node for e in edges]
+
+
 def via_index(raw, cfg, sensor_id, lat, lon, **overrides):
-    """(embedding, central, ego nodes, ego edges) through RadiusView, or
-    the error's (type, message)."""
+    """(embedding, central, ego-graph, per-node ego edges) through
+    RadiusView, or the error's (type, message)."""
     try:
         graph = RadiusView(raw, (lat, lon), cfg.radius_m, cfg.default_speeds or None)
         graph, central = insert_central_node(
@@ -39,7 +53,7 @@ def via_index(raw, cfg, sensor_id, lat, lon, **overrides):
     except RoadTwinError as exc:
         return type(exc).__name__, str(exc)
     assert (position.embedding, position.central) == (emb, central)
-    return emb, central, ego.graph.nodes, ego.graph.edges
+    return emb, central, ego.graph, ego_edges(graph, ego.graph.nodes)
 
 
 def via_radius_graph(raw, cfg, sensor_id, lat, lon, **overrides):
@@ -47,7 +61,7 @@ def via_radius_graph(raw, cfg, sensor_id, lat, lon, **overrides):
         emb, central, ego = embed_position_radius_graph(raw, cfg, sensor_id, lat, lon, **overrides)
     except RoadTwinError as exc:
         return type(exc).__name__, str(exc)
-    return emb, central, ego.graph.nodes, ego.graph.edges
+    return emb, central, index_graph(ego, ego.nodes), ego_edges(ego, sorted(ego.nodes))
 
 
 def assert_same_embedding(raw, cfg, sensor_id, lat, lon, **overrides):
@@ -120,20 +134,22 @@ def test_shapes_exercise_their_case():
         return via_index(raw, PipelineConfig(**kw) if kw else cfg, name, *probes[name])
 
     # the equidistant carriageways: the smaller (src, dst) hosts the sensor
-    emb, central, nodes, edges = run("dual")
+    emb, central, ego, per_node = run("dual")
+    edges = flat(per_node)
     assert {(e.src, e.dst) for e in edges if central.node_id in (e.src, e.dst)} == {
         ("de0", "site:dual"), ("site:dual", "de2")}
     # equal parallel ways: one way's two directions are split, the
     # other's stay whole
-    emb, central, nodes, edges = run("parallel")
+    emb, central, ego, per_node = run("parallel")
+    edges = flat(per_node)
     assert len([e for e in edges if central.node_id in (e.src, e.dst)]) == 4
     assert sorted((e.src, e.dst) for e in edges if {e.src, e.dst} == {"q0", "q1"}) == [
         ("q0", "q1"), ("q1", "q0")]
     # the foot within 0.5 m of a junction reuses it
     assert run("near_junction")[1].node_id == "p2"
     # only the middle of the long way lies in a 250 m radius
-    emb, central, nodes, edges = run("middle", radius_m=250.0)
-    assert {"l8", "l12"} <= set(nodes) and not {"l7", "l13"} & set(nodes)
+    emb, central, ego, per_node = run("middle", radius_m=250.0)
+    assert {"l8", "l12"} <= set(ego.nodes) and not {"l7", "l13"} & set(ego.nodes)
     # the bend leaves a 230 m radius and re-enters it: two pieces
     view = RadiusView(raw, probes["curve_reentry"], 230.0)
     assert [e.dst for _, e in view.out_edges("p2")] == ["cb1"]
@@ -199,19 +215,23 @@ def test_view_reads_what_build_graph_builds(minicity_raw, extract):
 
 
 def test_split_view_reads_what_the_split_graph_holds():
+    # the overlay, over the view and over the whole radius graph, reads
+    # what the oracle's materialised split holds
     raw, probes = shapes_extract()
     for name, (lat, lon) in probes.items():
+        whole = build_graph(raw, (lat, lon), 2000.0)
         try:
-            graph, central = insert_central_node(build_graph(raw, (lat, lon), 2000.0), name, lat, lon)
+            split, central = _insert_central_node_scan(whole, name, lat, lon)
         except RoadTwinError:
             continue
-        view, view_central = insert_central_node(RadiusView(raw, (lat, lon), 2000.0), name, lat, lon)
-        assert view_central == central
-        for v in graph.nodes:
-            assert view.coords(v) == graph.nodes[v]
-            assert [e for _, e in view.out_edges(v)] == [graph.edges[i] for i in graph._out[v]]
-            assert [e for _, e in view.in_edges(v)] == [graph.edges[i] for i in graph._in[v]]
-        assert [e for _, e in view.edges_near(lat, lon, None)] == graph.edges
+        for base in (RadiusView(raw, (lat, lon), 2000.0), whole):
+            graph, graph_central = insert_central_node(base, name, lat, lon)
+            assert graph_central == central
+            for v in split.nodes:
+                assert graph.coords(v) == split.nodes[v]
+                assert [e for _, e in graph.out_edges(v)] == [split.edges[i] for i in split._out[v]]
+                assert [e for _, e in graph.in_edges(v)] == [split.edges[i] for i in split._in[v]]
+            assert [e for _, e in graph.edges_near(lat, lon, None)] == split.edges
 
 
 def test_near_query_keeps_every_edge_within_reach():
@@ -247,7 +267,8 @@ def test_ego_hops_are_undirected_on_the_index_path():
     assert "o2" not in dijkstra_from(graph, "s0")
     ego = ego_graph(graph, central, 1)
     assert set(ego.graph.nodes) == {"s0", "s_w", "s_e", "o2"}
-    assert [(e.src, e.dst) for e in ego.graph.edges if "o2" in (e.src, e.dst)] == [("o2", "s0")]
+    assert [(e.src, e.dst) for e in flat(ego_edges(graph, ego.graph.nodes))
+            if "o2" in (e.src, e.dst)] == [("o2", "s0")]
 
 
 def test_motorway_beyond_the_radius_normalizes_to_1():
@@ -299,6 +320,6 @@ def test_embed_builds_no_graph_beyond_the_ego_graph(monkeypatch):
     monkeypatch.setattr(pipeline, "ego_graph", recording_ego_graph)
     positions = normalize_positions(embed_sensors(raw, sensors, PipelineConfig()))
     assert len(positions) == len(egos) == len(sensors)
-    # the ego-graphs are the only RoadGraphs an embedding builds
-    assert built == [len(ego.graph) for ego in egos]
-    assert max(built) < len(raw.nodes) / 4
+    # an embedding builds no RoadGraph, and its ego-graphs stay small
+    assert built == []
+    assert max(len(ego.graph.nodes) for ego in egos) < len(raw.nodes) / 4

@@ -1,3 +1,4 @@
+import importlib.util
 import math
 import os
 
@@ -5,7 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import FIXTURE_DIR
-from helpers import LAT0, LON0, east_of, geo_graph, make_graph, north_of
+from helpers import (
+    LAT0, LON0, all_edges, east_of, edge_ends, geo_graph, index_pairs, make_graph, north_of,
+)
 from oracles import bfs_hops, floyd_warshall
 from roadtwin.errors import ArgumentError, SnapError
 from roadtwin.osm_ingest import HighwayClass, build_graph
@@ -115,9 +118,10 @@ def test_split_thirty_percent_of_two_minute_street():
     g2, central = insert_central_node(g, "s1", *sensor)
     assert central.node_id == "site:s1"
     assert central.host_edge_class is HighwayClass.RESIDENTIAL
-    assert len(g2.nodes) == 3
-    assert len(g2.edges) == 4
-    by_pair = {(e.src, e.dst): e for e in g2.edges}
+    edges = all_edges(g2)
+    assert edge_ends(edges) == {"a", "b", "site:s1"}
+    assert len(edges) == 4
+    by_pair = {(e.src, e.dst): e for e in edges}
     assert by_pair[("a", "site:s1")].travel_time_s == pytest.approx(36.0, rel=1e-9)
     assert by_pair[("site:s1", "b")].travel_time_s == pytest.approx(84.0, rel=1e-9)
     assert by_pair[("b", "site:s1")].travel_time_s == pytest.approx(84.0, rel=1e-9)
@@ -129,12 +133,12 @@ def test_split_conserves_length_and_time():
     g = one_street(737.0, speed_kph=47.0)
     parent = g.edges[0]
     g2, central = insert_central_node(g, "s1", north_of(LAT0, 444.4), east_of(LAT0, LON0, 55.0))
-    children = [e for e in g2.edges if e.src == "a" or e.dst == "b"]
+    children = [e for e in all_edges(g2) if e.src == "a" or e.dst == "b"]
     total_len = sum(e.length_m for e in children)
     total_tt = sum(e.travel_time_s for e in children)
     assert total_len == pytest.approx(parent.length_m, rel=1e-12)
     assert total_tt == pytest.approx(parent.travel_time_s, rel=1e-12)
-    for e in g2.edges:
+    for e in all_edges(g2):
         assert e.speed_kph == parent.speed_kph
         assert e.highway_class is parent.highway_class
 
@@ -142,8 +146,9 @@ def test_split_conserves_length_and_time():
 def test_oneway_host_splits_one_direction_only():
     g = one_street(two_way=False)
     g2, central = insert_central_node(g, "s1", north_of(LAT0, 250.0), LON0)
-    assert len(g2.edges) == 2
-    assert {(e.src, e.dst) for e in g2.edges} == {("a", "site:s1"), ("site:s1", "b")}
+    edges = all_edges(g2)
+    assert len(edges) == 2
+    assert {(e.src, e.dst) for e in edges} == {("a", "site:s1"), ("site:s1", "b")}
 
 
 def test_snap_beyond_threshold_raises():
@@ -161,6 +166,8 @@ def test_projection_near_endpoint_reuses_junction():
     g2, central = insert_central_node(g, "s1", LAT0, east_of(LAT0, LON0, 40.0))
     # the foot of the projection is the endpoint itself
     assert central.node_id == "a"
+    # the graph comes back as it was given
+    assert g2 is g
     assert len(g2.nodes) == 2
     assert len(g2.edges) == 2
 
@@ -175,7 +182,7 @@ def test_equidistant_edges_pick_lexicographically_smaller():
     for links in ([("a", "b"), ("c", "d")], [("c", "d"), ("a", "b")]):
         g = geo_graph(nodes, links, two_way=False)
         g2, central = insert_central_node(g, "sx", LAT0, east_of(LAT0, LON0, 200.0))
-        hosts = {(e.src, e.dst) for e in g2.edges if "site:sx" in (e.src, e.dst)}
+        hosts = {(e.src, e.dst) for e in all_edges(g2) if "site:sx" in (e.src, e.dst)}
         assert hosts == {("a", "site:sx"), ("site:sx", "b")}
 
 
@@ -198,7 +205,7 @@ def test_lanes_flow_through_split():
     g = RoadGraph(nodes, [e])
     g2, central = insert_central_node(g, "s1", north_of(LAT0, 200.0), LON0)
     assert central.host_edge_lanes == 3
-    assert all(ch.lanes == 3 for ch in g2.edges)
+    assert all(ch.lanes == 3 for ch in all_edges(g2))
 
 
 MINICITY_SENSORS = load_sensors(os.path.join(FIXTURE_DIR, "sensors.csv"))
@@ -212,7 +219,7 @@ def test_snap_does_not_depend_on_the_crop_center(minicity_raw, sensor):
     for center in ((sensor.lat, sensor.lon), (sensor.lat + 0.002, sensor.lon)):
         graph = build_graph(minicity_raw, center, 2000.0)
         g2, central = insert_central_node(graph, sensor.sensor_id, sensor.lat, sensor.lon)
-        touching = [e for e in g2.edges if central.node_id in (e.src, e.dst)]
+        touching = [e for e in all_edges(g2) if central.node_id in (e.src, e.dst)]
         snaps.append((central, touching))
     assert snaps[0] == snaps[1]
 
@@ -258,19 +265,37 @@ def test_ego_hops_ignore_direction_but_edges_keep_it():
     )
     g2, central = insert_central_node(sensor_host, "s1", north_of(LAT0, 50.0), LON0)
     ego = ego_graph(g2, central, 1)
-    assert set(ego.graph.nodes) == {"a", "b", "site:s1"}
-    assert {(e.src, e.dst) for e in ego.graph.edges} == {("a", "site:s1"), ("site:s1", "b")}
+    assert ego.graph.nodes == ["a", "b", "site:s1"]
+    assert index_pairs(ego.graph) == [("a", "site:s1"), ("site:s1", "b")]
 
 
 def test_ego_induced_subgraph_keeps_interior_edges(minicity_graph):
     g2, central = grid_with_sensor(minicity_graph)
     ego = ego_graph(g2, central, 2)
-    keep = set(ego.graph.nodes)
-    expected = [e for e in g2.edges if e.src in keep and e.dst in keep]
-    assert ego.graph.edges == expected
+    keep = ego.graph.nodes
+    assert keep == sorted(keep)
+    rank = {v: i for i, v in enumerate(keep)}
+    # every edge between two ego nodes, with its travel time, under its
+    # source's index and in the graph's edge order
+    expected = [[(rank[e.dst], e.travel_time_s) for e in all_edges(g2)
+                 if e.src == v and e.dst in rank] for v in keep]
+    assert ego.graph.out == expected
 
 
 def test_ego_five_hops_spans_minicity(minicity_graph):
     g2, central = grid_with_sensor(minicity_graph)
     ego = ego_graph(g2, central, 5)
-    assert len(ego.graph.nodes) == len(g2.nodes)
+    assert set(ego.graph.nodes) == edge_ends(all_edges(g2))
+
+
+def test_perfbench_reads_the_ego_size(minicity_graph):
+    # perfbench's traced runs count each ego_graph result's nodes from
+    # outside the package; an EgoGraph change must not break that counter
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "spans.py")
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    g2, central = grid_with_sensor(minicity_graph)
+    ego = ego_graph(g2, central, 2)
+    assert len(ego.graph.nodes) > 1
+    assert spans._ego_counts((), {}, ego) == {"nodes": len(ego.graph.nodes)}

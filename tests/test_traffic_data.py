@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from helpers import make_series
 from roadtwin import traffic_data
+from roadtwin.config import DECISIONS
 from roadtwin.errors import ArgumentError, AvailabilityError, DomainError, FormatError, InputError
 from roadtwin.traffic_data import (
     QUALITY_INTERPOLATED,
@@ -393,6 +394,7 @@ def test_profile_single_day_has_zero_stdev():
 
 
 def test_profile_skips_incomplete_days():
+    assert DECISIONS["profile_days"] == "complete_days_only"
     arr = np.full(96, 50.0)
     arr[10:20] = np.nan
     days = {D: 1.0, D + timedelta(days=1): arr, D + timedelta(days=2): 3.0}

@@ -13,7 +13,7 @@ import math
 import os
 from dataclasses import dataclass, field, fields
 
-from .errors import ArgumentError, FormatError, InputError
+from .errors import ArgumentError, FormatError, read_text
 from .osm_ingest import ACCEPTED_HIGHWAYS
 from .selection import DISTANCE_METRICS
 
@@ -138,11 +138,9 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Pipel
     values: dict = {}
     base_dir = None
     if path is not None:
+        text = read_text(path, f"config {path}")
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise InputError(f"cannot read config {path}: {exc}") from exc
+            data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise FormatError(f"config {path} is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):

@@ -1,8 +1,9 @@
-"""Exception taxonomy shared by all roadtwin modules.
+"""Exception taxonomy shared by all roadtwin modules, and the input reads.
 
 The CLI maps these onto exit codes: input/format problems exit with 2,
 domain problems (valid input, undefined result) with 3, and anything
-else with 4.
+else with 4.  Every input file is read through :func:`read_bytes` or
+:func:`read_text`, so an unreadable or non-UTF-8 file is an input error.
 """
 
 
@@ -46,3 +47,28 @@ class SnapError(DomainError):
 
 class AvailabilityError(DomainError):
     """Requested date is absent or incomplete in the source series."""
+
+
+def read_bytes(path, what: str) -> bytes:
+    """The bytes of the file at ``path``; ``InputError`` if it cannot be read.
+
+    ``what`` names the file in the message: ``cannot read {what}: ...``.
+    """
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise InputError(f"cannot read {what}: {exc}") from exc
+
+
+def utf8_text(data: bytes, name: str) -> str:
+    """``data`` decoded as UTF-8; ``ParseError`` naming ``name`` and the first bad byte."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{name} is not valid UTF-8 at byte {exc.start}: {exc.reason}") from exc
+
+
+def read_text(path, what: str) -> str:
+    """The UTF-8 text of the file at ``path``, its newlines untranslated."""
+    return utf8_text(read_bytes(path, what), str(path))

@@ -24,9 +24,9 @@ from .errors import (
     ArgumentError,
     DomainError,
     FormatError,
-    InputError,
     ParseError,
     StructuralError,
+    read_bytes,
 )
 from .geo import EARTH_RADIUS_M, coordinate_problem, haversine_m, haversine_m_array
 from .road_graph import Edge, HighwayClass, RoadGraph
@@ -215,11 +215,7 @@ def _as_bytes(source) -> bytes:
     if isinstance(source, bytes):
         return source
     if isinstance(source, (str, os.PathLike)):
-        try:
-            with open(source, "rb") as fh:
-                return fh.read()
-        except OSError as exc:
-            raise InputError(f"cannot read OSM extract: {exc}") from exc
+        return read_bytes(source, "OSM extract")
     raise ArgumentError(f"unsupported OSM source type: {type(source).__name__}")
 
 

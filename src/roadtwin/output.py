@@ -15,7 +15,7 @@ import os
 import shutil
 import tempfile
 
-from .errors import FormatError, InputError
+from .errors import FormatError, InputError, read_text
 
 
 def fmt(x) -> str:
@@ -52,11 +52,7 @@ def write_csv(path: str, header: list[str], rows, config_hash: str | None = None
 
 def read_csv(path: str) -> tuple[str | None, list[str], list[list[str]]]:
     """Read a report CSV back: (config_hash, header, rows)."""
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+    text = read_text(path, path)
     config_hash = None
     lines = text.splitlines()
     body_start = 0

@@ -8,13 +8,14 @@ traffic loading and cleaning, and the full leave-one-out benchmark.
 from __future__ import annotations
 
 import csv
+import io
 import os
 from dataclasses import dataclass
 
 from . import evaluation, generation
 from .config import DECISIONS, PipelineConfig
 from .embedding import RoadEmbedding, build_embedding, normalize_pool
-from .errors import ArgumentError, FormatError, InputError
+from .errors import ArgumentError, FormatError, InputError, read_text
 from .geo import coordinate_problem
 # build_graph is no longer called here; perfbench/spans.py rebinds it by this name
 from .osm_ingest import RadiusView, RawRoadData, build_graph, parse_lanes  # noqa: F401
@@ -52,12 +53,8 @@ def load_sensors(path) -> list[SensorSpec]:
     Raises ``FormatError`` for a file without sensor rows and for a row
     whose position is not a valid latitude and longitude.
     """
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise InputError(f"cannot read sensors CSV {path}: {exc}") from exc
-    rows = [r for r in rows if r and not r[0].startswith("#")]
+    text = read_text(path, f"sensors CSV {path}")
+    rows = [r for r in csv.reader(io.StringIO(text, newline="")) if r and not r[0].startswith("#")]
     if not rows:
         raise FormatError(f"sensors CSV {path} is empty")
     header = [c.strip() for c in rows[0]]

@@ -15,7 +15,15 @@ from datetime import date, datetime, timedelta
 
 import numpy as np
 
-from .errors import ArgumentError, AvailabilityError, DomainError, FormatError, InputError
+from .errors import (
+    ArgumentError,
+    AvailabilityError,
+    DomainError,
+    FormatError,
+    read_bytes,
+    read_text,
+    utf8_text,
+)
 
 QUALITY_MISSING = 0
 QUALITY_OBSERVED = 1
@@ -49,18 +57,10 @@ class HolidayCalendar:
         return iter(sorted(self._dates))
 
     @classmethod
-    def from_csv(cls, source) -> "HolidayCalendar":
-        """One ISO date per non-blank line; '#' lines are comments."""
-        if isinstance(source, (str, os.PathLike)):
-            try:
-                with open(source, "r", encoding="utf-8") as fh:
-                    text = fh.read()
-            except OSError as exc:
-                raise InputError(f"cannot read holiday calendar: {exc}") from exc
-        else:
-            text = source.decode("utf-8") if isinstance(source, bytes) else str(source)
+    def from_csv(cls, path) -> "HolidayCalendar":
+        """One ISO date per non-blank line of the file; '#' lines are comments."""
         days = []
-        for lineno, line in enumerate(text.splitlines(), start=1):
+        for lineno, line in enumerate(read_text(path, "holiday calendar").splitlines(), start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -128,16 +128,6 @@ class TrafficSeries:
         return [self.start_date + timedelta(days=int(i)) for i in np.flatnonzero(complete)]
 
 
-def _read_text(source) -> str:
-    if isinstance(source, (str, os.PathLike)) and "\n" not in str(source):
-        try:
-            with open(source, "r", encoding="utf-8", newline="") as fh:
-                return fh.read()
-        except OSError as exc:
-            raise InputError(f"cannot read traffic CSV {source}: {exc}") from exc
-    return source.decode("utf-8") if isinstance(source, bytes) else str(source)
-
-
 def _grid_series(sensor_id, interval_min, day, slot, flow) -> TrafficSeries:
     """Series holding ``flow[i]`` at (``day[i]``, ``slot[i]``).
 
@@ -176,6 +166,8 @@ def _parse_rows(text: str, interval_min: int) -> dict[str, TrafficSeries]:
         if len(row) != 3:
             raise FormatError(f"traffic CSV row {lineno}: expected 3 fields, got {len(row)}")
         sid, ts_text, flow_text = row
+        if not sid:
+            raise FormatError(f"traffic CSV row {lineno}: empty sensor id")
         try:
             ts = datetime.fromisoformat(ts_text)
         except ValueError as exc:
@@ -221,12 +213,14 @@ def _parse_rows(text: str, interval_min: int) -> dict[str, TrafficSeries]:
 _TS_DIGIT_COLS = np.array([0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18])
 _TS_SEP_COLS = np.array([4, 7, 10, 13, 16])
 _TS_SEPS = np.frombuffer(b"--T::", dtype=np.uint8)
-_ROW_SEPS = np.frombuffer(b",,\n", dtype=np.uint8)
-# int16 keeps the (n, 14) weighted digits small (each is at most 9000);
-# their sums widen to the default integer
-_DIGIT_WEIGHTS = np.array([1000, 100, 10, 1, 10, 1, 10, 1, 10, 1, 10, 1, 10, 1], dtype=np.int16)
 _MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 _DAYS_BEFORE_MONTH = np.concatenate(([0], np.cumsum(_MONTH_DAYS[:-1])))
+_HEADER_BYTES = [name.encode() for name in TRAFFIC_HEADER]
+# a plain decimal flow holds at most 15 digits, so its digits read as one
+# integer, and every power of ten it is divided by, are exact in a float64
+_MAX_FLOW_DIGITS = 15
+_POW10 = np.array([float(10**k) for k in range(_MAX_FLOW_DIGITS + 1)])
+_windows = np.lib.stride_tricks.sliding_window_view
 
 
 def _canonical_day_slot(
@@ -239,70 +233,116 @@ def _canonical_day_slot(
     nonzero second all give None, as ``fromisoformat`` or the grid check
     would reject them.
     """
-    digits = ts[:, _TS_DIGIT_COLS] - ord("0")  # uint8: non-digits wrap above 9
+    digits = ts[:, _TS_DIGIT_COLS] - np.uint8(ord("0"))  # uint8: non-digits wrap above 9
     if (digits > 9).any() or (ts[:, _TS_SEP_COLS] != _TS_SEPS).any():
         return None
-    weighted = digits * _DIGIT_WEIGHTS
-    year = weighted[:, :4].sum(axis=1)
-    month, mday, hour, minute, second = weighted[:, 4:].reshape(-1, 5, 2).sum(axis=2).T
-    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
-    minute_of_day = hour * 60 + minute
+    # each two-digit field fits a uint8; the year is its century and year of century
+    century, yy, month, mday, hour, minute, second = (
+        digits[:, 0::2] * np.uint8(10) + digits[:, 1::2]
+    ).T
+    # 100 is a multiple of 4, so the year's remainder mod 4 is yy's
+    leap = (yy % 4 == 0) & ((yy != 0) | (century % 4 == 0))
+    minute_of_day = hour * np.int16(60) + minute
     valid = (
-        (year >= 1) & (month >= 1) & (month <= 12) & (mday >= 1)
+        ((century != 0) | (yy != 0)) & (month >= 1) & (month <= 12) & (mday >= 1)
         & (mday <= _MONTH_DAYS[np.minimum(month, 12)] + (leap & (month == 2)))
         & (hour <= 23) & (minute <= 59) & (second == 0)
         & (minute_of_day % interval_min == 0)
     )
     if not valid.all():
         return None
-    y = year - 1
+    y = century.astype(np.int64) * 100 + yy - 1
     day = (y * 365 + y // 4 - y // 100 + y // 400 + _DAYS_BEFORE_MONTH[month]
            + (leap & (month > 2)) + mday)
     return day, minute_of_day // interval_min
 
 
-def _parse_canonical(text: str, interval_min: int) -> dict[str, TrafficSeries] | None:
-    """Parse the whole text in array passes, or None if any row may be invalid.
+def _plain_decimals(buf: np.ndarray, begin: np.ndarray, end: np.ndarray) -> np.ndarray | None:
+    """Values of the fields ``buf[begin[i]:end[i]]``, or None unless all are plain decimals.
+
+    A plain decimal is 1 to 15 ASCII digits with at most one point among
+    them (``5``, ``05``, ``5.``, ``.5``, ``0.25``).  Its value is its
+    digits read as one integer divided by ten to the number of digits
+    after the point: one correctly rounded division of two exact
+    float64 values, so it equals ``float(text)`` bit for bit.  Every
+    ``end`` must be at least 16, so that each field's window, which
+    ends where the field ends, lies inside ``buf``.
+    """
+    length = end - begin
+    if length.min() < 1 or length.max() > _MAX_FLOW_DIGITS + 1:
+        return None
+    width = int(length.max())
+    window = _windows(buf, width)[end - width]
+    lead = width - length  # window columns before the field
+    mantissa = np.zeros(len(end), dtype=np.int64)
+    scale = np.zeros(len(end), dtype=np.int64)
+    point = np.zeros(len(end), dtype=bool)  # a point seen so far
+    for j in range(width):
+        inside = lead <= j
+        digit = window[:, j] - np.uint8(ord("0"))  # uint8: non-digits wrap above 9
+        is_digit = inside & (digit <= 9)
+        is_point = inside & (window[:, j] == ord("."))
+        if (inside > (is_digit | is_point)).any() or (point & is_point).any():
+            return None
+        mantissa = np.where(is_digit, mantissa * 10 + digit, mantissa)
+        scale += point & is_digit
+        point |= is_point
+    digits = length - point
+    if digits.min() < 1 or digits.max() > _MAX_FLOW_DIGITS:
+        return None
+    return mantissa / _POW10[scale]
+
+
+def _parse_canonical(data: bytes, interval_min: int) -> dict[str, TrafficSeries] | None:
+    """Parse valid UTF-8 CSV bytes in array passes, or None if any row may be invalid.
 
     Handles files whose rows all read ``sensor,YYYY-MM-DDTHH:MM:SS,flow``
-    with a valid on-grid timestamp and a finite non-negative flow, that
-    repeat no timestamp of a sensor, and that hold no quote, carriage
-    return or NUL.  Anything else returns None and is left to
-    :func:`_parse_rows`, which finds the bad row or parses the other
-    ``fromisoformat`` forms.
+    with a nonempty sensor id, a valid on-grid timestamp and a plain
+    decimal flow (see :func:`_plain_decimals`), that repeat no timestamp
+    of a sensor, and that hold no quote, carriage return or NUL.
+    Anything else returns None and is left to :func:`_parse_rows`, which
+    finds the bad row or parses the other ``fromisoformat`` and
+    ``float`` forms.  Every column is read at the separator offsets;
+    only a file holding more than one sensor id makes a Python object
+    per row (its ids).
     """
-    if '"' in text or "\r" in text or "\0" in text:
+    if b'"' in data or b"\r" in data or b"\0" in data:
         return None
-    head, _, body = text.partition("\n")
-    body = body.rstrip("\n")
-    if [c.strip() for c in head.split(",")] != TRAFFIC_HEADER or not body:
+    start = data.find(b"\n") + 1  # the body follows the header line
+    end = len(data)
+    while end > start and data[end - 1] == ord("\n"):
+        end -= 1
+    if not start or end == start:
         return None
-    body += "\n"
-    buf = np.frombuffer(body.encode("utf-8"), dtype=np.uint8)
-    seps = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
-    if seps.size % 3 or (buf[seps].reshape(-1, 3) != _ROW_SEPS).any():
-        return None  # a row without exactly 3 fields, or a blank line
-    if (seps[1::3] - seps[0::3] != 20).any():
+    if [c.strip() for c in data[: start - 1].split(b",")] != _HEADER_BYTES:
+        return None
+    body = np.frombuffer(data, dtype=np.uint8)[start:end]
+    # the last row's newline went with the trailing ones
+    row_end = np.append(np.flatnonzero(body == ord("\n")), body.size)
+    row_start = np.concatenate(([0], row_end[:-1] + 1))
+    commas = np.flatnonzero(body == ord(","))
+    c1, c2 = commas[0::2], commas[1::2]
+    if commas.size != 2 * row_end.size or (c1 <= row_start).any() or (c2 >= row_end).any():
+        return None  # a row without exactly 3 fields, a blank line or an empty id
+    if (c2 - c1 != 20).any():
         return None  # a timestamp of other than 19 bytes
-    fields = body.replace("\n", ",").split(",")
-    ts = np.frombuffer("".join(fields[1::3]).encode("utf-8"), dtype=np.uint8).reshape(-1, 19)
-    day_slot = _canonical_day_slot(ts, interval_min)
+    day_slot = _canonical_day_slot(_windows(body, 19)[c1 + 1], interval_min)
     if day_slot is None:
         return None
     day, slot = day_slot
-    try:
-        flow = np.fromiter(map(float, fields[2::3]), dtype=float, count=len(ts))
-    except ValueError:
-        return None
-    if not (np.isfinite(flow) & (flow >= 0)).all():
+    # a row's flow ends at least 21 bytes into the body, past its id and timestamp
+    flow = _plain_decimals(body, c2 + 1, row_end)
+    if flow is None:
         return None
 
-    ids = fields[0:-1:3]
-    names = list(dict.fromkeys(ids))
-    if len(names) == 1:
-        groups = [np.arange(len(ids))]
+    k = int(c1[0])  # the first row's id length
+    if (c1 - row_start == k).all() and (_windows(body, k)[row_start] == body[:k]).all():
+        names, groups = [data[start : start + k].decode()], [slice(None)]
     else:
-        code = np.fromiter(map({sid: k for k, sid in enumerate(names)}.__getitem__, ids),
+        ids = [data[a:b] for a, b in zip((row_start + start).tolist(), (c1 + start).tolist())]
+        firsts = list(dict.fromkeys(ids))
+        names = [sid.decode() for sid in firsts]
+        code = np.fromiter(map({sid: i for i, sid in enumerate(firsts)}.__getitem__, ids),
                            dtype=np.intp, count=len(ids))
         order = np.argsort(code, kind="stable")  # rows of one sensor, in file order
         groups = np.split(order, np.flatnonzero(np.diff(code[order])) + 1)
@@ -319,26 +359,29 @@ def _parse_canonical(text: str, interval_min: int) -> dict[str, TrafficSeries] |
     }
 
 
-def _parse_traffic_text(text: str, interval_min: int) -> dict[str, TrafficSeries]:
-    """Validate raw CSV text into one series per sensor id.
-
-    Canonical files are parsed in whole-array passes; any other text,
-    valid or not, goes through the row loop, which keeps every error
-    message and row number.
-    """
-    if 1440 % interval_min != 0:
-        raise ArgumentError(f"interval {interval_min} does not divide 1440 minutes")
-    return _parse_canonical(text, interval_min) or _parse_rows(text, interval_min)
-
-
 def load_traffic_csv(source, interval_min: int = 15) -> dict[str, TrafficSeries]:
     """Load a ``sensor_id,timestamp,flow`` CSV that may combine several sensors.
 
-    Timestamps must be naive ISO-8601 on the interval grid; grid slots
-    absent from the file become missing.  A timestamp repeated for one
-    sensor raises ``FormatError`` naming its row.
+    ``source`` is a file path, or the file's bytes or text.  Timestamps
+    must be naive ISO-8601 on the interval grid; grid slots absent from
+    the file become missing.  An empty sensor id or a timestamp repeated
+    for one sensor raises ``FormatError`` naming its row; a file that is
+    not UTF-8 raises ``ParseError``.  Canonical files are parsed in
+    whole-array passes on their bytes; any other file, valid or not,
+    goes through the row loop, which keeps every error message and row
+    number.
     """
-    by_sensor = _parse_traffic_text(_read_text(source), interval_min)
+    if isinstance(source, (str, os.PathLike)) and "\n" not in str(source):
+        name, data = str(source), read_bytes(source, f"traffic CSV {source}")
+    elif isinstance(source, bytes):
+        name, data = "traffic CSV", source
+    else:
+        name, data = "traffic CSV", str(source).encode()
+    if 1440 % interval_min != 0:
+        raise ArgumentError(f"interval {interval_min} does not divide 1440 minutes")
+    if not data.isascii():
+        utf8_text(data, name)  # raises on the first byte that is not UTF-8
+    by_sensor = _parse_canonical(data, interval_min) or _parse_rows(data.decode(), interval_min)
     return dict(sorted(by_sensor.items()))
 
 

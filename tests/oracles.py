@@ -779,6 +779,8 @@ def load_traffic_rowwise(text: str, interval_min: int = 15) -> dict[str, Traffic
         if len(row) != 3:
             raise FormatError(f"traffic CSV row {lineno}: expected 3 fields, got {len(row)}")
         sid, ts_text, flow_text = row
+        if not sid:
+            raise FormatError(f"traffic CSV row {lineno}: empty sensor id")
         try:
             ts = datetime.fromisoformat(ts_text)
         except ValueError as exc:

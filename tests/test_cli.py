@@ -7,6 +7,7 @@ stderr, and the files written to the output directory.
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from statistics import NormalDist
@@ -81,6 +82,61 @@ def test_missing_input_exits_2(tmp_path):
     assert proc.returncode == 2
     assert stderr_error(proc)["error"] == "InputError"
     assert not (tmp_path / "out").exists()
+
+
+def copy_with_bad_byte(src, dst, at):
+    """Copy ``src`` to ``dst`` with byte ``at`` replaced by 0xff, which no UTF-8 text holds."""
+    with open(src, "rb") as fh:
+        data = fh.read()
+    dst.write_bytes(data[:at] + b"\xff" + data[at + 1:])
+    return dst
+
+
+def bad_traffic(tmp_path):
+    traffic = tmp_path / "traffic"
+    shutil.copytree(os.path.join(FIXTURE_DIR, "traffic"), traffic)
+    bad = copy_with_bad_byte(traffic / "s2.csv", traffic / "s2.csv", 40)
+    return ("profile", "--config", CONFIG, "--traffic_dir", str(bad.parent)), bad, 40
+
+
+def bad_fixture_file(name, at, *argv):
+    def make(tmp_path):
+        bad = copy_with_bad_byte(os.path.join(FIXTURE_DIR, name), tmp_path / name, at)
+        return tuple(a.format(bad=bad, config=CONFIG) for a in argv), bad, at
+    return make
+
+
+def bad_generated_days(tmp_path):
+    data = b"# config_hash=0\ntarget_id,date,method,slot_index,flow,fallback_used\n\xff\n"
+    bad = tmp_path / "generated_days.csv"
+    bad.write_bytes(data)
+    argv = ("evaluate", "--config", CONFIG, "--generated", str(bad), "--target", "s1")
+    return argv, bad, data.index(b"\xff")
+
+
+NON_UTF8_INPUTS = {
+    "traffic CSV": bad_traffic,
+    "holidays": bad_fixture_file("holidays.csv", 30, "profile", "--config", "{config}",
+                                 "--holidays_path", "{bad}"),
+    "sensors CSV": bad_fixture_file("sensors.csv", 60, "ingest", "--config", "{config}",
+                                    "--sensors_path", "{bad}"),
+    "config JSON": bad_fixture_file("config.json", 5, "ingest", "--config", "{bad}"),
+    "generated days": bad_generated_days,
+}
+
+
+@pytest.mark.parametrize("make", NON_UTF8_INPUTS.values(), ids=NON_UTF8_INPUTS.keys())
+def test_non_utf8_input_exits_2(tmp_path, make):
+    argv, bad, at = make(tmp_path)
+    out = tmp_path / "out"
+    proc = run_cli(*argv, "--output_dir", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert stderr_error(proc) == {
+        "error": "ParseError",
+        "exit_code": 2,
+        "message": f"{bad} is not valid UTF-8 at byte {at}: invalid start byte",
+    }
+    assert not out.exists()
 
 
 def test_snap_failure_exits_3(tmp_path):
@@ -404,6 +460,20 @@ def test_profile_rejects_a_sensor_id_with_a_path_separator(tmp_path):
         "error": "InputError",
         "exit_code": 2,
         "message": "sensor id 'x/y' contains a path separator; it cannot name a profile file",
+    }
+    assert not out.exists()
+
+
+def test_profile_rejects_an_empty_sensor_id(tmp_path):
+    out = tmp_path / "out"
+    traffic = traffic_dir_with_ids(tmp_path, ["abc", ""])
+    proc = run_cli("profile", "--config", CONFIG, "--output_dir", str(out),
+                   "--traffic_dir", str(traffic))
+    assert proc.returncode == 2
+    assert stderr_error(proc) == {
+        "error": "FormatError",
+        "exit_code": 2,
+        "message": "traffic CSV row 2: empty sensor id",
     }
     assert not out.exists()
 

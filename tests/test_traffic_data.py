@@ -152,7 +152,7 @@ def test_span_of_more_than_50_years_rejected(monkeypatch, form, last):
     if form == SPAN_FORMS["canonical"]:
         monkeypatch.setattr(traffic_data, "_parse_rows", None)  # array pass only
     else:
-        assert traffic_data._parse_canonical(text, 15) is None
+        assert traffic_data._parse_canonical(text.encode(), 15) is None
     with pytest.raises(FormatError) as info:
         load_traffic_csv(text)
     assert str(info.value) == f"sensor 'a': rows run from 2019-01-07 to {last}, more than 50 years"

@@ -10,6 +10,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import tracemalloc
 from datetime import date, datetime, timedelta
 
 import numpy as np
@@ -19,7 +20,7 @@ from hypothesis import given, strategies as st
 from helpers import make_series
 from oracles import clean_series_loop, load_traffic_rowwise
 from roadtwin import traffic_data
-from roadtwin.errors import FormatError
+from roadtwin.errors import FormatError, ParseError
 from roadtwin.traffic_data import (
     QUALITY_MISSING,
     TrafficSeries,
@@ -96,9 +97,98 @@ def test_repeated_timestamp_leaves_the_array_path():
     rows = ["a,2019-01-07T00:15:00,1", "a,2019-01-07T00:00:00,2",
             "b,2019-01-07T00:15:00,4", "a,2019-01-07T00:15:00,3"]
     text = HEADER + "\n".join(rows)  # no final newline
-    assert traffic_data._parse_canonical(text, 15) is None
+    assert traffic_data._parse_canonical(text.encode(), 15) is None
     got = assert_parse_parity(text)
     assert got == (FormatError, "traffic CSV row 5: duplicate timestamp 2019-01-07T00:15:00")
+
+
+def _plain_flow(parts):
+    whole, frac = parts
+    return whole if frac is None else f"{whole}.{frac}"
+
+
+DIGITS = st.text("0123456789", max_size=15)
+# 1-15 digits with at most one point: "7", "007", "5.", ".5", "12.250"
+PLAIN_FLOWS = st.tuples(DIGITS, st.none() | st.text("0123456789", max_size=14)).filter(
+    lambda p: 1 <= len(p[0]) + len(p[1] or "") <= 15 and (p[0] or p[1])
+).map(_plain_flow)
+
+
+@given(st.lists(PLAIN_FLOWS, min_size=1, max_size=30))
+def test_plain_decimal_flows_take_the_array_path(flows):
+    rows = [f"a,2019-01-07T{i // 4:02d}:{i % 4 * 15:02d}:00,{v}" for i, v in enumerate(flows)]
+    text = HEADER + "\n".join(rows) + "\n"
+    want = outcome(load_traffic_rowwise, text)
+    assert want[0] == "ok"
+    with pytest.MonkeyPatch.context() as mp:
+        block_fallback(mp)
+        assert outcome(load_traffic_csv, text) == want
+
+
+# forms float() reads that are not plain decimals: the row loop parses them
+ROW_LOOP_FLOWS = ["+5", "1e3", " 5", "1_0", "1234567890123456", "1234567890.123456"]
+
+
+@pytest.mark.parametrize("flow", ROW_LOOP_FLOWS)
+def test_other_float_forms_parse_through_the_row_loop(flow):
+    text = HEADER + GOOD + f"\na,2019-01-07T00:15:00,{flow}\n"
+    assert traffic_data._parse_canonical(text.encode(), 15) is None
+    got = assert_parse_parity(text)
+    assert got[0] == "ok"
+    assert got[1][0][1][4] == np.array([1.0, float(flow)] + [np.nan] * 94).tobytes()
+
+
+def test_multi_byte_ids_are_read_at_byte_offsets(monkeypatch):
+    rows = ["Zürich,2019-01-07T00:00:00,1", "東京,2019-01-07T00:00:00,2",
+            "a,2019-01-07T00:15:00,3", "東京,2019-01-07T00:15:00,4.5",
+            "Zürich,2019-01-07T00:30:00,.5"]
+    text = HEADER + "\n".join(rows) + "\n"
+    want = outcome(load_traffic_rowwise, text)
+    block_fallback(monkeypatch)
+    got = outcome(load_traffic_csv, text)
+    assert got == want
+    assert [sid for sid, _ in got[1]] == ["Zürich", "a", "東京"]
+
+
+@pytest.mark.parametrize("ids", [("s1", "s10"), ("s10", "s1")])
+def test_an_id_that_extends_the_first_is_another_sensor(monkeypatch, ids):
+    rows = [f"{ids[0]},2019-01-07T00:00:00,1", f"{ids[1]},2019-01-07T00:00:00,2",
+            f"{ids[0]},2019-01-07T00:15:00,3"]
+    text = HEADER + "\n".join(rows) + "\n"
+    want = outcome(load_traffic_rowwise, text)
+    block_fallback(monkeypatch)
+    got = outcome(load_traffic_csv, text)
+    assert got == want
+    assert [sid for sid, _ in got[1]] == ["s1", "s10"]
+
+
+def test_one_sensor_file_takes_no_object_per_row(monkeypatch):
+    # a Python string per field peaked at about 15 times the file size
+    rows = [f"a,{(date(2019, 1, 7) + timedelta(days=i // 96)).isoformat()}"
+            f"T{i % 96 // 4:02d}:{i % 4 * 15:02d}:00,{i % 500}" for i in range(20000)]
+    data = (HEADER + "\n".join(rows) + "\n").encode()
+    block_fallback(monkeypatch)
+    tracemalloc.start()
+    try:
+        load_traffic_csv(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * len(data)
+
+
+def test_empty_id_names_its_row():
+    text = HEADER + GOOD + "\n,2019-01-07T00:15:00,2\n"
+    assert traffic_data._parse_canonical(text.encode(), 15) is None
+    assert assert_parse_parity(text) == (FormatError, "traffic CSV row 3: empty sensor id")
+
+
+def test_non_utf8_bytes_are_a_parse_error():
+    data = (HEADER + GOOD + "\n").encode() + b"a,2019-01-07T00:15:00,\xff\n"
+    at = data.index(b"\xff")
+    with pytest.raises(ParseError) as info:
+        load_traffic_csv(data)
+    assert str(info.value) == f"traffic CSV is not valid UTF-8 at byte {at}: invalid start byte"
 
 
 @given(st.lists(st.dates(min_value=date(1, 1, 1), max_value=date(9999, 12, 31)),
@@ -106,7 +196,7 @@ def test_repeated_timestamp_leaves_the_array_path():
 def test_day_arithmetic_matches_the_calendar(days):
     # one sensor per date keeps every grid one day long
     rows = [f"s{i},{d.isoformat()}T00:00:00,{i}" for i, d in enumerate(days)]
-    got = traffic_data._parse_canonical(HEADER + "\n".join(rows) + "\n", 15)
+    got = traffic_data._parse_canonical((HEADER + "\n".join(rows) + "\n").encode(), 15)
     assert got is not None
     assert [got[f"s{i}"].start_date for i in range(len(days))] == days
 
@@ -184,6 +274,8 @@ ERROR_CASES = {
     "flow 1_000": [GOOD, "a,2019-01-07T00:15:00,1_000"],
     "flow with a space": [GOOD, "a,2019-01-07T00:15:00, 12"],
     "flow -0": ["a,2019-01-07T00:15:00,-0"],
+    "flow with two points": [GOOD, "a,2019-01-07T00:15:00,1.2.3"],
+    "flow of a point alone": [GOOD, "a,2019-01-07T00:15:00,."],
     "flow empty": [GOOD, "a,2019-01-07T00:15:00,"],
     "flow word": [GOOD, "a,2019-01-07T00:15:00,many"],
     "2-field row": [GOOD, "a,2019-01-07T00:15:00"],

@@ -1,6 +1,6 @@
 """OpenStreetMap XML ingestion into a directed road graph.
 
-Stream-parses the XML subset used here (node / way / nd / tag), keeps drivable
+Parses the XML subset used here (node / way / nd / tag), keeps drivable
 road classes only, and assembles edges with per-class free-flow speeds,
 haversine lengths and travel times: node by node through a lazy
 :class:`RadiusView` of the extract's index, or all at once through
@@ -30,6 +30,7 @@ from .errors import (
 )
 from .geo import EARTH_RADIUS_M, coordinate_problem, haversine_m, haversine_m_array
 from .road_graph import Edge, HighwayClass, RoadGraph
+from .traffic_data import _plain_decimals, _windows
 
 ACCEPTED_HIGHWAYS = {c.value for c in HighwayClass}
 
@@ -62,22 +63,79 @@ class Way:
 
 
 @dataclass
+class ExtractArrays:
+    """The flat form of a parsed extract, from which :class:`MapIndex` is built.
+
+    - ``node_ids``, ``lat``, ``lon``: the extract's nodes as rows, in
+      file order (float64 coordinates).
+    - ``occ_id``, ``occ_node``: node id and node row of each
+      *occurrence*, the node lists of the ways laid end to end; row
+      ``len(node_ids)`` stands for an id no node element defines.
+    - ``way_start``: the first occurrence of each way, then the total.
+    """
+
+    node_ids: list[str]
+    lat: np.ndarray
+    lon: np.ndarray
+    occ_id: list[str]
+    occ_node: np.ndarray
+    way_start: np.ndarray
+
+    @classmethod
+    def of(cls, nodes: dict[str, tuple[float, float]], ways: list[Way]) -> "ExtractArrays":
+        """The flat form of a node dict and way list."""
+        node_ids = list(nodes)
+        row = dict(zip(node_ids, range(len(node_ids))))
+        latlon = np.array(list(nodes.values()), dtype=float).reshape(-1, 2)
+        occ_id = [nid for way in ways for nid in way.node_ids]
+        # int32 keeps the per-occurrence tables small: an extract has far
+        # fewer than 2**31 nodes or occurrences
+        occ_node = np.array([row.get(nid, len(row)) for nid in occ_id], dtype=np.int32)
+        way_start = np.cumsum([0] + [len(way.node_ids) for way in ways])
+        return cls(node_ids, latlon[:, 0].copy(), latlon[:, 1].copy(), occ_id, occ_node, way_start)
+
+
 class RawRoadData:
     """Parsed extract: every node, plus the drivable ways only.
 
-    ``index`` is a :class:`MapIndex` of the extract, built on first use
-    and kept for the object's lifetime, so every :func:`build_graph` call
-    and :class:`RadiusView` on one extract shares it.  Treat ``nodes``
-    and ``ways`` as read-only once a graph has been built: the index does
-    not see later changes.
+    ``nodes`` maps every node id to its ``(lat, lon)`` in file order, and
+    ``ways`` holds the drivable ways in file order.  ``arrays`` is the
+    same extract in its flat form, :class:`ExtractArrays`.  Give
+    ``nodes`` or ``arrays``: the other is made from it on first read (a
+    parse of the bytes gives ``arrays``, so no command that only reads
+    the index ever builds the node dict).  ``index`` is the
+    :class:`MapIndex` built from ``arrays`` on first use and kept for
+    the object's lifetime, so every :func:`build_graph` call and
+    :class:`RadiusView` on one extract shares it.  Treat ``nodes`` and
+    ``ways`` as read-only: neither the flat form nor the index sees
+    later changes.
     """
 
-    nodes: dict[str, tuple[float, float]]
-    ways: list[Way]
+    def __init__(
+        self,
+        nodes: dict[str, tuple[float, float]] | None,
+        ways: list[Way],
+        arrays: ExtractArrays | None = None,
+    ):
+        # a value given here shadows the cached property of that name
+        if nodes is not None:
+            self.nodes = nodes
+        if arrays is not None:
+            self.arrays = arrays
+        self.ways = ways
+
+    @cached_property
+    def nodes(self) -> dict[str, tuple[float, float]]:
+        arrays = self.arrays
+        return dict(zip(arrays.node_ids, zip(arrays.lat.tolist(), arrays.lon.tolist())))
+
+    @cached_property
+    def arrays(self) -> ExtractArrays:
+        return ExtractArrays.of(self.nodes, self.ways)
 
     @cached_property
     def index(self) -> "MapIndex":
-        return MapIndex(self)
+        return MapIndex(self.arrays)
 
 
 # the prefilter's numpy haversine is trusted this far from the radius;
@@ -122,29 +180,28 @@ class MapIndex:
     The index holds no segments and no edges: each :class:`RadiusView`
     cuts its own in-radius occurrences into pieces with ``way_of`` and
     ``is_cut`` and builds their edges, so views share pair lengths only.
+    It is built from an :class:`ExtractArrays` and from nothing else:
+    ``occ_id``, ``occ_node`` and ``way_start`` are that form's own.
     """
 
-    def __init__(self, raw: RawRoadData):
-        self.row = {nid: i for i, nid in enumerate(raw.nodes)}
+    def __init__(self, arrays: ExtractArrays):
+        self.row = dict(zip(arrays.node_ids, range(len(arrays.node_ids))))
         missing = len(self.row)
-        latlon = np.array(list(raw.nodes.values()) + [(math.nan, math.nan)], dtype=float)
-        self.lat = latlon[:, 0].copy()
-        self.lon = latlon[:, 1].copy()
+        self.lat = np.append(arrays.lat, math.nan)
+        self.lon = np.append(arrays.lon, math.nan)
         # NaN compares false, so a NaN coordinate is off the globe too
-        off_globe = ~((np.abs(self.lat[:-1]) <= 90.0) & (np.abs(self.lon[:-1]) <= 180.0))
+        off_globe = ~((np.abs(arrays.lat) <= 90.0) & (np.abs(arrays.lon) <= 180.0))
         if off_globe.any():
             r = int(off_globe.argmax())
-            problem = coordinate_problem(self.lat[r].item(), self.lon[r].item())
-            raise FormatError(f"node {list(raw.nodes)[r]}: {problem}")
+            problem = coordinate_problem(arrays.lat[r].item(), arrays.lon[r].item())
+            raise FormatError(f"node {arrays.node_ids[r]}: {problem}")
 
-        self.occ_id = [nid for way in raw.ways for nid in way.node_ids]
-        # int32 keeps the per-occurrence tables small: an extract has far
-        # fewer than 2**31 nodes or occurrences
-        self.occ_node = np.array(
-            [self.row.get(nid, missing) for nid in self.occ_id], dtype=np.int32
+        self.occ_id = arrays.occ_id
+        self.occ_node = arrays.occ_node
+        self.way_start = arrays.way_start
+        self.way_of = np.repeat(
+            np.arange(self.way_start.size - 1, dtype=np.int32), np.diff(self.way_start)
         )
-        self.way_start = np.cumsum([0] + [len(way.node_ids) for way in raw.ways])
-        self.way_of = np.repeat(np.arange(len(raw.ways), dtype=np.int32), np.diff(self.way_start))
         # drivable ways through each node, one count per (way, node) pair
         # however often the way repeats the node
         way_node = np.sort(self.way_of.astype(np.int64) * (missing + 1) + self.occ_node)
@@ -227,20 +284,83 @@ def parse_osm_extract(source) -> RawRoadData:
     namespaced elements and anything nested deeper are ignored.  Keeps
     all nodes and only the ways whose ``highway`` tag is a drivable
     class; non-drivable ways (footways, cycleways, ...) are discarded.
-    The document is streamed through expat, never held as a tree.
+
+    One expat pass with no element handlers judges the XML first.  A
+    document in canonical form (see :func:`_parse_canonical`) is then
+    read in array passes over its bytes, straight into the flat form
+    the map index is built from; any other document is streamed through
+    expat's element handlers.  Both give the same nodes, ways and errors.
 
     Raises ``ParseError`` with the byte index on malformed XML (including
     an entity reference it cannot expand), then ``FormatError`` for the
-    first node without a usable id/lat/lon, then ``StructuralError``
-    when a retained way references a missing node.
+    first node without a usable id/lat/lon (a coordinate must be a
+    number ``float`` reads from ASCII text without underscores), then
+    ``StructuralError`` when a retained way references a missing node.
     """
     data = _as_bytes(source)
+    _expat_parse(data)
+    return _parse_canonical(data) or _parse_events(data)
+
+
+def _expat_parse(data: bytes, start=None, end=None) -> None:
+    """Run expat over ``data``, calling ``start(name, attrs)`` and
+    ``end(name)`` per element when given.
+
+    Raises ``ParseError`` with the byte index on malformed XML and on an
+    entity reference expat would skip.
+    """
+    external_entities = set()
+
+    def entity_decl(name, is_parameter, value, base, system_id, public_id, notation):
+        if not is_parameter and system_id is not None:
+            external_entities.add(name)
+
+    def undefined_entity(name):
+        # expat skips such references silently; a tree parser rejects them
+        ref = f"&{name};".encode("utf-8")[:100].decode("utf-8", "replace")
+        raise ParseError(
+            f"malformed XML at byte {parser.CurrentByteIndex}: undefined entity {ref}: "
+            f"line {parser.CurrentLineNumber}, column {parser.CurrentColumnNumber}"
+        )
+
+    def external_ref(context, base, system_id, public_id):
+        # the one external entity among the open entities in ``context``
+        undefined_entity(next(n for n in context.split("\f") if n in external_entities))
+
+    # as in ElementTree, a namespaced name arrives as "uri}local", so it
+    # never equals "node", "way", "nd" or "tag"
+    parser = expat.ParserCreate(namespace_separator="}")
+    if start is not None:
+        parser.StartElementHandler = start
+        parser.EndElementHandler = end
+    parser.EntityDeclHandler = entity_decl
+    parser.SkippedEntityHandler = lambda name, is_parameter: undefined_entity(name)
+    parser.ExternalEntityRefHandler = external_ref
+    try:
+        parser.Parse(data, True)
+    except expat.ExpatError as exc:
+        # an empty document reports byte -1
+        raise ParseError(
+            f"malformed XML at byte {max(parser.ErrorByteIndex, 0)}: {exc}"
+        ) from exc
+
+
+def _coordinate(text: str) -> float:
+    """``float(text)``, refusing what ``float`` reads beyond ASCII
+    numbers: underscores between digits and non-ASCII digits or spaces."""
+    if "_" in text or not text.isascii():
+        raise ValueError(f"could not convert string to float: {text!r}")
+    return float(text)
+
+
+def _parse_events(data: bytes) -> RawRoadData:
+    """:func:`parse_osm_extract` through expat's element handlers, for a
+    document the handler-free pass found well formed."""
     nodes: dict[str, tuple[float, float]] = {}
     ways: list[Way] = []
-    bad_node = None  # first node error, raised once the whole XML is well formed
+    bad_node = None  # first node error, raised once the whole XML is read
     depth = 0  # of the open element; the root is 1
     way = None  # the root-child way being read
-    external_entities = set()
 
     def start(name, attrs):
         nonlocal depth, way, bad_node
@@ -249,7 +369,7 @@ def parse_osm_extract(source) -> RawRoadData:
             if name == "node":
                 try:
                     nid = attrs["id"]
-                    nodes[nid] = (float(attrs["lat"]), float(attrs["lon"]))
+                    nodes[nid] = (_coordinate(attrs["lat"]), _coordinate(attrs["lon"]))
                 except (KeyError, ValueError) as exc:
                     if bad_node is None:
                         bad_node = exc
@@ -271,37 +391,7 @@ def parse_osm_extract(source) -> RawRoadData:
             way = None
         depth -= 1
 
-    def entity_decl(name, is_parameter, value, base, system_id, public_id, notation):
-        if not is_parameter and system_id is not None:
-            external_entities.add(name)
-
-    def undefined_entity(name):
-        # expat skips such references silently; a tree parser rejects them
-        ref = f"&{name};".encode("utf-8")[:100].decode("utf-8", "replace")
-        raise ParseError(
-            f"malformed XML at byte {parser.CurrentByteIndex}: undefined entity {ref}: "
-            f"line {parser.CurrentLineNumber}, column {parser.CurrentColumnNumber}"
-        )
-
-    def external_ref(context, base, system_id, public_id):
-        # the one external entity among the open entities in ``context``
-        undefined_entity(next(n for n in context.split("\f") if n in external_entities))
-
-    # as in ElementTree, a namespaced name arrives as "uri}local", so it
-    # never equals "node", "way", "nd" or "tag"
-    parser = expat.ParserCreate(namespace_separator="}")
-    parser.StartElementHandler = start
-    parser.EndElementHandler = end
-    parser.EntityDeclHandler = entity_decl
-    parser.SkippedEntityHandler = lambda name, is_parameter: undefined_entity(name)
-    parser.ExternalEntityRefHandler = external_ref
-    try:
-        parser.Parse(data, True)
-    except expat.ExpatError as exc:
-        # an empty document reports byte -1
-        raise ParseError(
-            f"malformed XML at byte {max(parser.ErrorByteIndex, 0)}: {exc}"
-        ) from exc
+    _expat_parse(data, start, end)
     if bad_node is not None:
         raise FormatError(f"node element missing id/lat/lon: {bad_node}") from bad_node
 
@@ -312,6 +402,287 @@ def parse_osm_extract(source) -> RawRoadData:
                     f"way {way.way_id} references missing node {ref}"
                 )
     return RawRoadData(nodes=nodes, ways=ways)
+
+
+_MAX_ID_DIGITS = 18  # every such id fits an int64
+_KEEP_TAG_BYTES = {k.encode() for k in _KEEP_TAGS}
+_NODE, _WAY, _ND, _TAG = 1, 2, 3, 4  # element kinds of the byte parse
+
+
+def _offsets(buf: np.ndarray, byte: str, start: int) -> np.ndarray:
+    """Offsets of ``byte`` in ``buf[start:]``, ascending, as int32."""
+    found = np.flatnonzero(buf == ord(byte))
+    return found[np.searchsorted(found, start):].astype(np.int32)
+
+
+def _digit_ids(buf: np.ndarray, begin: np.ndarray, end: np.ndarray) -> np.ndarray | None:
+    """Values of the fields ``buf[begin[i]:end[i]]``, or None unless each
+    is 1 to 18 ASCII digits without a leading zero, so that ``str`` of
+    its value is the field.  Read as :func:`_plain_decimals` reads."""
+    length = end - begin
+    n = len(end)
+    if not n:
+        return np.zeros(0, dtype=np.int64)
+    width = int(length.max())
+    if length.min() < 1 or width > _MAX_ID_DIGITS or end.min() < width:
+        return None
+    columns = _windows(buf, width)[end - width].T.copy()
+    lead = (width - length).astype(np.int8)  # window columns before the field
+    if ((columns[lead, np.arange(n)] == ord("0")) & (length > 1)).any():
+        return None
+    value = np.zeros(n, dtype=np.int64)
+    bad = np.zeros(n, dtype=bool)
+    for j, column in enumerate(columns):
+        inside = lead <= j
+        digit = column - np.uint8(ord("0"))  # uint8: non-digits wrap above 9
+        bad |= inside & (digit > 9)
+        digit *= inside
+        value *= 10
+        value += digit
+    return None if bad.any() else value
+
+
+def _values(buf: np.ndarray, begin: np.ndarray, end: np.ndarray) -> list[str]:
+    """The attribute values ``buf[begin[i]:end[i]]`` as str: one gather
+    of every value with its closing quote, one decode, one split."""
+    length = end - begin + 1
+    first = np.cumsum(length, dtype=np.int32) - length  # of each value in the gathered bytes
+    at = np.repeat(begin - first, length)
+    at += np.arange(at.size, dtype=np.int32)
+    gathered = buf[at]
+    return gathered.tobytes().decode().split('"')[:-1]
+
+
+def _name_is(words: np.ndarray, name: bytes) -> np.ndarray:
+    """Per word of the 8 bytes after a ``<`` (little-endian): the
+    element's name is ``name``, followed by a space, ``/`` or ``>``."""
+    n = len(name)
+    head = words & np.uint64((1 << 8 * n) - 1)
+    after = (words >> np.uint64(8 * n)) & np.uint64(0xFF)
+    return (head == int.from_bytes(name, "little")) & (
+        (after <= ord(" ")) | (after == ord("/")) | (after == ord(">"))
+    )
+
+
+def _attribute_is(words: np.ndarray, name: bytes) -> np.ndarray:
+    """Per word of the 8 bytes before an attribute's opening quote
+    (little-endian): the attribute's name is ``name``, written
+    ``name="``.  XML puts a space before every attribute name, and the
+    only bytes at or below a space it allows are spaces, tabs and line
+    ends."""
+    n = len(name) + 1  # with its "="
+    # the byte before the name, then the name and "=": a wrong name or
+    # a byte above a space leaves more than a space after subtracting
+    spaced = words >> np.uint64(8 * (7 - n))
+    spaced -= np.uint64(int.from_bytes(name + b"=", "little") << 8)
+    return spaced <= ord(" ")
+
+
+def _markup(data: bytes, buf: np.ndarray, body: int):
+    """Tags and attribute values of a well-formed document from byte
+    ``body`` on, or None unless they can be read off the byte offsets of
+    ``<``, ``>`` and ``"``: one ``>`` per tag, no ``<!`` or ``<?``, no
+    quote between tags, and every attribute double-quoted.
+
+    Returns ``(lt, gt, opening, closing, attr_tag)``: the ``<`` and
+    ``>`` of each tag, and the quotes around each attribute value with
+    the value's tag.
+    """
+    lt = _offsets(buf, "<", body)
+    second = buf[lt + 1]
+    if ((second == ord("!")) | (second == ord("?"))).any():
+        return None  # a DTD, comment, CDATA section or processing instruction
+    gt, quote = _offsets(buf, ">", body), _offsets(buf, '"', body)
+    # one ">" per tag, so none in a value or between tags: each tag ends at the next one
+    if gt.size != lt.size or lt.size < 2 or quote.size % 2:
+        return None
+    # pair the quotes in order: value i runs from opening[i] + 1 to
+    # closing[i], in tag attr_tag[i]
+    opening, closing = quote[0::2], quote[1::2]
+    per_tag = np.diff(np.searchsorted(quote, lt), append=quote.size)  # from one "<" to the next
+    if (per_tag % 2).any() or (quote.size and quote[0] < lt[0]):
+        return None  # a pair across two tags
+    attr_tag = np.repeat(np.arange(lt.size, dtype=np.int32), per_tag // 2)
+    if (closing > gt[attr_tag]).any():
+        return None  # a quote between tags
+    if (buf[opening - 1] != ord("=")).any() or (buf[opening - 2] <= ord(" ")).any():
+        return None  # an attribute not written name="value", so its name is not read
+    if b"'" in data:
+        # an apostrophe in a tag but outside its double-quoted values
+        # opens a single-quoted attribute, which may hold quotes
+        apos = _offsets(buf, "'", body)
+        tag = np.searchsorted(gt, apos)
+        inside = (tag < gt.size) & (lt[np.minimum(tag, gt.size - 1)] < apos)
+        if (np.searchsorted(quote, apos[inside]) % 2 == 0).any():
+            return None
+    return lt, gt, opening, closing, attr_tag
+
+
+def _element_spans(data: bytes, buf: np.ndarray, body: int):
+    """Where the attributes the parse reads lie in the bytes of a
+    well-formed document, or None when :func:`_markup` declines or an
+    element lacks one of them.
+
+    Returns ``(node, way, nd, tag, nd_way, tag_way)``: per element kind,
+    the value spans ``(begin, end)`` of its attributes (``id``, ``lat``,
+    ``lon`` of each node; ``id`` of each way; ``ref`` of each ``nd``;
+    ``k`` and ``v`` of each ``tag``), in file order, and the way of each
+    ``nd`` and ``tag``.  Nodes and ways are the root's children; ``nd``
+    and ``tag`` the children of those ways.
+    """
+    markup = _markup(data, buf, body)
+    if markup is None:
+        return None
+    lt, gt, opening, closing, attr_tag = markup
+    # names are read as the 8 bytes after a "<" or before an opening
+    # quote; every root or way child starts before the tag before last
+    if buf.size - lt[-2] < 9 or (opening.size and opening[0] < 8):
+        return None  # a document too short to read them all
+    # words[i]: the 8 bytes from byte i, as one little-endian integer
+    words = np.ndarray((buf.size - 7,), dtype="<u8", buffer=data, strides=(1,))
+
+    is_end_tag = buf[lt + 1] == ord("/")
+    # +1 for a start tag, 0 for an empty element, -1 for an end tag
+    step = (~is_end_tag).astype(np.int8) - (buf[gt - 1] == ord("/"))
+    step[is_end_tag] = -1
+    depth = np.cumsum(step, dtype=np.int32) - step + 1  # of the element a tag opens
+    depth[is_end_tag] = 0
+    tag = np.flatnonzero(depth == 2)  # the root's children
+    name = words[lt[tag] + 1]
+    kind = np.zeros(lt.size, dtype=np.int8)
+    kind[tag[_name_is(name, b"node")]] = _NODE
+    kind[tag[_name_is(name, b"way")]] = _WAY
+    # a root child's own children follow it before the next root child
+    last = np.where(depth == 2, np.arange(lt.size, dtype=np.int32), 0)
+    np.maximum.accumulate(last, out=last)
+    tag = np.flatnonzero(depth == 3)
+    tag = tag[kind[last[tag]] == _WAY]  # the children of ways
+    name = words[lt[tag] + 1]
+    kind[tag[_name_is(name, b"nd")]] = _ND
+    kind[tag[_name_is(name, b"tag")]] = _TAG
+    way_number = np.cumsum(kind == _WAY, dtype=np.int32) - 1  # of the way a tag is in
+    del is_end_tag, step, depth, tag, name, last
+    attr_kind = kind[attr_tag]
+    before = words[opening - 8]  # ends with each attribute's name and "="
+    if _attribute_is(before, b"xmlns").any():
+        return None  # a default namespace: the names it covers are not "node", "way", ...
+
+    def values(element: int, *names: bytes):
+        """Value spans of each named attribute of every element of a
+        kind, or None unless each element has each one."""
+        tags = np.flatnonzero(kind == element)
+        spans = []
+        for name in names:
+            named = np.flatnonzero(_attribute_is(before, name) & (attr_kind == element))
+            if not np.array_equal(attr_tag[named], tags):
+                return None  # an element without the attribute
+            spans.append((opening[named] + 1, closing[named]))
+        return spans
+
+    found = (values(_NODE, b"id", b"lat", b"lon"), values(_WAY, b"id"),
+             values(_ND, b"ref"), values(_TAG, b"k", b"v"))
+    if any(spans is None for spans in found):
+        return None
+    return *found, way_number[kind == _ND], way_number[kind == _TAG]
+
+
+def _canonical_tables(data: bytes):
+    """The elements :func:`parse_osm_extract` reads, found by array
+    passes over the bytes of a well-formed document, or None when the
+    document may not be in canonical form (see :func:`_parse_canonical`).
+
+    Returns ``(node_ids, lat, lon, node_key, way_ids, tags, occ_key,
+    way_len)``: the ids, coordinates and integer ids of the nodes, in
+    file order; the ids and kept tags of the drivable ways; their integer
+    refs, laid end to end; and the number of refs of each.
+    """
+    if b"\r" in data or len(data) >= 2**31:
+        return None
+    body = 0  # where the document follows its declaration
+    if data.startswith(b"<?xml "):
+        body = data.index(b"?>") + 2
+        decl = data[:body].lower().replace(b"'", b'"')
+        if b"encoding" in decl and b'encoding="utf-8"' not in decl:
+            return None
+    elif not data.startswith(b"<"):
+        return None
+    buf = np.frombuffer(data, dtype=np.uint8)
+    spans = _element_spans(data, buf, body)
+    if spans is None:
+        return None
+    (node_id, lat, lon), (way_id,), (ref,), (key, value), nd_way, tag_way = spans
+    if not node_id[0].size:
+        return None  # no node to read
+    node_key = _digit_ids(buf, *node_id)
+    lat = _plain_decimals(buf, *lat)
+    lon = _plain_decimals(buf, *lon)
+    way_key = _digit_ids(buf, *way_id)
+    if node_key is None or lat is None or lon is None or way_key is None:
+        return None
+
+    tags = [{} for _ in range(way_key.size)]
+    for w, k0, k1, v0, v1 in zip(tag_way.tolist(), *(a.tolist() for a in (*key, *value))):
+        k = data[k0:k1]
+        if b"&" in k:
+            return None  # may be a kept key once its references are expanded
+        if k in _KEEP_TAG_BYTES:
+            v = data[v0:v1]
+            if b"&" in v or b"\t" in v or b"\n" in v:
+                return None  # the XML would expand or normalize these
+            tags[w][k.decode()] = v.decode()
+    drivable = np.array([t.get("highway") in ACCEPTED_HIGHWAYS for t in tags], dtype=bool)
+    kept = drivable[nd_way]
+    occ_key = _digit_ids(buf, ref[0][kept], ref[1][kept])
+    if occ_key is None:
+        return None
+    # a digit id without a leading zero is the str of its value
+    way_ids = [str(way_id) for way_id in way_key[drivable].tolist()]
+    way_len = np.bincount(nd_way, minlength=way_key.size)[drivable]
+    return (_values(buf, *node_id), lat, lon, node_key, way_ids,
+            [t for t, d in zip(tags, drivable) if d], occ_key, way_len)
+
+
+def _parse_canonical(data: bytes) -> RawRoadData | None:
+    """Parse a well-formed document in canonical form in array passes, or None.
+
+    Canonical form: no XML declaration or one declaring UTF-8; no ``<!``
+    (DTD, comment or CDATA), no ``<?`` past the declaration and no
+    carriage return anywhere; no ``>`` and no quote outside the markup
+    of a tag; every attribute written ``name="value"``, and none named
+    ``xmlns`` (a default namespace; a prefixed name is never one the
+    parse reads, so a prefix may be declared); node ids, way ids and the
+    refs of drivable ways of ASCII digits without a leading zero; plain
+    decimal coordinates (see
+    :func:`traffic_data._plain_decimals`); no ``&``, tab or newline in a
+    kept tag value and no ``&`` in a way tag's key; every node, way,
+    ``nd`` and ``tag`` carrying the attributes it is read for; at least
+    one node, no repeated node id, and no ref of a drivable way to a
+    missing node.  Any other document returns None and is left to
+    :func:`_parse_events`, which also raises every ``FormatError`` and
+    ``StructuralError``.
+    """
+    tables = _canonical_tables(data)
+    if tables is None:
+        return None
+    node_ids, lat, lon, node_key, way_ids, tags, occ_key, way_len = tables
+    # node rows by id; an extract listing its nodes by ascending id, as
+    # osmium writes them, is in that order already
+    order = None if (node_key[1:] > node_key[:-1]).all() else np.argsort(node_key)
+    sorted_key = node_key if order is None else node_key[order]
+    if (sorted_key[1:] == sorted_key[:-1]).any():
+        return None  # a repeated node id
+    at = np.minimum(np.searchsorted(sorted_key, occ_key), sorted_key.size - 1)
+    if (sorted_key[at] != occ_key).any():
+        return None  # a missing node
+    occ_node = (at if order is None else order[at]).astype(np.int32)
+    occ_id = np.array(node_ids, dtype=object)[occ_node].tolist()
+    way_start = np.concatenate(([0], np.cumsum(way_len)))
+    bounds = way_start.tolist()
+    ways = [
+        Way(way_id, occ_id[a:b], way_tags)
+        for way_id, way_tags, a, b in zip(way_ids, tags, bounds[:-1], bounds[1:])
+    ]
+    return RawRoadData(None, ways, ExtractArrays(node_ids, lat, lon, occ_id, occ_node, way_start))
 
 
 def parse_maxspeed_kph(value: str | None) -> float | None:
@@ -418,11 +789,13 @@ def build_graph(
     edges come out in way order, as a rescan of the whole extract would
     give them.
     """
-    edges = [e for _, e in RadiusView(raw, center, radius_m, speed_overrides).edges()]
+    view = RadiusView(raw, center, radius_m, speed_overrides)
+    edges = [e for _, e in view.edges()]
     nodes: dict[str, tuple[float, float]] = {}
     for e in edges:
-        nodes.setdefault(e.src, raw.nodes[e.src])
-        nodes.setdefault(e.dst, raw.nodes[e.dst])
+        for node in (e.src, e.dst):
+            if node not in nodes:
+                nodes[node] = view.coords(node)
     return RoadGraph(nodes, edges)
 
 
@@ -485,7 +858,8 @@ class RadiusView:
         self._attrs: dict[int, tuple] = {}
 
     def coords(self, node: str) -> tuple[float, float]:
-        return self.raw.nodes[node]
+        r = self.index.row[node]
+        return self.index.lat[r].item(), self.index.lon[r].item()
 
     def has_node(self, node: str) -> bool:
         out, inn = self._adjacency(node)

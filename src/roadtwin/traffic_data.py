@@ -216,10 +216,11 @@ _TS_SEPS = np.frombuffer(b"--T::", dtype=np.uint8)
 _MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 _DAYS_BEFORE_MONTH = np.concatenate(([0], np.cumsum(_MONTH_DAYS[:-1])))
 _HEADER_BYTES = [name.encode() for name in TRAFFIC_HEADER]
-# a plain decimal flow holds at most 15 digits, so its digits read as one
+# a plain decimal holds at most 15 digits, so its digits read as one
 # integer, and every power of ten it is divided by, are exact in a float64
-_MAX_FLOW_DIGITS = 15
-_POW10 = np.array([float(10**k) for k in range(_MAX_FLOW_DIGITS + 1)])
+_MAX_DECIMAL_DIGITS = 15
+_POW10 = np.array([float(10**k) for k in range(_MAX_DECIMAL_DIGITS + 1)])
+_INT_POW10 = 10 ** np.arange(_MAX_DECIMAL_DIGITS + 1, dtype=np.int64)
 _windows = np.lib.stride_tricks.sliding_window_view
 
 
@@ -260,45 +261,59 @@ def _canonical_day_slot(
 def _plain_decimals(buf: np.ndarray, begin: np.ndarray, end: np.ndarray) -> np.ndarray | None:
     """Values of the fields ``buf[begin[i]:end[i]]``, or None unless all are plain decimals.
 
-    A plain decimal is 1 to 15 ASCII digits with at most one point among
-    them (``5``, ``05``, ``5.``, ``.5``, ``0.25``).  Its value is its
-    digits read as one integer divided by ten to the number of digits
-    after the point: one correctly rounded division of two exact
-    float64 values, so it equals ``float(text)`` bit for bit.  Every
-    ``end`` must be at least 16, so that each field's window, which
-    ends where the field ends, lies inside ``buf``.
+    A plain decimal is an optional leading ``-`` and then 1 to 15 ASCII
+    digits with at most one point among them (``5``, ``05``, ``5.``,
+    ``.5``, ``-0.25``).  Its value is its digits read as one integer
+    divided by ten to the number of digits after the point, negated
+    after a ``-``: one correctly rounded division of two exact float64
+    values, so it equals ``float(text)`` bit for bit (``-0`` is
+    ``-0.0``).  Each field is read from a window that ends where the
+    field ends; None also when a window would start before ``buf``.
     """
     length = end - begin
-    if length.min() < 1 or length.max() > _MAX_FLOW_DIGITS + 1:
+    if length.min() < 1 or length.max() > _MAX_DECIMAL_DIGITS + 2:
         return None
     width = int(length.max())
-    window = _windows(buf, width)[end - width]
-    lead = width - length  # window columns before the field
-    mantissa = np.zeros(len(end), dtype=np.int64)
-    scale = np.zeros(len(end), dtype=np.int64)
-    point = np.zeros(len(end), dtype=bool)  # a point seen so far
-    for j in range(width):
+    if end.min() < width:
+        return None
+    n = len(end)
+    # column j of every field's window, one contiguous row per column
+    columns = _windows(buf, width)[end - width].T.copy()
+    lead = (width - length).astype(np.int8)  # window columns before the field
+    minus = columns[lead, np.arange(n)] == ord("-")
+    lead += minus  # columns before the digits
+    mantissa = np.zeros(n, dtype=np.int64)
+    scale = np.zeros(n, dtype=np.int8)
+    point = np.zeros(n, dtype=bool)  # a point seen so far
+    bad = np.zeros(n, dtype=bool)
+    for j, column in enumerate(columns):
         inside = lead <= j
-        digit = window[:, j] - np.uint8(ord("0"))  # uint8: non-digits wrap above 9
+        digit = column - np.uint8(ord("0"))  # uint8: non-digits wrap above 9
         is_digit = inside & (digit <= 9)
-        is_point = inside & (window[:, j] == ord("."))
-        if (inside > (is_digit | is_point)).any() or (point & is_point).any():
-            return None
-        mantissa = np.where(is_digit, mantissa * 10 + digit, mantissa)
+        is_point = inside & (column == ord("."))
+        bad |= inside > (is_digit | is_point)
+        bad |= point & is_point
+        digit *= is_digit  # a point reads as a 0 digit
+        mantissa *= 10
+        mantissa += digit
         scale += point & is_digit
         point |= is_point
-    digits = length - point
-    if digits.min() < 1 or digits.max() > _MAX_FLOW_DIGITS:
+    digits = length - minus - point
+    if bad.any() or digits.min() < 1 or digits.max() > _MAX_DECIMAL_DIGITS:
         return None
-    return mantissa / _POW10[scale]
+    # the point's 0 digit multiplied the digits before it by ten
+    after = mantissa % _INT_POW10[scale]
+    mantissa = np.where(point, (mantissa - after) // 10 + after, mantissa)
+    value = mantissa / _POW10[scale]
+    return np.where(minus, -value, value) if minus.any() else value
 
 
 def _parse_canonical(data: bytes, interval_min: int) -> dict[str, TrafficSeries] | None:
     """Parse valid UTF-8 CSV bytes in array passes, or None if any row may be invalid.
 
     Handles files whose rows all read ``sensor,YYYY-MM-DDTHH:MM:SS,flow``
-    with a nonempty sensor id, a valid on-grid timestamp and a plain
-    decimal flow (see :func:`_plain_decimals`), that repeat no timestamp
+    with a nonempty sensor id, a valid on-grid timestamp and an unsigned
+    plain decimal flow (see :func:`_plain_decimals`), that repeat no timestamp
     of a sensor, and that hold no quote, carriage return or NUL.
     Anything else returns None and is left to :func:`_parse_rows`, which
     finds the bad row or parses the other ``fromisoformat`` and
@@ -332,8 +347,8 @@ def _parse_canonical(data: bytes, interval_min: int) -> dict[str, TrafficSeries]
     day, slot = day_slot
     # a row's flow ends at least 21 bytes into the body, past its id and timestamp
     flow = _plain_decimals(body, c2 + 1, row_end)
-    if flow is None:
-        return None
+    if flow is None or np.signbit(flow).any():
+        return None  # a signed flow, left to the row loop
 
     k = int(c1[0])  # the first row's id length
     if (c1 - row_start == k).all() and (_windows(body, k)[row_start] == body[:k]).all():

@@ -408,6 +408,14 @@ def _byte_offset(data: bytes, line: int, column: int) -> int:
     return sum(len(l) + 1 for l in lines[: line - 1]) + column
 
 
+def _ascii_float(text: str) -> float:
+    """``float(text)`` for a number written in ASCII without digit
+    grouping: ``float`` also reads ``4_0.5`` and non-ASCII digits."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"could not convert string to float: {text!r}")
+    return float(text)
+
+
 def parse_osm_extract_etree(data: bytes) -> RawRoadData:
     """``parse_osm_extract`` on a whole ``ElementTree``: build the tree,
     then walk the root's children and each way's children.  The
@@ -427,8 +435,8 @@ def parse_osm_extract_etree(data: bytes) -> RawRoadData:
         if elem.tag == "node":
             try:
                 nid = elem.attrib["id"]
-                lat = float(elem.attrib["lat"])
-                lon = float(elem.attrib["lon"])
+                lat = _ascii_float(elem.attrib["lat"])
+                lon = _ascii_float(elem.attrib["lon"])
             except (KeyError, ValueError) as exc:
                 raise FormatError(f"node element missing id/lat/lon: {exc}") from exc
             nodes[nid] = (lat, lon)

@@ -291,6 +291,28 @@ def test_osm_node_with_bad_coordinates_exits_2(tmp_path, far_node, bad):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("lat", ["4_0.5", "\u0664\u0660.\u0665"],
+                         ids=["underscore", "arabic-indic-digits"])
+def test_osm_node_coordinate_that_is_no_decimal_number_exits_2(tmp_path, lat):
+    # float() reads both as 40.5
+    osm = tmp_path / "extract.osm"
+    osm.write_bytes(osm_doc({"1": (40.45, -3.69), "2": (40.4505, -3.69)},
+                            [("10", ["1", "2"], {"highway": "residential"})])
+                    .replace(b'lat="40.45"', f'lat="{lat}"'.encode("utf-8")))
+    sensors = tmp_path / "sensors.csv"
+    sensors.write_text("sensor_id,lat,lon\ns1,40.4502,-3.6901\ns2,40.4503,-3.6901\n")
+    out = tmp_path / "out"
+    proc = run_cli("embed", "--osm_path", str(osm), "--sensors_path", str(sensors),
+                   "--output_dir", str(out))
+    assert proc.returncode == 2
+    assert stderr_error(proc) == {
+        "error": "FormatError",
+        "exit_code": 2,
+        "message": f"node element missing id/lat/lon: could not convert string to float: {lat!r}",
+    }
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, message", [
     (("select", "--lat", "inf", "--lon", "-3.69"),
      "--lat/--lon: latitude inf is not a finite number in [-90, 90]"),

@@ -1,16 +1,23 @@
-"""parse_osm_extract streams the XML through expat: it must give exactly
-what the ElementTree walk gives (``oracles``), down to node order and
-error messages, and report the true byte index of an XML error."""
+"""parse_osm_extract reads canonical documents in array passes over their
+bytes and streams every other one through expat's element handlers: both
+must give exactly what the ElementTree walk gives (``oracles``), down to
+node order and error messages, and report the true byte index of an XML
+error."""
+import importlib.util
 import os
+import sys
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import FIXTURE_DIR
 from helpers import grid_extract, osm_doc
 from oracles import parse_osm_extract_etree
+from roadtwin import osm_ingest
 from roadtwin.errors import ParseError
-from roadtwin.osm_ingest import parse_osm_extract
+from roadtwin.osm_ingest import ExtractArrays, parse_osm_extract
 
 DRIVABLE = '<tag k="highway" v="residential"/>'
 
@@ -108,6 +115,10 @@ EDGE_CASES = {
         b'<?xml version="1.0" encoding="ISO-8859-1"?>\n'
         + osm(NODES, way("5", ["1", "2"], DRIVABLE + '<tag k="name" v="Calle"/>'))
         .replace(b"Calle", b"Le\xf3n")),
+    # float() reads both as 40.5; neither is a decimal number
+    "underscore_in_a_coordinate": osm(NODES, node("4", "4_0.5")),
+    "arabic_indic_digits_in_a_coordinate": (
+        "<osm>\n" + NODES + "\n" + node("4", "\u0664\u0660.\u0665") + "\n</osm>").encode(),
 }
 
 
@@ -200,3 +211,209 @@ def documents(draw):
 @given(documents())
 def test_composed_documents_parse_the_same(data):
     assert_same_parse(data)
+
+
+# ---------------------------------------------------------------------------
+# the byte path: canonical documents never reach the element handlers
+# ---------------------------------------------------------------------------
+
+def block_fallback(monkeypatch):
+    """Make the element-handler parse fail loudly, to prove a document
+    takes the byte path."""
+    def refuse(data):
+        raise AssertionError("element handlers used for a canonical document")
+
+    monkeypatch.setattr(osm_ingest, "_parse_events", refuse)
+
+
+def path_taken(monkeypatch, data):
+    """The outcome of parse_osm_extract on ``data`` and the path that gave it."""
+    paths = []
+    events = osm_ingest._parse_events
+
+    def spy(data):
+        paths.append("events")
+        return events(data)
+
+    monkeypatch.setattr(osm_ingest, "_parse_events", spy)
+    return outcome(parse_osm_extract, data), (paths or ["bytes"])[0]
+
+
+def _perfbench_gen():
+    """``perfbench/gen.py``, imported by path (perfbench is not a package)."""
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "gen.py")
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
+
+
+GEN = _perfbench_gen()
+
+
+def bench_city(tmp_path, grid, seed=5):
+    """The benchmark's bench city at ``grid`` x ``grid`` junctions, as bytes."""
+    out = tmp_path / "city.osm"
+    GEN.write_city(str(out), grid, np.random.default_rng(seed))
+    return out.read_bytes()
+
+
+def test_minicity_takes_the_byte_path(monkeypatch):
+    with open(os.path.join(FIXTURE_DIR, "minicity.osm"), "rb") as fh:
+        data = fh.read()
+    want = outcome(parse_osm_extract_etree, data)
+    block_fallback(monkeypatch)
+    assert outcome(parse_osm_extract, data) == want
+    assert len(want[0]) == 28 and len(want[1]) == 12
+
+
+def test_bench_city_takes_the_byte_path(tmp_path, monkeypatch):
+    data = bench_city(tmp_path, 12)
+    want = outcome(parse_osm_extract_etree, data)
+    block_fallback(monkeypatch)
+    raw = parse_osm_extract(data)
+    assert (list(raw.nodes.items()), raw.ways) == want
+    assert len(want[0]) == 12 * 12 + 2 * 12 * 11 * 3 and len(want[1]) == 24  # footways dropped
+    # the ways' node ids are the node-id strings themselves
+    first = raw.arrays.node_ids[raw.arrays.occ_node[0]]
+    assert raw.ways[0].node_ids[0] is first
+
+
+def test_both_front_ends_give_one_flat_form(tmp_path):
+    raw = parse_osm_extract(bench_city(tmp_path, 6))
+    assert raw.arrays is not None  # the byte path's own form
+    made = ExtractArrays.of(raw.nodes, raw.ways)
+    assert made.node_ids == raw.arrays.node_ids and made.occ_id == raw.arrays.occ_id
+    for name in ("lat", "lon", "occ_node", "way_start"):
+        got, want = getattr(raw.arrays, name), getattr(made, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+KEPT_TAGS = st.sampled_from([
+    ("oneway", "yes"), ("name", "Calle Mayor"), ("name", "Le\u00f3n"), ("maxspeed", "30 mph"),
+    ("lanes", "2"), ("surface", "asphalt"), ("highway", "primary"),
+])
+
+
+@st.composite
+def canonical_documents(draw):
+    """Documents in canonical form: 7-decimal coordinates, integer ids,
+    nodes with tags, footways, nodes and ways in any order, and elements
+    nested where the parse does not read them."""
+    ids = draw(st.lists(st.integers(0, 10**12), min_size=1, max_size=8, unique=True))
+    items = []
+    for nid in ids:
+        lat = draw(st.floats(-90.0, 90.0))
+        lon = draw(st.floats(-180.0, 180.0))
+        attrs = [f'id="{nid}"', f'lat="{lat:.7f}"', f'lon="{lon:.7f}"']
+        if draw(st.booleans()):
+            attrs.insert(1, 'version="2" user="a &amp; b"')
+        kids = draw(st.lists(st.sampled_from(
+            ['<tag k="amenity" v="caf\u00e9"/>', '<tag k="highway" v="bus_stop"/>']), max_size=2))
+        head = "<node " + " ".join(attrs)
+        items.append(head + ">" + "".join(kids) + "</node>" if kids else head + "/>")
+    for wid in draw(st.lists(st.integers(1, 10**9), max_size=5, unique=True)):
+        highway = draw(st.sampled_from(["residential", "motorway_link", "primary", "footway"]))
+        children = [f'<nd ref="{r}"/>' for r in draw(st.lists(st.sampled_from(ids), max_size=6))]
+        tags = [("highway", highway)] + draw(st.lists(KEPT_TAGS, max_size=3))
+        children += [f'<tag k="{k}" v="{v}"/>' for k, v in tags]
+        if draw(st.booleans()):
+            children.append('<tag k="highway" v="primary"><nd ref="99"/></tag>')
+        children = draw(st.permutations(children))
+        items.append(f'<way id="{wid}">\n  ' + "\n  ".join(children) + "\n</way>")
+    if draw(st.booleans()):
+        items.append('<group><node id="1" lat="1.0" lon="2.0"/><way id="3"><nd ref="4"/></way></group>')
+    items = draw(st.permutations(items))
+    head = draw(st.sampled_from(["", '<?xml version="1.0" encoding="UTF-8"?>\n',
+                                 "<?xml version='1.0'?>\n"]))
+    return (head + '<osm version="0.6">\n' + "\n".join(items) + "\n</osm>\n").encode("utf-8")
+
+
+@given(canonical_documents())
+def test_canonical_documents_take_the_byte_path(data):
+    want = outcome(parse_osm_extract_etree, data)
+    with pytest.MonkeyPatch.context() as mp:
+        block_fallback(mp)
+        assert outcome(parse_osm_extract, data) == want
+
+
+def drivable_way(extra=""):
+    return way("5", ["1", "2"], DRIVABLE + extra)
+
+
+GATE_CASES = {
+    "single_quoted_attributes": (
+        osm("<node id='1' lat='40.0' lon='-3.0'/>", node("2"), drivable_way()), "events"),
+    "single_quoted_value_holding_quotes": (
+        osm(NODES, '<node lat="1" lon="2" note=\'x id="5"\'/>'), "events"),
+    "amp_in_a_kept_value": (osm(NODES, drivable_way('<tag k="name" v="A &amp; B"/>')), "events"),
+    "char_ref_in_a_kept_value": (osm(NODES, drivable_way('<tag k="name" v="A &#38; B"/>')), "events"),
+    "char_ref_in_a_key": (osm(NODES, way("5", ["1", "2"], '<tag k="high&#119;ay" v="primary"/>')),
+                          "events"),
+    "gt_in_a_value": (osm(NODES, drivable_way('<tag k="name" v="A>B"/>')), "events"),
+    "quote_in_text": (osm(NODES, 'say "hi"', drivable_way()), "events"),
+    "comment": (osm("<!-- c -->", NODES, drivable_way()), "events"),
+    "processing_instruction": (osm(NODES, "<?pi x?>", drivable_way()), "events"),
+    "cdata": (osm(NODES, drivable_way("<![CDATA[x]]>")), "events"),
+    "doctype": (osm(NODES, drivable_way(), head="<!DOCTYPE osm>\n"), "events"),
+    "default_namespace": (
+        b'<osm xmlns="urn:osm">' + (NODES + drivable_way()).encode() + b"</osm>", "events"),
+    "spaced_default_namespace": (
+        b'<osm xmlns = "urn:osm">' + (NODES + drivable_way()).encode() + b"</osm>", "events"),
+    "spaced_attribute": (osm(NODES.replace('lat="40.001"', 'lat = "40.001"'), drivable_way()),
+                         "events"),
+    # a prefix covers only the names that carry it, and those are never
+    # "node", "way", "nd", "tag", "id", ...: the byte path reads past them
+    "prefixed_names": (
+        osm(NODES, '<o:node xmlns:o="urn:o" id="4" lat="1" lon="2"/>',
+            drivable_way('<o:tag xmlns:o="urn:o" k="oneway" v="yes"/>')), "bytes"),
+    "prefixed_attribute": (osm('<node xmlns:o="urn:o" o:id="1" lat="1" lon="2"/>'), "events"),
+    "cr_line_ends": (osm(NODES, drivable_way()).replace(b"\n", b"\r"), "events"),
+    "crlf_line_ends": (osm(NODES, drivable_way()).replace(b"\n", b"\r\n"), "events"),
+    "tab_in_a_kept_value": (osm(NODES, drivable_way('<tag k="name" v="Calle\tMayor"/>')), "events"),
+    "newline_in_a_kept_value": (
+        osm(NODES, drivable_way('<tag k="name" v="Calle\nMayor"/>')), "events"),
+    "newline_in_a_coordinate": (osm(NODES, node("4", "\n40.5"), drivable_way()), "events"),
+    "latin1_declaration": (EDGE_CASES["latin1_declaration"], "events"),
+    "extra_attributes": (osm(
+        '<node id="1" version="3" user="a &amp; b" lat="40.0" lon="-3.0" visible="true"/>',
+        node("2", "40.001"), drivable_way()), "bytes"),
+    "reordered_attributes": (
+        osm('<node lon="-3.0" lat="40.0" id="1"/>', node("2", "40.001"),
+            '<way version="1" id="5"><nd ref="1"/><nd ref="2"/>'
+            '<tag v="residential" k="highway"/></way>'), "bytes"),
+    "plus_sign": (osm(node("1", "+40.1"), node("2"), drivable_way()), "events"),
+    "exponent": (osm(node("1", "1e1"), node("2"), drivable_way()), "events"),
+    "repr_17_digits": (osm_doc({"1": (40.44612345678901, -3.6952000000000003), "2": (40.5, -3.7)},
+                               [("5", ["1", "2"], {"highway": "residential"})]), "events"),
+    "leading_zero_id": (osm(node("007"), node("2"), way("5", ["007", "2"], DRIVABLE)), "events"),
+    "letter_id": (osm(node("a1"), node("2"), way("5", ["a1", "2"], DRIVABLE)), "events"),
+    "negative_id": (osm(node("-5"), node("2"), way("5", ["-5", "2"], DRIVABLE)), "events"),
+    "duplicate_node_ids": (EDGE_CASES["duplicate_node_ids"], "events"),
+    "lookalike_names": (
+        osm(NODES, '<nodes id="9" lat="1" lon="2"/>',
+            way("5", ["1", "2"], DRIVABLE + '<nd2 ref="3"/><tags k="oneway" v="yes"/>')), "bytes"),
+}
+
+
+@pytest.mark.parametrize("data, path", GATE_CASES.values(), ids=GATE_CASES.keys())
+def test_gate_case_parses_the_same_on_its_path(monkeypatch, data, path):
+    got, taken = path_taken(monkeypatch, data)
+    assert got == outcome(parse_osm_extract_etree, data)
+    assert taken == path
+
+
+def test_byte_path_holds_less_memory_than_the_node_dict(tmp_path):
+    # the element-handler parse peaks at what it keeps, every node as a
+    # dict entry of a tuple of two floats and every ref as a new string:
+    # 317 bytes per node of this extract; the byte path keeps the flat
+    # form and peaks at 249
+    data = bench_city(tmp_path, 50)
+    tracemalloc.start()
+    try:
+        raw = parse_osm_extract(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert raw.arrays is not None and len(raw.arrays.node_ids) == 17_200
+    assert peak < 280 * 17_200

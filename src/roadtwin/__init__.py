@@ -6,6 +6,17 @@ to an unsensed target (by road-network feature embeddings) and
 synthesizes the target's daily flow from it.
 """
 
+import os
+
+# No roadtwin code makes a BLAS call (tests/test_dependencies.py scans for
+# one), yet OpenBLAS starts one worker thread per CPU when numpy loads.
+# With one thread a fresh `import roadtwin.cli` took 179 ms instead of
+# 244 ms (medians of 30 alternated runs on 2 shared x86-64 vCPUs, numpy
+# 2.4; the CPU time saved is steady, the wall time saved varies with the
+# machine's load). This must run before any submodule imports numpy; a
+# value the user has set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .config import PipelineConfig, load_config
 from .embedding import (
     EMBEDDING_DIMS,

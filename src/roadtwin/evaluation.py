@@ -19,7 +19,7 @@ from .embedding import RoadEmbedding
 from .errors import ArgumentError, AvailabilityError, DomainError
 from .generation import GeneratedDay
 from .selection import SelectionResult, select_by_embedding, select_by_geography
-from .traffic_data import TrafficProfile, TrafficSeries, slice_day
+from .traffic_data import TrafficProfile, TrafficSeries, slice_days
 
 # critical values of the studentized-range-based Nemenyi statistic at
 # alpha = 0.05, by number of compared methods (k = 2 is derived from
@@ -31,11 +31,15 @@ def rmse(observed: Sequence[float], predicted: Sequence[float]) -> float:
     """Root mean squared error between two equal-length vectors."""
     a = np.asarray(observed, dtype=float)
     b = np.asarray(predicted, dtype=float)
+    _check_day_shapes(a, b)
+    return float(np.sqrt(np.mean((a - b) ** 2)))
+
+
+def _check_day_shapes(a: np.ndarray, b: np.ndarray) -> None:
     if a.shape != b.shape or a.ndim != 1:
         raise ArgumentError(f"shape mismatch: {a.shape} vs {b.shape}")
     if a.size == 0:
         raise ArgumentError("rmse of empty vectors is undefined")
-    return float(np.sqrt(np.mean((a - b) ** 2)))
 
 
 def nrmse(observed, predicted, mean_flow: float) -> float:
@@ -45,9 +49,13 @@ def nrmse(observed, predicted, mean_flow: float) -> float:
 
 def normalize_rmse(error: float, mean_flow: float) -> float:
     """An RMSE divided by the target's mean weekday flow, which must be positive."""
+    _check_mean_flow(mean_flow)
+    return error / mean_flow
+
+
+def _check_mean_flow(mean_flow: float) -> None:
     if mean_flow <= 0:
         raise DomainError(f"mean flow must be positive to normalize, got {mean_flow}")
-    return error / mean_flow
 
 
 # ---------------------------------------------------------------------------
@@ -358,15 +366,24 @@ def generation_benchmark(
     if not dates:
         raise DomainError(f"target {target.sensor_id!r} has no complete days to score")
     methods = sorted(generators)  # column order independent of caller dict order
-    table = np.full((len(dates), len(methods)), np.nan)
+    real = slice_days(target, dates)
+    # one (days x slots) block per method; a row stays NaN where the
+    # generator has no day, and so does that row's score
+    blocks = np.full((len(methods),) + real.shape, np.nan)
     for i, d in enumerate(dates):
-        real = slice_day(target, d)
         for j, name in enumerate(methods):
             try:
                 generated = generators[name](d)
             except AvailabilityError:
                 continue
-            table[i, j] = nrmse(real, generated.values, mean_flow)
+            values = np.asarray(generated.values, dtype=float)
+            _check_day_shapes(real[i], values)
+            _check_mean_flow(mean_flow)
+            blocks[j, i] = values
+    # per row this is nrmse's arithmetic, and bit for bit its result
+    table = np.empty((len(dates), len(methods)))
+    for j, block in enumerate(blocks):
+        table[:, j] = np.sqrt(np.mean((real - block) ** 2, axis=1)) / mean_flow
     return GenerationErrorTable(
         target_id=target.sensor_id, methods=methods, dates=dates, nrmse=table
     )

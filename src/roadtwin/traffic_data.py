@@ -566,6 +566,16 @@ def slice_day(series: TrafficSeries, d: date) -> np.ndarray:
     return series.flows[idx].copy()
 
 
+def slice_days(series: TrafficSeries, dates: list[date]) -> np.ndarray:
+    """(days x slots) flows of complete days; raises slice_day's error for the first that is not."""
+    rows = np.array([(d - series.start_date).days for d in dates], dtype=np.int64)
+    bad = (rows < 0) | (rows >= series.n_days)
+    bad[~bad] = (series.quality[rows[~bad]] == QUALITY_MISSING).any(axis=1)
+    if bad.any():
+        slice_day(series, dates[int(np.argmax(bad))])
+    return series.flows[rows]
+
+
 def mean_weekday_flow(
     series: TrafficSeries, holidays: HolidayCalendar | None = None
 ) -> float:

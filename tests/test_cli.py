@@ -7,6 +7,8 @@ stderr, and the files written to the output directory.
 import json
 import math
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -511,6 +513,24 @@ def test_profile_unknown_sensor_exits_2(tmp_path):
 # ---------------------------------------------------------------------------
 # synthesize / evaluate
 # ---------------------------------------------------------------------------
+
+def readme_command(subcommand, out_root):
+    """argv of the README's ``roadtwin <subcommand>`` example, its ``out*`` paths under ``out_root``."""
+    with open(os.path.join(FIXTURE_DIR, "..", "..", "README.md"), encoding="utf-8") as fh:
+        text = fh.read().replace("\\\n", " ")
+    line = re.search(rf"^roadtwin {subcommand} .*$", text, re.M).group(0)
+    return [CONFIG if a == "fixtures/minicity/config.json"
+            else str(out_root / a) if a.startswith("out") else a
+            for a in shlex.split(line)[1:]]
+
+
+def test_readme_synthesize_then_evaluate_example_runs(tmp_path):
+    for subcommand in ("synthesize", "evaluate"):
+        proc = run_cli(*readme_command(subcommand, tmp_path))
+        assert proc.returncode == 0, proc.stderr
+    assert os.path.isfile(tmp_path / "out" / "generated_days.csv")
+    assert os.listdir(tmp_path / "out2")
+
 
 def test_synthesize_exact_class_no_fallback(tmp_path):
     out = tmp_path / "out"

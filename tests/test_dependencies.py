@@ -113,3 +113,63 @@ def test_subcommands_load_no_numpy_ma(tmp_path, argv):
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-1] == "0 []"
+
+
+def _import_roadtwin_report(env_value):
+    """OPENBLAS_NUM_THREADS and the thread count of a fresh interpreter after ``import roadtwin``."""
+    probe = (
+        "import os\n"
+        "import roadtwin\n"
+        "threads = None\n"
+        "if os.path.exists('/proc/self/status'):\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        threads = [int(l.split()[1]) for l in fh if l.startswith('Threads:')][0]\n"
+        "print(os.environ.get('OPENBLAS_NUM_THREADS'), threads)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(ROOT, "src") + os.pathsep + env.get("PYTHONPATH", "")
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if env_value is not None:
+        env["OPENBLAS_NUM_THREADS"] = env_value
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    value, threads = out.stdout.split()
+    return value, None if threads == "None" else int(threads)
+
+
+def test_import_defaults_openblas_to_one_thread():
+    value, threads = _import_roadtwin_report(None)
+    assert value == "1"
+    if threads is not None:
+        assert threads == 1
+
+
+def test_import_keeps_a_user_set_openblas_thread_count():
+    value, _ = _import_roadtwin_report("3")
+    assert value == "3"
+
+
+BLAS_NAMES = {"dot", "matmul", "einsum", "inner", "tensordot", "vdot", "linalg"}
+
+
+def test_package_makes_no_blas_call():
+    # the one-thread OpenBLAS default in roadtwin/__init__.py costs nothing
+    # only while no code reaches BLAS; a new use has to revisit that default
+    found = []
+    for name in sorted(os.listdir(PACKAGE_DIR)):
+        if not name.endswith(".py"):
+            continue
+        path = os.path.join(PACKAGE_DIR, name)
+        with open(path, "r", encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.MatMult):
+                found.append((name, "@"))
+            elif isinstance(node, ast.Attribute) and node.attr in BLAS_NAMES:
+                found.append((name, node.attr))
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                parts = {p for a in node.names for p in a.name.split(".")}
+                parts |= set((getattr(node, "module", None) or "").split("."))
+                found.extend((name, p) for p in sorted(parts & BLAS_NAMES))
+    assert found == []

@@ -27,7 +27,7 @@ from roadtwin.evaluation import (
     tally_selection,
 )
 from roadtwin.generation import GeneratedDay
-from roadtwin.traffic_data import daily_profile, mean_weekday_flow
+from roadtwin.traffic_data import daily_profile, mean_weekday_flow, slice_day
 
 err_matrix = st.lists(
     st.lists(st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
@@ -450,6 +450,58 @@ def test_generation_benchmark_dates_default_to_complete_days():
 
     table = generation_benchmark(target, 100.0, {"m": perfect})
     assert table.dates == [MONDAY]
+
+
+def test_generation_benchmark_scores_as_a_per_day_nrmse_loop():
+    rng = np.random.default_rng(18)
+    days = [MONDAY + timedelta(days=i) for i in range(60)]
+    target = make_series({d: rng.uniform(0.0, 900.0, 96) for d in days})
+    outputs = {m: {d: rng.uniform(0.0, 900.0, 96) for d in days if rng.random() > 0.2}
+               for m in ("a", "b", "c")}
+
+    def gen(m):
+        def one(d):
+            if d not in outputs[m]:
+                raise AvailabilityError("no day")
+            return GeneratedDay(d, m, outputs[m][d])
+        return one
+
+    mean_flow = 437.3
+    table = generation_benchmark(target, mean_flow, {m: gen(m) for m in "cab"})
+    want = np.full((len(days), 3), np.nan)
+    for i, d in enumerate(days):
+        for j, m in enumerate("abc"):
+            if d in outputs[m]:
+                want[i, j] = nrmse(slice_day(target, d), outputs[m][d], mean_flow)
+    assert np.isnan(want).any()
+    assert (np.isnan(table.nrmse) == np.isnan(want)).all()
+    assert (table.nrmse[~np.isnan(want)] == want[~np.isnan(want)]).all()
+
+
+def test_generation_benchmark_keeps_the_per_day_errors():
+    days = [MONDAY + timedelta(days=i) for i in range(3)]
+    target = make_series({d: 100.0 for d in days})
+
+    def short(d):
+        return GeneratedDay(d, "short", np.full(95, 100.0))
+
+    def flat(d):
+        return GeneratedDay(d, "flat", np.full(96, 100.0))
+
+    with pytest.raises(ArgumentError, match=r"shape mismatch: \(96,\) vs \(95,\)"):
+        generation_benchmark(target, 100.0, {"short": short})
+    with pytest.raises(DomainError, match="mean flow must be positive"):
+        generation_benchmark(target, 0.0, {"flat": flat})
+    # the first date the target lacks names itself as slice_day names it
+    gappy = make_series({days[0]: 100.0, days[2]: 100.0})
+    wanted = days + [days[2] + timedelta(days=1)]
+    with pytest.raises(AvailabilityError) as got:
+        generation_benchmark(gappy, 100.0, {"flat": flat}, dates=wanted)
+    with pytest.raises(AvailabilityError) as direct:
+        slice_day(gappy, days[1])
+    assert str(got.value) == str(direct.value)
+    with pytest.raises(AvailabilityError, match="outside the recorded span"):
+        generation_benchmark(gappy, 100.0, {"flat": flat}, dates=[days[0], wanted[-1]])
 
 
 def test_error_table_all_nan_method_stats():

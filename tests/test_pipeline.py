@@ -1,4 +1,6 @@
 import os
+import tracemalloc
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
@@ -159,6 +161,31 @@ def test_load_traffic_dir_rejects_cross_file_duplicates(tmp_path, minicity_dir):
     cfg = PipelineConfig(traffic_dir=str(tdir))
     with pytest.raises(FormatError, match="s1"):
         load_traffic_dir(cfg)
+
+
+def test_load_traffic_dir_holds_one_file_uncleaned_at_a_time(tmp_path):
+    # cleaning every series only after the last file was read held all the
+    # raw arrays beside the cleaned ones: about twice the result's bytes
+    tdir = tmp_path / "traffic"
+    tdir.mkdir()
+    start = date(2019, 1, 7)
+    for k in reversed(range(40)):
+        rows = ["sensor_id,timestamp,flow"]
+        for i in range(20):
+            day = (start + timedelta(days=i)).isoformat()
+            rows.extend(f"s{k:02d},{day}T{m // 60:02d}:{m % 60:02d}:00,{(7 * i + m + k) % 300 + 1}"
+                        for m in range(0, 1440, 15))
+        (tdir / f"s{k:02d}.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    file_bytes = max(os.path.getsize(p) for p in tdir.iterdir())
+    tracemalloc.start()
+    try:
+        series, stats = load_traffic_dir(PipelineConfig(traffic_dir=str(tdir)).validate())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert list(series) == list(stats) == [f"s{k:02d}" for k in range(40)]
+    held = sum(s.flows.nbytes + s.quality.nbytes for s in series.values())
+    assert peak < held + 8 * file_bytes
 
 
 def test_load_traffic_dir_requires_csv_files(tmp_path):

@@ -2,9 +2,11 @@
 
 The CLI maps these onto exit codes: input/format problems exit with 2,
 domain problems (valid input, undefined result) with 3, and anything
-else with 4.  Every input file is read through :func:`read_bytes` or
-:func:`read_text`, so an unreadable or non-UTF-8 file is an input error.
+else with 4.  Every input file is read through :func:`read_bytes`,
+:func:`source_bytes` or :func:`read_text`, so an unreadable or non-UTF-8
+file is an input error.
 """
+import os
 
 
 class RoadTwinError(Exception):
@@ -59,6 +61,19 @@ def read_bytes(path, what: str) -> bytes:
             return fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {what}: {exc}") from exc
+
+
+def source_bytes(source, what: str) -> bytes:
+    """``source`` itself when it is bytes, else the bytes of the file at
+    the path ``source`` (see :func:`read_bytes`).
+
+    Any other type is an ``ArgumentError`` naming ``what``.
+    """
+    if isinstance(source, bytes):
+        return source
+    if isinstance(source, (str, os.PathLike)):
+        return read_bytes(source, what)
+    raise ArgumentError(f"unsupported {what} source type: {type(source).__name__}")
 
 
 def utf8_text(data: bytes, name: str) -> str:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import os
 import re
 from bisect import bisect_left
 from xml.parsers import expat
@@ -26,7 +25,7 @@ from .errors import (
     FormatError,
     ParseError,
     StructuralError,
-    read_bytes,
+    source_bytes,
 )
 from .geo import EARTH_RADIUS_M, coordinate_problem, haversine_m, haversine_m_array
 from .road_graph import Edge, HighwayClass, RoadGraph
@@ -46,7 +45,7 @@ DEFAULT_SPEED_KPH = {
 MPH_TO_KPH = 1.609344
 
 # way tags worth keeping once the class filter has passed
-_KEEP_TAGS = ("highway", "maxspeed", "lanes", "oneway", "name")
+_KEEP_TAGS = ("highway", "maxspeed", "lanes", "oneway")
 
 _NUM_RE = re.compile(r"[-+]?\d+(?:\.\d+)?")
 
@@ -62,9 +61,9 @@ class Way:
         return HighwayClass(self.tags["highway"])
 
 
-@dataclass
-class ExtractArrays:
-    """The flat form of a parsed extract, from which :class:`MapIndex` is built.
+@dataclass(eq=False)
+class RawRoadData:
+    """A parsed extract, flat: every node, plus the drivable ways only.
 
     - ``node_ids``, ``lat``, ``lon``: the extract's nodes as rows, in
       file order (float64 coordinates).
@@ -72,6 +71,12 @@ class ExtractArrays:
       *occurrence*, the node lists of the ways laid end to end; row
       ``len(node_ids)`` stands for an id no node element defines.
     - ``way_start``: the first occurrence of each way, then the total.
+    - ``ways``: the drivable ways, in file order.
+
+    ``index`` is the :class:`MapIndex` built from these on first use and
+    kept for the object's lifetime, so every :func:`build_graph` call and
+    :class:`RadiusView` on one extract shares it.  Treat every field as
+    read-only: the index does not see later changes.
     """
 
     node_ids: list[str]
@@ -80,10 +85,11 @@ class ExtractArrays:
     occ_id: list[str]
     occ_node: np.ndarray
     way_start: np.ndarray
+    ways: list[Way]
 
     @classmethod
-    def of(cls, nodes: dict[str, tuple[float, float]], ways: list[Way]) -> "ExtractArrays":
-        """The flat form of a node dict and way list."""
+    def of(cls, nodes: dict[str, tuple[float, float]], ways: list[Way]) -> "RawRoadData":
+        """The extract of a node dict (id -> ``(lat, lon)``) and a way list."""
         node_ids = list(nodes)
         row = dict(zip(node_ids, range(len(node_ids))))
         latlon = np.array(list(nodes.values()), dtype=float).reshape(-1, 2)
@@ -92,50 +98,12 @@ class ExtractArrays:
         # fewer than 2**31 nodes or occurrences
         occ_node = np.array([row.get(nid, len(row)) for nid in occ_id], dtype=np.int32)
         way_start = np.cumsum([0] + [len(way.node_ids) for way in ways])
-        return cls(node_ids, latlon[:, 0].copy(), latlon[:, 1].copy(), occ_id, occ_node, way_start)
-
-
-class RawRoadData:
-    """Parsed extract: every node, plus the drivable ways only.
-
-    ``nodes`` maps every node id to its ``(lat, lon)`` in file order, and
-    ``ways`` holds the drivable ways in file order.  ``arrays`` is the
-    same extract in its flat form, :class:`ExtractArrays`.  Give
-    ``nodes`` or ``arrays``: the other is made from it on first read (a
-    parse of the bytes gives ``arrays``, so no command that only reads
-    the index ever builds the node dict).  ``index`` is the
-    :class:`MapIndex` built from ``arrays`` on first use and kept for
-    the object's lifetime, so every :func:`build_graph` call and
-    :class:`RadiusView` on one extract shares it.  Treat ``nodes`` and
-    ``ways`` as read-only: neither the flat form nor the index sees
-    later changes.
-    """
-
-    def __init__(
-        self,
-        nodes: dict[str, tuple[float, float]] | None,
-        ways: list[Way],
-        arrays: ExtractArrays | None = None,
-    ):
-        # a value given here shadows the cached property of that name
-        if nodes is not None:
-            self.nodes = nodes
-        if arrays is not None:
-            self.arrays = arrays
-        self.ways = ways
-
-    @cached_property
-    def nodes(self) -> dict[str, tuple[float, float]]:
-        arrays = self.arrays
-        return dict(zip(arrays.node_ids, zip(arrays.lat.tolist(), arrays.lon.tolist())))
-
-    @cached_property
-    def arrays(self) -> ExtractArrays:
-        return ExtractArrays.of(self.nodes, self.ways)
+        return cls(node_ids, latlon[:, 0].copy(), latlon[:, 1].copy(), occ_id, occ_node,
+                   way_start, ways)
 
     @cached_property
     def index(self) -> "MapIndex":
-        return MapIndex(self.arrays)
+        return MapIndex(self)
 
 
 # the prefilter's numpy haversine is trusted this far from the radius;
@@ -180,25 +148,25 @@ class MapIndex:
     The index holds no segments and no edges: each :class:`RadiusView`
     cuts its own in-radius occurrences into pieces with ``way_of`` and
     ``is_cut`` and builds their edges, so views share pair lengths only.
-    It is built from an :class:`ExtractArrays` and from nothing else:
-    ``occ_id``, ``occ_node`` and ``way_start`` are that form's own.
+    It is built from a :class:`RawRoadData` and from nothing else:
+    ``occ_id``, ``occ_node`` and ``way_start`` are the extract's own.
     """
 
-    def __init__(self, arrays: ExtractArrays):
-        self.row = dict(zip(arrays.node_ids, range(len(arrays.node_ids))))
+    def __init__(self, raw: RawRoadData):
+        self.row = dict(zip(raw.node_ids, range(len(raw.node_ids))))
         missing = len(self.row)
-        self.lat = np.append(arrays.lat, math.nan)
-        self.lon = np.append(arrays.lon, math.nan)
+        self.lat = np.append(raw.lat, math.nan)
+        self.lon = np.append(raw.lon, math.nan)
         # NaN compares false, so a NaN coordinate is off the globe too
-        off_globe = ~((np.abs(arrays.lat) <= 90.0) & (np.abs(arrays.lon) <= 180.0))
+        off_globe = ~((np.abs(raw.lat) <= 90.0) & (np.abs(raw.lon) <= 180.0))
         if off_globe.any():
             r = int(off_globe.argmax())
-            problem = coordinate_problem(arrays.lat[r].item(), arrays.lon[r].item())
-            raise FormatError(f"node {arrays.node_ids[r]}: {problem}")
+            problem = coordinate_problem(raw.lat[r].item(), raw.lon[r].item())
+            raise FormatError(f"node {raw.node_ids[r]}: {problem}")
 
-        self.occ_id = arrays.occ_id
-        self.occ_node = arrays.occ_node
-        self.way_start = arrays.way_start
+        self.occ_id = raw.occ_id
+        self.occ_node = raw.occ_node
+        self.way_start = raw.way_start
         self.way_of = np.repeat(
             np.arange(self.way_start.size - 1, dtype=np.int32), np.diff(self.way_start)
         )
@@ -268,14 +236,6 @@ class MapIndex:
         return lengths
 
 
-def _as_bytes(source) -> bytes:
-    if isinstance(source, bytes):
-        return source
-    if isinstance(source, (str, os.PathLike)):
-        return read_bytes(source, "OSM extract")
-    raise ArgumentError(f"unsupported OSM source type: {type(source).__name__}")
-
-
 def parse_osm_extract(source) -> RawRoadData:
     """Parse OSM XML bytes (or a file path) into :class:`RawRoadData`.
 
@@ -287,8 +247,8 @@ def parse_osm_extract(source) -> RawRoadData:
 
     One expat pass with no element handlers judges the XML first.  A
     document in canonical form (see :func:`_parse_canonical`) is then
-    read in array passes over its bytes, straight into the flat form
-    the map index is built from; any other document is streamed through
+    read in array passes over its bytes, straight into the arrays of
+    :class:`RawRoadData`; any other document is streamed through
     expat's element handlers.  Both give the same nodes, ways and errors.
 
     Raises ``ParseError`` with the byte index on malformed XML (including
@@ -297,7 +257,7 @@ def parse_osm_extract(source) -> RawRoadData:
     number ``float`` reads from ASCII text without underscores), then
     ``StructuralError`` when a retained way references a missing node.
     """
-    data = _as_bytes(source)
+    data = source_bytes(source, "OSM extract")
     _expat_parse(data)
     return _parse_canonical(data) or _parse_events(data)
 
@@ -401,7 +361,7 @@ def _parse_events(data: bytes) -> RawRoadData:
                 raise StructuralError(
                     f"way {way.way_id} references missing node {ref}"
                 )
-    return RawRoadData(nodes=nodes, ways=ways)
+    return RawRoadData.of(nodes, ways)
 
 
 _MAX_ID_DIGITS = 18  # every such id fits an int64
@@ -682,7 +642,7 @@ def _parse_canonical(data: bytes) -> RawRoadData | None:
         Way(way_id, occ_id[a:b], way_tags)
         for way_id, way_tags, a, b in zip(way_ids, tags, bounds[:-1], bounds[1:])
     ]
-    return RawRoadData(None, ways, ExtractArrays(node_ids, lat, lon, occ_id, occ_node, way_start))
+    return RawRoadData(node_ids, lat, lon, occ_id, occ_node, way_start, ways)
 
 
 def parse_maxspeed_kph(value: str | None) -> float | None:

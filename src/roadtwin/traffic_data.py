@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import io
-import os
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
 
@@ -20,8 +19,8 @@ from .errors import (
     AvailabilityError,
     DomainError,
     FormatError,
-    read_bytes,
     read_text,
+    source_bytes,
     utf8_text,
 )
 
@@ -377,25 +376,21 @@ def _parse_canonical(data: bytes, interval_min: int) -> dict[str, TrafficSeries]
 def load_traffic_csv(source, interval_min: int = 15) -> dict[str, TrafficSeries]:
     """Load a ``sensor_id,timestamp,flow`` CSV that may combine several sensors.
 
-    ``source`` is a file path, or the file's bytes or text.  Timestamps
-    must be naive ISO-8601 on the interval grid; grid slots absent from
-    the file become missing.  An empty sensor id or a timestamp repeated
-    for one sensor raises ``FormatError`` naming its row; a file that is
-    not UTF-8 raises ``ParseError``.  Canonical files are parsed in
+    ``source`` is a file path or the file's bytes.  Timestamps must be
+    naive ISO-8601 on the interval grid; grid slots absent from the file
+    become missing.  An empty sensor id or a timestamp repeated for one
+    sensor raises ``FormatError`` naming its row; a file that is not
+    UTF-8 raises ``ParseError``.  Canonical files are parsed in
     whole-array passes on their bytes; any other file, valid or not,
     goes through the row loop, which keeps every error message and row
     number.
     """
-    if isinstance(source, (str, os.PathLike)) and "\n" not in str(source):
-        name, data = str(source), read_bytes(source, f"traffic CSV {source}")
-    elif isinstance(source, bytes):
-        name, data = "traffic CSV", source
-    else:
-        name, data = "traffic CSV", str(source).encode()
+    data = source_bytes(source, "traffic CSV")
     if 1440 % interval_min != 0:
         raise ArgumentError(f"interval {interval_min} does not divide 1440 minutes")
     if not data.isascii():
-        utf8_text(data, name)  # raises on the first byte that is not UTF-8
+        # raises on the first byte that is not UTF-8
+        utf8_text(data, "traffic CSV" if isinstance(source, bytes) else str(source))
     by_sensor = _parse_canonical(data, interval_min) or _parse_rows(data.decode(), interval_min)
     return dict(sorted(by_sensor.items()))
 

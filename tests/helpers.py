@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from datetime import date, timedelta
 
 import numpy as np
@@ -137,6 +138,44 @@ def osm_doc(nodes, ways):
     return "\n".join(parts).encode("utf-8")
 
 
+def node_coords(raw: RawRoadData) -> dict[str, tuple[float, float]]:
+    """Every node of an extract, id -> ``(lat, lon)``, in file order."""
+    return dict(zip(raw.node_ids, zip(raw.lat.tolist(), raw.lon.tolist())))
+
+
+# Rewriters of a parsed canonical extract: each writes the same road
+# network as another document, which must give the same features.
+
+def shuffled_ways_doc(raw: RawRoadData, seed=0) -> bytes:
+    """The extract with its ways in a seeded random order."""
+    ways = [(w.way_id, w.node_ids, w.tags) for w in raw.ways]
+    random.Random(seed).shuffle(ways)
+    return osm_doc(node_coords(raw), ways)
+
+
+def split_at_junctions_doc(raw: RawRoadData) -> bytes:
+    """The extract with each way cut at every inner node that two or more
+    ways pass, one way per junction-to-junction stretch, renumbered."""
+    ways_through = Counter(nid for w in raw.ways for nid in set(w.node_ids))
+    pieces = []
+    for w in raw.ways:
+        start = 0
+        for k in range(1, len(w.node_ids) - 1):
+            if ways_through[w.node_ids[k]] >= 2:
+                pieces.append((w.node_ids[start : k + 1], w.tags))
+                start = k
+        pieces.append((w.node_ids[start:], w.tags))
+    ways = [(str(i), refs, tags) for i, (refs, tags) in enumerate(pieces, 1)]
+    return osm_doc(node_coords(raw), ways)
+
+
+def commented_doc(data: bytes) -> bytes:
+    """The document with a comment after its XML declaration, which takes
+    it out of canonical form and so through the element handlers."""
+    end = data.index(b"?>") + 2
+    return data[:end] + b"\n<!-- rewritten -->" + data[end:]
+
+
 def grid_extract(n=14, spacing_m=110.0, bends=2, seed=7) -> RawRoadData:
     """n x n junction grid of map-spanning ways with bend nodes between junctions.
 
@@ -189,7 +228,7 @@ def grid_extract(n=14, spacing_m=110.0, bends=2, seed=7) -> RawRoadData:
             ways.append(Way(f"v{i}", refs, tags(i)))
     loop = ["j2_2", "j2_3", "j3_3", "j3_2", "j2_2"]
     ways.append(Way("loop", loop, {"highway": "residential"}))
-    return RawRoadData(nodes=nodes, ways=ways)
+    return RawRoadData.of(nodes, ways)
 
 
 def tangled_extract() -> RawRoadData:
@@ -218,7 +257,7 @@ def tangled_extract() -> RawRoadData:
         # h is on this way only, twice: not a junction
         Way("7", ["a", "g", "h", "i", "j", "h", "e"], {"highway": "secondary"}),
     ]
-    return RawRoadData(nodes=nodes, ways=ways)
+    return RawRoadData.of(nodes, ways)
 
 
 def shapes_extract():
@@ -320,4 +359,4 @@ def shapes_extract():
         "hub": pos(-150.0, 4.0),
         "hook": pos(550.0, -1040.0),
     }
-    return RawRoadData(nodes=nodes, ways=ways), probes
+    return RawRoadData.of(nodes, ways), probes

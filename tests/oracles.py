@@ -53,6 +53,7 @@ from itertools import count
 
 import numpy as np
 
+from helpers import node_coords
 from roadtwin.errors import (
     ArgumentError,
     DomainError,
@@ -459,7 +460,7 @@ def parse_osm_extract_etree(data: bytes) -> RawRoadData:
                 raise StructuralError(
                     f"way {way.way_id} references missing node {ref}"
                 )
-    return RawRoadData(nodes=nodes, ways=ways)
+    return RawRoadData.of(nodes, ways)
 
 
 # ---------------------------------------------------------------------------
@@ -495,9 +496,10 @@ def build_graph_full_scan(
     """
     if radius_m <= 0:
         raise ArgumentError(f"radius must be positive, got {radius_m}")
+    coords = node_coords(raw)
     in_radius = {
         nid
-        for nid, (lat, lon) in raw.nodes.items()
+        for nid, (lat, lon) in coords.items()
         if haversine_m(center[0], center[1], lat, lon) <= radius_m
     }
 
@@ -533,15 +535,15 @@ def build_graph_full_scan(
             seg_len = 0.0
             for i in range(1, len(run)):
                 a, b = run[i - 1], run[i]
-                seg_len += haversine_m(*raw.nodes[a], *raw.nodes[b])
+                seg_len += haversine_m(*coords[a], *coords[b])
                 is_cut = i == len(run) - 1 or way_count.get(run[i], 0) >= 2
                 if not is_cut:
                     continue
                 src, dst = run[seg_start], run[i]
                 if src != dst and seg_len > 0.0:
                     travel_time = seg_len / (speed / 3.6)
-                    nodes[src] = raw.nodes[src]
-                    nodes[dst] = raw.nodes[dst]
+                    nodes[src] = coords[src]
+                    nodes[dst] = coords[dst]
                     edges.append(Edge(src, dst, seg_len, speed, travel_time, cls, lanes))
                     if not oneway:
                         edges.append(Edge(dst, src, seg_len, speed, travel_time, cls, lanes))

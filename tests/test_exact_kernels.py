@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import FIXTURE_DIR
-from helpers import LAT0, LON0, east_of, grid_extract, north_of, shapes_extract
+from helpers import LAT0, LON0, east_of, grid_extract, node_coords, north_of, shapes_extract
 from oracles import betweenness_dicts, within_full_scan
 from roadtwin.config import PipelineConfig
 from roadtwin.embedding import betweenness
@@ -134,14 +134,14 @@ def test_within_equals_full_scan_on_minicity(minicity_raw, radius_m):
 def test_within_equals_full_scan_on_generated_grid():
     raw = grid_extract()
     rng = random.Random(5)
-    lats = [c[0] for c in raw.nodes.values()]
-    lons = [c[1] for c in raw.nodes.values()]
+    lats, lons = raw.lat.tolist(), raw.lon.tolist()
     for _ in range(40):
         center = (rng.uniform(min(lats), max(lats)), rng.uniform(min(lons), max(lons)))
         assert_same_mask(raw, center, rng.uniform(150.0, 4000.0))
+    coords = node_coords(raw)
     for nid in ("j0_0", "j7_7", "j13_13"):
         for radius_m in RADII_M:
-            assert_same_mask(raw, raw.nodes[nid], radius_m)
+            assert_same_mask(raw, coords[nid], radius_m)
 
 
 def test_within_keeps_rows_at_the_edge_of_the_band():
@@ -154,7 +154,7 @@ def test_within_keeps_rows_at_the_edge_of_the_band():
         dist = rng.uniform(150.0, 4000.0)
         nodes[f"c{k}"] = (lat0, LON0)
         nodes[f"x{k}"] = (north_of(lat0, dist if k % 2 else -dist), LON0)
-    raw = RawRoadData(nodes=nodes, ways=[])
+    raw = RawRoadData.of(nodes, [])
     for k in range(300):
         center, node = nodes[f"c{k}"], nodes[f"x{k}"]
         radius_m = haversine_m(*center, *node)
@@ -172,7 +172,7 @@ def test_within_decides_rows_near_the_radius():
         dist = radius_m + (k % 7 - 3) * 3e-4
         lat = north_of(LAT0, dist * math.cos(bearing))
         nodes[f"n{k}"] = (lat, east_of(lat, LON0, dist * math.sin(bearing)))
-    raw = RawRoadData(nodes=nodes, ways=[])
+    raw = RawRoadData.of(nodes, [])
     mask = raw.index.within((LAT0, LON0), radius_m)
     assert 0 < mask.sum() < len(nodes)
     assert_same_mask(raw, (LAT0, LON0), radius_m)
@@ -187,7 +187,7 @@ def test_within_near_the_poles_and_the_antimeridian(lat0, lon0):
         lat = min(90.0, max(-90.0, lat0 + rng.uniform(-0.05, 0.05)))
         lon = lon0 + rng.uniform(-3.0, 3.0) if abs(lat0) > 89.0 else lon0 + rng.uniform(-0.05, 0.05)
         nodes[f"n{k}"] = (lat, (lon + 180.0) % 360.0 - 180.0)
-    raw = RawRoadData(nodes=nodes, ways=[])
+    raw = RawRoadData.of(nodes, [])
     for radius_m in RADII_M:
         assert_same_mask(raw, (lat0, lon0), radius_m)
 
@@ -196,10 +196,10 @@ def test_nodes_and_centers_beyond_the_poles_are_rejected():
     # the latitude band bounds no row beyond the poles, so no such node
     # enters the index and no such center reaches within()
     nodes = {"a": (LAT0, LON0), "b": (95.0, 180.0), "c": (89.99, 0.0), "d": (-91.0, LON0)}
-    raw = RawRoadData(nodes=nodes, ways=[Way("1", ["a", "b"], {"highway": "residential"})])
+    raw = RawRoadData.of(nodes, [Way("1", ["a", "b"], {"highway": "residential"})])
     with pytest.raises(FormatError, match=r"^node b: latitude 95\.0 is not a finite number"):
         raw.index
-    on_globe = RawRoadData(nodes={"a": nodes["a"], "c": nodes["c"]}, ways=[])
+    on_globe = RawRoadData.of({"a": nodes["a"], "c": nodes["c"]}, [])
     for center in [(95.0, 180.0), (-90.5, LON0), (math.nan, LON0), (LAT0, math.inf)]:
         with pytest.raises(ArgumentError, match=r"^radius center: "):
             RadiusView(on_globe, center, 150.0)
@@ -213,11 +213,11 @@ EDGE_COORDINATES = [0.0, math.nan, math.inf, -math.inf]
 
 
 def test_index_and_view_reject_what_coordinate_problem_rejects():
-    on_globe = RawRoadData(nodes={"a": (LAT0, LON0)}, ways=[])
+    on_globe = RawRoadData.of({"a": (LAT0, LON0)}, [])
     for lat in _at_and_beyond(90.0) + EDGE_COORDINATES:
         for lon in _at_and_beyond(180.0) + EDGE_COORDINATES:
             problem = coordinate_problem(lat, lon)
-            raw = RawRoadData(nodes={"a": (LAT0, LON0), "x": (lat, lon)}, ways=[])
+            raw = RawRoadData.of({"a": (LAT0, LON0), "x": (lat, lon)}, [])
             if problem is None:
                 assert raw.index.row["x"] == 1
                 RadiusView(on_globe, (lat, lon), 150.0)

@@ -8,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from helpers import LAT0, LON0, east_of, grid_extract, north_of, tangled_extract
+from helpers import LAT0, LON0, east_of, grid_extract, node_coords, north_of, tangled_extract
 from oracles import build_graph_full_scan
 from roadtwin.errors import ArgumentError, DomainError
 from roadtwin.geo import haversine_m, haversine_m_array
@@ -35,8 +35,7 @@ def test_crop_matches_full_scan_on_minicity(minicity_raw, center, radius_m):
 def test_crop_matches_full_scan_on_generated_grid():
     raw = grid_extract()
     rng = random.Random(3)
-    lats = [c[0] for c in raw.nodes.values()]
-    lons = [c[1] for c in raw.nodes.values()]
+    lats, lons = raw.lat.tolist(), raw.lon.tolist()
     for _ in range(25):
         center = (rng.uniform(min(lats), max(lats)), rng.uniform(min(lons), max(lons)))
         assert_same_graph(raw, center, rng.choice([120.0, 333.0, 700.0, 1500.0]))
@@ -44,8 +43,9 @@ def test_crop_matches_full_scan_on_generated_grid():
 
 def test_node_exactly_on_the_radius():
     raw = grid_extract()
-    center = raw.nodes["j5_5"]
-    radius_m = haversine_m(*center, *raw.nodes["j5_8"])
+    coords = node_coords(raw)
+    center = coords["j5_5"]
+    radius_m = haversine_m(*center, *coords["j5_8"])
     assert "j5_8" in build_graph(raw, center, radius_m).nodes
     assert_same_graph(raw, center, radius_m)
     below = math.nextafter(radius_m, 0.0)
@@ -65,7 +65,7 @@ def test_scalar_haversine_decides_at_the_radius():
     for k in differ[:5].tolist():
         nodes = {"p": (north_of(LAT0, 10.0), LON0), "o": (LAT0, LON0),
                  "x": (lats[k].item(), lons[k].item())}
-        raw = RawRoadData(nodes=nodes, ways=[Way("1", ["p", "o", "x"], {"highway": "residential"})])
+        raw = RawRoadData.of(nodes, [Way("1", ["p", "o", "x"], {"highway": "residential"})])
         assert "x" in build_graph(raw, (LAT0, LON0), scalar[k]).nodes
         assert_same_graph(raw, (LAT0, LON0), scalar[k])
         below = math.nextafter(scalar[k], 0.0)
@@ -75,7 +75,7 @@ def test_scalar_haversine_decides_at_the_radius():
 
 def test_repeated_calls_with_varying_speeds_share_one_index():
     raw = grid_extract()
-    center = raw.nodes["j6_6"]
+    center = node_coords(raw)["j6_6"]
     overrides = [None, {"residential": 45.0}, None, {"residential": 20.0, "primary": 70.0},
                  {"motorway": 110.0, "tertiary": 35.0}, {"residential": 45.0}]
     for k, speeds in enumerate(overrides):
@@ -87,7 +87,7 @@ def test_repeated_calls_with_varying_speeds_share_one_index():
 
 def test_crop_matches_full_scan_on_hand_built_extract():
     raw = tangled_extract()
-    nodes = raw.nodes
+    nodes = node_coords(raw)
     for center in [nodes["a"], nodes["c"], nodes["d"], nodes["h"], (north_of(LAT0, 300), LON0)]:
         for radius_m in [150.0, 210.0, 450.0, 5000.0]:
             try:
@@ -99,7 +99,8 @@ def test_crop_matches_full_scan_on_hand_built_extract():
 
 def test_concurrent_crops_of_a_fresh_extract():
     raw = grid_extract()
-    centers = [raw.nodes[f"j{i}_{j}"] for i in (3, 7, 10) for j in (2, 6, 11)]
+    coords = node_coords(raw)
+    centers = [coords[f"j{i}_{j}"] for i in (3, 7, 10) for j in (2, 6, 11)]
     expected = [graph_to_csv(build_graph_full_scan(raw, c, 600.0)) for c in centers]
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -161,8 +162,7 @@ def test_overlapping_crops_measure_pairs_on_demand(minicity_dir, extract, center
 @pytest.mark.parametrize("extract", ["minicity", "grid"])
 def test_whole_map_crop_leaves_no_pair_unmeasured(minicity_dir, extract):
     raw = fresh_minicity(minicity_dir) if extract == "minicity" else grid_extract()
-    lats = [c[0] for c in raw.nodes.values()]
-    lons = [c[1] for c in raw.nodes.values()]
+    lats, lons = raw.lat.tolist(), raw.lon.tolist()
     center = ((min(lats) + max(lats)) / 2, (min(lons) + max(lons)) / 2)
     assert_same_graph(raw, center, 50_000.0)
     assert not np.isnan(raw.index.pair_len).any()

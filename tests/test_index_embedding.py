@@ -10,14 +10,14 @@ import random
 
 import pytest
 
-from helpers import grid_extract, shapes_extract, tangled_extract
+from helpers import grid_extract, node_coords, shapes_extract, tangled_extract
 from oracles import _insert_central_node_scan, embed_position_radius_graph
 from roadtwin import osm_ingest, pipeline
 from roadtwin.config import DECISIONS, PipelineConfig
 from roadtwin.embedding import UNREACHABLE, build_embedding
 from roadtwin.errors import RoadTwinError
 from roadtwin.geo import LocalProjection, point_segment_projection
-from roadtwin.osm_ingest import RadiusView, build_graph
+from roadtwin.osm_ingest import RadiusView, RawRoadData, build_graph
 from roadtwin.pipeline import SensorSpec, embed_position, embed_sensors, normalize_positions
 from roadtwin.road_graph import (
     RoadGraph, dijkstra_from, ego_graph, index_graph, insert_central_node,
@@ -72,8 +72,7 @@ def assert_same_embedding(raw, cfg, sensor_id, lat, lon, **overrides):
 
 def random_positions(raw, n, seed):
     rng = random.Random(seed)
-    lats = [c[0] for c in raw.nodes.values()]
-    lons = [c[1] for c in raw.nodes.values()]
+    lats, lons = raw.lat.tolist(), raw.lon.tolist()
     return [(rng.uniform(min(lats), max(lats)), rng.uniform(min(lons), max(lons))) for _ in range(n)]
 
 
@@ -172,15 +171,18 @@ def test_errors_keep_their_order_and_messages():
     # a radius with in-radius occurrences but only zero-length or looped
     # pieces has no edge either
     tangled = tangled_extract()
-    for center in (tangled.nodes["f"], tangled.nodes["h"]):
+    coords = node_coords(tangled)
+    for center in (coords["f"], coords["h"]):
         for radius_m in (20.0, 150.0):
             assert_same_embedding(tangled, PipelineConfig(radius_m=radius_m), "x", *center)
     # an OSM node whose id is the virtual node's is already in the graph
     grid = grid_extract()
-    (lat_a, lon_a), (lat_b, lon_b) = grid.nodes["j4_4"], grid.nodes["j4_5"]
-    grid.nodes["site:s"] = grid.nodes.pop("j4_4")
+    coords = node_coords(grid)
+    (lat_a, lon_a), (lat_b, lon_b) = coords["j4_4"], coords["j4_5"]
+    coords["site:s"] = coords.pop("j4_4")
     for way in grid.ways:
         way.node_ids = ["site:s" if n == "j4_4" else n for n in way.node_ids]
+    grid = RawRoadData.of(coords, grid.ways)
     got = assert_same_embedding(grid, PipelineConfig(), "s", (lat_a + lat_b) / 2, (lon_a + lon_b) / 2)
     assert got == ("ArgumentError", "sensor 's' already inserted in this graph")
 
@@ -293,8 +295,9 @@ def test_motorway_beyond_the_radius_normalizes_to_1():
 
 def test_embed_builds_no_graph_beyond_the_ego_graph(monkeypatch):
     raw = grid_extract()
+    coords = node_coords(raw)
     sensors = [SensorSpec(f"s{k}", lat + 1e-4, lon)
-               for k, (lat, lon) in enumerate(raw.nodes[f"j{i}_{j}"] for i, j in
+               for k, (lat, lon) in enumerate(coords[f"j{i}_{j}"] for i, j in
                                               ((2, 3), (6, 6), (9, 4), (11, 11), (4, 12)))]
 
     def forbidden(*args, **kwargs):
@@ -322,4 +325,4 @@ def test_embed_builds_no_graph_beyond_the_ego_graph(monkeypatch):
     assert len(positions) == len(egos) == len(sensors)
     # an embedding builds no RoadGraph, and its ego-graphs stay small
     assert built == []
-    assert max(len(ego.graph.nodes) for ego in egos) < len(raw.nodes) / 4
+    assert max(len(ego.graph.nodes) for ego in egos) < len(raw.node_ids) / 4

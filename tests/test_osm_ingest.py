@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from helpers import east_of, north_of, osm_doc, shapes_extract
+from helpers import east_of, node_coords, north_of, osm_doc, shapes_extract
 from roadtwin.config import PipelineConfig
 from roadtwin.errors import (
     DomainError,
@@ -97,13 +97,13 @@ def test_minicity_way_census(minicity_raw):
         "residential": 3,
     }
     assert len(minicity_raw.ways) == 12  # footway and cycleway dropped
-    assert len(minicity_raw.nodes) == 28
+    assert len(minicity_raw.node_ids) == 28
 
 
 def test_parse_accepts_path_and_bytes(minicity_dir, minicity_raw):
     with open(f"{minicity_dir}/minicity.osm", "rb") as fh:
         from_bytes = parse_osm_extract(fh.read())
-    assert from_bytes.nodes == minicity_raw.nodes
+    assert node_coords(from_bytes) == node_coords(minicity_raw)
     assert len(from_bytes.ways) == len(minicity_raw.ways)
 
 
@@ -136,7 +136,7 @@ def test_nondrivable_ways_dropped():
     doc = osm_doc(nodes, [("1", ["1", "2"], {"highway": "footway"})])
     raw = parse_osm_extract(doc)
     assert raw.ways == []
-    assert len(raw.nodes) == 2
+    assert len(raw.node_ids) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -267,9 +267,10 @@ def test_chord_box_keeps_every_edge_the_snap_can_pick():
     lat, lon = probes["hook"]
     proj = LocalProjection(lat, lon)
     # the bend comes within 100 m of the position, its chord does not
-    assert haversine_m(lat, lon, *raw.nodes["hk1"]) < 100.0
+    coords = node_coords(raw)
+    assert haversine_m(lat, lon, *coords["hk1"]) < 100.0
     chord_m = point_segment_projection(
-        0.0, 0.0, *proj.to_xy(*raw.nodes["s_e"]), *proj.to_xy(*raw.nodes["hk2"])
+        0.0, 0.0, *proj.to_xy(*coords["s_e"]), *proj.to_xy(*coords["hk2"])
     )[1]
     assert 150.0 < chord_m < 170.0
     view = RadiusView(raw, (lat, lon), 2000.0)

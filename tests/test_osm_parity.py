@@ -13,11 +13,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import FIXTURE_DIR
-from helpers import grid_extract, osm_doc
+from helpers import grid_extract, node_coords, osm_doc
 from oracles import parse_osm_extract_etree
 from roadtwin import osm_ingest
 from roadtwin.errors import ParseError
-from roadtwin.osm_ingest import ExtractArrays, parse_osm_extract
+from roadtwin.osm_ingest import parse_osm_extract
 
 DRIVABLE = '<tag k="highway" v="residential"/>'
 
@@ -27,7 +27,7 @@ def outcome(parse, data):
         raw = parse(data)
     except Exception as exc:  # the exception is the result under comparison
         return type(exc), str(exc)
-    return list(raw.nodes.items()), raw.ways
+    return list(node_coords(raw).items()), raw.ways
 
 
 def assert_same_parse(data):
@@ -44,9 +44,10 @@ def test_minicity_parses_the_same():
 
 def test_generated_grid_parses_the_same():
     raw = grid_extract()
-    doc = osm_doc(raw.nodes, [(w.way_id, w.node_ids, w.tags) for w in raw.ways])
+    coords = node_coords(raw)
+    doc = osm_doc(coords, [(w.way_id, w.node_ids, w.tags) for w in raw.ways])
     nodes, ways = assert_same_parse(doc)
-    assert dict(nodes) == raw.nodes and ways == raw.ways
+    assert dict(nodes) == coords and ways == raw.ways
 
 
 def node(nid, lat="40.0", lon="-3.0"):
@@ -272,21 +273,24 @@ def test_bench_city_takes_the_byte_path(tmp_path, monkeypatch):
     want = outcome(parse_osm_extract_etree, data)
     block_fallback(monkeypatch)
     raw = parse_osm_extract(data)
-    assert (list(raw.nodes.items()), raw.ways) == want
+    assert (list(node_coords(raw).items()), raw.ways) == want
     assert len(want[0]) == 12 * 12 + 2 * 12 * 11 * 3 and len(want[1]) == 24  # footways dropped
     # the ways' node ids are the node-id strings themselves
-    first = raw.arrays.node_ids[raw.arrays.occ_node[0]]
+    first = raw.node_ids[raw.occ_node[0]]
     assert raw.ways[0].node_ids[0] is first
 
 
 def test_both_front_ends_give_one_flat_form(tmp_path):
-    raw = parse_osm_extract(bench_city(tmp_path, 6))
-    assert raw.arrays is not None  # the byte path's own form
-    made = ExtractArrays.of(raw.nodes, raw.ways)
-    assert made.node_ids == raw.arrays.node_ids and made.occ_id == raw.arrays.occ_id
-    for name in ("lat", "lon", "occ_node", "way_start"):
-        got, want = getattr(raw.arrays, name), getattr(made, name)
-        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    with open(os.path.join(FIXTURE_DIR, "minicity.osm"), "rb") as fh:
+        documents = [bench_city(tmp_path, 6), fh.read()]
+    for data in documents:
+        got = osm_ingest._parse_canonical(data)
+        want = osm_ingest._parse_events(data)
+        assert got.node_ids == want.node_ids and got.occ_id == want.occ_id
+        for name in ("lat", "lon", "occ_node", "way_start"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert got.ways == want.ways
 
 
 KEPT_TAGS = st.sampled_from([
@@ -346,8 +350,13 @@ GATE_CASES = {
         osm("<node id='1' lat='40.0' lon='-3.0'/>", node("2"), drivable_way()), "events"),
     "single_quoted_value_holding_quotes": (
         osm(NODES, '<node lat="1" lon="2" note=\'x id="5"\'/>'), "events"),
-    "amp_in_a_kept_value": (osm(NODES, drivable_way('<tag k="name" v="A &amp; B"/>')), "events"),
-    "char_ref_in_a_kept_value": (osm(NODES, drivable_way('<tag k="name" v="A &#38; B"/>')), "events"),
+    "amp_in_a_kept_value": (
+        osm(NODES, drivable_way('<tag k="maxspeed" v="A &amp; B"/>')), "events"),
+    "char_ref_in_a_kept_value": (
+        osm(NODES, drivable_way('<tag k="maxspeed" v="A &#38; B"/>')), "events"),
+    # name is not kept, so what its value holds does not matter
+    "amp_in_a_name": (
+        osm(NODES, drivable_way('<tag k="name" v="Smith &amp; Sons Road"/>')), "bytes"),
     "char_ref_in_a_key": (osm(NODES, way("5", ["1", "2"], '<tag k="high&#119;ay" v="primary"/>')),
                           "events"),
     "gt_in_a_value": (osm(NODES, drivable_way('<tag k="name" v="A>B"/>')), "events"),
@@ -370,9 +379,10 @@ GATE_CASES = {
     "prefixed_attribute": (osm('<node xmlns:o="urn:o" o:id="1" lat="1" lon="2"/>'), "events"),
     "cr_line_ends": (osm(NODES, drivable_way()).replace(b"\n", b"\r"), "events"),
     "crlf_line_ends": (osm(NODES, drivable_way()).replace(b"\n", b"\r\n"), "events"),
-    "tab_in_a_kept_value": (osm(NODES, drivable_way('<tag k="name" v="Calle\tMayor"/>')), "events"),
+    "tab_in_a_kept_value": (
+        osm(NODES, drivable_way('<tag k="maxspeed" v="Calle\tMayor"/>')), "events"),
     "newline_in_a_kept_value": (
-        osm(NODES, drivable_way('<tag k="name" v="Calle\nMayor"/>')), "events"),
+        osm(NODES, drivable_way('<tag k="maxspeed" v="Calle\nMayor"/>')), "events"),
     "newline_in_a_coordinate": (osm(NODES, node("4", "\n40.5"), drivable_way()), "events"),
     "latin1_declaration": (EDGE_CASES["latin1_declaration"], "events"),
     "extra_attributes": (osm(
@@ -404,10 +414,10 @@ def test_gate_case_parses_the_same_on_its_path(monkeypatch, data, path):
 
 
 def test_byte_path_holds_less_memory_than_the_node_dict(tmp_path):
-    # the element-handler parse peaks at what it keeps, every node as a
-    # dict entry of a tuple of two floats and every ref as a new string:
-    # 317 bytes per node of this extract; the byte path keeps the flat
-    # form and peaks at 249
+    # the element-handler parse builds every node as a dict entry of a
+    # tuple of two floats and every ref as a new string, then the arrays:
+    # 436 bytes per node of this extract; the byte path writes the arrays
+    # straight away and peaks at 249
     data = bench_city(tmp_path, 50)
     tracemalloc.start()
     try:
@@ -415,5 +425,6 @@ def test_byte_path_holds_less_memory_than_the_node_dict(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert raw.arrays is not None and len(raw.arrays.node_ids) == 17_200
+    assert len(raw.node_ids) == 17_200
+    assert "index" not in vars(raw)  # the parse builds no index
     assert peak < 280 * 17_200

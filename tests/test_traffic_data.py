@@ -1,5 +1,6 @@
 import math
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +27,9 @@ D = date(2019, 1, 7)  # Monday
 
 
 def load_one(source, interval_min=15):
-    """The one series of a single-sensor traffic CSV."""
+    """The one series of a single-sensor traffic CSV, given as text or a path."""
+    if isinstance(source, str):
+        source = source.encode()
     (series,) = load_traffic_csv(source, interval_min).values()
     return series
 
@@ -119,7 +122,7 @@ def test_duplicate_timestamp_is_an_error():
 
 def test_load_traffic_csv_splits_sensors():
     rows = ["b,2019-01-07T00:00:00,2", "a,2019-01-07T00:00:00,1"]
-    series = load_traffic_csv(csv_doc(rows))
+    series = load_traffic_csv(csv_doc(rows).encode())
     assert list(series) == ["a", "b"]
     assert series["a"].flows[0][0] == 1.0
     assert series["b"].flows[0][0] == 2.0
@@ -133,7 +136,7 @@ def test_load_five_minute_grid():
 
 def test_load_missing_file_is_input_error(tmp_path):
     with pytest.raises(InputError):
-        load_one(str(tmp_path / "missing.csv"))
+        load_one(tmp_path / "missing.csv")
 
 
 def test_empty_file_rejected():
@@ -154,7 +157,7 @@ def test_span_of_more_than_50_years_rejected(monkeypatch, form, last):
     else:
         assert traffic_data._parse_canonical(text.encode(), 15) is None
     with pytest.raises(FormatError) as info:
-        load_traffic_csv(text)
+        load_traffic_csv(text.encode())
     assert str(info.value) == f"sensor 'a': rows run from 2019-01-07 to {last}, more than 50 years"
 
 
@@ -162,7 +165,7 @@ def test_row_errors_come_before_span_errors():
     rows = ["a,2019-01-07T00:00:00,1", "a,2119-01-07T00:00:00,1",
             "b,2019-01-07T00:00:00,1", "b,2019-01-07T00:00:00,2"]
     with pytest.raises(FormatError, match="^traffic CSV row 5: duplicate timestamp"):
-        load_traffic_csv(csv_doc(rows))
+        load_traffic_csv(csv_doc(rows).encode())
 
 
 def test_span_limit_is_exact():
@@ -358,7 +361,7 @@ def test_cleaning_idempotent_on_random_series(data):
 
 
 def test_fixture_sensor_cleaning(minicity_dir):
-    s = load_one(f"{minicity_dir}/traffic/s3.csv")
+    s = load_one(Path(minicity_dir) / "traffic" / "s3.csv")
     cleaned, stats = clean_series(s)
     assert stats.total_days == 60
     assert stats.spikes_removed == 1

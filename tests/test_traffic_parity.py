@@ -49,7 +49,7 @@ def outcome(fn, *args, **kwargs):
 
 
 def assert_parse_parity(text, interval_min=15):
-    got = outcome(load_traffic_csv, text, interval_min)
+    got = outcome(load_traffic_csv, text.encode(), interval_min)
     want = outcome(load_traffic_rowwise, text, interval_min)
     assert got == want
     return got
@@ -74,7 +74,7 @@ def test_fixture_files_take_the_array_path_and_match_the_oracle(minicity_dir, mo
             texts.append(fh.read())
     want = [outcome(load_traffic_rowwise, t) for t in texts]
     block_fallback(monkeypatch)
-    assert [outcome(load_traffic_csv, t) for t in texts] == want
+    assert [outcome(load_traffic_csv, t.encode()) for t in texts] == want
     assert all(w[0] == "ok" for w in want)
 
 
@@ -87,7 +87,7 @@ def test_combined_file_groups_rows_per_sensor(monkeypatch):
     text = HEADER + "\n".join(rows) + "\n"
     want = outcome(load_traffic_rowwise, text)
     block_fallback(monkeypatch)
-    got = outcome(load_traffic_csv, text)
+    got = outcome(load_traffic_csv, text.encode())
     assert got == want
     assert [sid for sid, _ in got[1]] == ["a", "b", "c"]
 
@@ -122,7 +122,7 @@ def test_plain_decimal_flows_take_the_array_path(flows):
     assert want[0] == "ok"
     with pytest.MonkeyPatch.context() as mp:
         block_fallback(mp)
-        assert outcome(load_traffic_csv, text) == want
+        assert outcome(load_traffic_csv, text.encode()) == want
 
 
 # forms float() reads that are not plain decimals: the row loop parses them
@@ -145,7 +145,7 @@ def test_multi_byte_ids_are_read_at_byte_offsets(monkeypatch):
     text = HEADER + "\n".join(rows) + "\n"
     want = outcome(load_traffic_rowwise, text)
     block_fallback(monkeypatch)
-    got = outcome(load_traffic_csv, text)
+    got = outcome(load_traffic_csv, text.encode())
     assert got == want
     assert [sid for sid, _ in got[1]] == ["Zürich", "a", "東京"]
 
@@ -157,7 +157,7 @@ def test_an_id_that_extends_the_first_is_another_sensor(monkeypatch, ids):
     text = HEADER + "\n".join(rows) + "\n"
     want = outcome(load_traffic_rowwise, text)
     block_fallback(monkeypatch)
-    got = outcome(load_traffic_csv, text)
+    got = outcome(load_traffic_csv, text.encode())
     assert got == want
     assert [sid for sid, _ in got[1]] == ["s1", "s10"]
 
@@ -335,7 +335,7 @@ def test_mixed_id_parity(rows):
 def test_error_message_names_the_row():
     text = HEADER + GOOD + "\n\na,2019-01-07T00:15:00,-1\n"
     with pytest.raises(FormatError, match=r"^traffic CSV row 4: flow must be finite"):
-        load_traffic_csv(text)
+        load_traffic_csv(text.encode())
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from datetime import date, timedelta
 
 from . import evaluation, generation, pipeline
 from .config import PipelineConfig, load_config
-from .embedding import EMBEDDING_DIMS
+from .embedding import EMBEDDING_DIMS, normalize_pool
 from .errors import ArgumentError, InputError, RoadTwinError
 from .geo import coordinate_problem
 from .osm_ingest import graph_to_csv, build_graph, parse_osm_extract
@@ -177,24 +177,24 @@ def cmd_ingest(args, cfg: PipelineConfig):
     print(f"ingest: {len(graph.nodes)} nodes, {len(graph.edges)} edges -> {cfg.output_dir}")
 
 
-def _embedding_rows(positions):
-    for p in sorted(positions, key=lambda p: p.sensor_id):
-        yield [p.sensor_id, *p.embedding.raw_vector(), *p.embedding.normalized]
+def _embedding_rows(embeddings):
+    for e in sorted(embeddings, key=lambda e: e.sensor_id):
+        yield [e.sensor_id, *e.raw_vector(), *e.normalized]
 
 
 def cmd_embed(args, cfg: PipelineConfig):
     _require(cfg, "osm_path", "sensors_path")
     raw = parse_osm_extract(cfg.osm_path)
     sensors = pipeline.load_sensors(cfg.sensors_path)
-    positions = pipeline.normalize_positions(pipeline.embed_sensors(raw, sensors, cfg))
+    embeddings = normalize_pool(pipeline.embed_sensors(raw, sensors, cfg))
     with OutputStage(cfg.output_dir) as stage:
         write_csv(
             stage.path("embeddings.csv"),
             EMBEDDINGS_HEADER,
-            _embedding_rows(positions),
+            _embedding_rows(embeddings),
             config_hash=cfg.config_hash(),
         )
-    print(f"embed: {len(positions)} embeddings -> {cfg.output_dir}/embeddings.csv")
+    print(f"embed: {len(embeddings)} embeddings -> {cfg.output_dir}/embeddings.csv")
 
 
 def _selection_rows(result):
@@ -209,10 +209,8 @@ def cmd_select(args, cfg: PipelineConfig):
     _require(cfg, "osm_path", "sensors_path")
     raw = parse_osm_extract(cfg.osm_path)
     sensors = pipeline.load_sensors(cfg.sensors_path)
-    target, positions = pipeline.embed_target(raw, sensors, cfg, args.lat, args.lon)
-    emb_res = select_by_embedding(
-        target.embedding, [p.embedding for p in positions], metric=cfg.distance
-    )
+    target, embeddings = pipeline.embed_target(raw, sensors, cfg, args.lat, args.lon)
+    emb_res = select_by_embedding(target, embeddings, metric=cfg.distance)
     geo_res = select_by_geography(
         target.sensor_id, (args.lat, args.lon), [(s.sensor_id, (s.lat, s.lon)) for s in sensors]
     )
@@ -322,9 +320,15 @@ def cmd_evaluate(args, cfg: PipelineConfig):
             raise InputError(f"{args.generated} row {lineno}: bad field count")
         _tid, d_text, method, slot_text, flow_text, _fb = row
         try:
-            grouped.setdefault((d_text, method), {})[int(slot_text)] = float(flow_text)
+            flow, slot = float(flow_text), int(slot_text)
         except ValueError as exc:
             raise InputError(f"{args.generated} row {lineno}: {exc}") from exc
+        slots = grouped.setdefault((d_text, method), {})
+        if slot in slots:
+            raise InputError(
+                f"{args.generated} row {lineno}: slot {slot} of {d_text} ({method}) is repeated"
+            )
+        slots[slot] = flow
 
     out_rows = []
     for (d_text, method), slots in sorted(grouped.items()):
@@ -397,10 +401,8 @@ def cmd_estimate(args, cfg: PipelineConfig):
     d = _parse_date(args.date)
     raw = parse_osm_extract(cfg.osm_path)
     sensors = pipeline.load_sensors(cfg.sensors_path)
-    target, positions = pipeline.embed_target(raw, sensors, cfg, args.lat, args.lon)
-    emb_res = select_by_embedding(
-        target.embedding, [p.embedding for p in positions], metric=cfg.distance
-    )
+    target, embeddings = pipeline.embed_target(raw, sensors, cfg, args.lat, args.lon)
+    emb_res = select_by_embedding(target, embeddings, metric=cfg.distance)
     series, _stats = pipeline.load_traffic_dir(cfg)
     if emb_res.selected_id not in series:
         raise InputError(f"selected sensor {emb_res.selected_id!r} has no traffic series")

@@ -266,7 +266,6 @@ def selection_benchmark(
     ids = [s.sensor_id for s in segments]
     if len(set(ids)) != len(ids):
         raise ArgumentError("duplicate sensor ids in benchmark pool")
-    by_id = {s.sensor_id: s for s in segments}
     outcomes: list[SelectionOutcome] = []
     for target in segments:
         others = [s for s in segments if s.sensor_id != target.sensor_id]
@@ -276,12 +275,13 @@ def selection_benchmark(
         geo_res = select_by_geography(
             target.sensor_id, target.coords, [(s.sensor_id, s.coords) for s in others]
         )
-        emb_rmse = rmse(target.profile.values, by_id[emb_res.selected_id].profile.values)
-        geo_rmse = rmse(target.profile.values, by_id[geo_res.selected_id].profile.values)
-        candidate_rmse = sorted(
-            (rmse(target.profile.values, s.profile.values), s.sensor_id) for s in others
-        )
-        best_rmse, best_id = candidate_rmse[0]
+        candidate_rmse = {
+            s.sensor_id: rmse(target.profile.values, s.profile.values) for s in others
+        }
+        emb_rmse = candidate_rmse[emb_res.selected_id]
+        geo_rmse = candidate_rmse[geo_res.selected_id]
+        best_id = min(candidate_rmse, key=lambda sid: (candidate_rmse[sid], sid))
+        best_rmse = candidate_rmse[best_id]
         if emb_rmse < geo_rmse:
             verdict = "embedding"
         elif geo_rmse < emb_rmse:

@@ -26,6 +26,14 @@ def coordinate_problem(lat: float | None, lon: float | None) -> str | None:
     return None
 
 
+def parse_coordinate(text: str) -> float:
+    """``float(text)``, refusing what ``float`` reads beyond ASCII
+    numbers: underscores between digits and non-ASCII digits or spaces."""
+    if "_" in text or not text.isascii():
+        raise ValueError(f"could not convert string to float: {text!r}")
+    return float(text)
+
+
 def haversine_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     """Great-circle distance in metres between two points."""
     phi1 = math.radians(lat1)

@@ -27,7 +27,9 @@ from .errors import (
     StructuralError,
     source_bytes,
 )
-from .geo import EARTH_RADIUS_M, coordinate_problem, haversine_m, haversine_m_array
+from .geo import (
+    EARTH_RADIUS_M, coordinate_problem, haversine_m, haversine_m_array, parse_coordinate,
+)
 from .road_graph import Edge, HighwayClass, RoadGraph
 from .traffic_data import _plain_decimals, _windows
 
@@ -305,14 +307,6 @@ def _expat_parse(data: bytes, start=None, end=None) -> None:
         ) from exc
 
 
-def _coordinate(text: str) -> float:
-    """``float(text)``, refusing what ``float`` reads beyond ASCII
-    numbers: underscores between digits and non-ASCII digits or spaces."""
-    if "_" in text or not text.isascii():
-        raise ValueError(f"could not convert string to float: {text!r}")
-    return float(text)
-
-
 def _parse_events(data: bytes) -> RawRoadData:
     """:func:`parse_osm_extract` through expat's element handlers, for a
     document the handler-free pass found well formed."""
@@ -329,7 +323,7 @@ def _parse_events(data: bytes) -> RawRoadData:
             if name == "node":
                 try:
                     nid = attrs["id"]
-                    nodes[nid] = (_coordinate(attrs["lat"]), _coordinate(attrs["lon"]))
+                    nodes[nid] = (parse_coordinate(attrs["lat"]), parse_coordinate(attrs["lon"]))
                 except (KeyError, ValueError) as exc:
                     if bad_node is None:
                         bad_node = exc

@@ -16,10 +16,10 @@ from . import evaluation, generation
 from .config import DECISIONS, PipelineConfig
 from .embedding import RoadEmbedding, build_embedding, normalize_pool
 from .errors import ArgumentError, FormatError, InputError, read_text
-from .geo import coordinate_problem
+from .geo import coordinate_problem, parse_coordinate
 # build_graph is no longer called here; perfbench/spans.py rebinds it by this name
 from .osm_ingest import RadiusView, RawRoadData, build_graph, parse_lanes  # noqa: F401
-from .road_graph import CentralNode, HighwayClass, ego_graph, insert_central_node
+from .road_graph import HighwayClass, ego_graph, insert_central_node
 from .output import round6
 from .traffic_data import (
     CleaningStats,
@@ -77,7 +77,7 @@ def load_sensors(path) -> list[SensorSpec]:
             raise FormatError(f"sensors CSV row {lineno}: duplicate sensor id {sid!r}")
         seen.add(sid)
         try:
-            lat, lon = float(row[1]), float(row[2])
+            lat, lon = parse_coordinate(row[1]), parse_coordinate(row[2])
         except ValueError as exc:
             raise FormatError(f"sensors CSV row {lineno}: {exc}") from exc
         problem = coordinate_problem(lat, lon)
@@ -110,15 +110,6 @@ def load_sensors(path) -> list[SensorSpec]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EmbeddedPosition:
-    sensor_id: str
-    lat: float
-    lon: float
-    embedding: RoadEmbedding
-    central: CentralNode
-
-
 def embed_position(
     raw: RawRoadData,
     cfg: PipelineConfig,
@@ -127,8 +118,8 @@ def embed_position(
     lon: float,
     road_type_override: HighwayClass | None = None,
     lanes_override: int | None = None,
-) -> EmbeddedPosition:
-    """Central node, ego-graph and embedding for one position.
+) -> RoadEmbedding:
+    """Embedding of one position, through its central node and ego-graph.
 
     The radius graph around the position is read from the extract's
     index node by node (:class:`RadiusView`), so every embedding sees the
@@ -141,7 +132,7 @@ def embed_position(
         graph, sensor_id, lat, lon, snap_threshold_m=cfg.snap_threshold_m
     )
     ego = ego_graph(graph, central, cfg.ego_hops)
-    emb = build_embedding(
+    return build_embedding(
         graph,
         ego,
         central,
@@ -149,21 +140,15 @@ def embed_position(
         road_type_override=road_type_override,
         lanes_override=lanes_override,
     )
-    return EmbeddedPosition(sensor_id, lat, lon, emb, central)
 
 
-def embed_sensors(raw: RawRoadData, sensors: list[SensorSpec], cfg: PipelineConfig) -> list[EmbeddedPosition]:
+def embed_sensors(
+    raw: RawRoadData, sensors: list[SensorSpec], cfg: PipelineConfig
+) -> list[RoadEmbedding]:
+    """Raw embedding of each sensor, in the order of ``sensors``."""
     return [
         embed_position(raw, cfg, s.sensor_id, s.lat, s.lon, s.road_type_override, s.lanes_override)
         for s in sensors
-    ]
-
-
-def normalize_positions(positions: list[EmbeddedPosition]) -> list[EmbeddedPosition]:
-    normalized = normalize_pool([p.embedding for p in positions])
-    return [
-        EmbeddedPosition(p.sensor_id, p.lat, p.lon, e, p.central)
-        for p, e in zip(positions, normalized)
     ]
 
 
@@ -172,7 +157,7 @@ TARGET_ID = "target"
 
 def embed_target(
     raw: RawRoadData, sensors: list[SensorSpec], cfg: PipelineConfig, lat: float, lon: float
-) -> tuple[EmbeddedPosition, list[EmbeddedPosition]]:
+) -> tuple[RoadEmbedding, list[RoadEmbedding]]:
     """Normalised target and sensors, from one pool of sensors plus target.
 
     The target is embedded under the id ``TARGET_ID``, which no sensor may
@@ -181,7 +166,7 @@ def embed_target(
     if any(s.sensor_id == TARGET_ID for s in sensors):
         raise ArgumentError(f"sensor id {TARGET_ID!r} clashes with the target placeholder")
     target = embed_position(raw, cfg, TARGET_ID, lat, lon)
-    pool = normalize_positions(embed_sensors(raw, sensors, cfg) + [target])
+    pool = normalize_pool(embed_sensors(raw, sensors, cfg) + [target])
     return pool[-1], pool[:-1]
 
 
@@ -232,26 +217,60 @@ def load_holidays(cfg: PipelineConfig) -> HolidayCalendar:
 
 
 def build_segment_records(
-    positions: list[EmbeddedPosition],
+    sensors: list[SensorSpec],
+    embeddings: list[RoadEmbedding],
     series: dict[str, TrafficSeries],
     holidays: HolidayCalendar,
 ) -> list[evaluation.SegmentRecord]:
+    """One record per sensor, in sensor id order; ``embeddings`` are the
+    sensors' own, in the order of ``sensors``."""
     records = []
-    for p in sorted(positions, key=lambda p: p.sensor_id):
-        if p.sensor_id not in series:
-            raise InputError(f"sensor {p.sensor_id!r} has no traffic series")
-        s = series[p.sensor_id]
+    pairs = sorted(zip(sensors, embeddings, strict=True), key=lambda pair: pair[0].sensor_id)
+    for spec, emb in pairs:
+        if spec.sensor_id not in series:
+            raise InputError(f"sensor {spec.sensor_id!r} has no traffic series")
+        s = series[spec.sensor_id]
         records.append(
             evaluation.SegmentRecord(
-                sensor_id=p.sensor_id,
-                coords=(p.lat, p.lon),
-                embedding=p.embedding,
+                sensor_id=spec.sensor_id,
+                coords=(spec.lat, spec.lon),
+                embedding=emb,
                 profile=daily_profile(s, "weekdays", holidays),
                 mean_weekday_flow=mean_weekday_flow(s, holidays),
-                road_type=p.embedding.road_class.value,
+                road_type=emb.road_class.value,
             )
         )
     return records
+
+
+def _rank_tests(table: evaluation.GenerationErrorTable, alpha: float) -> dict:
+    """A target's day counts, Friedman test, Nemenyi post-hoc and best
+    methods; the tests need at least two days with every method scored."""
+    block: dict = {
+        "days_evaluated": len(table.dates),
+        "days_in_rank_test": int(table.complete_mask().sum()),
+        "friedman": None,
+        "nemenyi": None,
+        "best_methods": list(table.methods),
+    }
+    complete = table.complete_matrix()
+    if complete.shape[0] >= 2:
+        nem = evaluation.nemenyi_posthoc(complete, alpha=alpha)
+        block["friedman"] = {
+            "statistic": round6(nem.friedman_statistic),
+            "p_value": round6(nem.friedman_p),
+            "significant": nem.significant,
+        }
+        block["nemenyi"] = {
+            "critical_difference": round6(nem.critical_difference),
+            "mean_ranks": {m: round6(r) for m, r in zip(table.methods, nem.mean_ranks)},
+            "verdicts": {
+                f"{table.methods[i]}|{table.methods[j]}": v
+                for (i, j), v in sorted(nem.verdicts.items())
+            },
+        }
+        block["best_methods"] = evaluation.best_methods(nem, table.methods)
+    return block
 
 
 def run_benchmark(cfg: PipelineConfig) -> dict:
@@ -270,66 +289,27 @@ def run_benchmark(cfg: PipelineConfig) -> dict:
     raw = parse_osm_extract(cfg.osm_path)
     sensors = load_sensors(cfg.sensors_path)
     holidays = load_holidays(cfg)
-    positions = normalize_positions(embed_sensors(raw, sensors, cfg))
+    embeddings = normalize_pool(embed_sensors(raw, sensors, cfg))
     # nothing reads the map again: free it and its index before the traffic loads
     del raw
     series, cleaning = load_traffic_dir(cfg)
-    segments = build_segment_records(positions, series, holidays)
+    segments = build_segment_records(sensors, embeddings, series, holidays)
 
     outcomes = evaluation.selection_benchmark(segments, metric=cfg.distance)
-    tally = evaluation.tally_selection(outcomes)
-
     generators_by_source: dict[str, dict] = {}  # several targets pick the same source
-
-    def _gen_rows(outcome: evaluation.SelectionOutcome) -> dict:
-        target_id = outcome.target_id
-        source_id = outcome.embedding_result.selected_id
-        target_series = series[target_id]
+    tables = {}
+    report_targets = []
+    for seg, o in zip(segments, outcomes):
+        source_id = o.embedding_result.selected_id
         if source_id not in generators_by_source:
             generators_by_source[source_id] = {
                 m: generation.generator(m, series[source_id], holidays)
                 for m in generation.METHODS
             }
-        generators = generators_by_source[source_id]
-        mean_flow = mean_weekday_flow(target_series, holidays)
-        table = evaluation.generation_benchmark(target_series, mean_flow, generators)
-        complete = table.complete_matrix()
-        stats_block: dict = {
-            "days_evaluated": len(table.dates),
-            "days_in_rank_test": int(table.complete_mask().sum()),
-        }
-        if complete.shape[0] >= 2:
-            nem = evaluation.nemenyi_posthoc(complete, alpha=cfg.alpha)
-            stats_block["friedman"] = {
-                "statistic": round6(nem.friedman_statistic),
-                "p_value": round6(nem.friedman_p),
-                "significant": nem.significant,
-            }
-            stats_block["nemenyi"] = {
-                "critical_difference": round6(nem.critical_difference),
-                "mean_ranks": {
-                    m: round6(r) for m, r in zip(table.methods, nem.mean_ranks)
-                },
-                "verdicts": {
-                    f"{table.methods[i]}|{table.methods[j]}": v
-                    for (i, j), v in sorted(nem.verdicts.items())
-                },
-            }
-            stats_block["best_methods"] = evaluation.best_methods(nem, table.methods)
-        else:
-            stats_block["friedman"] = None
-            stats_block["nemenyi"] = None
-            stats_block["best_methods"] = list(table.methods)
-        return {"table": table, "stats": stats_block, "source_id": source_id}
-
-    gen_results = {o.target_id: _gen_rows(o) for o in outcomes}
-    by_id = {s.sensor_id: s for s in segments}
-
-    report_targets = []
-    for o in outcomes:
-        g = gen_results[o.target_id]
-        seg = by_id[o.target_id]
-        mean_std = g["table"].method_mean_std()
+        table = evaluation.generation_benchmark(
+            series[o.target_id], o.mean_weekday_flow, generators_by_source[source_id]
+        )
+        tables[o.target_id] = table
         report_targets.append(
             {
                 "target_id": o.target_id,
@@ -356,12 +336,12 @@ def run_benchmark(cfg: PipelineConfig) -> dict:
                     "verdict": o.verdict,
                 },
                 "generation": {
-                    "source": g["source_id"],
+                    "source": source_id,
                     "methods": {
                         m: {"mean_nrmse": round6(mu), "std_nrmse": round6(sd)}
-                        for m, (mu, sd) in mean_std.items()
+                        for m, (mu, sd) in table.method_mean_std().items()
                     },
-                    **g["stats"],
+                    **_rank_tests(table, cfg.alpha),
                 },
             }
         )
@@ -369,7 +349,7 @@ def run_benchmark(cfg: PipelineConfig) -> dict:
     report = {
         "config": cfg.snapshot(),
         "decisions": dict(DECISIONS),
-        "selection_tally": tally,
+        "selection_tally": evaluation.tally_selection(outcomes),
         "targets": report_targets,
         "cleaning": {
             sid: {
@@ -382,9 +362,5 @@ def run_benchmark(cfg: PipelineConfig) -> dict:
             for sid, st in sorted(cleaning.items())
         },
     }
-    return {
-        "report": report,
-        "outcomes": outcomes,
-        "tables": {t: gen_results[t]["table"] for t in sorted(gen_results)},
-        "segments": segments,
-    }
+    # segments, and so tables, are in target id order
+    return {"report": report, "outcomes": outcomes, "tables": tables, "segments": segments}

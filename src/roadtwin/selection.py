@@ -68,6 +68,32 @@ def _normalized(e: RoadEmbedding) -> tuple[float, ...]:
     return e.normalized
 
 
+def _rank(target_id, pool, distance, method, dims=None) -> SelectionResult:
+    """Rank ``pool``'s ``(sensor_id, candidate)`` pairs by ``distance(candidate)``.
+
+    Ties break toward the lowest sensor id.  With ``dims``, the result
+    carries the similarity of the selected distance on that many dims.
+    """
+    if not pool:
+        raise ArgumentError("candidate pool is empty")
+    for sensor_id, _ in pool:
+        if sensor_id == target_id:
+            raise ArgumentError(f"target {target_id!r} present in its own candidate pool")
+    ranking = sorted(
+        ((sensor_id, distance(cand)) for sensor_id, cand in pool),
+        key=lambda item: (item[1], item[0]),
+    )
+    selected_id, dist = ranking[0]
+    return SelectionResult(
+        target_id=target_id,
+        selected_id=selected_id,
+        distance=dist,
+        similarity_pct=similarity_percent(dist, dims) if dims is not None else None,
+        method=method,
+        ranking=ranking,
+    )
+
+
 def select_by_embedding(
     target: RoadEmbedding,
     pool: list[RoadEmbedding],
@@ -79,27 +105,14 @@ def select_by_embedding(
     Ties break toward the lowest sensor id; the full ranking is kept in
     the result.  The target itself may not appear in the pool.
     """
-    if not pool:
-        raise ArgumentError("candidate pool is empty")
-    tvec = _normalized(target)
-    for cand in pool:
-        if cand.sensor_id == target.sensor_id:
-            raise ArgumentError(
-                f"target {target.sensor_id!r} present in its own candidate pool"
-            )
-    ranking = sorted(
-        ((cand.sensor_id, embedding_distance(tvec, _normalized(cand), metric)) for cand in pool),
-        key=lambda item: (item[1], item[0]),
-    )
-    selected_id, dist = ranking[0]
-    sim = similarity_percent(dist, len(tvec)) if metric == "l2" else None
-    return SelectionResult(
-        target_id=target.sensor_id,
-        selected_id=selected_id,
-        distance=dist,
-        similarity_pct=sim,
-        method="embedding",
-        ranking=ranking,
+    # an empty pool is reported before a target that is not normalized
+    tvec = _normalized(target) if pool else ()
+    return _rank(
+        target.sensor_id,
+        [(cand.sensor_id, cand) for cand in pool],
+        lambda cand: embedding_distance(tvec, _normalized(cand), metric),
+        "embedding",
+        len(tvec) if metric == "l2" else None,
     )
 
 
@@ -109,24 +122,9 @@ def select_by_geography(
     pool: list[tuple[str, tuple[float, float]]],
 ) -> SelectionResult:
     """Geographically nearest sensed segment (haversine), the baseline."""
-    if not pool:
-        raise ArgumentError("candidate pool is empty")
-    for sensor_id, _ in pool:
-        if sensor_id == target_id:
-            raise ArgumentError(f"target {target_id!r} present in its own candidate pool")
-    ranking = sorted(
-        (
-            (sensor_id, haversine_m(target_coords[0], target_coords[1], c[0], c[1]))
-            for sensor_id, c in pool
-        ),
-        key=lambda item: (item[1], item[0]),
-    )
-    selected_id, dist = ranking[0]
-    return SelectionResult(
-        target_id=target_id,
-        selected_id=selected_id,
-        distance=dist,
-        similarity_pct=None,
-        method="geographic",
-        ranking=ranking,
+    return _rank(
+        target_id,
+        pool,
+        lambda c: haversine_m(target_coords[0], target_coords[1], c[0], c[1]),
+        "geographic",
     )

@@ -293,6 +293,24 @@ def test_osm_node_with_bad_coordinates_exits_2(tmp_path, far_node, bad):
     assert not out.exists()
 
 
+def test_sensor_coordinate_that_is_no_decimal_number_exits_2(tmp_path):
+    # float() reads it as 40.4512
+    sensors = tmp_path / "sensors.csv"
+    with open(os.path.join(FIXTURE_DIR, "sensors.csv"), encoding="utf-8") as fh:
+        sensors.write_text(fh.read() + "s9,4_0.4512,-3.69,,\n")
+    out = tmp_path / "out"
+    proc = run_cli(
+        "ingest", "--config", CONFIG, "--sensors_path", str(sensors), "--output_dir", str(out)
+    )
+    assert proc.returncode == 2
+    assert stderr_error(proc) == {
+        "error": "FormatError",
+        "exit_code": 2,
+        "message": "sensors CSV row 10: could not convert string to float: '4_0.4512'",
+    }
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("lat", ["4_0.5", "\u0664\u0660.\u0665"],
                          ids=["underscore", "arabic-indic-digits"])
 def test_osm_node_coordinate_that_is_no_decimal_number_exits_2(tmp_path, lat):
@@ -724,6 +742,29 @@ def test_evaluate_target_with_zero_mean_flow_exits_3(tmp_path):
     assert err["error"] == "DomainError"
     assert err["exit_code"] == 3
     assert "mean flow must be positive" in err["message"]
+    assert not eval_out.exists()
+
+
+def test_evaluate_rejects_a_repeated_slot(tmp_path):
+    gen_out = tmp_path / "gen"
+    proc = run_cli("synthesize", "--config", CONFIG, "--output_dir", str(gen_out),
+                   "--source", "s1", "--start", "2019-02-11", "--end", "2019-02-11")
+    assert proc.returncode == 0, proc.stderr
+    generated = gen_out / "generated_days.csv"
+    lines = read_lines(generated)
+    assert lines[2 + 5].startswith("s1,2019-02-11,cluster,5,")
+    # a later row for the same (date, method, slot) must not replace the first
+    lines.append("s1,2019-02-11,cluster,5,99999,none")
+    generated.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    eval_out = tmp_path / "eval"
+    proc = run_cli("evaluate", "--config", CONFIG, "--output_dir", str(eval_out),
+                   "--generated", str(generated), "--target", "s1")
+    assert proc.returncode == 2, proc.stderr
+    assert stderr_error(proc) == {
+        "error": "InputError",
+        "exit_code": 2,
+        "message": f"{generated} row {len(lines)}: slot 5 of 2019-02-11 (cluster) is repeated",
+    }
     assert not eval_out.exists()
 
 

@@ -14,11 +14,11 @@ from helpers import grid_extract, node_coords, shapes_extract, tangled_extract
 from oracles import _insert_central_node_scan, embed_position_radius_graph
 from roadtwin import osm_ingest, pipeline
 from roadtwin.config import DECISIONS, PipelineConfig
-from roadtwin.embedding import UNREACHABLE, build_embedding
+from roadtwin.embedding import UNREACHABLE, build_embedding, normalize_pool
 from roadtwin.errors import RoadTwinError
 from roadtwin.geo import LocalProjection, point_segment_projection
 from roadtwin.osm_ingest import RadiusView, RawRoadData, build_graph
-from roadtwin.pipeline import SensorSpec, embed_position, embed_sensors, normalize_positions
+from roadtwin.pipeline import SensorSpec, embed_position, embed_sensors
 from roadtwin.road_graph import (
     RoadGraph, dijkstra_from, ego_graph, index_graph, insert_central_node,
 )
@@ -52,7 +52,7 @@ def via_index(raw, cfg, sensor_id, lat, lon, **overrides):
         position = embed_position(raw, cfg, sensor_id, lat, lon, **overrides)
     except RoadTwinError as exc:
         return type(exc).__name__, str(exc)
-    assert (position.embedding, position.central) == (emb, central)
+    assert position == emb
     return emb, central, ego.graph, ego_edges(graph, ego.graph.nodes)
 
 
@@ -278,15 +278,15 @@ def test_motorway_beyond_the_radius_normalizes_to_1():
     raw, probes = shapes_extract()
     for radius_m, reachable in ((2000.0, False), (4000.0, True)):
         cfg = PipelineConfig(radius_m=radius_m)
-        pool = normalize_positions(
+        pool = normalize_pool(
             [embed_position(raw, cfg, name, *probes[name]) for name in ("hub", "middle", "dual")]
         )
-        f4 = [p.embedding.travel_time_motorway_s for p in pool]
+        f4 = [p.travel_time_motorway_s for p in pool]
         if reachable:
             assert all(math.isfinite(t) for t in f4)
         else:
             assert f4 == [UNREACHABLE] * 3
-            assert [p.embedding.normalized[3] for p in pool] == [1.0] * 3
+            assert [p.normalized[3] for p in pool] == [1.0] * 3
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +321,7 @@ def test_embed_builds_no_graph_beyond_the_ego_graph(monkeypatch):
         return egos[-1]
 
     monkeypatch.setattr(pipeline, "ego_graph", recording_ego_graph)
-    positions = normalize_positions(embed_sensors(raw, sensors, PipelineConfig()))
+    positions = normalize_pool(embed_sensors(raw, sensors, PipelineConfig()))
     assert len(positions) == len(egos) == len(sensors)
     # an embedding builds no RoadGraph, and its ego-graphs stay small
     assert built == []

@@ -29,7 +29,7 @@ def city(tmp_path_factory):
 
 
 def raw_vectors(data, sensors):
-    return [p.embedding.raw_vector()
+    return [p.raw_vector()
             for p in embed_sensors(parse_osm_extract(data), sensors, PipelineConfig())]
 
 

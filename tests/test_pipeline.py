@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from roadtwin.config import PipelineConfig
-from roadtwin.embedding import road_type_code
+from roadtwin.embedding import normalize_pool, road_type_code
 from roadtwin.errors import ArgumentError, FormatError, InputError
 from roadtwin.osm_ingest import HighwayClass
 from roadtwin.pipeline import (
@@ -16,7 +16,6 @@ from roadtwin.pipeline import (
     embed_target,
     load_sensors,
     load_traffic_dir,
-    normalize_positions,
     run_benchmark,
 )
 
@@ -99,6 +98,17 @@ def test_load_sensors_rejects_bad_coordinates(tmp_path, lat, lon, bad):
         load_sensors(str(p))
 
 
+@pytest.mark.parametrize("lat", ["4_0.4512", "\u0664\u0660.\u0664\u0665\u0661\u0662"],
+                         ids=["underscore", "arabic-indic-digits"])
+def test_load_sensors_rejects_a_coordinate_that_is_no_decimal_number(tmp_path, lat):
+    # float() reads both as 40.4512
+    p = tmp_path / "sensors.csv"
+    p.write_text(f"sensor_id,lat,lon\nx1,40.0,-3.0\nx2,{lat},-3.0\n", encoding="utf-8")
+    with pytest.raises(FormatError) as exc:
+        load_sensors(str(p))
+    assert str(exc.value) == f"sensors CSV row 3: could not convert string to float: {lat!r}"
+
+
 def test_load_sensors_accepts_the_coordinate_limits(tmp_path):
     p = tmp_path / "sensors.csv"
     p.write_text("sensor_id,lat,lon\nn,90,180\ns,-90,-180\n")
@@ -114,13 +124,13 @@ def test_load_sensors_missing_file(tmp_path):
 # embedding the fixture sensors
 # ---------------------------------------------------------------------------
 
-def test_normalize_positions_round_trip(minicity_raw, minicity_dir):
+def test_normalize_pool_round_trip(minicity_raw, minicity_dir):
     cfg = fixture_cfg(minicity_dir)
     sensors = load_sensors(cfg.sensors_path)
-    positions = normalize_positions(embed_sensors(minicity_raw, sensors, cfg))
+    positions = normalize_pool(embed_sensors(minicity_raw, sensors, cfg))
     for p in positions:
-        assert p.embedding.normalized is not None
-        assert all(0.0 <= v <= 1.0 for v in p.embedding.normalized)
+        assert p.normalized is not None
+        assert all(0.0 <= v <= 1.0 for v in p.normalized)
 
 
 def test_embed_target_joins_the_sensor_pool(minicity_raw, minicity_dir):
@@ -131,7 +141,7 @@ def test_embed_target_joins_the_sensor_pool(minicity_raw, minicity_dir):
     assert target.sensor_id == TARGET_ID
     assert [p.sensor_id for p in positions] == [s.sensor_id for s in sensors]
     # s1 carries no override, so a target on its position is its twin
-    assert target.embedding.normalized == positions[0].embedding.normalized
+    assert target.normalized == positions[0].normalized
 
 
 def test_embed_target_rejects_a_sensor_named_like_the_target(minicity_raw, minicity_dir):

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -155,6 +156,24 @@ def test_select_empty_pool_rejected():
         select_by_embedding(target, [])
     with pytest.raises(ArgumentError):
         select_by_embedding(target, [emb("t", [0.5] * 7)])  # only itself
+
+
+def bare(sensor_id):
+    return replace(emb(sensor_id, [0.5] * 7), normalized=None)
+
+
+@pytest.mark.parametrize("target, pool, message", [
+    (bare("t"), [], "candidate pool is empty"),
+    (bare("t"), [bare("t")], "embedding 't' is not normalized"),
+    (emb("t", [0.5] * 7), [bare("u"), emb("t", [0.5] * 7)],
+     "target 't' present in its own candidate pool"),
+    (emb("t", [0.5] * 7), [emb("s", [0.5] * 7), bare("u")], "embedding 'u' is not normalized"),
+], ids=["empty-pool", "target-not-normalized", "target-in-pool", "candidate-not-normalized"])
+def test_select_checks_its_input_in_a_fixed_order(target, pool, message):
+    # each case also breaks what later rules it can, so only the order picks the message
+    with pytest.raises(ArgumentError) as exc:
+        select_by_embedding(target, pool)
+    assert str(exc.value).startswith(message)
 
 
 def test_select_l1_has_no_similarity_percent():

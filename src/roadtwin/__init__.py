@@ -68,10 +68,7 @@ from .road_graph import (
     CentralNode,
     Edge,
     EgoGraph,
-    RoadGraph,
-    SplitGraph,
     ego_graph,
-    index_graph,
     insert_central_node,
 )
 from .selection import (
@@ -144,10 +141,7 @@ __all__ = [
     "CentralNode",
     "Edge",
     "EgoGraph",
-    "RoadGraph",
-    "SplitGraph",
     "ego_graph",
-    "index_graph",
     "insert_central_node",
     # selection
     "SelectionResult",

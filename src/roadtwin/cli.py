@@ -24,7 +24,7 @@ from . import evaluation, generation, pipeline
 from .config import PipelineConfig, load_config
 from .embedding import EMBEDDING_DIMS, normalize_pool
 from .errors import ArgumentError, InputError, RoadTwinError
-from .geo import coordinate_problem
+from .geo import coordinate_problem, parse_coordinate
 from .osm_ingest import graph_to_csv, build_graph, parse_osm_extract
 from .output import OutputStage, check_config_hash, read_csv, round6, write_csv, write_json
 from .selection import select_by_embedding, select_by_geography, similarity_percent
@@ -66,16 +66,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", help="parse a map extract into graph CSVs")
     _add_config_flags(p)
-    p.add_argument("--center-lat", type=float, help="graph center (default: sensor centroid)")
-    p.add_argument("--center-lon", type=float)
+    p.add_argument("--center-lat", type=parse_coordinate,
+                   help="graph center (default: sensor centroid)")
+    p.add_argument("--center-lon", type=parse_coordinate)
 
     p = sub.add_parser("embed", help="compute feature embeddings for every sensor")
     _add_config_flags(p)
 
     p = sub.add_parser("select", help="pick the source segment for a target position")
     _add_config_flags(p)
-    p.add_argument("--lat", type=float, required=True)
-    p.add_argument("--lon", type=float, required=True)
+    p.add_argument("--lat", type=parse_coordinate, required=True)
+    p.add_argument("--lon", type=parse_coordinate, required=True)
 
     p = sub.add_parser("profile", help="daily profiles as CSV and SVG")
     _add_config_flags(p)
@@ -100,8 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="end-to-end: coordinates + date to a generated day")
     _add_config_flags(p)
-    p.add_argument("--lat", type=float, required=True)
-    p.add_argument("--lon", type=float, required=True)
+    p.add_argument("--lat", type=parse_coordinate, required=True)
+    p.add_argument("--lon", type=parse_coordinate, required=True)
     p.add_argument("--date", required=True, help="date to generate (ISO)")
     p.add_argument("--method", default=generation.METHOD_CLUSTER, choices=generation.METHODS)
     return parser

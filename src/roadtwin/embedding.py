@@ -96,8 +96,7 @@ def betweenness(graph: IndexGraph) -> dict[str, float]:
 
     Heap entries break time ties on the index, which is the order of the
     ids themselves, so nodes settle, predecessors collect and
-    dependencies add up in one fixed order.  For a whole graph ``g``,
-    call ``betweenness(index_graph(g, g.nodes))``.
+    dependencies add up in one fixed order.
     """
     out = graph.out
     n = len(out)
@@ -163,7 +162,7 @@ def road_type_code(highway_class: HighwayClass) -> float:
     return ROAD_TYPE_CODE[highway_class.base]
 
 
-def travel_time_to_class(graph, center: CentralNode, highway_class: HighwayClass) -> float:
+def travel_time_to_class(view, center: CentralNode, highway_class: HighwayClass) -> float:
     """Minimum travel time from the center to a road of the given class.
 
     Measured to the nearer endpoint of any edge of that class (link
@@ -177,10 +176,10 @@ def travel_time_to_class(graph, center: CentralNode, highway_class: HighwayClass
         raise ArgumentError(
             f"travel-time feature is defined for motorway/primary, got {highway_class.value}"
         )
-    return _travel_times(graph, center, (target,))[0]
+    return _travel_times(view, center, (target,))[0]
 
 
-def _travel_times(graph, center: CentralNode, targets: tuple[HighwayClass, ...]) -> list[float]:
+def _travel_times(view, center: CentralNode, targets: tuple[HighwayClass, ...]) -> list[float]:
     """:func:`travel_time_to_class` for each base class in ``targets``.
 
     Runs one Dijkstra for all of them, which stops once each class is
@@ -194,20 +193,21 @@ def _travel_times(graph, center: CentralNode, targets: tuple[HighwayClass, ...])
     if not pending:
         return times
 
-    def found_all(node: str, time: float) -> bool:
-        for keyed in (graph.out_edges(node), graph.in_edges(node)):
-            for _, e in keyed:
-                k = pending.pop(_BASE_CLASS[e.highway_class], None)
-                if k is not None:
-                    times[k] = time
+    classes = view.classes
+
+    def found_all(row: int, time: float) -> bool:
+        for cls in classes[row]:
+            k = pending.pop(_BASE_CLASS[cls], None)
+            if k is not None:
+                times[k] = time
         return not pending
 
-    dijkstra_from(graph, center.node_id, stop=found_all)
+    dijkstra_from(view.out, view.row(center.node_id), stop=found_all)
     return times
 
 
 def build_embedding(
-    graph,
+    view,
     ego: EgoGraph,
     center: CentralNode,
     sensor_id: str | None = None,
@@ -220,7 +220,7 @@ def build_embedding(
     back to a per-class default.
     """
     f1, f2, f3 = summarize_centrality(betweenness(ego.graph), ego.center.node_id)
-    f4, f5 = _travel_times(graph, center, TRAVEL_TIME_CLASSES)
+    f4, f5 = _travel_times(view, center, TRAVEL_TIME_CLASSES)
     cls = road_type_override if road_type_override is not None else center.host_edge_class
     f6 = road_type_code(cls)
     if lanes_override is not None:

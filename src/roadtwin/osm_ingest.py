@@ -2,9 +2,12 @@
 
 Parses the XML subset used here (node / way / nd / tag), keeps drivable
 road classes only, and assembles edges with per-class free-flow speeds,
-haversine lengths and travel times: node by node through a lazy
-:class:`RadiusView` of the extract's index, or all at once through
-:func:`build_graph`.  Also writes graphs in their CSV on-disk format.
+haversine lengths and travel times.  A position's graph is a lazy
+:class:`RadiusView` of the extract's index: its nodes are integer rows,
+and each row's ``(row, travel_time_s)`` adjacency is built the first
+time it is read.  :func:`build_graph` names every arc of a view by node
+id for ``ingest``, and :func:`graph_to_csv` writes it in the CSV
+on-disk format.
 """
 from __future__ import annotations
 
@@ -12,10 +15,12 @@ import csv
 import io
 import math
 import re
+import weakref
 from bisect import bisect_left
 from xml.parsers import expat
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,7 +35,7 @@ from .errors import (
 from .geo import (
     EARTH_RADIUS_M, coordinate_problem, haversine_m, haversine_m_array, parse_coordinate,
 )
-from .road_graph import Edge, HighwayClass, RoadGraph
+from .road_graph import Edge, HighwayClass
 from .traffic_data import _plain_decimals, _windows
 
 ACCEPTED_HIGHWAYS = {c.value for c in HighwayClass}
@@ -132,8 +137,7 @@ class MapIndex:
       node ids no node element defines, so it is never inside a radius.
       A node that :func:`geo.coordinate_problem` objects to (beyond the
       poles or +-180 degrees, NaN or infinite) raises ``FormatError``.
-    - ``occ_node``, ``occ_id``, ``way_of``: node row, node id and way of
-      each occurrence.
+    - ``occ_node``, ``way_of``: node row and way of each occurrence.
     - ``occ_by_node[node_occ[row]:node_occ[row + 1]]``: the occurrences
       of one node row, in way order.
     - ``pair_len[k]``: ``haversine_m`` from occurrence ``k`` to ``k + 1``
@@ -151,7 +155,7 @@ class MapIndex:
     cuts its own in-radius occurrences into pieces with ``way_of`` and
     ``is_cut`` and builds their edges, so views share pair lengths only.
     It is built from a :class:`RawRoadData` and from nothing else:
-    ``occ_id``, ``occ_node`` and ``way_start`` are the extract's own.
+    ``occ_node`` and ``way_start`` are the extract's own.
     """
 
     def __init__(self, raw: RawRoadData):
@@ -166,7 +170,6 @@ class MapIndex:
             problem = coordinate_problem(raw.lat[r].item(), raw.lon[r].item())
             raise FormatError(f"node {raw.node_ids[r]}: {problem}")
 
-        self.occ_id = raw.occ_id
         self.occ_node = raw.occ_node
         self.way_start = raw.way_start
         self.way_of = np.repeat(
@@ -700,28 +703,53 @@ def _way_attributes(way: Way, speed_overrides: dict[str, float] | None):
     return speed, cls, parse_lanes(way.tags.get("lanes")), _is_oneway(way.tags)
 
 
-def _segment_edges(
-    index: MapIndex, a: int, b: int, attrs: tuple, lengths: list[float]
-) -> tuple[Edge, ...]:
-    """Edges of the way stretch from occurrence ``a`` to ``b``, whose
-    pair lengths are ``lengths``.
+class Arc(NamedTuple):
+    """One directed edge of a :class:`RadiusView`, between node rows.
+
+    ``key`` is ``(piece, 0 forward / 1 backward)``, which sorts the arcs
+    in way order.
+    """
+
+    key: tuple[int, int]
+    src: int
+    dst: int
+    length_m: float
+    speed_kph: float
+    travel_time_s: float
+    highway_class: HighwayClass
+    lanes: int | None
+
+
+def _segment_arcs(
+    index: MapIndex, i: int, a: int, b: int, attrs: tuple, lengths: list[float]
+) -> tuple[Arc, ...]:
+    """Arcs of piece ``i``, the way stretch from occurrence ``a`` to
+    ``b``, whose pair lengths are ``lengths``.
 
     Empty for a closed loop back to its start or a zero-length stretch.
     """
     speed, cls, lanes, oneway = attrs
     seg_len = 0.0
-    # summed pair by pair, in way order, so every graph of the extract
+    # summed pair by pair, in way order, so every view of the extract
     # gives a stretch the same float length
     for pair in lengths:
         seg_len += pair
-    src, dst = index.occ_id[a], index.occ_id[b]
+    src, dst = index.occ_node[a].item(), index.occ_node[b].item()
     if src != dst and seg_len > 0.0:
         travel_time = seg_len / (speed / 3.6)
-        forward = Edge(src, dst, seg_len, speed, travel_time, cls, lanes)
+        forward = Arc((i, 0), src, dst, seg_len, speed, travel_time, cls, lanes)
         if oneway:
             return (forward,)
-        return (forward, Edge(dst, src, seg_len, speed, travel_time, cls, lanes))
+        return (forward, Arc((i, 1), dst, src, seg_len, speed, travel_time, cls, lanes))
     return ()
+
+
+class Crop(NamedTuple):
+    """The nodes (id -> ``(lat, lon)``) and edges of a radius graph, as
+    ``ingest`` writes them."""
+
+    nodes: dict[str, tuple[float, float]]
+    edges: list[Edge]
 
 
 def build_graph(
@@ -729,7 +757,7 @@ def build_graph(
     center: tuple[float, float],
     radius_m: float = 2000.0,
     speed_overrides: dict[str, float] | None = None,
-) -> RoadGraph:
+) -> Crop:
     """Assemble the directed travel-time graph around ``center``.
 
     Nodes beyond ``radius_m`` (haversine) are dropped together with the
@@ -738,19 +766,21 @@ def build_graph(
     nodes contribute geometry only (their haversine lengths are summed
     into the edge).  Two-way roads produce one edge per direction.
 
-    Every edge of a :class:`RadiusView` of the extract, materialised at
-    once: only the in-radius stretches of ways are visited.  Nodes and
-    edges come out in way order, as a rescan of the whole extract would
-    give them.
+    Every arc of a :class:`RadiusView` of the extract, named by node id:
+    only the in-radius stretches of ways are visited.  Nodes and edges
+    come out in way order, as a rescan of the whole extract would give
+    them.
     """
     view = RadiusView(raw, center, radius_m, speed_overrides)
-    edges = [e for _, e in view.edges()]
+    ids = raw.node_ids
     nodes: dict[str, tuple[float, float]] = {}
-    for e in edges:
-        for node in (e.src, e.dst):
-            if node not in nodes:
-                nodes[node] = view.coords(node)
-    return RoadGraph(nodes, edges)
+    edges = []
+    for arc in view.arcs():
+        for r in (arc.src, arc.dst):
+            if ids[r] not in nodes:
+                nodes[ids[r]] = view.coords(r)
+        edges.append(Edge(ids[arc.src], ids[arc.dst], *arc[3:]))
+    return Crop(nodes, edges)
 
 
 # metres added to a near-point query, so that rounding in the box test
@@ -758,23 +788,41 @@ def build_graph(
 _NEAR_MARGIN_M = 1.0
 
 
+class _Filled(dict):
+    """A dict whose missing row is filled by its view's ``_fill``.
+
+    It holds its view by a weak reference: with no cycle, a view is freed
+    as soon as its position is embedded.
+    """
+
+    def __init__(self, view: "RadiusView"):
+        super().__init__()
+        self.view = weakref.ref(view)
+
+    def __missing__(self, row: int):
+        self.view()._fill(row)
+        return self[row]
+
+
 class RadiusView:
-    """The radius graph around ``center``, built per node on first read.
+    """The radius graph around ``center`` on integer node rows, built
+    per row on first read.
+
+    A node is its :class:`MapIndex` row; ``site``, one row past the
+    index's, is the virtual node :meth:`split` adds.  ``out[v]`` and
+    ``inn[v]`` list the ``(row, travel_time_s)`` pairs of row ``v``'s out-
+    and in-edges in edge order, and ``classes[v]`` the road classes of
+    its edges; all three are filled together the first time one of them
+    is read for ``v``.
 
     The view's *pieces* are found once, up front, from the in-radius
     occurrences of ``raw.index``: a piece is a maximal in-radius run of
     one junction-to-junction segment holding at least one pair, and
     ``_first[i]`` and ``_last[i]`` are the first and last occurrence of
-    piece ``i``, in way order.  A piece's edges are built once, the first
+    piece ``i``, in way order.  A piece's arcs are built once, the first
     time it is read, with its pair lengths measured on first need.  A
-    node's out- and in-edges are those of the pieces that start or end at
-    one of its occurrences.  Edges are keyed by ``(piece start
-    occurrence, 0 forward / 1 backward)``, which sorts them in way order;
-    :func:`build_graph` materialises them all.
-
-    Reads: ``out_edges(v)`` and ``in_edges(v)`` (lists of ``(key, edge)``
-    in edge order), ``coords(v)``, ``has_node(v)`` and
-    ``edges_near(lat, lon, max_m)``.
+    row's edges are those of the pieces that start or end at one of its
+    occurrences.
     """
 
     def __init__(
@@ -803,52 +851,50 @@ class RadiusView:
         starts |= index.is_cut[pairs]
         ends = np.ones(pairs.size, dtype=bool)
         ends[:-1] = starts[1:]
-        # lists, so that a node read looks its pieces up by bisection
+        # lists, so that a row read looks its pieces up by bisection
         self._first: list[int] = pairs[starts].tolist()
         self._way: list[int] = index.way_of[pairs[starts]].tolist()
         self._last: list[int] = (pairs[ends] + 1).tolist()
-        self._adjacent: dict[str, tuple[list, list]] = {}
-        self._piece_edges: dict[int, tuple[Edge, ...]] = {}
+        self._piece_arcs: dict[int, tuple[Arc, ...]] = {}
         self._attrs: dict[int, tuple] = {}
+        self.site = index.lat.size
+        self.site_id: str | None = None
+        self._halves: dict[tuple[int, int], tuple[float, float]] = {}
+        self.out = _Filled(self)
+        self.inn = _Filled(self)
+        self.classes = _Filled(self)
 
-    def coords(self, node: str) -> tuple[float, float]:
-        r = self.index.row[node]
-        return self.index.lat[r].item(), self.index.lon[r].item()
+    def node_id(self, row: int) -> str:
+        return self.site_id if row == self.site else self.raw.node_ids[row]
 
-    def has_node(self, node: str) -> bool:
-        out, inn = self._adjacency(node)
-        return bool(out or inn)
+    def row(self, node_id: str) -> int:
+        return self.site if node_id == self.site_id else self.index.row[node_id]
 
-    def out_edges(self, node: str) -> list[tuple[tuple[int, int], Edge]]:
-        return self._adjacency(node)[0]
+    def coords(self, row: int) -> tuple[float, float]:
+        return self.index.lat[row].item(), self.index.lon[row].item()
 
-    def in_edges(self, node: str) -> list[tuple[tuple[int, int], Edge]]:
-        return self._adjacency(node)[1]
-
-    def edges(self) -> list[tuple[tuple[int, int], Edge]]:
-        """``(key, edge)`` of every edge, in edge order.
+    def arcs(self) -> list[Arc]:
+        """Every arc, in edge order.
 
         Raises ``DomainError`` when the radius holds no edge.
         """
-        edges = self._keyed_edges(range(len(self._first)))
-        if not edges:
+        arcs = self._arcs(range(len(self._first)))
+        if not arcs:
             raise DomainError(
                 f"no drivable roads within {self.radius_m:.0f} m of "
                 f"({self.center[0]:.5f}, {self.center[1]:.5f})"
             )
-        return edges
+        return arcs
 
-    def edges_near(self, lat: float, lon: float, max_m: float | None):
-        """``(key, edge)`` of every edge that may lie within ``max_m`` of
-        the position, in edge order; :meth:`edges` when ``max_m`` is None.
+    def arcs_near(self, lat: float, lon: float, max_m: float) -> list[Arc]:
+        """Every arc that may lie within ``max_m`` of the position, in
+        edge order.
 
         A piece is kept when the box of its chord (the box spanned by its
         two end nodes), in the equirectangular projection around the
-        position, comes within ``max_m`` (plus a margin).  Its edges run
+        position, comes within ``max_m`` (plus a margin).  Its arcs run
         along that chord, which lies inside the box.
         """
-        if max_m is None:
-            return self.edges()
         index = self.index
         ends = index.occ_node[np.array([self._first, self._last], dtype=np.intp)]
         lat_end, lon_end = index.lat[ends], index.lon[ends]
@@ -857,50 +903,89 @@ class RadiusView:
         dx = (np.clip(lon, lon_end.min(axis=0), lon_end.max(axis=0)) - lon) * kx
         dy = (np.clip(lat, lat_end.min(axis=0), lat_end.max(axis=0)) - lat) * ky
         near = np.flatnonzero(dx * dx + dy * dy <= (max_m + _NEAR_MARGIN_M) ** 2)
-        return self._keyed_edges(near.tolist())
+        return self._arcs(near.tolist())
 
-    def _keyed_edges(self, pieces) -> list[tuple[tuple[int, int], Edge]]:
-        """``(key, edge)`` of the given pieces (ascending), in edge order."""
-        return [((self._first[i], d), e) for i in pieces for d, e in enumerate(self._edges(i))]
+    def split(self, host: Arc, t: float, site_id: str) -> None:
+        """Split ``host`` at parameter ``t`` from its source through the
+        virtual node ``site_id`` (row ``site``), travel times staying
+        proportional.
 
-    def _edges(self, i: int) -> tuple[Edge, ...]:
-        """Edges of piece ``i``, as :func:`build_graph` builds them."""
-        edges = self._piece_edges.get(i)
-        if edges is None:
+        The first arc from ``host.dst`` back to ``host.src`` of the same
+        class and length (within 1e-6 relative), if any, is split through
+        the same node at ``1 - t``: the reverse direction of a two-way
+        road.  A view takes one virtual node.
+        """
+        if self.site_id is not None:
+            raise ArgumentError(f"{self.site_id} already inserted in this view")
+        halves = {host.key: (host.travel_time_s * t, host.travel_time_s * (1.0 - t))}
+        around = {arc.key: arc for arc in self._arcs(self._touching(host.dst))}
+        for arc in around.values():
+            if (
+                arc.key != host.key
+                and arc.src == host.dst
+                and arc.dst == host.src
+                and arc.highway_class == host.highway_class
+                and abs(arc.length_m - host.length_m) <= 1e-6 * max(arc.length_m, host.length_m)
+            ):
+                s = 1.0 - t
+                halves[arc.key] = (arc.travel_time_s * s, arc.travel_time_s * (1.0 - s))
+                break
+        self.site_id = site_id
+        self._halves = halves
+        # the split ends are read again, with their arcs through the site
+        for filled in (self.out, self.inn, self.classes):
+            for r in (host.src, host.dst):
+                filled.pop(r, None)
+        self.out[self.site] = [(around[k].dst, halves[k][1]) for k in sorted(halves)]
+        self.inn[self.site] = [(around[k].src, halves[k][0]) for k in sorted(halves)]
+        self.classes[self.site] = (host.highway_class,)
+
+    def _arcs(self, pieces) -> list[Arc]:
+        """Arcs of the given pieces (ascending), in edge order."""
+        return [arc for i in pieces for arc in self._arcs_of(i)]
+
+    def _arcs_of(self, i: int) -> tuple[Arc, ...]:
+        """Arcs of piece ``i``, as :func:`build_graph` builds them."""
+        arcs = self._piece_arcs.get(i)
+        if arcs is None:
             index = self.index
             a, b = self._first[i], self._last[i]
             w = self._way[i]
             attrs = self._attrs.get(w)
             if attrs is None:
                 attrs = self._attrs[w] = _way_attributes(self.raw.ways[w], self.speed_overrides)
-            edges = self._piece_edges[i] = _segment_edges(
-                index, a, b, attrs, index.pair_lengths(a, b)
+            arcs = self._piece_arcs[i] = _segment_arcs(
+                index, i, a, b, attrs, index.pair_lengths(a, b)
             )
-        return edges
+        return arcs
 
-    def _adjacency(self, node: str) -> tuple[list, list]:
-        adjacent = self._adjacent.get(node)
-        if adjacent is None:
-            index = self.index
-            out: list = []
-            inn: list = []
-            r = index.row.get(node)
-            if r is not None:
-                # the pieces that start or end at one of the node's occurrences
-                pieces = set()
-                lo, hi = index.node_occ[r : r + 2].tolist()
-                for k in index.occ_by_node[lo:hi].tolist():
-                    for ends in (self._first, self._last):
-                        i = bisect_left(ends, k)
-                        if i < len(ends) and ends[i] == k:
-                            pieces.add(i)
-                for key, e in self._keyed_edges(sorted(pieces)):
-                    if e.src == node:
-                        out.append((key, e))
-                    if e.dst == node:
-                        inn.append((key, e))
-            adjacent = self._adjacent[node] = (out, inn)
-        return adjacent
+    def _touching(self, row: int) -> list[int]:
+        """The pieces that start or end at one of the row's occurrences,
+        ascending."""
+        index = self.index
+        pieces = set()
+        lo, hi = index.node_occ[row : row + 2].tolist()
+        for k in index.occ_by_node[lo:hi].tolist():
+            for ends in (self._first, self._last):
+                i = bisect_left(ends, k)
+                if i < len(ends) and ends[i] == k:
+                    pieces.add(i)
+        return sorted(pieces)
+
+    def _fill(self, row: int) -> None:
+        out: list[tuple[int, float]] = []
+        inn: list[tuple[int, float]] = []
+        halves = self._halves
+        arcs = self._arcs(self._touching(row))
+        for arc in arcs:
+            half = halves.get(arc.key)
+            if arc.src == row:
+                out.append((arc.dst, arc.travel_time_s) if half is None else (self.site, half[0]))
+            if arc.dst == row:
+                inn.append((arc.src, arc.travel_time_s) if half is None else (self.site, half[1]))
+        self.out[row] = out
+        self.inn[row] = inn
+        self.classes[row] = tuple(arc.highway_class for arc in arcs)
 
 
 # ---------------------------------------------------------------------------
@@ -913,7 +998,7 @@ NODES_HEADER = ["node_id", "lat", "lon"]
 EDGES_HEADER = ["src", "dst", "length_m", "speed_kph", "travel_time_s", "highway_class", "lanes"]
 
 
-def graph_to_csv(graph: RoadGraph, config_hash: str | None = None) -> tuple[str, str]:
+def graph_to_csv(graph: Crop, config_hash: str | None = None) -> tuple[str, str]:
     """Serialize a graph to (nodes_csv, edges_csv) text."""
     prefix = f"# config_hash={config_hash}\n" if config_hash else ""
     nbuf = io.StringIO()

@@ -17,7 +17,7 @@ from .config import DECISIONS, PipelineConfig
 from .embedding import RoadEmbedding, build_embedding, normalize_pool
 from .errors import ArgumentError, FormatError, InputError, read_text
 from .geo import coordinate_problem, parse_coordinate
-# build_graph is no longer called here; perfbench/spans.py rebinds it by this name
+# build_graph is not called here; perfbench/spans.py rebinds it by this name
 from .osm_ingest import RadiusView, RawRoadData, build_graph, parse_lanes  # noqa: F401
 from .road_graph import HighwayClass, ego_graph, insert_central_node
 from .output import round6
@@ -122,18 +122,18 @@ def embed_position(
     """Embedding of one position, through its central node and ego-graph.
 
     The radius graph around the position is read from the extract's
-    index node by node (:class:`RadiusView`), so every embedding sees the
+    index row by row (:class:`RadiusView`), so every embedding sees the
     same radius of context regardless of other sensors, and only the
-    nodes the snap, the ego-graph and the travel-time search reach are
+    rows the snap, the ego-graph and the travel-time search reach are
     built.
     """
-    graph = RadiusView(raw, (lat, lon), cfg.radius_m, cfg.default_speeds or None)
-    graph, central = insert_central_node(
-        graph, sensor_id, lat, lon, snap_threshold_m=cfg.snap_threshold_m
+    view = RadiusView(raw, (lat, lon), cfg.radius_m, cfg.default_speeds or None)
+    central = insert_central_node(
+        view, sensor_id, lat, lon, snap_threshold_m=cfg.snap_threshold_m
     )
-    ego = ego_graph(graph, central, cfg.ego_hops)
+    ego = ego_graph(view, central, cfg.ego_hops)
     return build_embedding(
-        graph,
+        view,
         ego,
         central,
         sensor_id=sensor_id,

@@ -9,8 +9,8 @@ from datetime import date, timedelta
 import numpy as np
 
 from roadtwin.geo import EARTH_RADIUS_M
-from roadtwin.road_graph import Edge, IndexGraph, RoadGraph
-from roadtwin.osm_ingest import HighwayClass, RawRoadData, Way
+from roadtwin.road_graph import Edge, IndexGraph
+from roadtwin.osm_ingest import HighwayClass, RadiusView, RawRoadData, Way
 from roadtwin.embedding import RoadEmbedding
 from roadtwin.traffic_data import (
     QUALITY_OBSERVED,
@@ -18,6 +18,46 @@ from roadtwin.traffic_data import (
 )
 
 LAT0, LON0 = 40.0, -3.0
+
+
+class RoadGraph:
+    """Directed multigraph of hand-built edges: the graph type of the tests
+    and oracles, with string node ids.  Parallel edges are allowed."""
+
+    def __init__(self, nodes: dict[str, tuple[float, float]], edges: list[Edge]):
+        self.nodes = dict(nodes)
+        self.edges = list(edges)
+        self._out: dict[str, list[int]] = {n: [] for n in self.nodes}
+        self._in: dict[str, list[int]] = {n: [] for n in self.nodes}
+        for i, e in enumerate(self.edges):
+            self._out[e.src].append(i)
+            self._in[e.dst].append(i)
+
+    def out_edges(self, node: str) -> list[Edge]:
+        return [self.edges[i] for i in self._out[node]]
+
+    def in_edges(self, node: str) -> list[Edge]:
+        return [self.edges[i] for i in self._in[node]]
+
+
+def index_graph(graph: RoadGraph, nodes) -> IndexGraph:
+    """The subgraph of ``graph`` induced by ``nodes``, in the index form
+    Brandes reads: sorted ids, out-edges in edge order."""
+    order = sorted(nodes)
+    rank = {v: i for i, v in enumerate(order)}
+    return IndexGraph(
+        order,
+        [[(rank[e.dst], e.travel_time_s) for e in graph.out_edges(v) if e.dst in rank]
+         for v in order],
+    )
+
+
+def adjacency(graph: RoadGraph) -> tuple[list[str], list[list[tuple[int, float]]]]:
+    """``(ids, out)``: a graph on rows, the form ``dijkstra_from`` reads;
+    row ``i`` is ``ids[i]``, in the graph's node order."""
+    ids = list(graph.nodes)
+    row = {v: i for i, v in enumerate(ids)}
+    return ids, [[(row[e.dst], e.travel_time_s) for e in graph.out_edges(v)] for v in ids]
 
 
 def make_graph(triples, cls=HighwayClass.RESIDENTIAL, coords=None) -> RoadGraph:
@@ -42,33 +82,28 @@ def east_of(lat: float, lon: float, meters: float) -> float:
     return lon + math.degrees(meters / (EARTH_RADIUS_M * math.cos(math.radians(lat))))
 
 
-def geo_edge(src, dst, nodes, cls=HighwayClass.RESIDENTIAL, speed_kph=30.0, lanes=None) -> Edge:
-    """Edge whose length is the haversine distance between its endpoints."""
-    from roadtwin.geo import haversine_m
-
-    length = haversine_m(*nodes[src], *nodes[dst])
-    tt = length / (speed_kph / 3.6)
-    return Edge(src, dst, length, speed_kph, tt, cls, lanes)
+def view_of(nodes, ways, radius_m=10_000.0) -> RadiusView:
+    """Radius view of the extract of ``nodes`` and ``ways`` (``(refs,
+    tags)`` pairs, given way ids 1, 2, ...), centred on the first node."""
+    raw = RawRoadData.of(nodes, [Way(str(i), refs, tags) for i, (refs, tags) in enumerate(ways, 1)])
+    return RadiusView(raw, next(iter(nodes.values())), radius_m)
 
 
-def geo_graph(nodes, links, cls=HighwayClass.RESIDENTIAL, speed_kph=30.0, two_way=True) -> RoadGraph:
-    """Graph over real coordinates; links are (src, dst) pairs."""
+def view_edges(view: RadiusView, nodes, direction="out") -> list[tuple[str, str, float]]:
+    """``(src, dst, travel_time_s)`` of the out-edges (or in-edges) of the
+    view's nodes ``nodes`` (ids), node by node, in edge order."""
+    adjacent = view.out if direction == "out" else view.inn
     edges = []
-    for src, dst in links:
-        edges.append(geo_edge(src, dst, nodes, cls, speed_kph))
-        if two_way:
-            edges.append(geo_edge(dst, src, nodes, cls, speed_kph))
-    return RoadGraph(nodes, edges)
+    for v in nodes:
+        for w, t in adjacent[view.row(v)]:
+            edges.append((v, view.node_id(w), t) if direction == "out" else (view.node_id(w), v, t))
+    return edges
 
 
-def all_edges(graph) -> list[Edge]:
-    """Every edge of a graph or of an insertion result, in edge order."""
-    return [e for _, e in graph.edges_near(0.0, 0.0, None)]
-
-
-def edge_ends(edges) -> set[str]:
-    """The nodes the given edges touch."""
-    return {n for e in edges for n in (e.src, e.dst)}
+def graph_edges(graph: RoadGraph, nodes, direction="out") -> list[tuple[str, str, float]]:
+    """:func:`view_edges` of a :class:`RoadGraph`."""
+    adjacent = graph.out_edges if direction == "out" else graph.in_edges
+    return [(e.src, e.dst, e.travel_time_s) for v in nodes for e in adjacent(v)]
 
 
 def index_pairs(graph: IndexGraph) -> list[tuple[str, str]]:

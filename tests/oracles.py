@@ -53,7 +53,7 @@ from itertools import count
 
 import numpy as np
 
-from helpers import node_coords
+from helpers import RoadGraph, index_graph, node_coords
 from roadtwin.errors import (
     ArgumentError,
     DomainError,
@@ -72,17 +72,21 @@ from roadtwin.osm_ingest import (
     parse_lanes,
     parse_maxspeed_kph,
 )
-from roadtwin.embedding import TRAVEL_TIME_CLASSES, UNREACHABLE, build_embedding
+from roadtwin.embedding import (
+    DEFAULT_LANES,
+    TRAVEL_TIME_CLASSES,
+    UNREACHABLE,
+    RoadEmbedding,
+    betweenness,
+    road_type_code,
+    summarize_centrality,
+)
 from roadtwin.geo import LocalProjection, point_segment_projection
 from roadtwin.road_graph import (
     JUNCTION_REUSE_M,
     CentralNode,
     Edge,
-    EgoGraph,
     HighwayClass,
-    RoadGraph,
-    _split_edge,
-    index_graph,
 )
 from roadtwin.traffic_data import (
     QUALITY_INTERPOLATED,
@@ -297,7 +301,7 @@ def betweenness_dicts(graph: RoadGraph) -> dict[str, float]:
 
 def _neighbors(graph: RoadGraph, v: str) -> list[str]:
     """The other ends of ``v``'s edges in either direction, each once."""
-    ends = [e.dst for _, e in graph.out_edges(v)] + [e.src for _, e in graph.in_edges(v)]
+    ends = [e.dst for e in graph.out_edges(v)] + [e.src for e in graph.in_edges(v)]
     return [w for w in dict.fromkeys(ends) if w != v]
 
 
@@ -579,26 +583,23 @@ def embed_position_radius_graph(
     """``pipeline.embed_position`` through a materialised radius graph.
 
     Returns ``(embedding, central, ego)``, the ego-graph as a RoadGraph.
-    The centrality features and the host-derived ones come from the
-    production ``build_embedding``, fed the ego-graph's index form; the
-    two travel times are then replaced by a full Dijkstra and a scan of
-    every edge.
+    The centrality features come from the production ``betweenness``, fed
+    the ego-graph's index form; the two travel times from a full
+    Dijkstra and a scan of every edge.
     """
     graph = build_graph_full_scan(raw, (lat, lon), cfg.radius_m, cfg.default_speeds or None)
     graph, central = _insert_central_node_scan(
         graph, sensor_id, lat, lon, snap_threshold_m=cfg.snap_threshold_m
     )
     ego = _ego_graph_full(graph, central, cfg.ego_hops)
-    emb = build_embedding(
-        graph,
-        EgoGraph(index_graph(ego, ego.nodes), central),
-        central,
-        sensor_id=sensor_id,
-        road_type_override=road_type_override,
-        lanes_override=lanes_override,
-    )
+    f1, f2, f3 = summarize_centrality(betweenness(index_graph(ego, ego.nodes)), central.node_id)
     f4, f5 = _travel_times_full_scan(graph, central, TRAVEL_TIME_CLASSES)
-    emb = replace(emb, travel_time_motorway_s=f4, travel_time_primary_s=f5)
+    cls = road_type_override or central.host_edge_class
+    lanes = next(n for n in (lanes_override, central.host_edge_lanes, DEFAULT_LANES[cls.base])
+                 if n is not None)
+    notes = () if len(ego.nodes) > 1 else ("single_node_ego",)
+    emb = RoadEmbedding(sensor_id, f1, f2, f3, f4, f5, road_type_code(cls), float(lanes),
+                        notes=notes)
     return emb, central, ego
 
 
@@ -623,6 +624,18 @@ def _dijkstra_full(graph: RoadGraph, src: str) -> dict[str, float]:
                 dist[e.dst] = nd
                 heapq.heappush(heap, (nd, e.dst))
     return dist
+
+
+def _split_edge(e: Edge, t: float, node_id: str) -> tuple[Edge, Edge]:
+    """Split ``e`` at parameter t from src; lengths and times stay proportional."""
+    first = replace(e, dst=node_id, length_m=e.length_m * t, travel_time_s=e.travel_time_s * t)
+    second = replace(
+        e,
+        src=node_id,
+        length_m=e.length_m * (1.0 - t),
+        travel_time_s=e.travel_time_s * (1.0 - t),
+    )
+    return first, second
 
 
 def _insert_central_node_scan(

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from conftest import FIXTURE_DIR
-from helpers import MONDAY, emb, make_graph, make_series
+from helpers import MONDAY, adjacency, emb, index_graph, make_graph, make_series
 from oracles import chi2_sf_series, enumerate_spbc, floyd_warshall
 
 from roadtwin.embedding import betweenness
@@ -32,7 +32,7 @@ from roadtwin.evaluation import (
     rmse,
 )
 from roadtwin.generation import fit_cluster_model, generate_cluster, generate_copy
-from roadtwin.road_graph import dijkstra_from, index_graph
+from roadtwin.road_graph import dijkstra_from
 from roadtwin.selection import embedding_distance, similarity_percent
 from roadtwin.traffic_data import (
     QUALITY_OBSERVED,
@@ -124,8 +124,9 @@ def test_acceptance_02_shortest_paths_vs_floyd_warshall(capsys):
         t0 = time.perf_counter()
         for g in graphs:
             fw = floyd_warshall(g)
-            for src in g.nodes:
-                dist = dijkstra_from(g, src)
+            ids, out = adjacency(g)
+            for i, src in enumerate(ids):
+                dist = {ids[v]: d for v, d in dijkstra_from(out, i).items()}
                 assert not any(map(math.isinf, dist.values())), src
                 for dst in g.nodes:
                     a = dist.get(dst, math.inf)

@@ -356,6 +356,21 @@ def test_bad_coordinate_flag_exits_2(tmp_path, argv, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, text", [
+    (("select", "--lat", "4_0.4512", "--lon", "-3.6900"), "4_0.4512"),
+    (("ingest", "--center-lat", "40.4512", "--center-lon", "-3.６9"), "-3.６9"),
+], ids=["select-lat-underscore", "ingest-lon-fullwidth-digit"])
+def test_coordinate_flag_that_is_no_decimal_number_exits_2(tmp_path, argv, text):
+    # float() reads them as 40.4512 and -3.69; in a sensors CSV or an OSM
+    # node the same text exits 2
+    out = tmp_path / "out"
+    proc = run_cli(*argv, "--config", CONFIG, "--output_dir", str(out))
+    assert proc.returncode == 2
+    assert f"argument {argv[3] if text == argv[4] else argv[1]}: invalid" in proc.stderr
+    assert repr(text) in proc.stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--default_speeds", '{"primary": "fast"}', "default speed for 'primary'"),
     ("--default_speeds", '{"primary": null}', "default speed for 'primary'"),

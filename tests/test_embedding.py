@@ -4,7 +4,8 @@ import statistics
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import LAT0, LON0, east_of, emb, geo_edge, make_graph, north_of
+from conftest import MINICITY_CENTER
+from helpers import LAT0, LON0, RoadGraph, east_of, emb, index_graph, make_graph, north_of, view_of
 from oracles import enumerate_spbc, pair_count_spbc
 from roadtwin.config import DECISIONS
 from roadtwin.errors import ArgumentError
@@ -19,13 +20,12 @@ from roadtwin.embedding import (
     summarize_centrality,
     travel_time_to_class,
 )
-from roadtwin.osm_ingest import HighwayClass
+from roadtwin.osm_ingest import HighwayClass, RadiusView
 from roadtwin.road_graph import (
     Edge,
     EgoGraph,
-    RoadGraph,
+    IndexGraph,
     ego_graph,
-    index_graph,
     insert_central_node,
 )
 
@@ -179,59 +179,58 @@ def test_summary_max_never_below_median():
 # ---------------------------------------------------------------------------
 
 def chain_graph():
-    """central node sits mid first leg; a primary edge hangs off the far end."""
+    """n1 - n2 - n3 - n4 due north at 36 km/h, residential up to n3 and
+    primary from there."""
     nodes = {
         "n1": (LAT0, LON0),
         "n2": (north_of(LAT0, 500.0), LON0),
         "n3": (north_of(LAT0, 900.0), LON0),
         "n4": (north_of(LAT0, 1400.0), LON0),
     }
-    edges = []
-    for src, dst, cls in (("n1", "n2", HighwayClass.RESIDENTIAL),
-                          ("n2", "n3", HighwayClass.RESIDENTIAL),
-                          ("n3", "n4", HighwayClass.PRIMARY)):
-        edges.append(geo_edge(src, dst, nodes, cls, speed_kph=36.0))
-        edges.append(geo_edge(dst, src, nodes, cls, speed_kph=36.0))
-    return RoadGraph(nodes, edges)
+    return view_of(nodes, [([src, dst], {"highway": cls, "maxspeed": "36"})
+                           for src, dst, cls in (("n1", "n2", "residential"),
+                                                 ("n2", "n3", "residential"),
+                                                 ("n3", "n4", "primary"))])
+
+
+def street(cls, speed_kph, meters=800.0, oneway="no", **tags):
+    """View of one way from a to b, ``meters`` due north."""
+    nodes = {"a": (LAT0, LON0), "b": (north_of(LAT0, meters), LON0)}
+    return view_of(nodes, [(["a", "b"], {"highway": cls, "maxspeed": f"{speed_kph:g}",
+                                         "oneway": oneway, **tags})])
 
 
 def test_travel_time_to_primary_is_time_to_nearest_endpoint():
     g = chain_graph()
-    g2, central = insert_central_node(g, "s1", north_of(LAT0, 250.0), east_of(LAT0, LON0, 10.0))
+    central = insert_central_node(g, "s1", north_of(LAT0, 250.0), east_of(LAT0, LON0, 10.0))
     # 36 km/h = 10 m/s: 250 m to n2 plus 400 m to n3 -> 65 s
-    t = travel_time_to_class(g2, central, HighwayClass.PRIMARY)
+    t = travel_time_to_class(g, central, HighwayClass.PRIMARY)
     assert t == pytest.approx(65.0, rel=1e-6)
 
 
 def test_travel_time_zero_when_host_matches_class():
-    nodes = {"a": (LAT0, LON0), "b": (north_of(LAT0, 800.0), LON0)}
-    edges = [geo_edge("a", "b", nodes, HighwayClass.PRIMARY, 50.0),
-             geo_edge("b", "a", nodes, HighwayClass.PRIMARY, 50.0)]
-    g = RoadGraph(nodes, edges)
-    g2, central = insert_central_node(g, "s1", north_of(LAT0, 300.0), LON0)
-    assert travel_time_to_class(g2, central, HighwayClass.PRIMARY) == 0.0
+    g = street("primary", 50.0)
+    central = insert_central_node(g, "s1", north_of(LAT0, 300.0), LON0)
+    assert travel_time_to_class(g, central, HighwayClass.PRIMARY) == 0.0
 
 
 def test_travel_time_link_class_counts_as_base():
-    nodes = {"a": (LAT0, LON0), "b": (north_of(LAT0, 800.0), LON0)}
-    edges = [geo_edge("a", "b", nodes, HighwayClass.MOTORWAY_LINK, 60.0),
-             geo_edge("b", "a", nodes, HighwayClass.MOTORWAY_LINK, 60.0)]
-    g = RoadGraph(nodes, edges)
-    g2, central = insert_central_node(g, "s1", north_of(LAT0, 300.0), LON0)
-    assert travel_time_to_class(g2, central, HighwayClass.MOTORWAY) == 0.0
+    g = street("motorway_link", 60.0)
+    central = insert_central_node(g, "s1", north_of(LAT0, 300.0), LON0)
+    assert travel_time_to_class(g, central, HighwayClass.MOTORWAY) == 0.0
 
 
 def test_travel_time_unreachable_class_is_sentinel():
     g = chain_graph()  # no motorway anywhere
-    g2, central = insert_central_node(g, "s1", north_of(LAT0, 250.0), LON0)
-    assert travel_time_to_class(g2, central, HighwayClass.MOTORWAY) == UNREACHABLE
+    central = insert_central_node(g, "s1", north_of(LAT0, 250.0), LON0)
+    assert travel_time_to_class(g, central, HighwayClass.MOTORWAY) == UNREACHABLE
 
 
 def test_travel_time_only_defined_for_major_classes():
     g = chain_graph()
-    g2, central = insert_central_node(g, "s1", north_of(LAT0, 250.0), LON0)
+    central = insert_central_node(g, "s1", north_of(LAT0, 250.0), LON0)
     with pytest.raises(ArgumentError):
-        travel_time_to_class(g2, central, HighwayClass.TERTIARY)
+        travel_time_to_class(g, central, HighwayClass.TERTIARY)
 
 
 # ---------------------------------------------------------------------------
@@ -257,13 +256,11 @@ def test_default_lane_counts():
 
 
 def embedded_street(lanes=None, lanes_override=None, road_type_override=None):
-    nodes = {"a": (LAT0, LON0), "b": (north_of(LAT0, 600.0), LON0)}
-    e1 = geo_edge("a", "b", nodes, HighwayClass.SECONDARY, 50.0, lanes=lanes)
-    e2 = geo_edge("b", "a", nodes, HighwayClass.SECONDARY, 50.0, lanes=lanes)
-    g = RoadGraph(nodes, [e1, e2])
-    g2, central = insert_central_node(g, "s1", north_of(LAT0, 200.0), LON0)
-    ego = ego_graph(g2, central, 5)
-    return build_embedding(g2, ego, central, sensor_id="s1",
+    tags = {} if lanes is None else {"lanes": str(lanes)}
+    g = street("secondary", 50.0, meters=600.0, **tags)
+    central = insert_central_node(g, "s1", north_of(LAT0, 200.0), LON0)
+    ego = ego_graph(g, central, 5)
+    return build_embedding(g, ego, central, sensor_id="s1",
                            lanes_override=lanes_override,
                            road_type_override=road_type_override)
 
@@ -306,11 +303,10 @@ def test_single_node_ego_is_flagged():
     # the central node reuses a junction whose every neighbour is beyond
     # zero hops only when the graph is a single point -- force it by
     # sub-hop isolation: a graph with one edge, ego of the far junction
-    nodes = {"a": (LAT0, LON0), "b": (north_of(LAT0, 600.0), LON0)}
-    g = RoadGraph(nodes, [geo_edge("a", "b", nodes, HighwayClass.SECONDARY, 50.0)])
-    g2, central = insert_central_node(g, "s1", north_of(LAT0, 300.0), LON0)
-    ego = EgoGraph(graph=index_graph(g2, [central.node_id]), center=central)
-    e = build_embedding(g2, ego, central, sensor_id="s1")
+    g = street("secondary", 50.0, meters=600.0, oneway="yes")
+    central = insert_central_node(g, "s1", north_of(LAT0, 300.0), LON0)
+    ego = EgoGraph(graph=IndexGraph([central.node_id], [[]]), center=central)
+    e = build_embedding(g, ego, central, sensor_id="s1")
     assert "single_node_ego" in e.notes
     assert e.spbc_neighbors_max == 0.0
     assert e.spbc_neighbors_median == 0.0
@@ -378,9 +374,10 @@ def test_normalize_bounds_property(rows):
             assert math.isclose(max(vals), 1.0, abs_tol=1e-12)
 
 
-def test_minicity_embeddings_have_max_at_least_median(minicity_graph):
+def test_minicity_embeddings_have_max_at_least_median(minicity_raw):
     assert DECISIONS["centrality_neighbor_scope"] == "all_ego_nodes_except_center"
-    g2, central = insert_central_node(minicity_graph, "sx", 40.4501, -3.6918)
+    g2 = RadiusView(minicity_raw, MINICITY_CENTER, 2000.0)
+    central = insert_central_node(g2, "sx", 40.4501, -3.6918)
     ego = ego_graph(g2, central, 5)
     centrality = betweenness(ego.graph)
     f1, f2, f3 = summarize_centrality(centrality, central.node_id)

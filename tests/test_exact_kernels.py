@@ -10,7 +10,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import FIXTURE_DIR
-from helpers import LAT0, LON0, east_of, grid_extract, node_coords, north_of, shapes_extract
+from helpers import (
+    LAT0, LON0, RoadGraph, east_of, grid_extract, index_graph, node_coords, north_of,
+    shapes_extract, view_edges,
+)
 from oracles import betweenness_dicts, within_full_scan
 from roadtwin.config import PipelineConfig
 from roadtwin.embedding import betweenness
@@ -18,9 +21,7 @@ from roadtwin.errors import ArgumentError, FormatError, SnapError
 from roadtwin.geo import coordinate_problem, haversine_m
 from roadtwin.osm_ingest import HighwayClass, RadiusView, RawRoadData, Way
 from roadtwin.pipeline import load_sensors
-from roadtwin.road_graph import (
-    Edge, IndexGraph, RoadGraph, ego_graph, index_graph, insert_central_node,
-)
+from roadtwin.road_graph import Edge, IndexGraph, ego_graph, insert_central_node
 
 
 # ---------------------------------------------------------------------------
@@ -54,11 +55,13 @@ def assert_same_centrality(index: IndexGraph, graph: RoadGraph):
     assert list(got.items()) == sorted(betweenness_dicts(graph).items())
 
 
-def induced(graph, nodes) -> RoadGraph:
-    """The subgraph of any graph that ``nodes`` induce, as a RoadGraph."""
+def induced(view, nodes) -> RoadGraph:
+    """The subgraph of a view that the node ids ``nodes`` induce, as a
+    RoadGraph whose edges carry the view's travel times."""
     keep = set(nodes)
-    return RoadGraph({v: graph.coords(v) for v in nodes},
-                     [e for v in nodes for _, e in graph.out_edges(v) if e.dst in keep])
+    return RoadGraph({v: (0.0, 0.0) for v in nodes},
+                     [Edge(src, dst, t, 3.6, t, HighwayClass.RESIDENTIAL)
+                      for src, dst, t in view_edges(view, nodes) if dst in keep])
 
 
 @given(tied_multigraphs())
@@ -88,7 +91,7 @@ def ego_graphs(raw, positions, hops=(1, 2, 3, 4)):
     for sid, (lat, lon) in positions:
         graph = RadiusView(raw, (lat, lon), cfg.radius_m)
         try:
-            graph, central = insert_central_node(graph, sid, lat, lon, cfg.snap_threshold_m)
+            central = insert_central_node(graph, sid, lat, lon, cfg.snap_threshold_m)
         except SnapError:
             continue
         for h in hops:

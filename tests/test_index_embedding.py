@@ -3,14 +3,17 @@ builds the radius graph node by node as the snap, the ego-graph and the
 travel-time search read it.  Every embedding, central node, ego-graph and
 error must equal those of the whole-radius-graph path
 (``oracles.embed_position_radius_graph``).  Ego-graphs are compared in
-both forms: the index form Brandes reads, and every field of every ego
-edge, as each ego node's out-edge list."""
+both forms: the index form Brandes reads, and the ids and travel time
+of every ego edge, node by node in edge order."""
 import math
 import random
 
 import pytest
 
-from helpers import grid_extract, node_coords, shapes_extract, tangled_extract
+from helpers import (
+    RoadGraph, graph_edges, grid_extract, index_graph, node_coords, shapes_extract,
+    tangled_extract, view_edges,
+)
 from oracles import _insert_central_node_scan, embed_position_radius_graph
 from roadtwin import osm_ingest, pipeline
 from roadtwin.config import DECISIONS, PipelineConfig
@@ -19,9 +22,7 @@ from roadtwin.errors import RoadTwinError
 from roadtwin.geo import LocalProjection, point_segment_projection
 from roadtwin.osm_ingest import RadiusView, RawRoadData, build_graph
 from roadtwin.pipeline import SensorSpec, embed_position, embed_sensors
-from roadtwin.road_graph import (
-    RoadGraph, dijkstra_from, ego_graph, index_graph, insert_central_node,
-)
+from roadtwin.road_graph import Edge, dijkstra_from, ego_graph, insert_central_node
 
 from test_graph_crop import MINICITY_CENTERS
 from test_road_graph import MINICITY_SENSORS
@@ -29,31 +30,33 @@ from test_road_graph import MINICITY_SENSORS
 SPEEDS = {"residential": 45.0, "primary": 70.0, "motorway_link": 60.0}
 
 
-def ego_edges(graph, nodes) -> list[tuple[str, list]]:
-    """Each of ``nodes`` with its out-edges within ``nodes``, in edge order."""
+def ego_edges(edges, nodes) -> list[tuple[str, str, float]]:
+    """The ``(src, dst, travel_time_s)`` edges whose ends are both in ``nodes``."""
     keep = set(nodes)
-    return [(v, [e for _, e in graph.out_edges(v) if e.dst in keep]) for v in nodes]
+    return [e for e in edges if e[0] in keep and e[1] in keep]
 
 
-def flat(per_node) -> list:
-    return [e for _, edges in per_node for e in edges]
+def arc_edges(view, arcs) -> list[Edge]:
+    """A view's arcs as edges named by node id, as build_graph names them."""
+    return [Edge(view.node_id(a.src), view.node_id(a.dst), *a[3:]) for a in arcs]
 
 
 def via_index(raw, cfg, sensor_id, lat, lon, **overrides):
-    """(embedding, central, ego-graph, per-node ego edges) through
-    RadiusView, or the error's (type, message)."""
+    """(embedding, central, ego-graph, ego edges) through RadiusView, or
+    the error's (type, message)."""
     try:
-        graph = RadiusView(raw, (lat, lon), cfg.radius_m, cfg.default_speeds or None)
-        graph, central = insert_central_node(
-            graph, sensor_id, lat, lon, snap_threshold_m=cfg.snap_threshold_m
+        view = RadiusView(raw, (lat, lon), cfg.radius_m, cfg.default_speeds or None)
+        central = insert_central_node(
+            view, sensor_id, lat, lon, snap_threshold_m=cfg.snap_threshold_m
         )
-        ego = ego_graph(graph, central, cfg.ego_hops)
-        emb = build_embedding(graph, ego, central, sensor_id=sensor_id, **overrides)
+        ego = ego_graph(view, central, cfg.ego_hops)
+        emb = build_embedding(view, ego, central, sensor_id=sensor_id, **overrides)
         position = embed_position(raw, cfg, sensor_id, lat, lon, **overrides)
     except RoadTwinError as exc:
         return type(exc).__name__, str(exc)
     assert position == emb
-    return emb, central, ego.graph, ego_edges(graph, ego.graph.nodes)
+    nodes = ego.graph.nodes
+    return emb, central, ego.graph, ego_edges(view_edges(view, nodes), nodes)
 
 
 def via_radius_graph(raw, cfg, sensor_id, lat, lon, **overrides):
@@ -61,7 +64,8 @@ def via_radius_graph(raw, cfg, sensor_id, lat, lon, **overrides):
         emb, central, ego = embed_position_radius_graph(raw, cfg, sensor_id, lat, lon, **overrides)
     except RoadTwinError as exc:
         return type(exc).__name__, str(exc)
-    return emb, central, index_graph(ego, ego.nodes), ego_edges(ego, sorted(ego.nodes))
+    nodes = sorted(ego.nodes)
+    return emb, central, index_graph(ego, ego.nodes), ego_edges(graph_edges(ego, nodes), nodes)
 
 
 def assert_same_embedding(raw, cfg, sensor_id, lat, lon, **overrides):
@@ -133,26 +137,23 @@ def test_shapes_exercise_their_case():
         return via_index(raw, PipelineConfig(**kw) if kw else cfg, name, *probes[name])
 
     # the equidistant carriageways: the smaller (src, dst) hosts the sensor
-    emb, central, ego, per_node = run("dual")
-    edges = flat(per_node)
-    assert {(e.src, e.dst) for e in edges if central.node_id in (e.src, e.dst)} == {
+    emb, central, ego, edges = run("dual")
+    assert {(src, dst) for src, dst, _ in edges if central.node_id in (src, dst)} == {
         ("de0", "site:dual"), ("site:dual", "de2")}
     # equal parallel ways: one way's two directions are split, the
     # other's stay whole
-    emb, central, ego, per_node = run("parallel")
-    edges = flat(per_node)
-    assert len([e for e in edges if central.node_id in (e.src, e.dst)]) == 4
-    assert sorted((e.src, e.dst) for e in edges if {e.src, e.dst} == {"q0", "q1"}) == [
-        ("q0", "q1"), ("q1", "q0")]
+    emb, central, ego, edges = run("parallel")
+    assert len([e for e in edges if central.node_id in e[:2]]) == 4
+    assert sorted(e[:2] for e in edges if set(e[:2]) == {"q0", "q1"}) == [("q0", "q1"), ("q1", "q0")]
     # the foot within 0.5 m of a junction reuses it
     assert run("near_junction")[1].node_id == "p2"
     # only the middle of the long way lies in a 250 m radius
-    emb, central, ego, per_node = run("middle", radius_m=250.0)
+    emb, central, ego, edges = run("middle", radius_m=250.0)
     assert {"l8", "l12"} <= set(ego.nodes) and not {"l7", "l13"} & set(ego.nodes)
     # the bend leaves a 230 m radius and re-enters it: two pieces
     view = RadiusView(raw, probes["curve_reentry"], 230.0)
-    assert [e.dst for _, e in view.out_edges("p2")] == ["cb1"]
-    assert [e.src for _, e in view.in_edges("c_top")] == ["cb7"]
+    assert [dst for _, dst, _ in view_edges(view, ["p2"])] == ["cb1"]
+    assert [src for src, _, _ in view_edges(view, ["c_top"], "in")] == ["cb7"]
     assert run("curve_reentry", radius_m=230.0)[0] == "SnapError"
     assert run("curve_reentry", radius_m=230.0, snap_threshold_m=300.0)[1].host_edge_class.value == "residential"
     # the apex is far from every chord, and the error names the nearest one
@@ -191,6 +192,10 @@ def test_errors_keep_their_order_and_messages():
 # the lazy view against build_graph
 # ---------------------------------------------------------------------------
 
+def classes(graph: RoadGraph, v: str) -> set:
+    return {e.highway_class for e in graph.out_edges(v) + graph.in_edges(v)}
+
+
 @pytest.mark.parametrize("extract", ["grid", "shapes", "tangled", "minicity"])
 def test_view_reads_what_build_graph_builds(minicity_raw, extract):
     raw = {"grid": grid_extract, "shapes": lambda: shapes_extract()[0],
@@ -199,41 +204,41 @@ def test_view_reads_what_build_graph_builds(minicity_raw, extract):
         radius_m = [120.0, 300.0, 900.0, 5000.0][k % 4]
         speeds = [None, SPEEDS][k % 2]
         try:
-            graph = build_graph(raw, center, radius_m, speeds)
+            graph = RoadGraph(*build_graph(raw, center, radius_m, speeds))
         except RoadTwinError:
             with pytest.raises(RoadTwinError):
-                RadiusView(raw, center, radius_m, speeds).edges_near(*center, None)
+                RadiusView(raw, center, radius_m, speeds).arcs()
             continue
         view = RadiusView(raw, center, radius_m, speeds)
         for v in list(graph.nodes)[::-1]:
-            assert view.has_node(v)
-            assert view.coords(v) == graph.nodes[v]
-            assert [e for _, e in view.out_edges(v)] == [graph.edges[i] for i in graph._out[v]]
-            assert [e for _, e in view.in_edges(v)] == [graph.edges[i] for i in graph._in[v]]
-        assert [e for _, e in view.edges_near(*center, None)] == graph.edges
-        keys = [k for v in graph.nodes for k, _ in view.out_edges(v)]
-        assert sorted(keys) == [k for k, _ in view.edges_near(*center, None)]
-        assert not view.has_node("no such node")
+            assert view.coords(view.row(v)) == graph.nodes[v]
+            assert view_edges(view, [v]) == graph_edges(graph, [v])
+            assert view_edges(view, [v], "in") == graph_edges(graph, [v], "in")
+            assert set(view.classes[view.row(v)]) == classes(graph, v)
+        assert arc_edges(view, view.arcs()) == graph.edges
+        # a row off the radius graph has no edge
+        for v in set(raw.node_ids) - set(graph.nodes):
+            assert view.out[view.row(v)] == view.inn[view.row(v)] == []
 
 
 def test_split_view_reads_what_the_split_graph_holds():
-    # the overlay, over the view and over the whole radius graph, reads
-    # what the oracle's materialised split holds
+    # the split inside the view reads what the oracle's materialised
+    # split holds
     raw, probes = shapes_extract()
     for name, (lat, lon) in probes.items():
-        whole = build_graph(raw, (lat, lon), 2000.0)
+        whole = RoadGraph(*build_graph(raw, (lat, lon), 2000.0))
         try:
             split, central = _insert_central_node_scan(whole, name, lat, lon)
         except RoadTwinError:
             continue
-        for base in (RadiusView(raw, (lat, lon), 2000.0), whole):
-            graph, graph_central = insert_central_node(base, name, lat, lon)
-            assert graph_central == central
-            for v in split.nodes:
-                assert graph.coords(v) == split.nodes[v]
-                assert [e for _, e in graph.out_edges(v)] == [split.edges[i] for i in split._out[v]]
-                assert [e for _, e in graph.in_edges(v)] == [split.edges[i] for i in split._in[v]]
-            assert [e for _, e in graph.edges_near(lat, lon, None)] == split.edges
+        view = RadiusView(raw, (lat, lon), 2000.0)
+        assert insert_central_node(view, name, lat, lon) == central
+        for v in split.nodes:
+            if v != view.site_id:
+                assert view.coords(view.row(v)) == split.nodes[v]
+            assert view_edges(view, [v]) == graph_edges(split, [v])
+            assert view_edges(view, [v], "in") == graph_edges(split, [v], "in")
+            assert set(view.classes[view.row(v)]) == classes(split, v)
 
 
 def test_near_query_keeps_every_edge_within_reach():
@@ -246,7 +251,7 @@ def test_near_query_keeps_every_edge_within_reach():
         view = RadiusView(raw, (lat, lon), 600.0)
         proj = LocalProjection(lat, lon)
         reach = [20.0, 60.0, 100.0, 250.0][k % 4]
-        near = [e for _, e in view.edges_near(lat, lon, reach)]
+        near = arc_edges(view, view.arcs_near(lat, lon, reach))
         for e in graph.edges:
             d = point_segment_projection(0.0, 0.0, *proj.to_xy(*graph.nodes[e.src]),
                                          *proj.to_xy(*graph.nodes[e.dst]))[1]
@@ -263,14 +268,16 @@ def test_ego_hops_are_undirected_on_the_index_path():
     assert DECISIONS["ego_hop_reachability"] == "undirected"
     raw, probes = shapes_extract()
     lat, lon = probes["oneway_in"]
-    graph, central = insert_central_node(RadiusView(raw, (lat, lon)), "x", lat, lon)
+    view = RadiusView(raw, (lat, lon))
+    central = insert_central_node(view, "x", lat, lon)
     assert central.node_id == "s0"
     # the oneway can only be driven towards s0: no search from s0 reaches o2
-    assert "o2" not in dijkstra_from(graph, "s0")
-    ego = ego_graph(graph, central, 1)
+    assert view.row("o2") not in dijkstra_from(view.out, view.row("s0"))
+    ego = ego_graph(view, central, 1)
     assert set(ego.graph.nodes) == {"s0", "s_w", "s_e", "o2"}
-    assert [(e.src, e.dst) for e in flat(ego_edges(graph, ego.graph.nodes))
-            if "o2" in (e.src, e.dst)] == [("o2", "s0")]
+    nodes = ego.graph.nodes
+    assert [e[:2] for e in ego_edges(view_edges(view, nodes), nodes) if "o2" in e[:2]] == [
+        ("o2", "s0")]
 
 
 def test_motorway_beyond_the_radius_normalizes_to_1():
@@ -306,13 +313,13 @@ def test_embed_builds_no_graph_beyond_the_ego_graph(monkeypatch):
     monkeypatch.setattr(osm_ingest, "build_graph", forbidden)
     monkeypatch.setattr(pipeline, "build_graph", forbidden)
     built = []
-    init = RoadGraph.__init__
+    segment_arcs = osm_ingest._segment_arcs
 
-    def counting_init(self, nodes, edges):
-        built.append(len(nodes))
-        init(self, nodes, edges)
+    def counting_segment_arcs(*args):
+        built.append(args[1])
+        return segment_arcs(*args)
 
-    monkeypatch.setattr(RoadGraph, "__init__", counting_init)
+    monkeypatch.setattr(osm_ingest, "_segment_arcs", counting_segment_arcs)
     egos = []
     real_ego_graph = pipeline.ego_graph
 
@@ -323,6 +330,8 @@ def test_embed_builds_no_graph_beyond_the_ego_graph(monkeypatch):
     monkeypatch.setattr(pipeline, "ego_graph", recording_ego_graph)
     positions = normalize_pool(embed_sensors(raw, sensors, PipelineConfig()))
     assert len(positions) == len(egos) == len(sensors)
-    # an embedding builds no RoadGraph, and its ego-graphs stay small
-    assert built == []
+    # an embedding builds the arcs of part of its radius's pieces (here
+    # 477 of 1,840), and its ego-graphs stay small
+    pieces = sum(len(RadiusView(raw, (s.lat, s.lon))._first) for s in sensors)
+    assert 0 < len(built) < pieces / 2
     assert max(len(ego.graph.nodes) for ego in egos) < len(raw.node_ids) / 4

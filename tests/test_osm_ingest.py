@@ -274,8 +274,9 @@ def test_chord_box_keeps_every_edge_the_snap_can_pick():
     )[1]
     assert 150.0 < chord_m < 170.0
     view = RadiusView(raw, (lat, lon), 2000.0)
-    assert not [e for _, e in view.edges_near(lat, lon, 100.0) if "hk2" in (e.src, e.dst)]
-    assert {(e.src, e.dst) for _, e in view.edges_near(lat, lon, 170.0)} == {
+    hk2 = view.row("hk2")
+    assert not [a for a in view.arcs_near(lat, lon, 100.0) if hk2 in (a.src, a.dst)]
+    assert {(view.node_id(a.src), view.node_id(a.dst)) for a in view.arcs_near(lat, lon, 170.0)} == {
         ("s_e", "hk2"), ("hk2", "s_e")}
 
     outcomes = {}

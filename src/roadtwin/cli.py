@@ -57,8 +57,17 @@ def _parse_date(text: str) -> date:
         raise ArgumentError(f"bad date {text!r}: {exc}") from exc
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser, and the class of its subparsers, that raises
+    ``ArgumentError`` where argparse would print usage and exit: ``main``
+    reports it as every other error, one JSON object and exit code 2."""
+
+    def error(self, message):
+        raise ArgumentError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="roadtwin",
         description="Estimate daily traffic profiles for unsensed road segments.",
     )
@@ -460,9 +469,8 @@ def _emit_error(exc: BaseException, exit_code: int):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = _config_from_args(args)
         _check_positions(args)
         HANDLERS[args.command](args, cfg)

@@ -202,7 +202,7 @@ def _travel_times(view, center: CentralNode, targets: tuple[HighwayClass, ...]) 
                 times[k] = time
         return not pending
 
-    dijkstra_from(view.out, view.row(center.node_id), stop=found_all)
+    dijkstra_from(view.out, center.row, stop=found_all)
     return times
 
 

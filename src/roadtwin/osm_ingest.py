@@ -18,7 +18,7 @@ import re
 import weakref
 from bisect import bisect_left
 from xml.parsers import expat
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -59,9 +59,11 @@ _NUM_RE = re.compile(r"[-+]?\d+(?:\.\d+)?")
 
 @dataclass
 class Way:
+    """A drivable way's id and kept tags; its nodes are the way's
+    occurrences in :class:`RawRoadData`."""
+
     way_id: str
-    node_ids: list[str]
-    tags: dict[str, str] = field(default_factory=dict)
+    tags: dict[str, str]
 
     @property
     def highway_class(self) -> HighwayClass:
@@ -73,12 +75,14 @@ class RawRoadData:
     """A parsed extract, flat: every node, plus the drivable ways only.
 
     - ``node_ids``, ``lat``, ``lon``: the extract's nodes as rows, in
-      file order (float64 coordinates).
-    - ``occ_id``, ``occ_node``: node id and node row of each
-      *occurrence*, the node lists of the ways laid end to end; row
-      ``len(node_ids)`` stands for an id no node element defines.
+      file order (float64 coordinates).  ``node_ids`` is the one map
+      from row to id.
+    - ``occ_node``: the node row of each *occurrence*, the node lists of
+      the ways laid end to end.  Every ref is a row: an extract whose
+      way names an undefined node is never built.
     - ``way_start``: the first occurrence of each way, then the total.
-    - ``ways``: the drivable ways, in file order.
+    - ``ways``: the drivable ways, in file order; the nodes of way ``w``
+      are ``occ_node[way_start[w]:way_start[w + 1]]``.
 
     ``index`` is the :class:`MapIndex` built from these on first use and
     kept for the object's lifetime, so every :func:`build_graph` call and
@@ -89,24 +93,34 @@ class RawRoadData:
     node_ids: list[str]
     lat: np.ndarray
     lon: np.ndarray
-    occ_id: list[str]
     occ_node: np.ndarray
     way_start: np.ndarray
     ways: list[Way]
 
     @classmethod
-    def of(cls, nodes: dict[str, tuple[float, float]], ways: list[Way]) -> "RawRoadData":
-        """The extract of a node dict (id -> ``(lat, lon)``) and a way list."""
+    def of(cls, nodes: dict[str, tuple[float, float]], ways: list[tuple]) -> "RawRoadData":
+        """The extract of a node dict (id -> ``(lat, lon)``) and a list of
+        ``(way_id, node ids, tags)`` triples.
+
+        Raises ``StructuralError`` for the first ref, in way order, that
+        names no node of ``nodes``.
+        """
         node_ids = list(nodes)
         row = dict(zip(node_ids, range(len(node_ids))))
         latlon = np.array(list(nodes.values()), dtype=float).reshape(-1, 2)
-        occ_id = [nid for way in ways for nid in way.node_ids]
+        occ_node = []
+        for way_id, refs, _ in ways:
+            for ref in refs:
+                r = row.get(ref)
+                if r is None:
+                    raise StructuralError(f"way {way_id} references missing node {ref}")
+                occ_node.append(r)
+        way_start = np.cumsum([0] + [len(refs) for _, refs, _ in ways])
         # int32 keeps the per-occurrence tables small: an extract has far
         # fewer than 2**31 nodes or occurrences
-        occ_node = np.array([row.get(nid, len(row)) for nid in occ_id], dtype=np.int32)
-        way_start = np.cumsum([0] + [len(way.node_ids) for way in ways])
-        return cls(node_ids, latlon[:, 0].copy(), latlon[:, 1].copy(), occ_id, occ_node,
-                   way_start, ways)
+        return cls(node_ids, latlon[:, 0].copy(), latlon[:, 1].copy(),
+                   np.array(occ_node, dtype=np.int32), way_start,
+                   [Way(way_id, tags) for way_id, _, tags in ways])
 
     @cached_property
     def index(self) -> "MapIndex":
@@ -132,11 +146,10 @@ class MapIndex:
     gather of a per-node mask finds every way position a set of nodes
     covers, in way order.
 
-    - ``row``, ``lat``, ``lon``: the extract's nodes as rows (``row``
-      maps a node id to its row).  A last extra row at NaN stands for
-      node ids no node element defines, so it is never inside a radius.
-      A node that :func:`geo.coordinate_problem` objects to (beyond the
-      poles or +-180 degrees, NaN or infinite) raises ``FormatError``.
+    - ``lat``, ``lon``: the extract's own coordinate arrays, one row per
+      node.  A node that :func:`geo.coordinate_problem` objects to
+      (beyond the poles or +-180 degrees, NaN or infinite) raises
+      ``FormatError``.
     - ``occ_node``, ``way_of``: node row and way of each occurrence.
     - ``occ_by_node[node_occ[row]:node_occ[row + 1]]``: the occurrences
       of one node row, in way order.
@@ -147,7 +160,7 @@ class MapIndex:
       measured.
     - ``is_cut[k]``: the occurrence ends a junction-to-junction segment,
       being a way's first or last node or a node of two or more ways.
-    - ``lat_order``: the node rows by latitude (NaN last), and
+    - ``lat_order``: the node rows by latitude, and
       ``lat_sorted``, ``lon_by_lat`` their coordinates in that order, for
       the latitude band of :meth:`within`.
 
@@ -159,10 +172,8 @@ class MapIndex:
     """
 
     def __init__(self, raw: RawRoadData):
-        self.row = dict(zip(raw.node_ids, range(len(raw.node_ids))))
-        missing = len(self.row)
-        self.lat = np.append(raw.lat, math.nan)
-        self.lon = np.append(raw.lon, math.nan)
+        n = len(raw.node_ids)
+        self.lat, self.lon = raw.lat, raw.lon
         # NaN compares false, so a NaN coordinate is off the globe too
         off_globe = ~((np.abs(raw.lat) <= 90.0) & (np.abs(raw.lon) <= 180.0))
         if off_globe.any():
@@ -177,10 +188,10 @@ class MapIndex:
         )
         # drivable ways through each node, one count per (way, node) pair
         # however often the way repeats the node
-        way_node = np.sort(self.way_of.astype(np.int64) * (missing + 1) + self.occ_node)
+        way_node = np.sort(self.way_of.astype(np.int64) * n + self.occ_node)
         distinct = np.ones(way_node.size, dtype=bool)
         distinct[1:] = way_node[1:] != way_node[:-1]
-        way_count = np.bincount(way_node[distinct] % (missing + 1), minlength=missing + 1)
+        way_count = np.bincount(way_node[distinct] % n, minlength=n)
 
         starts, stops = self.way_start[:-1], self.way_start[1:]
         nonempty = stops > starts
@@ -193,8 +204,8 @@ class MapIndex:
 
         # occurrences of each node row, in way order
         self.occ_by_node = np.argsort(self.occ_node, kind="stable").astype(np.int32)
-        self.node_occ = np.zeros(missing + 2, dtype=np.int32)
-        np.cumsum(np.bincount(self.occ_node, minlength=missing + 1), out=self.node_occ[1:])
+        self.node_occ = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(self.occ_node, minlength=n), out=self.node_occ[1:])
 
         # within() reads its latitude band as slices of these
         self.lat_order = np.argsort(self.lat, kind="stable").astype(np.int32)
@@ -314,10 +325,10 @@ def _parse_events(data: bytes) -> RawRoadData:
     """:func:`parse_osm_extract` through expat's element handlers, for a
     document the handler-free pass found well formed."""
     nodes: dict[str, tuple[float, float]] = {}
-    ways: list[Way] = []
+    ways: list[tuple[str, list[str], dict[str, str]]] = []
     bad_node = None  # first node error, raised once the whole XML is read
     depth = 0  # of the open element; the root is 1
-    way = None  # the root-child way being read
+    way = None  # the root-child way being read, as (way_id, refs, tags)
 
     def start(name, attrs):
         nonlocal depth, way, bad_node
@@ -331,19 +342,19 @@ def _parse_events(data: bytes) -> RawRoadData:
                     if bad_node is None:
                         bad_node = exc
             elif name == "way":
-                way = Way(way_id=attrs.get("id", ""), node_ids=[], tags={})
+                way = (attrs.get("id", ""), [], {})
         elif depth == 3 and way is not None:
             if name == "nd":
-                way.node_ids.append(attrs.get("ref", ""))
+                way[1].append(attrs.get("ref", ""))
             elif name == "tag":
                 k = attrs.get("k", "")
                 if k in _KEEP_TAGS:
-                    way.tags[k] = attrs.get("v", "")
+                    way[2][k] = attrs.get("v", "")
 
     def end(name):
         nonlocal depth, way
         if depth == 2 and way is not None:
-            if way.tags.get("highway") in ACCEPTED_HIGHWAYS:
+            if way[2].get("highway") in ACCEPTED_HIGHWAYS:
                 ways.append(way)
             way = None
         depth -= 1
@@ -351,13 +362,6 @@ def _parse_events(data: bytes) -> RawRoadData:
     _expat_parse(data, start, end)
     if bad_node is not None:
         raise FormatError(f"node element missing id/lat/lon: {bad_node}") from bad_node
-
-    for way in ways:
-        for ref in way.node_ids:
-            if ref not in nodes:
-                raise StructuralError(
-                    f"way {way.way_id} references missing node {ref}"
-                )
     return RawRoadData.of(nodes, ways)
 
 
@@ -632,14 +636,9 @@ def _parse_canonical(data: bytes) -> RawRoadData | None:
     if (sorted_key[at] != occ_key).any():
         return None  # a missing node
     occ_node = (at if order is None else order[at]).astype(np.int32)
-    occ_id = np.array(node_ids, dtype=object)[occ_node].tolist()
     way_start = np.concatenate(([0], np.cumsum(way_len)))
-    bounds = way_start.tolist()
-    ways = [
-        Way(way_id, occ_id[a:b], way_tags)
-        for way_id, way_tags, a, b in zip(way_ids, tags, bounds[:-1], bounds[1:])
-    ]
-    return RawRoadData(node_ids, lat, lon, occ_id, occ_node, way_start, ways)
+    ways = [Way(way_id, way_tags) for way_id, way_tags in zip(way_ids, tags)]
+    return RawRoadData(node_ids, lat, lon, occ_node, way_start, ways)
 
 
 def parse_maxspeed_kph(value: str | None) -> float | None:
@@ -808,12 +807,14 @@ class RadiusView:
     """The radius graph around ``center`` on integer node rows, built
     per row on first read.
 
-    A node is its :class:`MapIndex` row; ``site``, one row past the
-    index's, is the virtual node :meth:`split` adds.  ``out[v]`` and
-    ``inn[v]`` list the ``(row, travel_time_s)`` pairs of row ``v``'s out-
-    and in-edges in edge order, and ``classes[v]`` the road classes of
-    its edges; all three are filled together the first time one of them
-    is read for ``v``.
+    A node is its row in ``raw.node_ids``, and :meth:`node_id` names it;
+    ``site``, the row past the extract's last, is the virtual node
+    :meth:`split` adds.  The view maps no id to a row: a search starts
+    from the row that ``road_graph.insert_central_node`` puts on its
+    ``CentralNode``.  ``out[v]`` and ``inn[v]`` list the ``(row,
+    travel_time_s)`` pairs of row ``v``'s out- and in-edges in edge
+    order, and ``classes[v]`` the road classes of its edges; all three
+    are filled together the first time one of them is read for ``v``.
 
     The view's *pieces* are found once, up front, from the in-radius
     occurrences of ``raw.index``: a piece is a maximal in-radius run of
@@ -857,7 +858,7 @@ class RadiusView:
         self._last: list[int] = (pairs[ends] + 1).tolist()
         self._piece_arcs: dict[int, tuple[Arc, ...]] = {}
         self._attrs: dict[int, tuple] = {}
-        self.site = index.lat.size
+        self.site = len(raw.node_ids)
         self.site_id: str | None = None
         self._halves: dict[tuple[int, int], tuple[float, float]] = {}
         self.out = _Filled(self)
@@ -866,9 +867,6 @@ class RadiusView:
 
     def node_id(self, row: int) -> str:
         return self.site_id if row == self.site else self.raw.node_ids[row]
-
-    def row(self, node_id: str) -> int:
-        return self.site if node_id == self.site_id else self.index.row[node_id]
 
     def coords(self, row: int) -> tuple[float, float]:
         return self.index.lat[row].item(), self.index.lon[row].item()

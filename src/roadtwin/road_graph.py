@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import ArgumentError, SnapError
@@ -59,7 +59,13 @@ class Edge:
 
 @dataclass(frozen=True)
 class CentralNode:
-    """Virtual node representing a sensor (or target) position on the graph."""
+    """Virtual node representing a sensor (or target) position on the graph.
+
+    ``row`` is the node's row in the view it was inserted into: the
+    view's ``site``, or the reused junction's row (None for a node made
+    outside a view).  A row addresses one view only, so it takes no part
+    in equality.
+    """
 
     node_id: str
     sensor_id: str
@@ -67,6 +73,7 @@ class CentralNode:
     lon: float
     host_edge_class: HighwayClass
     host_edge_lanes: int | None
+    row: int | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -153,9 +160,10 @@ def insert_central_node(
     A projection landing within ``JUNCTION_REUSE_M`` of an existing
     endpoint reuses that junction instead.
 
-    The split happens inside the view (``RadiusView.split``).  Returns the
-    central node.  Raises ``DomainError`` when the view holds no edge and
-    ``SnapError`` when no edge lies within ``snap_threshold_m``.
+    The split happens inside the view (``RadiusView.split``), through the
+    node ``site:<sensor_id>``.  Returns the central node, which carries
+    its row in the view.  Raises ``DomainError`` when the view holds no
+    edge and ``SnapError`` when no edge lies within ``snap_threshold_m``.
     """
     proj = LocalProjection(lat, lon)
     px, py = proj.to_xy(lat, lon)
@@ -176,16 +184,13 @@ def insert_central_node(
     # reuse an existing junction when the foot is essentially on it
     for node, (nx, ny) in ((host.src, (ax, ay)), (host.dst, (bx, by))):
         if math.hypot(fx - nx, fy - ny) <= JUNCTION_REUSE_M:
-            return CentralNode(
-                view.node_id(node), sensor_id, *view.coords(node), host.highway_class, host.lanes
-            )
+            return CentralNode(view.node_id(node), sensor_id, *view.coords(node),
+                               host.highway_class, host.lanes, node)
 
     node_id = f"site:{sensor_id}"
-    osm_row = view.index.row.get(node_id)
-    if osm_row is not None and (view.out[osm_row] or view.inn[osm_row]):
-        raise ArgumentError(f"sensor {sensor_id!r} already inserted in this graph")
     view.split(host, t, node_id)
-    return CentralNode(node_id, sensor_id, *proj.to_latlon(fx, fy), host.highway_class, host.lanes)
+    return CentralNode(node_id, sensor_id, *proj.to_latlon(fx, fy), host.highway_class, host.lanes,
+                       view.site)
 
 
 def ego_graph(view, center: CentralNode, hops: int) -> EgoGraph:
@@ -196,11 +201,15 @@ def ego_graph(view, center: CentralNode, hops: int) -> EgoGraph:
     in the view's edge order.  The index order is the id order, which
     sets Brandes' source and tie order, so the ~50 ids of one ego-graph
     are sorted here.
+
+    Ids are the ego-graph's keys from here on, so an OSM node that
+    shares the center's ``site:<sensor id>`` and lies within the hop
+    limit raises ``ArgumentError``.
     """
     if hops < 1:
         raise ArgumentError(f"hop limit must be >= 1, got {hops}")
     out, inn = view.out, view.inn
-    start = view.row(center.node_id)
+    start = center.row
     seen = {start}
     frontier = [start]
     for _ in range(hops):
@@ -214,6 +223,8 @@ def ego_graph(view, center: CentralNode, hops: int) -> EgoGraph:
         frontier = nxt
 
     named = sorted((view.node_id(v), v) for v in seen)
+    if any(a == b for (a, _), (b, _) in zip(named, named[1:])):
+        raise ArgumentError(f"sensor {center.sensor_id!r} already inserted in this graph")
     rank = {v: i for i, (_, v) in enumerate(named)}
     graph = IndexGraph(
         [name for name, _ in named],

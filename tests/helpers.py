@@ -10,7 +10,7 @@ import numpy as np
 
 from roadtwin.geo import EARTH_RADIUS_M
 from roadtwin.road_graph import Edge, IndexGraph
-from roadtwin.osm_ingest import HighwayClass, RadiusView, RawRoadData, Way
+from roadtwin.osm_ingest import HighwayClass, RadiusView, RawRoadData
 from roadtwin.embedding import RoadEmbedding
 from roadtwin.traffic_data import (
     QUALITY_OBSERVED,
@@ -85,8 +85,13 @@ def east_of(lat: float, lon: float, meters: float) -> float:
 def view_of(nodes, ways, radius_m=10_000.0) -> RadiusView:
     """Radius view of the extract of ``nodes`` and ``ways`` (``(refs,
     tags)`` pairs, given way ids 1, 2, ...), centred on the first node."""
-    raw = RawRoadData.of(nodes, [Way(str(i), refs, tags) for i, (refs, tags) in enumerate(ways, 1)])
+    raw = RawRoadData.of(nodes, [(str(i), refs, tags) for i, (refs, tags) in enumerate(ways, 1)])
     return RadiusView(raw, next(iter(nodes.values())), radius_m)
+
+
+def row_of(view: RadiusView, node_id: str) -> int:
+    """The view's row of a node id: its site, or its row in the extract."""
+    return view.site if node_id == view.site_id else view.raw.node_ids.index(node_id)
 
 
 def view_edges(view: RadiusView, nodes, direction="out") -> list[tuple[str, str, float]]:
@@ -95,7 +100,7 @@ def view_edges(view: RadiusView, nodes, direction="out") -> list[tuple[str, str,
     adjacent = view.out if direction == "out" else view.inn
     edges = []
     for v in nodes:
-        for w, t in adjacent[view.row(v)]:
+        for w, t in adjacent[row_of(view, v)]:
             edges.append((v, view.node_id(w), t) if direction == "out" else (view.node_id(w), v, t))
     return edges
 
@@ -178,12 +183,21 @@ def node_coords(raw: RawRoadData) -> dict[str, tuple[float, float]]:
     return dict(zip(raw.node_ids, zip(raw.lat.tolist(), raw.lon.tolist())))
 
 
+def way_triples(raw: RawRoadData) -> list[tuple[str, list[str], dict[str, str]]]:
+    """``(way_id, node ids, tags)`` of each drivable way, in file order:
+    what ``RawRoadData.of`` takes."""
+    bounds = raw.way_start.tolist()
+    ids = np.array(raw.node_ids, dtype=object)
+    return [(w.way_id, ids[raw.occ_node[a:b]].tolist(), w.tags)
+            for w, a, b in zip(raw.ways, bounds[:-1], bounds[1:])]
+
+
 # Rewriters of a parsed canonical extract: each writes the same road
 # network as another document, which must give the same features.
 
 def shuffled_ways_doc(raw: RawRoadData, seed=0) -> bytes:
     """The extract with its ways in a seeded random order."""
-    ways = [(w.way_id, w.node_ids, w.tags) for w in raw.ways]
+    ways = way_triples(raw)
     random.Random(seed).shuffle(ways)
     return osm_doc(node_coords(raw), ways)
 
@@ -191,15 +205,16 @@ def shuffled_ways_doc(raw: RawRoadData, seed=0) -> bytes:
 def split_at_junctions_doc(raw: RawRoadData) -> bytes:
     """The extract with each way cut at every inner node that two or more
     ways pass, one way per junction-to-junction stretch, renumbered."""
-    ways_through = Counter(nid for w in raw.ways for nid in set(w.node_ids))
+    triples = way_triples(raw)
+    ways_through = Counter(nid for _, refs, _ in triples for nid in set(refs))
     pieces = []
-    for w in raw.ways:
+    for _, refs, tags in triples:
         start = 0
-        for k in range(1, len(w.node_ids) - 1):
-            if ways_through[w.node_ids[k]] >= 2:
-                pieces.append((w.node_ids[start : k + 1], w.tags))
+        for k in range(1, len(refs) - 1):
+            if ways_through[refs[k]] >= 2:
+                pieces.append((refs[start : k + 1], tags))
                 start = k
-        pieces.append((w.node_ids[start:], w.tags))
+        pieces.append((refs[start:], tags))
     ways = [(str(i), refs, tags) for i, (refs, tags) in enumerate(pieces, 1)]
     return osm_doc(node_coords(raw), ways)
 
@@ -253,22 +268,22 @@ def grid_extract(n=14, spacing_m=110.0, bends=2, seed=7) -> RawRoadData:
 
     ways = []
     for i in range(n):
-        ways.append(Way(f"h{i}", line(lambda k, i=i: f"j{k}_{i}", f"h{i}"), tags(i)))
+        ways.append((f"h{i}", line(lambda k, i=i: f"j{k}_{i}", f"h{i}"), tags(i)))
         refs = line(lambda k, i=i: f"j{i}_{k}", f"v{i}")
         if i == 3:
             mid = refs.index(f"j{i}_{n // 2}")
-            ways.append(Way("v3a", refs[: mid + 1], tags(i)))
-            ways.append(Way("v3b", refs[mid:], {"highway": "secondary_link"}))
+            ways.append(("v3a", refs[: mid + 1], tags(i)))
+            ways.append(("v3b", refs[mid:], {"highway": "secondary_link"}))
         else:
-            ways.append(Way(f"v{i}", refs, tags(i)))
+            ways.append((f"v{i}", refs, tags(i)))
     loop = ["j2_2", "j2_3", "j3_3", "j3_2", "j2_2"]
-    ways.append(Way("loop", loop, {"highway": "residential"}))
+    ways.append(("loop", loop, {"highway": "residential"}))
     return RawRoadData.of(nodes, ways)
 
 
 def tangled_extract() -> RawRoadData:
-    """Loops, repeated nodes, a zero-length pair, a single-node way, an
-    empty way and a reference to a node with no coordinates."""
+    """Loops, repeated nodes, zero-length pairs, a single-node way and an
+    empty way."""
     nodes = {
         "a": (LAT0, LON0),
         "b": (north_of(LAT0, 200), LON0),
@@ -283,14 +298,14 @@ def tangled_extract() -> RawRoadData:
         "j": (north_of(LAT0, -400), east_of(LAT0, LON0, -100)),
     }
     ways = [
-        Way("1", ["a", "b", "c", "d", "e", "a"], {"highway": "tertiary"}),
-        Way("2", ["b", "twin", "d"], {"highway": "primary", "oneway": "true"}),
-        Way("3", ["c", "f", "ghost", "f"], {"highway": "residential", "maxspeed": "20 mph"}),
-        Way("4", ["e", "d", "e"], {"highway": "residential"}),
-        Way("5", ["f"], {"highway": "residential"}),
-        Way("6", [], {"highway": "residential"}),
+        ("1", ["a", "b", "c", "d", "e", "a"], {"highway": "tertiary"}),
+        ("2", ["b", "twin", "d"], {"highway": "primary", "oneway": "true"}),
+        ("3", ["c", "f", "f"], {"highway": "residential", "maxspeed": "20 mph"}),
+        ("4", ["e", "d", "e"], {"highway": "residential"}),
+        ("5", ["f"], {"highway": "residential"}),
+        ("6", [], {"highway": "residential"}),
         # h is on this way only, twice: not a junction
-        Way("7", ["a", "g", "h", "i", "j", "h", "e"], {"highway": "secondary"}),
+        ("7", ["a", "g", "h", "i", "j", "h", "e"], {"highway": "secondary"}),
     ]
     return RawRoadData.of(nodes, ways)
 
@@ -339,47 +354,47 @@ def shapes_extract():
     ways = []
     # primary spine along y = 0
     spine = [at(f"p{i}", x, 0.0) for i, x in enumerate((-600.0, -300.0, 0.0, 300.0, 600.0))]
-    ways.append(Way("spine", spine, {"highway": "primary", "lanes": "2"}))
+    ways.append(("spine", spine, {"highway": "primary", "lanes": "2"}))
     # a residential way bending east between p2 and c_top (chord along x = 0)
     bend = [at(f"cb{k}", 200.0 * math.sin(math.pi * k / 8), 200.0 - 200.0 * math.cos(math.pi * k / 8))
             for k in range(1, 8)]
-    ways.append(Way("curve", ["p2", *bend, at("c_top", 0.0, 400.0)], {"highway": "residential"}))
-    ways.append(Way("top", ["c_top", at("t_w", -300.0, 400.0), "p1"], {"highway": "tertiary"}))
+    ways.append(("curve", ["p2", *bend, at("c_top", 0.0, 400.0)], {"highway": "residential"}))
+    ways.append(("top", ["c_top", at("t_w", -300.0, 400.0), "p1"], {"highway": "tertiary"}))
     # dual carriageway: eastbound at y = -30, westbound at y = -40
-    ways.append(Way("dual_e", [at("de0", -500.0, -30.0), at("de1", 0.0, -30.0), at("de2", 500.0, -30.0)],
+    ways.append(("dual_e", [at("de0", -500.0, -30.0), at("de1", 0.0, -30.0), at("de2", 500.0, -30.0)],
                     {"highway": "secondary", "oneway": "yes", "lanes": "2"}))
-    ways.append(Way("dual_w", [at("dw0", 500.0, -40.0), at("dw1", 0.0, -40.0), at("dw2", -500.0, -40.0)],
+    ways.append(("dual_w", [at("dw0", 500.0, -40.0), at("dw1", 0.0, -40.0), at("dw2", -500.0, -40.0)],
                     {"highway": "secondary", "oneway": "yes", "lanes": "2"}))
-    ways.append(Way("dual_link_e", ["de2", "p4", "dw0"], {"highway": "secondary_link"}))
-    ways.append(Way("dual_link_w", ["dw2", "p0", "de0"], {"highway": "secondary_link"}))
+    ways.append(("dual_link_e", ["de2", "p4", "dw0"], {"highway": "secondary_link"}))
+    ways.append(("dual_link_w", ["dw2", "p0", "de0"], {"highway": "secondary_link"}))
     # a long straight way, junctions only at its ends
     long_refs = [at(f"l{k}", -1000.0 + 100.0 * k, 700.0) for k in range(21)]
-    ways.append(Way("long", long_refs, {"highway": "residential", "maxspeed": "20 mph"}))
-    ways.append(Way("long_w", ["l0", at("lw", -1000.0, 0.0), "p0"], {"highway": "tertiary"}))
-    ways.append(Way("long_e", ["l20", at("le", 1000.0, 0.0), "p4"], {"highway": "tertiary"}))
+    ways.append(("long", long_refs, {"highway": "residential", "maxspeed": "20 mph"}))
+    ways.append(("long_w", ["l0", at("lw", -1000.0, 0.0), "p0"], {"highway": "tertiary"}))
+    ways.append(("long_e", ["l20", at("le", 1000.0, 0.0), "p4"], {"highway": "tertiary"}))
     # a way through r1 twice, r1 on no other way
-    ways.append(Way("repeat", ["p1", at("r1", -300.0, -150.0), at("r2", -250.0, -250.0),
+    ways.append(("repeat", ["p1", at("r1", -300.0, -150.0), at("r2", -250.0, -250.0),
                                at("r3", -350.0, -250.0), "r1", at("r4", -300.0, -350.0)],
                     {"highway": "residential"}))
     # two ways between q0 and q1 over the same geometry
     at("q0", 300.0, -150.0)
     at("q1", 300.0, -450.0)
-    ways.append(Way("par_a", ["q0", at("qa", 340.0, -300.0), "q1"], {"highway": "residential"}))
-    ways.append(Way("par_b", ["q0", at("qb", 340.0, -300.0), "q1"], {"highway": "residential"}))
-    ways.append(Way("par_link", ["p3", "q0"], {"highway": "residential"}))
+    ways.append(("par_a", ["q0", at("qa", 340.0, -300.0), "q1"], {"highway": "residential"}))
+    ways.append(("par_b", ["q0", at("qb", 340.0, -300.0), "q1"], {"highway": "residential"}))
+    ways.append(("par_link", ["p3", "q0"], {"highway": "residential"}))
     # a tertiary road to the south, and a oneway leading away south from
     # its junction s0, drivable only towards s0
-    ways.append(Way("south", [at("s_w", -400.0, -1200.0), at("s0", 0.0, -1200.0),
+    ways.append(("south", [at("s_w", -400.0, -1200.0), at("s0", 0.0, -1200.0),
                               at("s_e", 400.0, -1200.0)], {"highway": "tertiary"}))
-    ways.append(Way("oneway_in", [at("o2", 0.0, -1500.0), at("o1", 0.0, -1350.0), "s0"],
+    ways.append(("oneway_in", [at("o2", 0.0, -1500.0), at("o1", 0.0, -1350.0), "s0"],
                     {"highway": "residential", "oneway": "yes"}))
     # a way from the tertiary road's east end bending north of its chord
-    ways.append(Way("hook", ["s_e", at("hk1", 550.0, -1000.0), at("hk2", 700.0, -1200.0)],
+    ways.append(("hook", ["s_e", at("hk1", 550.0, -1000.0), at("hk2", 700.0, -1200.0)],
                     {"highway": "residential"}))
     # a motorway far north
-    ways.append(Way("motorway", [at("m0", -1500.0, 2600.0), at("m1", 1500.0, 2600.0)],
+    ways.append(("motorway", [at("m0", -1500.0, 2600.0), at("m1", 1500.0, 2600.0)],
                     {"highway": "motorway", "oneway": "yes", "lanes": "3"}))
-    ways.append(Way("m_ramp", ["m1", at("mr", 1500.0, 2200.0), "l20"], {"highway": "motorway_link"}))
+    ways.append(("m_ramp", ["m1", at("mr", 1500.0, 2200.0), "l20"], {"highway": "motorway_link"}))
 
     probes = {
         "curve": pos(15.0, 200.0),

@@ -53,7 +53,7 @@ from itertools import count
 
 import numpy as np
 
-from helpers import RoadGraph, index_graph, node_coords
+from helpers import RoadGraph, index_graph, node_coords, way_triples
 from roadtwin.errors import (
     ArgumentError,
     DomainError,
@@ -67,7 +67,6 @@ from roadtwin.osm_ingest import (
     _KEEP_TAGS,
     ACCEPTED_HIGHWAYS,
     RawRoadData,
-    Way,
     default_speed,
     parse_lanes,
     parse_maxspeed_kph,
@@ -435,7 +434,7 @@ def parse_osm_extract_etree(data: bytes) -> RawRoadData:
         ) from exc
 
     nodes: dict[str, tuple[float, float]] = {}
-    ways: list[Way] = []
+    ways: list[tuple[str, list[str], dict[str, str]]] = []
     for elem in root:
         if elem.tag == "node":
             try:
@@ -456,13 +455,13 @@ def parse_osm_extract_etree(data: bytes) -> RawRoadData:
                     if k in _KEEP_TAGS:
                         tags[k] = child.attrib.get("v", "")
             if tags.get("highway") in ACCEPTED_HIGHWAYS:
-                ways.append(Way(way_id=elem.attrib.get("id", ""), node_ids=refs, tags=tags))
+                ways.append((elem.attrib.get("id", ""), refs, tags))
 
-    for way in ways:
-        for ref in way.node_ids:
+    for way_id, refs, _ in ways:
+        for ref in refs:
             if ref not in nodes:
                 raise StructuralError(
-                    f"way {way.way_id} references missing node {ref}"
+                    f"way {way_id} references missing node {ref}"
                 )
     return RawRoadData.of(nodes, ways)
 
@@ -507,24 +506,25 @@ def build_graph_full_scan(
         if haversine_m(center[0], center[1], lat, lon) <= radius_m
     }
 
+    triples = way_triples(raw)
     way_count: dict[str, int] = {}
-    for way in raw.ways:
-        for nid in set(way.node_ids):
+    for _, refs, _ in triples:
+        for nid in set(refs):
             way_count[nid] = way_count.get(nid, 0) + 1
 
     nodes: dict[str, tuple[float, float]] = {}
     edges: list[Edge] = []
-    for way in raw.ways:
-        cls = way.highway_class
-        speed = parse_maxspeed_kph(way.tags.get("maxspeed"))
+    for _, refs, tags in triples:
+        cls = HighwayClass(tags["highway"])
+        speed = parse_maxspeed_kph(tags.get("maxspeed"))
         if speed is None:
             speed = default_speed(cls, speed_overrides)
-        lanes = parse_lanes(way.tags.get("lanes"))
-        oneway = way.tags.get("oneway", "").strip().lower() in ("yes", "true", "1")
+        lanes = parse_lanes(tags.get("lanes"))
+        oneway = tags.get("oneway", "").strip().lower() in ("yes", "true", "1")
 
         run: list[str] = []
         runs: list[list[str]] = []
-        for nid in way.node_ids:
+        for nid in refs:
             if nid in in_radius:
                 run.append(nid)
             else:

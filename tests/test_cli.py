@@ -366,8 +366,24 @@ def test_coordinate_flag_that_is_no_decimal_number_exits_2(tmp_path, argv, text)
     out = tmp_path / "out"
     proc = run_cli(*argv, "--config", CONFIG, "--output_dir", str(out))
     assert proc.returncode == 2
-    assert f"argument {argv[3] if text == argv[4] else argv[1]}: invalid" in proc.stderr
-    assert repr(text) in proc.stderr
+    message = stderr_error(proc)["message"]
+    assert f"argument {argv[3] if text == argv[4] else argv[1]}: invalid" in message
+    assert repr(text) in message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("select", "--lat", "4_0.4512", "--lon", "-3.6900"),
+     "argument --lat: invalid parse_coordinate value: '4_0.4512'"),
+    (("profile", "--day-filter", "bogus"),
+     "argument --day-filter: invalid choice: 'bogus' (choose from 'weekdays', 'weekends', 'all')"),
+    (("embed", "--no-such-flag", "1"), "unrecognized arguments: --no-such-flag 1"),
+], ids=["bad-type", "bad-choice", "unknown-flag"])
+def test_flag_argparse_rejects_prints_one_json_error_and_exits_2(tmp_path, argv, message):
+    out = tmp_path / "out"
+    proc = run_cli(*argv, "--config", CONFIG, "--output_dir", str(out))
+    assert proc.returncode == 2
+    assert stderr_error(proc) == {"error": "ArgumentError", "exit_code": 2, "message": message}
     assert not out.exists()
 
 

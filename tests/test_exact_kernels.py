@@ -19,7 +19,7 @@ from roadtwin.config import PipelineConfig
 from roadtwin.embedding import betweenness
 from roadtwin.errors import ArgumentError, FormatError, SnapError
 from roadtwin.geo import coordinate_problem, haversine_m
-from roadtwin.osm_ingest import HighwayClass, RadiusView, RawRoadData, Way
+from roadtwin.osm_ingest import HighwayClass, RadiusView, RawRoadData
 from roadtwin.pipeline import load_sensors
 from roadtwin.road_graph import Edge, IndexGraph, ego_graph, insert_central_node
 
@@ -163,7 +163,7 @@ def test_within_keeps_rows_at_the_edge_of_the_band():
         radius_m = haversine_m(*center, *node)
         for r in (radius_m, math.nextafter(radius_m, 0.0), radius_m + 1e-4, radius_m - 1e-4):
             assert_same_mask(raw, center, r)
-        assert raw.index.within(center, radius_m)[raw.index.row[f"x{k}"]]
+        assert raw.index.within(center, radius_m)[raw.node_ids.index(f"x{k}")]
 
 
 def test_within_decides_rows_near_the_radius():
@@ -199,7 +199,7 @@ def test_nodes_and_centers_beyond_the_poles_are_rejected():
     # the latitude band bounds no row beyond the poles, so no such node
     # enters the index and no such center reaches within()
     nodes = {"a": (LAT0, LON0), "b": (95.0, 180.0), "c": (89.99, 0.0), "d": (-91.0, LON0)}
-    raw = RawRoadData.of(nodes, [Way("1", ["a", "b"], {"highway": "residential"})])
+    raw = RawRoadData.of(nodes, [("1", ["a", "b"], {"highway": "residential"})])
     with pytest.raises(FormatError, match=r"^node b: latitude 95\.0 is not a finite number"):
         raw.index
     on_globe = RawRoadData.of({"a": nodes["a"], "c": nodes["c"]}, [])
@@ -222,7 +222,7 @@ def test_index_and_view_reject_what_coordinate_problem_rejects():
             problem = coordinate_problem(lat, lon)
             raw = RawRoadData.of({"a": (LAT0, LON0), "x": (lat, lon)}, [])
             if problem is None:
-                assert raw.index.row["x"] == 1
+                assert (raw.index.lat[1], raw.index.lon[1]) == (lat, lon)
                 RadiusView(on_globe, (lat, lon), 150.0)
                 continue
             with pytest.raises(FormatError) as info:

@@ -12,7 +12,7 @@ from helpers import LAT0, LON0, east_of, grid_extract, node_coords, north_of, ta
 from oracles import build_graph_full_scan
 from roadtwin.errors import ArgumentError, DomainError
 from roadtwin.geo import haversine_m, haversine_m_array
-from roadtwin.osm_ingest import RawRoadData, Way, build_graph, graph_to_csv, parse_osm_extract
+from roadtwin.osm_ingest import RawRoadData, build_graph, graph_to_csv, parse_osm_extract
 
 MINICITY_CENTERS = [(40.45, -3.69), (40.447, -3.693), (40.4532, -3.6861), (40.44, -3.70)]
 
@@ -65,7 +65,7 @@ def test_scalar_haversine_decides_at_the_radius():
     for k in differ[:5].tolist():
         nodes = {"p": (north_of(LAT0, 10.0), LON0), "o": (LAT0, LON0),
                  "x": (lats[k].item(), lons[k].item())}
-        raw = RawRoadData.of(nodes, [Way("1", ["p", "o", "x"], {"highway": "residential"})])
+        raw = RawRoadData.of(nodes, [("1", ["p", "o", "x"], {"highway": "residential"})])
         assert "x" in build_graph(raw, (LAT0, LON0), scalar[k]).nodes
         assert_same_graph(raw, (LAT0, LON0), scalar[k])
         below = math.nextafter(scalar[k], 0.0)

@@ -11,8 +11,8 @@ import random
 import pytest
 
 from helpers import (
-    RoadGraph, graph_edges, grid_extract, index_graph, node_coords, shapes_extract,
-    tangled_extract, view_edges,
+    RoadGraph, graph_edges, grid_extract, index_graph, node_coords, row_of, shapes_extract,
+    tangled_extract, view_edges, way_triples,
 )
 from oracles import _insert_central_node_scan, embed_position_radius_graph
 from roadtwin import osm_ingest, pipeline
@@ -55,6 +55,7 @@ def via_index(raw, cfg, sensor_id, lat, lon, **overrides):
     except RoadTwinError as exc:
         return type(exc).__name__, str(exc)
     assert position == emb
+    assert view.node_id(central.row) == central.node_id
     nodes = ego.graph.nodes
     return emb, central, ego.graph, ego_edges(view_edges(view, nodes), nodes)
 
@@ -181,9 +182,8 @@ def test_errors_keep_their_order_and_messages():
     coords = node_coords(grid)
     (lat_a, lon_a), (lat_b, lon_b) = coords["j4_4"], coords["j4_5"]
     coords["site:s"] = coords.pop("j4_4")
-    for way in grid.ways:
-        way.node_ids = ["site:s" if n == "j4_4" else n for n in way.node_ids]
-    grid = RawRoadData.of(coords, grid.ways)
+    grid = RawRoadData.of(coords, [(way_id, ["site:s" if n == "j4_4" else n for n in refs], tags)
+                                   for way_id, refs, tags in way_triples(grid)])
     got = assert_same_embedding(grid, PipelineConfig(), "s", (lat_a + lat_b) / 2, (lon_a + lon_b) / 2)
     assert got == ("ArgumentError", "sensor 's' already inserted in this graph")
 
@@ -211,14 +211,14 @@ def test_view_reads_what_build_graph_builds(minicity_raw, extract):
             continue
         view = RadiusView(raw, center, radius_m, speeds)
         for v in list(graph.nodes)[::-1]:
-            assert view.coords(view.row(v)) == graph.nodes[v]
+            assert view.coords(row_of(view, v)) == graph.nodes[v]
             assert view_edges(view, [v]) == graph_edges(graph, [v])
             assert view_edges(view, [v], "in") == graph_edges(graph, [v], "in")
-            assert set(view.classes[view.row(v)]) == classes(graph, v)
+            assert set(view.classes[row_of(view, v)]) == classes(graph, v)
         assert arc_edges(view, view.arcs()) == graph.edges
         # a row off the radius graph has no edge
         for v in set(raw.node_ids) - set(graph.nodes):
-            assert view.out[view.row(v)] == view.inn[view.row(v)] == []
+            assert view.out[row_of(view, v)] == view.inn[row_of(view, v)] == []
 
 
 def test_split_view_reads_what_the_split_graph_holds():
@@ -235,10 +235,10 @@ def test_split_view_reads_what_the_split_graph_holds():
         assert insert_central_node(view, name, lat, lon) == central
         for v in split.nodes:
             if v != view.site_id:
-                assert view.coords(view.row(v)) == split.nodes[v]
+                assert view.coords(row_of(view, v)) == split.nodes[v]
             assert view_edges(view, [v]) == graph_edges(split, [v])
             assert view_edges(view, [v], "in") == graph_edges(split, [v], "in")
-            assert set(view.classes[view.row(v)]) == classes(split, v)
+            assert set(view.classes[row_of(view, v)]) == classes(split, v)
 
 
 def test_near_query_keeps_every_edge_within_reach():
@@ -272,7 +272,7 @@ def test_ego_hops_are_undirected_on_the_index_path():
     central = insert_central_node(view, "x", lat, lon)
     assert central.node_id == "s0"
     # the oneway can only be driven towards s0: no search from s0 reaches o2
-    assert view.row("o2") not in dijkstra_from(view.out, view.row("s0"))
+    assert row_of(view, "o2") not in dijkstra_from(view.out, row_of(view, "s0"))
     ego = ego_graph(view, central, 1)
     assert set(ego.graph.nodes) == {"s0", "s_w", "s_e", "o2"}
     nodes = ego.graph.nodes

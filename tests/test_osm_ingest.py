@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from helpers import east_of, node_coords, north_of, osm_doc, shapes_extract
+from helpers import east_of, node_coords, north_of, osm_doc, row_of, shapes_extract
 from roadtwin.config import PipelineConfig
 from roadtwin.errors import (
     DomainError,
@@ -274,7 +274,7 @@ def test_chord_box_keeps_every_edge_the_snap_can_pick():
     )[1]
     assert 150.0 < chord_m < 170.0
     view = RadiusView(raw, (lat, lon), 2000.0)
-    hk2 = view.row("hk2")
+    hk2 = row_of(view, "hk2")
     assert not [a for a in view.arcs_near(lat, lon, 100.0) if hk2 in (a.src, a.dst)]
     assert {(view.node_id(a.src), view.node_id(a.dst)) for a in view.arcs_near(lat, lon, 170.0)} == {
         ("s_e", "hk2"), ("hk2", "s_e")}

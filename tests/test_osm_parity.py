@@ -13,11 +13,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import FIXTURE_DIR
-from helpers import grid_extract, node_coords, osm_doc
+from helpers import grid_extract, node_coords, osm_doc, way_triples
 from oracles import parse_osm_extract_etree
 from roadtwin import osm_ingest
-from roadtwin.errors import ParseError
-from roadtwin.osm_ingest import parse_osm_extract
+from roadtwin.errors import ParseError, StructuralError
+from roadtwin.osm_ingest import RawRoadData, parse_osm_extract
 
 DRIVABLE = '<tag k="highway" v="residential"/>'
 
@@ -27,7 +27,7 @@ def outcome(parse, data):
         raw = parse(data)
     except Exception as exc:  # the exception is the result under comparison
         return type(exc), str(exc)
-    return list(node_coords(raw).items()), raw.ways
+    return list(node_coords(raw).items()), way_triples(raw)
 
 
 def assert_same_parse(data):
@@ -45,9 +45,9 @@ def test_minicity_parses_the_same():
 def test_generated_grid_parses_the_same():
     raw = grid_extract()
     coords = node_coords(raw)
-    doc = osm_doc(coords, [(w.way_id, w.node_ids, w.tags) for w in raw.ways])
+    doc = osm_doc(coords, way_triples(raw))
     nodes, ways = assert_same_parse(doc)
-    assert dict(nodes) == coords and ways == raw.ways
+    assert dict(nodes) == coords and ways == way_triples(raw)
 
 
 def node(nid, lat="40.0", lon="-3.0"):
@@ -273,11 +273,8 @@ def test_bench_city_takes_the_byte_path(tmp_path, monkeypatch):
     want = outcome(parse_osm_extract_etree, data)
     block_fallback(monkeypatch)
     raw = parse_osm_extract(data)
-    assert (list(node_coords(raw).items()), raw.ways) == want
+    assert (list(node_coords(raw).items()), way_triples(raw)) == want
     assert len(want[0]) == 12 * 12 + 2 * 12 * 11 * 3 and len(want[1]) == 24  # footways dropped
-    # the ways' node ids are the node-id strings themselves
-    first = raw.node_ids[raw.occ_node[0]]
-    assert raw.ways[0].node_ids[0] is first
 
 
 def test_both_front_ends_give_one_flat_form(tmp_path):
@@ -286,11 +283,21 @@ def test_both_front_ends_give_one_flat_form(tmp_path):
     for data in documents:
         got = osm_ingest._parse_canonical(data)
         want = osm_ingest._parse_events(data)
-        assert got.node_ids == want.node_ids and got.occ_id == want.occ_id
+        assert got.node_ids == want.node_ids
         for name in ("lat", "lon", "occ_node", "way_start"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
         assert got.ways == want.ways
+
+
+def test_plain_data_rejects_an_undefined_ref_as_the_parser_does():
+    want = outcome(parse_osm_extract_etree, EDGE_CASES["way_references_a_missing_node"])
+    nodes = {"1": (40.0, -3.0), "2": (40.001, -3.0), "3": (40.002, -3.0)}
+    ways = [("5", ["1", "2"], {"highway": "residential"}),
+            ("77", ["1", "99", "98"], {"highway": "residential"})]
+    with pytest.raises(StructuralError) as info:
+        RawRoadData.of(nodes, ways)
+    assert (StructuralError, str(info.value)) == want
 
 
 KEPT_TAGS = st.sampled_from([
@@ -427,4 +434,21 @@ def test_byte_path_holds_less_memory_than_the_node_dict(tmp_path):
         tracemalloc.stop()
     assert len(raw.node_ids) == 17_200
     assert "index" not in vars(raw)  # the parse builds no index
+    assert peak < 280 * 17_200
+
+
+def test_parsed_and_indexed_extract_holds_memory_in_step_with_its_nodes(tmp_path):
+    # each fact of the extract held once (190 B/node held, 249 peak):
+    # ids per occurrence and per way, an id -> row dict and the index's
+    # own coordinate copies measured 280 held and 303 peak
+    data = bench_city(tmp_path, 50)
+    tracemalloc.start()
+    try:
+        raw = parse_osm_extract(data)
+        raw.index
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(raw.node_ids) == 17_200
+    assert held < 220 * 17_200
     assert peak < 280 * 17_200

@@ -1,4 +1,5 @@
 import os
+import re
 import tracemalloc
 from datetime import date, timedelta
 
@@ -12,6 +13,7 @@ from roadtwin.osm_ingest import HighwayClass
 from roadtwin.pipeline import (
     TARGET_ID,
     SensorSpec,
+    embed_position,
     embed_sensors,
     embed_target,
     load_sensors,
@@ -270,3 +272,28 @@ def test_benchmark_requires_inputs():
 
     with pytest.raises(ArgumentError, match="osm_path"):
         run_benchmark(PipelineConfig())
+
+
+def readme_library_blocks(minicity_dir):
+    """The ``python`` blocks of README's "Library use" section, in order."""
+    with open(os.path.join(minicity_dir, "..", "..", "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    section = text.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"^```python\n(.*?)^```$", section, re.M | re.S)
+
+
+def test_readme_library_blocks_run_on_minicity(
+    monkeypatch, capsys, minicity_dir, minicity_raw, benchmark_result
+):
+    run_example, embed_example = readme_library_blocks(minicity_dir)
+    # the first block names the fixture by paths relative to the repo root
+    monkeypatch.chdir(os.path.join(minicity_dir, "..", ".."))
+    scope = {}
+    exec(run_example, scope)
+    assert capsys.readouterr().out == f"{benchmark_result['report']['selection_tally']}\n"
+    # the second embeds a position of an extract parsed once, with the
+    # first block's cfg
+    sensor = load_sensors(os.path.join(minicity_dir, "sensors.csv"))[0]
+    scope.update(raw=minicity_raw, lat=sensor.lat, lon=sensor.lon)
+    exec(embed_example, scope)
+    assert scope["emb"] == embed_position(minicity_raw, scope["cfg"], "target", sensor.lat, sensor.lon)

@@ -7,6 +7,7 @@ synthesizes the target's daily flow from it.
 """
 
 import os
+import types
 
 # No roadtwin code makes a BLAS call (tests/test_dependencies.py scans for
 # one), yet OpenBLAS starts one worker thread per CPU when numpy loads.
@@ -91,71 +92,8 @@ from .traffic_data import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # config
-    "PipelineConfig",
-    "load_config",
-    # embedding
-    "EMBEDDING_DIMS",
-    "RoadEmbedding",
-    "betweenness",
-    "build_embedding",
-    "normalize_pool",
-    "road_type_code",
-    "travel_time_to_class",
-    # errors
-    "ArgumentError",
-    "AvailabilityError",
-    "DomainError",
-    "FormatError",
-    "InputError",
-    "ParseError",
-    "RoadTwinError",
-    "SnapError",
-    "StructuralError",
-    # evaluation
-    "friedman_test",
-    "generation_benchmark",
-    "nemenyi_posthoc",
-    "nrmse",
-    "rmse",
-    "selection_benchmark",
-    # generation
-    "ClusterModel",
-    "GeneratedDay",
-    "day_class",
-    "fit_cluster_model",
-    "generate_cluster",
-    "generate_copy",
-    "generator",
-    # map ingestion
-    "HighwayClass",
-    "RadiusView",
-    "RawRoadData",
-    "build_graph",
-    "default_speed",
-    "graph_to_csv",
-    "parse_osm_extract",
-    # road graph
-    "CentralNode",
-    "Edge",
-    "EgoGraph",
-    "ego_graph",
-    "insert_central_node",
-    # selection
-    "SelectionResult",
-    "embedding_distance",
-    "select_by_embedding",
-    "select_by_geography",
-    "similarity_percent",
-    # traffic data
-    "HolidayCalendar",
-    "TrafficProfile",
-    "TrafficSeries",
-    "clean_series",
-    "daily_profile",
-    "load_traffic_csv",
-    "mean_weekday_flow",
-    "slice_day",
+# the names the imports above bind, in their order
+__all__ = ["__version__"] + [
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
 ]

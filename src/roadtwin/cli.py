@@ -29,7 +29,7 @@ from .osm_ingest import graph_to_csv, build_graph, parse_osm_extract
 from .output import OutputStage, check_config_hash, read_csv, round6, write_csv, write_json
 from .selection import select_by_embedding, select_by_geography, similarity_percent
 from .svgplot import profile_svg
-from .traffic_data import DAY_FILTERS, daily_profile, mean_weekday_flow, slice_day
+from .traffic_data import DAY_FILTERS, daily_profile, mean_weekday_flow, parse_flow, slice_day
 
 EMBEDDINGS_HEADER = (
     ["sensor_id"]
@@ -313,7 +313,7 @@ def cmd_synthesize(args, cfg: PipelineConfig):
 def cmd_evaluate(args, cfg: PipelineConfig):
     _require(cfg, "traffic_dir")
     chash = cfg.config_hash()
-    found_hash, header, rows = read_csv(args.generated)
+    found_hash, header, rows, first_line = read_csv(args.generated)
     check_config_hash(found_hash, chash, args.generated)
     if header != GENERATED_HEADER:
         raise InputError(f"{args.generated} is not a generated-days CSV")
@@ -325,12 +325,12 @@ def cmd_evaluate(args, cfg: PipelineConfig):
     mean_flow = mean_weekday_flow(target, holidays)
 
     grouped: dict[tuple[str, str], dict[int, float]] = {}
-    for lineno, row in enumerate(rows, start=3):  # hash + header precede
+    for lineno, row in enumerate(rows, start=first_line):
         if len(row) != len(GENERATED_HEADER):
             raise InputError(f"{args.generated} row {lineno}: bad field count")
         _tid, d_text, method, slot_text, flow_text, _fb = row
         try:
-            flow, slot = float(flow_text), int(slot_text)
+            flow, slot = parse_flow(flow_text), int(slot_text)
         except ValueError as exc:
             raise InputError(f"{args.generated} row {lineno}: {exc}") from exc
         slots = grouped.setdefault((d_text, method), {})
@@ -432,9 +432,7 @@ def cmd_estimate(args, cfg: PipelineConfig):
                 "target": {"lat": args.lat, "lon": args.lon, "date": args.date},
                 "selected_source": emb_res.selected_id,
                 "selection_distance": round6(emb_res.distance),
-                "similarity_pct": round6(emb_res.similarity_pct)
-                if emb_res.similarity_pct is not None
-                else None,
+                "similarity_pct": round6(emb_res.similarity_pct),
                 "method": args.method,
                 "fallback_used": gen.fallback,
                 "config": cfg.snapshot(),

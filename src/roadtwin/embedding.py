@@ -17,15 +17,12 @@ exactly-equal-time path, excludes endpoints and is left unnormalized.
 from __future__ import annotations
 
 import heapq
-import logging
 import math
 import statistics
 from dataclasses import dataclass, replace
 
 from .errors import ArgumentError
 from .road_graph import CentralNode, EgoGraph, HighwayClass, IndexGraph, dijkstra_from
-
-log = logging.getLogger(__name__)
 
 #: distinguished value for "no such road reachable"
 UNREACHABLE = math.inf
@@ -57,7 +54,11 @@ DEFAULT_LANES = {
 
 @dataclass(frozen=True)
 class RoadEmbedding:
-    """Raw (and optionally normalized) feature vector for one position."""
+    """Raw (and optionally normalized) feature vector for one position.
+
+    ``notes`` is the one place a degenerate ego-graph is reported:
+    ``"single_node_ego"`` when the ego-graph holds only its center.
+    """
 
     sensor_id: str
     spbc_central: float
@@ -152,7 +153,6 @@ def summarize_centrality(
         raise ArgumentError(f"center {center_id!r} missing from centrality map")
     others = [v for k, v in sorted(spbc.items()) if k != center_id]
     if not others:
-        log.warning("degenerate ego-graph around %s: center only", center_id)
         return spbc[center_id], 0.0, 0.0
     return spbc[center_id], max(others), float(statistics.median(others))
 

@@ -36,7 +36,7 @@ from .geo import (
     EARTH_RADIUS_M, coordinate_problem, haversine_m, haversine_m_array, parse_coordinate,
 )
 from .road_graph import Edge, HighwayClass
-from .traffic_data import _plain_decimals, _windows
+from .traffic_data import _decimal_fields, _plain_decimals
 
 ACCEPTED_HIGHWAYS = {c.value for c in HighwayClass}
 
@@ -379,28 +379,18 @@ def _offsets(buf: np.ndarray, byte: str, start: int) -> np.ndarray:
 def _digit_ids(buf: np.ndarray, begin: np.ndarray, end: np.ndarray) -> np.ndarray | None:
     """Values of the fields ``buf[begin[i]:end[i]]``, or None unless each
     is 1 to 18 ASCII digits without a leading zero, so that ``str`` of
-    its value is the field.  Read as :func:`_plain_decimals` reads."""
-    length = end - begin
-    n = len(end)
-    if not n:
+    its value is the field.  Fields are read by
+    :func:`traffic_data._decimal_fields`."""
+    if not len(end):
         return np.zeros(0, dtype=np.int64)
-    width = int(length.max())
-    if length.min() < 1 or width > _MAX_ID_DIGITS or end.min() < width:
+    fields = _decimal_fields(buf, begin, end, _MAX_ID_DIGITS)
+    if fields is None:
         return None
-    columns = _windows(buf, width)[end - width].T.copy()
-    lead = (width - length).astype(np.int8)  # window columns before the field
-    if ((columns[lead, np.arange(n)] == ord("0")) & (length > 1)).any():
+    value, _, minus, point, digits, first = fields
+    # 18 digits and a point may wrap the int64 value: such a field is refused here
+    if (minus | point | ((first == ord("0")) & (digits > 1))).any():
         return None
-    value = np.zeros(n, dtype=np.int64)
-    bad = np.zeros(n, dtype=bool)
-    for j, column in enumerate(columns):
-        inside = lead <= j
-        digit = column - np.uint8(ord("0"))  # uint8: non-digits wrap above 9
-        bad |= inside & (digit > 9)
-        digit *= inside
-        value *= 10
-        value += digit
-    return None if bad.any() else value
+    return value
 
 
 def _values(buf: np.ndarray, begin: np.ndarray, end: np.ndarray) -> list[str]:

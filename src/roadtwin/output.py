@@ -50,8 +50,8 @@ def write_csv(path: str, header: list[str], rows, config_hash: str | None = None
             w.writerow([fmt(v) for v in row])
 
 
-def read_csv(path: str) -> tuple[str | None, list[str], list[list[str]]]:
-    """Read a report CSV back: (config_hash, header, rows)."""
+def read_csv(path: str) -> tuple[str | None, list[str], list[list[str]], int]:
+    """Read a report CSV back: (config_hash, header, rows, line number of rows[0])."""
     text = read_text(path, path)
     config_hash = None
     lines = text.splitlines()
@@ -66,7 +66,7 @@ def read_csv(path: str) -> tuple[str | None, list[str], list[list[str]]]:
     rows = list(csv.reader(lines[body_start:]))
     if not rows:
         raise FormatError(f"{path} holds no CSV header")
-    return config_hash, rows[0], rows[1:]
+    return config_hash, rows[0], rows[1:], body_start + 2
 
 
 def write_json(path: str, payload: dict, config_hash: str | None = None):

@@ -54,10 +54,12 @@ def load_sensors(path) -> list[SensorSpec]:
     whose position is not a valid latitude and longitude.
     """
     text = read_text(path, f"sensors CSV {path}")
-    rows = [r for r in csv.reader(io.StringIO(text, newline="")) if r and not r[0].startswith("#")]
+    reader = csv.reader(io.StringIO(text, newline=""))
+    # line_num is the file line the row just read ends on
+    rows = [(reader.line_num, r) for r in reader if r and not r[0].startswith("#")]
     if not rows:
         raise FormatError(f"sensors CSV {path} is empty")
-    header = [c.strip() for c in rows[0]]
+    header = [c.strip() for c in rows[0][1]]
     if header not in (SENSORS_HEADER, SENSORS_HEADER[:3]):
         raise FormatError(
             f"bad sensors CSV header: expected {','.join(SENSORS_HEADER)} "
@@ -65,7 +67,7 @@ def load_sensors(path) -> list[SensorSpec]:
         )
     sensors: list[SensorSpec] = []
     seen: set[str] = set()
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
         if len(row) != len(header):
             raise FormatError(
                 f"sensors CSV row {lineno}: expected {len(header)} fields, got {len(row)}"
@@ -319,9 +321,7 @@ def run_benchmark(cfg: PipelineConfig) -> dict:
                     "embedding": {
                         "selected": o.embedding_result.selected_id,
                         "distance": round6(o.embedding_result.distance),
-                        "similarity_pct": round6(o.embedding_result.similarity_pct)
-                        if o.embedding_result.similarity_pct is not None
-                        else None,
+                        "similarity_pct": round6(o.embedding_result.similarity_pct),
                         "profile_rmse": round6(o.embedding_rmse),
                     },
                     "geographic": {

@@ -9,16 +9,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from .output import fmt
+
 WIDTH = 880
 HEIGHT = 420
 MARGIN_L = 64
 MARGIN_R = 16
 MARGIN_T = 28
 MARGIN_B = 44
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".6g")
 
 
 def _nice_ceiling(v: float) -> float:
@@ -63,9 +61,9 @@ def profile_svg(
     def sy(v: float) -> float:
         return MARGIN_T + plot_h * (1.0 - v / ymax)
 
-    band_pts = [f"{_fmt(sx(i))},{_fmt(sy(upper[i]))}" for i in range(n)]
-    band_pts += [f"{_fmt(sx(i))},{_fmt(sy(lower[i]))}" for i in range(n - 1, -1, -1)]
-    line_pts = [f"{_fmt(sx(i))},{_fmt(sy(values[i]))}" for i in range(n)]
+    band_pts = [f"{fmt(sx(i))},{fmt(sy(upper[i]))}" for i in range(n)]
+    band_pts += [f"{fmt(sx(i))},{fmt(sy(lower[i]))}" for i in range(n - 1, -1, -1)]
+    line_pts = [f"{fmt(sx(i))},{fmt(sy(values[i]))}" for i in range(n)]
     title = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
     parts = [
@@ -78,12 +76,12 @@ def profile_svg(
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
         y = sy(ymax * frac)
         parts.append(
-            f'<line x1="{MARGIN_L}" y1="{_fmt(y)}" x2="{WIDTH - MARGIN_R}" y2="{_fmt(y)}" '
+            f'<line x1="{MARGIN_L}" y1="{fmt(y)}" x2="{WIDTH - MARGIN_R}" y2="{fmt(y)}" '
             f'stroke="#ddd" stroke-width="1"/>'
         )
         parts.append(
-            f'<text x="{MARGIN_L - 6}" y="{_fmt(y + 4)}" font-family="sans-serif" '
-            f'font-size="11" text-anchor="end">{_fmt(ymax * frac)}</text>'
+            f'<text x="{MARGIN_L - 6}" y="{fmt(y + 4)}" font-family="sans-serif" '
+            f'font-size="11" text-anchor="end">{fmt(ymax * frac)}</text>'
         )
     # x axis: one label every 4 hours
     slots_per_label = max(1, (4 * 60) // interval_min)
@@ -91,7 +89,7 @@ def profile_svg(
         minutes = i * interval_min
         label = f"{minutes // 60:02d}:{minutes % 60:02d}"
         parts.append(
-            f'<text x="{_fmt(sx(i))}" y="{HEIGHT - MARGIN_B + 16}" font-family="sans-serif" '
+            f'<text x="{fmt(sx(i))}" y="{HEIGHT - MARGIN_B + 16}" font-family="sans-serif" '
             f'font-size="11" text-anchor="middle">{label}</text>'
         )
     if n:

@@ -149,6 +149,14 @@ def _grid_series(sensor_id, interval_min, day, slot, flow) -> TrafficSeries:
     return TrafficSeries(sensor_id, interval_min, date.fromordinal(first), flows, quality)
 
 
+def parse_flow(text: str) -> float:
+    """A flow field's value; ``ValueError`` unless it is finite and non-negative."""
+    flow = float(text)
+    if not np.isfinite(flow) or flow < 0:
+        raise ValueError(f"flow must be finite and non-negative, got {text}")
+    return flow
+
+
 def _parse_rows(text: str, interval_min: int) -> dict[str, TrafficSeries]:
     """Validate CSV text one row at a time; raises on the first bad row.
 
@@ -180,13 +188,9 @@ def _parse_rows(text: str, interval_min: int) -> dict[str, TrafficSeries]:
                 f"traffic CSV row {lineno}: {ts_text} is off the {interval_min}-minute grid"
             )
         try:
-            flow = float(flow_text)
+            flow = parse_flow(flow_text)
         except ValueError as exc:
             raise FormatError(f"traffic CSV row {lineno}: {exc}") from exc
-        if not np.isfinite(flow) or flow < 0:
-            raise FormatError(
-                f"traffic CSV row {lineno}: flow must be finite and non-negative, got {flow_text}"
-            )
         records = by_sensor.setdefault(sid, {})
         if ts in records:
             raise FormatError(f"traffic CSV row {lineno}: duplicate timestamp {ts_text}")
@@ -257,20 +261,21 @@ def _canonical_day_slot(
     return day, minute_of_day // interval_min
 
 
-def _plain_decimals(buf: np.ndarray, begin: np.ndarray, end: np.ndarray) -> np.ndarray | None:
-    """Values of the fields ``buf[begin[i]:end[i]]``, or None unless all are plain decimals.
+def _decimal_fields(buf: np.ndarray, begin: np.ndarray, end: np.ndarray, max_digits: int):
+    """Read the fields ``buf[begin[i]:end[i]]`` one byte column at a time.
 
-    A plain decimal is an optional leading ``-`` and then 1 to 15 ASCII
-    digits with at most one point among them (``5``, ``05``, ``5.``,
-    ``.5``, ``-0.25``).  Its value is its digits read as one integer
-    divided by ten to the number of digits after the point, negated
-    after a ``-``: one correctly rounded division of two exact float64
-    values, so it equals ``float(text)`` bit for bit (``-0`` is
-    ``-0.0``).  Each field is read from a window that ends where the
-    field ends; None also when a window would start before ``buf``.
+    Returns ``(mantissa, scale, minus, point, digits, first)``, or None
+    unless each field is an optional leading ``-`` and then 1 to
+    ``max_digits`` ASCII digits with at most one point among them:
+    ``mantissa`` is the digits read as one integer with the point read
+    as a 0 digit, ``scale`` the number of digits after the point,
+    ``minus`` and ``point`` whether the field holds them, ``digits`` the
+    number of digits and ``first`` the field's first byte.  Each field
+    is read from a window that ends where the field ends; None also when
+    a window would start before ``buf``.
     """
     length = end - begin
-    if length.min() < 1 or length.max() > _MAX_DECIMAL_DIGITS + 2:
+    if length.min() < 1 or length.max() > max_digits + 2:
         return None
     width = int(length.max())
     if end.min() < width:
@@ -279,7 +284,8 @@ def _plain_decimals(buf: np.ndarray, begin: np.ndarray, end: np.ndarray) -> np.n
     # column j of every field's window, one contiguous row per column
     columns = _windows(buf, width)[end - width].T.copy()
     lead = (width - length).astype(np.int8)  # window columns before the field
-    minus = columns[lead, np.arange(n)] == ord("-")
+    first = columns[lead, np.arange(n)]
+    minus = first == ord("-")
     lead += minus  # columns before the digits
     mantissa = np.zeros(n, dtype=np.int64)
     scale = np.zeros(n, dtype=np.int8)
@@ -298,8 +304,26 @@ def _plain_decimals(buf: np.ndarray, begin: np.ndarray, end: np.ndarray) -> np.n
         scale += point & is_digit
         point |= is_point
     digits = length - minus - point
-    if bad.any() or digits.min() < 1 or digits.max() > _MAX_DECIMAL_DIGITS:
+    if bad.any() or digits.min() < 1 or digits.max() > max_digits:
         return None
+    return mantissa, scale, minus, point, digits, first
+
+
+def _plain_decimals(buf: np.ndarray, begin: np.ndarray, end: np.ndarray) -> np.ndarray | None:
+    """Values of the fields ``buf[begin[i]:end[i]]``, or None unless all are plain decimals.
+
+    A plain decimal is an optional leading ``-`` and then 1 to 15 ASCII
+    digits with at most one point among them (``5``, ``05``, ``5.``,
+    ``.5``, ``-0.25``).  Its value is its digits read as one integer
+    divided by ten to the number of digits after the point, negated
+    after a ``-``: one correctly rounded division of two exact float64
+    values, so it equals ``float(text)`` bit for bit (``-0`` is
+    ``-0.0``).  Fields are read by :func:`_decimal_fields`.
+    """
+    fields = _decimal_fields(buf, begin, end, _MAX_DECIMAL_DIGITS)
+    if fields is None:
+        return None
+    mantissa, scale, minus, point, _, _ = fields
     # the point's 0 digit multiplied the digits before it by ten
     after = mantissa % _INT_POW10[scale]
     mantissa = np.where(point, (mantissa - after) // 10 + after, mantissa)

@@ -799,6 +799,39 @@ def test_evaluate_rejects_a_repeated_slot(tmp_path):
     assert not eval_out.exists()
 
 
+@pytest.mark.parametrize("flow, notes, problem", [
+    ("nan", 0, "flow must be finite and non-negative, got nan"),
+    ("-inf", 0, "flow must be finite and non-negative, got -inf"),
+    ("-1", 0, "flow must be finite and non-negative, got -1"),
+    ("abc", 2, "could not convert string to float: 'abc'"),
+], ids=["nan", "minus-inf", "negative", "text-after-notes"])
+def test_evaluate_rejects_a_bad_flow_at_its_file_line(tmp_path, flow, notes, problem):
+    gen_out = tmp_path / "gen"
+    proc = run_cli("synthesize", "--config", CONFIG, "--output_dir", str(gen_out),
+                   "--source", "s1", "--start", "2019-02-11", "--end", "2019-02-11",
+                   "--method", "copy")
+    assert proc.returncode == 0, proc.stderr
+    generated = gen_out / "generated_days.csv"
+    lines = read_lines(generated)
+    fields = lines[2 + 5].split(",")
+    assert fields[:4] == ["s1", "2019-02-11", "copy", "5"]
+    fields[4] = flow
+    lines[2 + 5] = ",".join(fields)
+    # comment lines after the hash line shift every row down
+    lines[1:1] = ["# a note"] * notes
+    generated.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    eval_out = tmp_path / "eval"
+    proc = run_cli("evaluate", "--config", CONFIG, "--output_dir", str(eval_out),
+                   "--generated", str(generated), "--target", "s2")
+    assert proc.returncode == 2, proc.stderr
+    assert stderr_error(proc) == {
+        "error": "InputError",
+        "exit_code": 2,
+        "message": f"{generated} row {8 + notes}: {problem}",
+    }
+    assert not eval_out.exists()
+
+
 # ---------------------------------------------------------------------------
 # estimate (end to end)
 # ---------------------------------------------------------------------------

@@ -207,18 +207,20 @@ def test_round6():
 def test_csv_round_trip(tmp_path):
     path = str(tmp_path / "t.csv")
     write_csv(path, ["a", "b"], [[1.5, "x"], [float("nan"), "y"]], config_hash="beef")
-    h, header, rows = read_csv(path)
+    h, header, rows, first_line = read_csv(path)
     assert h == "beef"
     assert header == ["a", "b"]
     assert rows == [["1.5", "x"], ["", "y"]]
+    assert first_line == 3
 
 
 def test_csv_without_hash(tmp_path):
     path = str(tmp_path / "t.csv")
     write_csv(path, ["a"], [[1]])
-    h, header, rows = read_csv(path)
+    h, header, rows, first_line = read_csv(path)
     assert h is None
     assert rows == [["1"]]
+    assert first_line == 2
 
 
 def test_read_csv_missing_file(tmp_path):

@@ -173,3 +173,71 @@ def test_package_makes_no_blas_call():
                 parts |= set((getattr(node, "module", None) or "").split("."))
                 found.extend((name, p) for p in sorted(parts & BLAS_NAMES))
     assert found == []
+
+
+PUBLIC_NAMES = {
+    "__version__",
+    "PipelineConfig", "load_config",
+    "EMBEDDING_DIMS", "RoadEmbedding", "betweenness", "build_embedding", "normalize_pool",
+    "road_type_code", "travel_time_to_class",
+    "ArgumentError", "AvailabilityError", "DomainError", "FormatError", "InputError",
+    "ParseError", "RoadTwinError", "SnapError", "StructuralError",
+    "friedman_test", "generation_benchmark", "nemenyi_posthoc", "nrmse", "rmse",
+    "selection_benchmark",
+    "ClusterModel", "GeneratedDay", "day_class", "fit_cluster_model", "generate_cluster",
+    "generate_copy", "generator",
+    "HighwayClass", "RadiusView", "RawRoadData", "build_graph", "default_speed",
+    "graph_to_csv", "parse_osm_extract",
+    "CentralNode", "Edge", "EgoGraph", "ego_graph", "insert_central_node",
+    "SelectionResult", "embedding_distance", "select_by_embedding", "select_by_geography",
+    "similarity_percent",
+    "HolidayCalendar", "TrafficProfile", "TrafficSeries", "clean_series", "daily_profile",
+    "load_traffic_csv", "mean_weekday_flow", "slice_day",
+}
+
+
+def test_public_names_are_the_imported_ones():
+    import roadtwin
+
+    assert len(roadtwin.__all__) == len(PUBLIC_NAMES) == 57
+    assert set(roadtwin.__all__) == PUBLIC_NAMES
+    # each name is its home module's object, not a copy or a module
+    with open(os.path.join(PACKAGE_DIR, "__init__.py"), "r", encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    homes = {alias.name: node.module for node in tree.body
+             if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert set(homes) == PUBLIC_NAMES - {"__version__"}
+    for name, module in homes.items():
+        home = sys.modules[f"roadtwin.{module}"]
+        assert getattr(roadtwin, name) is getattr(home, name), name
+
+
+def test_cli_import_order_and_no_logging(tmp_path):
+    # every module compiles from source when no bytecode cache is written,
+    # and peak memory then moves with the order modules first load in
+    probe = (
+        "import sys\n"
+        "import roadtwin.cli\n"
+        "order = [m for m in sys.modules if m == 'roadtwin' or m.startswith('roadtwin.')]\n"
+        "rc = roadtwin.cli.main(sys.argv[1:])\n"
+        "print(order)\n"
+        "print(rc, 'logging' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(ROOT, "src") + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run(
+        [sys.executable, "-c", probe, "benchmark",
+         "--config", os.path.join(FIXTURE_DIR, "config.json"),
+         "--output_dir", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    order, result = out.stdout.splitlines()[-2:]
+    assert ast.literal_eval(order) == [
+        f"roadtwin.{m}" if m else "roadtwin" for m in (
+            "errors", "geo", "road_graph", "traffic_data", "osm_ingest", "embedding",
+            "selection", "config", "generation", "evaluation", "", "output", "pipeline",
+            "svgplot", "cli",
+        )
+    ]
+    assert result == "0 False"

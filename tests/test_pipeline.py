@@ -111,6 +111,15 @@ def test_load_sensors_rejects_a_coordinate_that_is_no_decimal_number(tmp_path, l
     assert str(exc.value) == f"sensors CSV row 3: could not convert string to float: {lat!r}"
 
 
+def test_load_sensors_names_the_file_line_of_a_bad_row(tmp_path):
+    # a comment and a blank line before the bad row still count as lines
+    p = tmp_path / "sensors.csv"
+    p.write_text("sensor_id,lat,lon\n# note\n\nx1,40.0,-3.0\nx2,abc,-3.0\n")
+    with pytest.raises(FormatError) as exc:
+        load_sensors(str(p))
+    assert str(exc.value) == "sensors CSV row 5: could not convert string to float: 'abc'"
+
+
 def test_load_sensors_accepts_the_coordinate_limits(tmp_path):
     p = tmp_path / "sensors.csv"
     p.write_text("sensor_id,lat,lon\nn,90,180\ns,-90,-180\n")

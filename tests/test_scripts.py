@@ -63,3 +63,21 @@ def test_loc_counts_code_lines_only(tmp_path):
         f"      1  {tmp_path / 'b.py'}",
         "      7  total",
     ]
+
+
+def test_loc_names_splits_each_file_by_top_level_name(tmp_path):
+    (tmp_path / "a.py").write_text(SAMPLE, encoding="utf-8")
+    (tmp_path / "b.py").write_text(
+        "import functools\n\n\n@functools.cache\ndef g():\n    return 1\n\n\nx = g()\n",
+        encoding="utf-8",
+    )
+    out = run_script("loc.py", "--names", str(tmp_path)).stdout.splitlines()
+    # the per-name counts of a file add up to its plain count
+    assert out == [
+        f"      3  {tmp_path / 'a.py'}::f",
+        f"      2  {tmp_path / 'a.py'}::C",
+        f"      1  {tmp_path / 'a.py'}::<module>",
+        f"      3  {tmp_path / 'b.py'}::g",
+        f"      2  {tmp_path / 'b.py'}::<module>",
+        "     11  total",
+    ]

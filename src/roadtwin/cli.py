@@ -28,8 +28,11 @@ from .geo import coordinate_problem, parse_coordinate
 from .osm_ingest import graph_to_csv, build_graph, parse_osm_extract
 from .output import OutputStage, check_config_hash, read_csv, round6, write_csv, write_json
 from .selection import select_by_embedding, select_by_geography, similarity_percent
-from .svgplot import profile_svg
-from .traffic_data import DAY_FILTERS, daily_profile, mean_weekday_flow, parse_flow, slice_day
+from .svgplot import profile_svg, slot_label
+from .traffic_data import (
+    DAY_FILTERS, MAX_SPAN_DAYS, MAX_SPAN_YEARS, daily_profile, mean_weekday_flow, parse_flow,
+    slice_day,
+)
 
 EMBEDDINGS_HEADER = (
     ["sensor_id"]
@@ -136,26 +139,20 @@ def _check_positions(args):
             raise ArgumentError(f"{flags}: {problem}")
 
 
-def _require(cfg: PipelineConfig, *keys: str):
-    for key in keys:
-        if not getattr(cfg, key):
-            raise ArgumentError(f"config key {key!r} is required for this command")
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
 
 def cmd_ingest(args, cfg: PipelineConfig):
-    _require(cfg, "osm_path")
+    cfg.require("osm_path")
     if (args.center_lat is None) != (args.center_lon is None):
         raise ArgumentError("--center-lat and --center-lon must be given together")
     raw = parse_osm_extract(cfg.osm_path)
     if args.center_lat is not None:
         center = (args.center_lat, args.center_lon)
     else:
-        _require(cfg, "sensors_path")
+        cfg.require("sensors_path")
         sensors = pipeline.load_sensors(cfg.sensors_path)
         center = (
             sum(s.lat for s in sensors) / len(sensors),
@@ -193,7 +190,7 @@ def _embedding_rows(embeddings):
 
 
 def cmd_embed(args, cfg: PipelineConfig):
-    _require(cfg, "osm_path", "sensors_path")
+    cfg.require("osm_path", "sensors_path")
     raw = parse_osm_extract(cfg.osm_path)
     sensors = pipeline.load_sensors(cfg.sensors_path)
     embeddings = normalize_pool(pipeline.embed_sensors(raw, sensors, cfg))
@@ -216,7 +213,7 @@ def _selection_rows(result):
 
 
 def cmd_select(args, cfg: PipelineConfig):
-    _require(cfg, "osm_path", "sensors_path")
+    cfg.require("osm_path", "sensors_path")
     raw = parse_osm_extract(cfg.osm_path)
     sensors = pipeline.load_sensors(cfg.sensors_path)
     target, embeddings = pipeline.embed_target(raw, sensors, cfg, args.lat, args.lon)
@@ -237,13 +234,7 @@ def cmd_select(args, cfg: PipelineConfig):
     )
 
 
-def _time_of_day(slot: int, interval_min: int) -> str:
-    minutes = slot * interval_min
-    return f"{minutes // 60:02d}:{minutes % 60:02d}"
-
-
 def cmd_profile(args, cfg: PipelineConfig):
-    _require(cfg, "traffic_dir")
     series, _stats = pipeline.load_traffic_dir(cfg)
     holidays = pipeline.load_holidays(cfg)
     ids = sorted(series)
@@ -262,7 +253,7 @@ def cmd_profile(args, cfg: PipelineConfig):
         for sid in ids:
             prof = daily_profile(series[sid], args.day_filter, holidays)
             rows = [
-                [i, _time_of_day(i, prof.interval_min), float(v), float(s)]
+                [i, slot_label(i, prof.interval_min), float(v), float(s)]
                 for i, (v, s) in enumerate(zip(prof.values, prof.stdev))
             ]
             write_csv(stage.path(f"profile_{sid}.csv"), PROFILE_HEADER, rows, config_hash=chash)
@@ -284,7 +275,6 @@ def _generated_rows(target_id: str, gen_days):
 
 
 def cmd_synthesize(args, cfg: PipelineConfig):
-    _require(cfg, "traffic_dir")
     series, _stats = pipeline.load_traffic_dir(cfg)
     holidays = pipeline.load_holidays(cfg)
     if args.source not in series:
@@ -293,6 +283,8 @@ def cmd_synthesize(args, cfg: PipelineConfig):
     end = _parse_date(args.end)
     if end < start:
         raise ArgumentError(f"end date {args.end} before start date {args.start}")
+    if (end - start).days >= MAX_SPAN_DAYS:
+        raise ArgumentError(f"{args.start}..{args.end} spans more than {MAX_SPAN_YEARS} years")
     dates = [start + timedelta(days=i) for i in range((end - start).days + 1)]
     generate = generation.generator(args.method, series[args.source], holidays)
     out_days = [generate(d) for d in dates]
@@ -311,7 +303,7 @@ def cmd_synthesize(args, cfg: PipelineConfig):
 
 
 def cmd_evaluate(args, cfg: PipelineConfig):
-    _require(cfg, "traffic_dir")
+    cfg.require("traffic_dir")
     chash = cfg.config_hash()
     found_hash, header, rows, first_line = read_csv(args.generated)
     check_config_hash(found_hash, chash, args.generated)
@@ -407,7 +399,7 @@ def cmd_benchmark(args, cfg: PipelineConfig):
 
 
 def cmd_estimate(args, cfg: PipelineConfig):
-    _require(cfg, "osm_path", "sensors_path", "traffic_dir")
+    cfg.require("osm_path", "sensors_path", "traffic_dir")
     d = _parse_date(args.date)
     raw = parse_osm_extract(cfg.osm_path)
     sensors = pipeline.load_sensors(cfg.sensors_path)

@@ -87,6 +87,12 @@ class PipelineConfig:
                 )
         return self
 
+    def require(self, *keys: str) -> None:
+        """Raise ``ArgumentError`` for the first of ``keys`` left unset."""
+        for key in keys:
+            if not getattr(self, key):
+                raise ArgumentError(f"config key {key!r} is required for this command")
+
     def snapshot(self) -> dict:
         """Canonical JSON-ready view of the configuration.
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import statistics
 from dataclasses import dataclass, replace
 
 from .errors import ArgumentError
@@ -151,10 +150,12 @@ def summarize_centrality(
     """
     if center_id not in spbc:
         raise ArgumentError(f"center {center_id!r} missing from centrality map")
-    others = [v for k, v in sorted(spbc.items()) if k != center_id]
+    others = sorted(v for k, v in spbc.items() if k != center_id)
     if not others:
         return spbc[center_id], 0.0, 0.0
-    return spbc[center_id], max(others), float(statistics.median(others))
+    mid = len(others) // 2
+    median = others[mid] if len(others) % 2 else (others[mid - 1] + others[mid]) / 2
+    return spbc[center_id], others[-1], float(median)
 
 
 def road_type_code(highway_class: HighwayClass) -> float:

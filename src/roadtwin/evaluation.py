@@ -8,7 +8,6 @@ Nemenyi post-hoc procedure rank generation methods over many days.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
 from datetime import date
 from typing import Callable, Mapping, Sequence
@@ -177,7 +176,9 @@ def nemenyi_posthoc(
         raise ArgumentError(f"alpha must be in (0, 1), got {alpha}")
     if q_crit is None:
         if k == 2:
-            q_crit = statistics.NormalDist().inv_cdf(1.0 - alpha / 2.0)
+            from statistics import NormalDist
+
+            q_crit = NormalDist().inv_cdf(1.0 - alpha / 2.0)
         elif alpha == 0.05 and k in NEMENYI_Q_05:
             q_crit = NEMENYI_Q_05[k]
         else:
@@ -236,7 +237,6 @@ class SegmentRecord:
     embedding: RoadEmbedding
     profile: TrafficProfile
     mean_weekday_flow: float
-    road_type: str = ""
 
 
 @dataclass(frozen=True)

@@ -153,11 +153,10 @@ class MapIndex:
     - ``occ_node``, ``way_of``: node row and way of each occurrence.
     - ``occ_by_node[node_occ[row]:node_occ[row + 1]]``: the occurrences
       of one node row, in way order.
-    - ``pair_len[k]``: ``haversine_m`` from occurrence ``k`` to ``k + 1``
-      of the same way (0.0 after a way's last node).  NaN until a crop
-      first reads the pair: a :class:`RadiusView` measures the pairs it
-      reads that are still NaN, so pairs no crop reaches are never
-      measured.
+    - ``stretch_len[(a, b)]``: the length of the way stretch from
+      occurrence ``a`` to ``b``, memoised by :meth:`stretch_length` the
+      first time a :class:`RadiusView` builds a piece over it, so
+      stretches no crop reaches are never measured.
     - ``is_cut[k]``: the occurrence ends a junction-to-junction segment,
       being a way's first or last node or a node of two or more ways.
     - ``lat_order``: the node rows by latitude, and
@@ -166,7 +165,7 @@ class MapIndex:
 
     The index holds no segments and no edges: each :class:`RadiusView`
     cuts its own in-radius occurrences into pieces with ``way_of`` and
-    ``is_cut`` and builds their edges, so views share pair lengths only.
+    ``is_cut`` and builds their edges, so views share stretch lengths only.
     It is built from a :class:`RawRoadData` and from nothing else:
     ``occ_node`` and ``way_start`` are the extract's own.
     """
@@ -199,8 +198,7 @@ class MapIndex:
         self.is_cut[starts[nonempty]] = True
         self.is_cut[stops[nonempty] - 1] = True
 
-        self.pair_len = np.full(self.occ_node.size, math.nan)
-        self.pair_len[stops[nonempty] - 1] = 0.0
+        self.stretch_len: dict[tuple[int, int], float] = {}
 
         # occurrences of each node row, in way order
         self.occ_by_node = np.argsort(self.occ_node, kind="stable").astype(np.int32)
@@ -235,21 +233,22 @@ class MapIndex:
             inside[r] = haversine_m(lat0, lon0, self.lat[r].item(), self.lon[r].item()) <= radius_m
         return inside
 
-    def pair_lengths(self, a: int, b: int) -> list[float]:
-        """``pair_len[a:b]`` as a list, measuring the pairs still NaN first.
+    def stretch_length(self, a: int, b: int) -> float:
+        """Length of the stretch of one way from occurrence ``a`` to ``b``.
 
-        The common case, every pair already measured, costs one slice.
+        The scalar ``haversine_m`` of each pair, summed in way order, so
+        every view of the extract gives a stretch the same float length.
+        Memoised on ``(a, b)``.
         """
-        lengths = self.pair_len[a:b].tolist()
-        if any(map(math.isnan, lengths)):
+        length = self.stretch_len.get((a, b))
+        if length is None:
             rows = self.occ_node[a : b + 1]
             lat, lon = self.lat[rows].tolist(), self.lon[rows].tolist()
-            lengths = [
-                haversine_m(lat[j], lon[j], lat[j + 1], lon[j + 1]) if math.isnan(x) else x
-                for j, x in enumerate(lengths)
-            ]
-            self.pair_len[a:b] = lengths
-        return lengths
+            length = 0.0
+            for j in range(b - a):
+                length += haversine_m(lat[j], lon[j], lat[j + 1], lon[j + 1])
+            self.stretch_len[(a, b)] = length
+        return length
 
 
 def parse_osm_extract(source) -> RawRoadData:
@@ -709,20 +708,13 @@ class Arc(NamedTuple):
     lanes: int | None
 
 
-def _segment_arcs(
-    index: MapIndex, i: int, a: int, b: int, attrs: tuple, lengths: list[float]
-) -> tuple[Arc, ...]:
-    """Arcs of piece ``i``, the way stretch from occurrence ``a`` to
-    ``b``, whose pair lengths are ``lengths``.
+def _segment_arcs(index: MapIndex, i: int, a: int, b: int, attrs: tuple) -> tuple[Arc, ...]:
+    """Arcs of piece ``i``, the way stretch from occurrence ``a`` to ``b``.
 
     Empty for a closed loop back to its start or a zero-length stretch.
     """
     speed, cls, lanes, oneway = attrs
-    seg_len = 0.0
-    # summed pair by pair, in way order, so every view of the extract
-    # gives a stretch the same float length
-    for pair in lengths:
-        seg_len += pair
+    seg_len = index.stretch_length(a, b)
     src, dst = index.occ_node[a].item(), index.occ_node[b].item()
     if src != dst and seg_len > 0.0:
         travel_time = seg_len / (speed / 3.6)
@@ -811,7 +803,7 @@ class RadiusView:
     one junction-to-junction segment holding at least one pair, and
     ``_first[i]`` and ``_last[i]`` are the first and last occurrence of
     piece ``i``, in way order.  A piece's arcs are built once, the first
-    time it is read, with its pair lengths measured on first need.  A
+    time it is read, from the index's memoised stretch length.  A
     row's edges are those of the pieces that start or end at one of its
     occurrences.
     """
@@ -936,14 +928,12 @@ class RadiusView:
         """Arcs of piece ``i``, as :func:`build_graph` builds them."""
         arcs = self._piece_arcs.get(i)
         if arcs is None:
-            index = self.index
-            a, b = self._first[i], self._last[i]
             w = self._way[i]
             attrs = self._attrs.get(w)
             if attrs is None:
                 attrs = self._attrs[w] = _way_attributes(self.raw.ways[w], self.speed_overrides)
             arcs = self._piece_arcs[i] = _segment_arcs(
-                index, i, a, b, attrs, index.pair_lengths(a, b)
+                self.index, i, self._first[i], self._last[i], attrs
             )
         return arcs
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import evaluation, generation
 from .config import DECISIONS, PipelineConfig
@@ -181,8 +181,7 @@ def load_traffic_dir(
     cfg: PipelineConfig,
 ) -> tuple[dict[str, TrafficSeries], dict[str, CleaningStats]]:
     """Load and clean every series found under the traffic directory."""
-    if not cfg.traffic_dir:
-        raise ArgumentError("traffic_dir is not configured")
+    cfg.require("traffic_dir")
     try:
         names = sorted(n for n in os.listdir(cfg.traffic_dir) if n.endswith(".csv"))
     except OSError as exc:
@@ -239,7 +238,6 @@ def build_segment_records(
                 embedding=emb,
                 profile=daily_profile(s, "weekdays", holidays),
                 mean_weekday_flow=mean_weekday_flow(s, holidays),
-                road_type=emb.road_class.value,
             )
         )
     return records
@@ -283,9 +281,7 @@ def run_benchmark(cfg: PipelineConfig) -> dict:
     per-candidate optimum, then score per-day generation (day-class
     medians and same-date copy) from the embedding-selected source.
     """
-    for key in ("osm_path", "sensors_path", "traffic_dir"):
-        if not getattr(cfg, key):
-            raise ArgumentError(f"benchmark requires config key {key!r}")
+    cfg.require("osm_path", "sensors_path", "traffic_dir")
     from .osm_ingest import parse_osm_extract
 
     raw = parse_osm_extract(cfg.osm_path)
@@ -315,7 +311,7 @@ def run_benchmark(cfg: PipelineConfig) -> dict:
         report_targets.append(
             {
                 "target_id": o.target_id,
-                "road_type": seg.road_type,
+                "road_type": seg.embedding.road_class.value,
                 "mean_weekday_flow": round6(o.mean_weekday_flow),
                 "selection": {
                     "embedding": {
@@ -351,16 +347,7 @@ def run_benchmark(cfg: PipelineConfig) -> dict:
         "decisions": dict(DECISIONS),
         "selection_tally": evaluation.tally_selection(outcomes),
         "targets": report_targets,
-        "cleaning": {
-            sid: {
-                "spikes_removed": st.spikes_removed,
-                "slots_interpolated": st.slots_interpolated,
-                "slots_missing": st.slots_missing,
-                "incomplete_days": st.incomplete_days,
-                "total_days": st.total_days,
-            }
-            for sid, st in sorted(cleaning.items())
-        },
+        "cleaning": {sid: asdict(st) for sid, st in sorted(cleaning.items())},
     }
     # segments, and so tables, are in target id order
     return {"report": report, "outcomes": outcomes, "tables": tables, "segments": segments}

@@ -33,6 +33,12 @@ def _nice_ceiling(v: float) -> float:
     return 10.0 ** (exp + 1)
 
 
+def slot_label(slot: int, interval_min: int) -> str:
+    """``HH:MM`` at the start of a day's ``slot``."""
+    minutes = slot * interval_min
+    return f"{minutes // 60:02d}:{minutes % 60:02d}"
+
+
 def profile_svg(
     values,
     stdev,
@@ -86,11 +92,9 @@ def profile_svg(
     # x axis: one label every 4 hours
     slots_per_label = max(1, (4 * 60) // interval_min)
     for i in range(0, n, slots_per_label):
-        minutes = i * interval_min
-        label = f"{minutes // 60:02d}:{minutes % 60:02d}"
         parts.append(
             f'<text x="{fmt(sx(i))}" y="{HEIGHT - MARGIN_B + 16}" font-family="sans-serif" '
-            f'font-size="11" text-anchor="middle">{label}</text>'
+            f'font-size="11" text-anchor="middle">{slot_label(i, interval_min)}</text>'
         )
     if n:
         parts.append(

@@ -49,12 +49,6 @@ class HolidayCalendar:
     def __contains__(self, d: date) -> bool:
         return d in self._dates
 
-    def __len__(self) -> int:
-        return len(self._dates)
-
-    def __iter__(self):
-        return iter(sorted(self._dates))
-
     @classmethod
     def from_csv(cls, path) -> "HolidayCalendar":
         """One ISO date per non-blank line of the file; '#' lines are comments."""
@@ -246,7 +240,7 @@ def _canonical_day_slot(
     ).T
     # 100 is a multiple of 4, so the year's remainder mod 4 is yy's
     leap = (yy % 4 == 0) & ((yy != 0) | (century % 4 == 0))
-    minute_of_day = hour * np.int16(60) + minute
+    minute_of_day = hour.astype(np.int16) * 60 + minute
     valid = (
         ((century != 0) | (yy != 0)) & (month >= 1) & (month <= 12) & (mday >= 1)
         & (mday <= _MONTH_DAYS[np.minimum(month, 12)] + (leap & (month == 2)))

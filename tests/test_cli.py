@@ -12,6 +12,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+from datetime import date, timedelta
 from statistics import NormalDist
 from xml.dom import minidom
 
@@ -19,6 +20,7 @@ import pytest
 
 from conftest import FIXTURE_DIR
 from helpers import osm_doc
+from roadtwin.traffic_data import MAX_SPAN_DAYS
 
 CONFIG = os.path.join(FIXTURE_DIR, "config.json")
 
@@ -673,6 +675,20 @@ def test_synthesize_copy_outside_recordings_exits_3(tmp_path):
     )
     assert proc.returncode == 3
     assert stderr_error(proc)["error"] == "AvailabilityError"
+
+
+def test_synthesize_range_over_the_traffic_span_limit_exits_2(tmp_path):
+    # one day more than a traffic series may span: a mistyped year
+    start = date(2019, 2, 11)
+    end = start + timedelta(days=MAX_SPAN_DAYS)
+    out = tmp_path / "o"
+    proc = run_cli("synthesize", "--config", CONFIG, "--output_dir", str(out),
+                   "--source", "s1", "--start", start.isoformat(), "--end", end.isoformat())
+    assert proc.returncode == 2
+    err = stderr_error(proc)
+    assert err["error"] == "ArgumentError"
+    assert "more than 50 years" in err["message"]
+    assert not out.exists()
 
 
 def test_evaluate_copy_of_self_scores_zero(tmp_path):

@@ -115,6 +115,28 @@ def test_subcommands_load_no_numpy_ma(tmp_path, argv):
     assert out.stdout.splitlines()[-1] == "0 []"
 
 
+@pytest.mark.parametrize("argv", [["embed"], ["profile"]], ids=lambda a: a[0])
+def test_subcommands_without_rank_tests_load_no_statistics(tmp_path, argv):
+    # statistics imports fractions and decimal; only the k = 2 Nemenyi
+    # critical value needs it
+    probe = (
+        "import sys\n"
+        "from roadtwin.cli import main\n"
+        "rc = main(sys.argv[1:])\n"
+        "print(rc, sorted(m for m in ('statistics', 'fractions', 'decimal') if m in sys.modules))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(ROOT, "src") + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run(
+        [sys.executable, "-c", probe, *argv,
+         "--config", os.path.join(FIXTURE_DIR, "config.json"),
+         "--output_dir", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "0 []"
+
+
 def _import_roadtwin_report(env_value):
     """OPENBLAS_NUM_THREADS and the thread count of a fresh interpreter after ``import roadtwin``."""
     probe = (

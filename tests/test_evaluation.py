@@ -354,7 +354,6 @@ def segment(sensor_id, vec, coords, level):
         embedding=emb(sensor_id, vec),
         profile=profile,
         mean_weekday_flow=mean_weekday_flow(series),
-        road_type="secondary",
     )
 
 

@@ -12,7 +12,9 @@ from helpers import LAT0, LON0, east_of, grid_extract, node_coords, north_of, ta
 from oracles import build_graph_full_scan
 from roadtwin.errors import ArgumentError, DomainError
 from roadtwin.geo import haversine_m, haversine_m_array
-from roadtwin.osm_ingest import RawRoadData, build_graph, graph_to_csv, parse_osm_extract
+from roadtwin.osm_ingest import (
+    RadiusView, RawRoadData, build_graph, graph_to_csv, parse_osm_extract,
+)
 
 MINICITY_CENTERS = [(40.45, -3.69), (40.447, -3.693), (40.4532, -3.6861), (40.44, -3.70)]
 
@@ -122,22 +124,34 @@ def test_radius_and_empty_crop_errors():
         build_graph(raw, (LAT0 + 1.0, LON0), 1000.0)
 
 
-# pair lengths are measured when a crop first reads them
+# stretch lengths are measured when a crop first reads them
 
 def fresh_minicity(minicity_dir):
     return parse_osm_extract(f"{minicity_dir}/minicity.osm")
 
 
-def assert_filled_pairs_are_haversine(index):
-    last = index.way_start[1:][np.diff(index.way_start) > 0] - 1
-    assert (index.pair_len[last] == 0.0).all()
-    filled = np.flatnonzero(~np.isnan(index.pair_len))
-    filled = filled[~np.isin(filled, last)]
-    a, b = index.occ_node[filled], index.occ_node[filled + 1]
-    expected = [haversine_m(*p) for p in zip(index.lat[a].tolist(), index.lon[a].tolist(),
-                                             index.lat[b].tolist(), index.lon[b].tolist())]
-    assert index.pair_len[filled].tolist() == expected
-    return filled.size
+def view_stretches(raw, center, radius_m):
+    """The ``(first, last)`` occurrences of every piece of a view."""
+    view = RadiusView(raw, center, radius_m)
+    return set(zip(view._first, view._last))
+
+
+def assert_stretches_are_haversine(index):
+    """Each memoised stretch length is ``haversine_m`` of its pairs,
+    summed in way order; returns the memo's keys."""
+    for (a, b), length in index.stretch_len.items():
+        rows = index.occ_node[a : b + 1]
+        lat, lon = index.lat[rows].tolist(), index.lon[rows].tolist()
+        expected = 0.0
+        for j in range(b - a):
+            expected += haversine_m(lat[j], lon[j], lat[j + 1], lon[j + 1])
+        assert length == expected
+    return set(index.stretch_len)
+
+
+def whole_map(raw):
+    lats, lons = raw.lat.tolist(), raw.lon.tolist()
+    return ((min(lats) + max(lats)) / 2, (min(lons) + max(lons)) / 2), 50_000.0
 
 
 @pytest.mark.parametrize("extract, centers, radius_m", [
@@ -148,24 +162,27 @@ def assert_filled_pairs_are_haversine(index):
 def test_overlapping_crops_measure_pairs_on_demand(minicity_dir, extract, centers, radius_m, order):
     raw = fresh_minicity(minicity_dir) if extract == "minicity" else grid_extract()
     index = raw.index
-    assert assert_filled_pairs_are_haversine(index) == 0
-    filled = []
-    for center in centers[::order]:
-        assert_same_graph(raw, center, radius_m)
-        filled.append(assert_filled_pairs_are_haversine(index))
-    # the second crop shares some pairs with the first and adds others,
-    # and neither reaches every pair
-    assert 0 < filled[0] < filled[1]
-    assert np.isnan(index.pair_len).any()
+    assert index.stretch_len == {}
+    center_a, center_b = centers[::order]
+    first, second = (view_stretches(raw, c, radius_m) for c in (center_a, center_b))
+    every = view_stretches(raw, *whole_map(raw))
+    assert_same_graph(raw, center_a, radius_m)
+    assert assert_stretches_are_haversine(index) == first
+    assert_same_graph(raw, center_b, radius_m)
+    assert assert_stretches_are_haversine(index) == first | second
+    # the second crop reuses some stretches of the first and adds others,
+    # and neither reaches every stretch of the map
+    assert first & second and second - first
+    assert not every <= first | second
 
 
 @pytest.mark.parametrize("extract", ["minicity", "grid"])
 def test_whole_map_crop_leaves_no_pair_unmeasured(minicity_dir, extract):
     raw = fresh_minicity(minicity_dir) if extract == "minicity" else grid_extract()
+    center, radius_m = whole_map(raw)
+    assert_same_graph(raw, center, radius_m)
+    # every piece of the view is stored, and nothing else
+    assert assert_stretches_are_haversine(raw.index) == view_stretches(raw, center, radius_m)
     lats, lons = raw.lat.tolist(), raw.lon.tolist()
-    center = ((min(lats) + max(lats)) / 2, (min(lons) + max(lons)) / 2)
-    assert_same_graph(raw, center, 50_000.0)
-    assert not np.isnan(raw.index.pair_len).any()
-    assert_filled_pairs_are_haversine(raw.index)
     for lat, lon in [(min(lats), min(lons)), (max(lats), max(lons))]:
         assert_same_graph(raw, (lat, lon), 700.0)

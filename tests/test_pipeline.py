@@ -272,8 +272,8 @@ def test_benchmark_reports_the_road_class_the_embedding_encodes(benchmark_result
     # s4 sits on a tertiary road, and the sensors file overrides it to secondary
     assert road_types["s4"] == "secondary"
     for seg in benchmark_result["segments"]:
-        assert road_types[seg.sensor_id] == seg.road_type
-        assert road_type_code(HighwayClass(seg.road_type)) == seg.embedding.road_type_code
+        assert road_types[seg.sensor_id] == seg.embedding.road_class.value
+        assert road_type_code(HighwayClass(road_types[seg.sensor_id])) == seg.embedding.road_type_code
 
 
 def test_benchmark_requires_inputs():

@@ -242,6 +242,19 @@ def test_canonical_texts_parse_like_the_oracle(text, interval_min):
     assert_parse_parity(text, interval_min)
 
 
+def test_one_minute_grid_past_04_16_takes_the_array_path(monkeypatch):
+    # from 04:16 a minute of day exceeds 255, so it must not be computed in
+    # uint8; 256 distinct minutes would still pass a 1-minute grid check
+    t0 = datetime(2019, 1, 7)
+    rows = [f"a,{(t0 + timedelta(minutes=m)).strftime('%Y-%m-%dT%H:%M:%S')},{m}"
+            for m in range(256, 512)]
+    text = HEADER + "\n".join(rows) + "\n"
+    want = outcome(load_traffic_rowwise, text, 1)
+    block_fallback(monkeypatch)
+    assert outcome(load_traffic_csv, text.encode(), 1) == want
+    assert want[0] == "ok"
+
+
 # ---------------------------------------------------------------------------
 # parse: error parity, row numbers included
 # ---------------------------------------------------------------------------

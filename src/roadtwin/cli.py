@@ -10,6 +10,13 @@ to a generated day, end to end).
 Configuration comes from an optional JSON file plus ``--key=value``
 flags (flags win).  Outputs are deterministic byte-for-byte for a fixed
 config, carry the config hash, and are written all-or-nothing.
+
+The module imports only what the parser and every handler need.  The
+graph layer (``osm_ingest``, ``road_graph``, ``embedding``, ``selection``
+and ``evaluation``) loads as one block on the first line of each handler
+that uses it, before any input is read: every handler but ``profile``
+and ``synthesize``.  ``evaluate`` loads it for ``evaluation``'s error
+metrics, since that module imports the selectors.
 """
 from __future__ import annotations
 
@@ -20,25 +27,26 @@ import sys
 from dataclasses import fields
 from datetime import date, timedelta
 
-from . import evaluation, generation, pipeline
+from . import _lazy_names, generation, pipeline
 from .config import PipelineConfig, load_config
-from .embedding import EMBEDDING_DIMS, normalize_pool
 from .errors import ArgumentError, InputError, RoadTwinError
 from .geo import coordinate_problem, parse_coordinate
-from .osm_ingest import graph_to_csv, build_graph, parse_osm_extract
 from .output import OutputStage, check_config_hash, read_csv, round6, write_csv, write_json
-from .selection import select_by_embedding, select_by_geography, similarity_percent
 from .svgplot import profile_svg, slot_label
 from .traffic_data import (
     DAY_FILTERS, MAX_SPAN_DAYS, MAX_SPAN_YEARS, daily_profile, mean_weekday_flow, parse_flow,
     slice_day,
 )
 
-EMBEDDINGS_HEADER = (
-    ["sensor_id"]
-    + [f"f{i}" for i in range(1, EMBEDDING_DIMS + 1)]
-    + [f"n{i}" for i in range(1, EMBEDDING_DIMS + 1)]
-)
+# The graph layer, loaded as one block by the first line of each handler
+# that uses it; perfbench/spans.py rebinds parse_osm_extract by this name.
+_graph_layer, __getattr__ = _lazy_names(globals(), (
+    (".osm_ingest", ("build_graph", "graph_to_csv", "parse_osm_extract")),
+    (".embedding", ("EMBEDDING_DIMS", "normalize_pool")),
+    (".selection", ("select_by_embedding", "select_by_geography", "similarity_percent")),
+    (".", ("evaluation",)),
+))
+
 SELECTION_HEADER = ["target_id", "rank", "sensor_id", "distance", "similarity_pct", "method"]
 PROFILE_HEADER = ["slot_index", "time_of_day", "median_flow", "stdev"]
 GENERATED_HEADER = ["target_id", "date", "method", "slot_index", "flow", "fallback_used"]
@@ -145,6 +153,7 @@ def _check_positions(args):
 
 
 def cmd_ingest(args, cfg: PipelineConfig):
+    _graph_layer()
     cfg.require("osm_path")
     if (args.center_lat is None) != (args.center_lon is None):
         raise ArgumentError("--center-lat and --center-lon must be given together")
@@ -190,6 +199,7 @@ def _embedding_rows(embeddings):
 
 
 def cmd_embed(args, cfg: PipelineConfig):
+    _graph_layer()
     cfg.require("osm_path", "sensors_path")
     raw = parse_osm_extract(cfg.osm_path)
     sensors = pipeline.load_sensors(cfg.sensors_path)
@@ -197,7 +207,7 @@ def cmd_embed(args, cfg: PipelineConfig):
     with OutputStage(cfg.output_dir) as stage:
         write_csv(
             stage.path("embeddings.csv"),
-            EMBEDDINGS_HEADER,
+            ["sensor_id"] + [f"{p}{i}" for p in "fn" for i in range(1, EMBEDDING_DIMS + 1)],
             _embedding_rows(embeddings),
             config_hash=cfg.config_hash(),
         )
@@ -213,6 +223,7 @@ def _selection_rows(result):
 
 
 def cmd_select(args, cfg: PipelineConfig):
+    _graph_layer()
     cfg.require("osm_path", "sensors_path")
     raw = parse_osm_extract(cfg.osm_path)
     sensors = pipeline.load_sensors(cfg.sensors_path)
@@ -303,6 +314,7 @@ def cmd_synthesize(args, cfg: PipelineConfig):
 
 
 def cmd_evaluate(args, cfg: PipelineConfig):
+    _graph_layer()
     cfg.require("traffic_dir")
     chash = cfg.config_hash()
     found_hash, header, rows, first_line = read_csv(args.generated)
@@ -349,6 +361,7 @@ def cmd_evaluate(args, cfg: PipelineConfig):
 
 
 def cmd_benchmark(args, cfg: PipelineConfig):
+    _graph_layer()
     result = pipeline.run_benchmark(cfg)
     chash = cfg.config_hash()
     report = result["report"]
@@ -399,6 +412,7 @@ def cmd_benchmark(args, cfg: PipelineConfig):
 
 
 def cmd_estimate(args, cfg: PipelineConfig):
+    _graph_layer()
     cfg.require("osm_path", "sensors_path", "traffic_dir")
     d = _parse_date(args.date)
     raw = parse_osm_extract(cfg.osm_path)

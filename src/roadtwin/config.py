@@ -1,4 +1,5 @@
-"""Pipeline configuration: one dataclass, JSON file loading, flag overrides.
+"""Pipeline configuration: one dataclass, JSON file loading, flag overrides,
+and the road classes and distance metrics its keys accept.
 
 Every key can be set in a JSON config file and overridden by a
 ``--key=value`` CLI flag.  The canonical snapshot (and its SHA-256 hash)
@@ -12,10 +13,35 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, fields
+from enum import Enum
 
 from .errors import ArgumentError, FormatError, read_text
-from .osm_ingest import ACCEPTED_HIGHWAYS
-from .selection import DISTANCE_METRICS
+
+
+class HighwayClass(str, Enum):
+    """Drivable road classes retained from the map extract."""
+
+    MOTORWAY = "motorway"
+    MOTORWAY_LINK = "motorway_link"
+    PRIMARY = "primary"
+    PRIMARY_LINK = "primary_link"
+    SECONDARY = "secondary"
+    SECONDARY_LINK = "secondary_link"
+    TERTIARY = "tertiary"
+    TERTIARY_LINK = "tertiary_link"
+    RESIDENTIAL = "residential"
+
+    @property
+    def base(self) -> "HighwayClass":
+        """Ramp (link) roads count as their base class."""
+        if self.value.endswith("_link"):
+            return HighwayClass(self.value[: -len("_link")])
+        return self
+
+
+ACCEPTED_HIGHWAYS = {c.value for c in HighwayClass}
+
+DISTANCE_METRICS = ("l2", "l1")
 
 # Tie-break and convention choices that shape the numbers, recorded in
 # every report so results stay interpretable.

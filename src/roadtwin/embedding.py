@@ -20,8 +20,9 @@ import heapq
 import math
 from dataclasses import dataclass, replace
 
+from .config import HighwayClass
 from .errors import ArgumentError
-from .road_graph import CentralNode, EgoGraph, HighwayClass, IndexGraph, dijkstra_from
+from .road_graph import CentralNode, EgoGraph, IndexGraph, dijkstra_from
 
 #: distinguished value for "no such road reachable"
 UNREACHABLE = math.inf

@@ -24,6 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .config import ACCEPTED_HIGHWAYS, HighwayClass
 from .errors import (
     ArgumentError,
     DomainError,
@@ -35,10 +36,8 @@ from .errors import (
 from .geo import (
     EARTH_RADIUS_M, coordinate_problem, haversine_m, haversine_m_array, parse_coordinate,
 )
-from .road_graph import Edge, HighwayClass
+from .road_graph import Edge
 from .traffic_data import _decimal_fields, _plain_decimals
-
-ACCEPTED_HIGHWAYS = {c.value for c in HighwayClass}
 
 # free-flow speed defaults in km/h, by base class
 DEFAULT_SPEED_KPH = {

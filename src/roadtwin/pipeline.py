@@ -12,14 +12,10 @@ import io
 import os
 from dataclasses import asdict, dataclass
 
-from . import evaluation, generation
-from .config import DECISIONS, PipelineConfig
-from .embedding import RoadEmbedding, build_embedding, normalize_pool
+from . import _lazy_names, generation
+from .config import DECISIONS, HighwayClass, PipelineConfig
 from .errors import ArgumentError, FormatError, InputError, read_text
 from .geo import coordinate_problem, parse_coordinate
-# build_graph is not called here; perfbench/spans.py rebinds it by this name
-from .osm_ingest import RadiusView, RawRoadData, build_graph, parse_lanes  # noqa: F401
-from .road_graph import HighwayClass, ego_graph, insert_central_node
 from .output import round6
 from .traffic_data import (
     CleaningStats,
@@ -30,6 +26,17 @@ from .traffic_data import (
     load_traffic_csv,
     mean_weekday_flow,
 )
+
+# The graph layer and the benchmark load on first use; each public
+# function that reads these names calls _graph_layer() first.  build_graph
+# is not called here: perfbench/spans.py rebinds it by this name, with
+# insert_central_node, ego_graph and build_embedding.
+_graph_layer, __getattr__ = _lazy_names(globals(), (
+    (".osm_ingest", ("RadiusView", "RawRoadData", "build_graph", "parse_lanes")),
+    (".road_graph", ("ego_graph", "insert_central_node")),
+    (".embedding", ("RoadEmbedding", "build_embedding", "normalize_pool")),
+    (".", ("evaluation",)),
+))
 
 # ---------------------------------------------------------------------------
 # sensors
@@ -53,6 +60,7 @@ def load_sensors(path) -> list[SensorSpec]:
     Raises ``FormatError`` for a file without sensor rows and for a row
     whose position is not a valid latitude and longitude.
     """
+    _graph_layer()
     text = read_text(path, f"sensors CSV {path}")
     reader = csv.reader(io.StringIO(text, newline=""))
     # line_num is the file line the row just read ends on
@@ -129,6 +137,7 @@ def embed_position(
     rows the snap, the ego-graph and the travel-time search reach are
     built.
     """
+    _graph_layer()
     view = RadiusView(raw, (lat, lon), cfg.radius_m, cfg.default_speeds or None)
     central = insert_central_node(
         view, sensor_id, lat, lon, snap_threshold_m=cfg.snap_threshold_m
@@ -165,6 +174,7 @@ def embed_target(
     The target is embedded under the id ``TARGET_ID``, which no sensor may
     carry.
     """
+    _graph_layer()
     if any(s.sensor_id == TARGET_ID for s in sensors):
         raise ArgumentError(f"sensor id {TARGET_ID!r} clashes with the target placeholder")
     target = embed_position(raw, cfg, TARGET_ID, lat, lon)
@@ -225,6 +235,7 @@ def build_segment_records(
 ) -> list[evaluation.SegmentRecord]:
     """One record per sensor, in sensor id order; ``embeddings`` are the
     sensors' own, in the order of ``sensors``."""
+    _graph_layer()
     records = []
     pairs = sorted(zip(sensors, embeddings, strict=True), key=lambda pair: pair[0].sensor_id)
     for spec, emb in pairs:
@@ -282,6 +293,7 @@ def run_benchmark(cfg: PipelineConfig) -> dict:
     medians and same-date copy) from the embedding-selected source.
     """
     cfg.require("osm_path", "sensors_path", "traffic_dir")
+    _graph_layer()
     from .osm_ingest import parse_osm_extract
 
     raw = parse_osm_extract(cfg.osm_path)

@@ -1,5 +1,5 @@
-"""Road classes, edge and central-node records, and sensor-centric graph
-surgery on one position's radius view.
+"""Edge and central-node records, and sensor-centric graph surgery on
+one position's radius view.
 
 A position's graph has one form, from the map index to the features: the
 integer node rows of an ``osm_ingest.RadiusView``, whose ``out[v]`` and
@@ -15,35 +15,14 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 
+from .config import HighwayClass
 from .errors import ArgumentError, SnapError
 from .geo import LocalProjection, point_segment_projection
 
 # New nodes created by sensor insertion are within this distance of an
 # existing junction -> the junction is reused instead of splitting.
 JUNCTION_REUSE_M = 0.5
-
-
-class HighwayClass(str, Enum):
-    """Drivable road classes retained from the map extract."""
-
-    MOTORWAY = "motorway"
-    MOTORWAY_LINK = "motorway_link"
-    PRIMARY = "primary"
-    PRIMARY_LINK = "primary_link"
-    SECONDARY = "secondary"
-    SECONDARY_LINK = "secondary_link"
-    TERTIARY = "tertiary"
-    TERTIARY_LINK = "tertiary_link"
-    RESIDENTIAL = "residential"
-
-    @property
-    def base(self) -> "HighwayClass":
-        """Ramp (link) roads count as their base class."""
-        if self.value.endswith("_link"):
-            return HighwayClass(self.value[: -len("_link")])
-        return self
 
 
 @dataclass(frozen=True)

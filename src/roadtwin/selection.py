@@ -10,11 +10,10 @@ import math
 
 from dataclasses import dataclass, field
 
+from .config import DISTANCE_METRICS
 from .embedding import EMBEDDING_DIMS, RoadEmbedding
 from .errors import ArgumentError
 from .geo import haversine_m
-
-DISTANCE_METRICS = ("l2", "l1")
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,12 @@
 """The package imports only the stdlib and its declared runtime dependencies."""
 import ast
+import importlib
+import json
 import os
 import re
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -11,6 +14,19 @@ from conftest import FIXTURE_DIR
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
 PACKAGE_DIR = os.path.join(ROOT, "src", "roadtwin")
+
+
+CONFIG = os.path.join(FIXTURE_DIR, "config.json")
+
+
+def run_probe(probe, *argv):
+    """Run ``probe`` in a fresh interpreter that imports roadtwin from ``src``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(ROOT, "src") + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run([sys.executable, "-c", probe, *argv], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.splitlines()
 
 
 def imported_top_level_modules(path):
@@ -65,16 +81,9 @@ def test_benchmark_runs_without_loading_scipy(tmp_path, prelude):
         "          if mod is not None and (m == 'scipy' or m.startswith('scipy.'))]\n"
         "print(rc, loaded)\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.join(ROOT, "src") + os.pathsep + env.get("PYTHONPATH", "")
-    out = subprocess.run(
-        [sys.executable, "-c", probe, "benchmark",
-         "--config", os.path.join(FIXTURE_DIR, "config.json"),
-         "--output_dir", str(tmp_path / "out")],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines()[-1] == "0 []"
+    lines = run_probe(probe, "benchmark", "--config", CONFIG,
+                      "--output_dir", str(tmp_path / "out"))
+    assert lines[-1] == "0 []"
     assert os.path.isfile(tmp_path / "out" / "report.json")
 
 
@@ -85,12 +94,7 @@ def test_cli_import_loads_no_element_tree():
         "import roadtwin.cli\n"
         "print(sorted(m for m in sys.modules if m == 'xml.etree' or m.startswith('xml.etree.')))\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.join(ROOT, "src") + os.pathsep + env.get("PYTHONPATH", "")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True, timeout=120)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines()[-1] == "[]"
+    assert run_probe(probe)[-1] == "[]"
 
 
 @pytest.mark.parametrize("argv", [["embed"], ["profile"], ["benchmark"]], ids=lambda a: a[0])
@@ -103,16 +107,8 @@ def test_subcommands_load_no_numpy_ma(tmp_path, argv):
         "rc = main(sys.argv[1:])\n"
         "print(rc, sorted(m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')))\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.join(ROOT, "src") + os.pathsep + env.get("PYTHONPATH", "")
-    out = subprocess.run(
-        [sys.executable, "-c", probe, *argv,
-         "--config", os.path.join(FIXTURE_DIR, "config.json"),
-         "--output_dir", str(tmp_path / "out")],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines()[-1] == "0 []"
+    assert run_probe(probe, *argv, "--config", CONFIG,
+                     "--output_dir", str(tmp_path / "out"))[-1] == "0 []"
 
 
 @pytest.mark.parametrize("argv", [["embed"], ["profile"]], ids=lambda a: a[0])
@@ -125,16 +121,8 @@ def test_subcommands_without_rank_tests_load_no_statistics(tmp_path, argv):
         "rc = main(sys.argv[1:])\n"
         "print(rc, sorted(m for m in ('statistics', 'fractions', 'decimal') if m in sys.modules))\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.join(ROOT, "src") + os.pathsep + env.get("PYTHONPATH", "")
-    out = subprocess.run(
-        [sys.executable, "-c", probe, *argv,
-         "--config", os.path.join(FIXTURE_DIR, "config.json"),
-         "--output_dir", str(tmp_path / "out")],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines()[-1] == "0 []"
+    assert run_probe(probe, *argv, "--config", CONFIG,
+                     "--output_dir", str(tmp_path / "out"))[-1] == "0 []"
 
 
 def _import_roadtwin_report(env_value):
@@ -224,42 +212,105 @@ def test_public_names_are_the_imported_ones():
     assert len(roadtwin.__all__) == len(PUBLIC_NAMES) == 57
     assert set(roadtwin.__all__) == PUBLIC_NAMES
     # each name is its home module's object, not a copy or a module
-    with open(os.path.join(PACKAGE_DIR, "__init__.py"), "r", encoding="utf-8") as fh:
-        tree = ast.parse(fh.read())
-    homes = {alias.name: node.module for node in tree.body
-             if isinstance(node, ast.ImportFrom) for alias in node.names}
-    assert set(homes) == PUBLIC_NAMES - {"__version__"}
-    for name, module in homes.items():
-        home = sys.modules[f"roadtwin.{module}"]
-        assert getattr(roadtwin, name) is getattr(home, name), name
+    homes = {name: home for home, names in roadtwin._HOMES for name in names}
+    assert roadtwin.__all__ == ["__version__", *homes]
+    for name, home in homes.items():
+        module = importlib.import_module(home, "roadtwin")
+        assert getattr(roadtwin, name) is getattr(module, name), name
+        assert not isinstance(getattr(module, name), types.ModuleType), name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        roadtwin.no_such_name
+    namespace = {}
+    exec("from roadtwin import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(roadtwin.__all__)
+
+
+ROADTWIN_MODULES = (
+    "import sys\n"
+    "def roadtwin_modules():\n"
+    "    return [m for m in sys.modules if m == 'roadtwin' or m.startswith('roadtwin.')]\n"
+)
+
+
+def test_bare_import_loads_no_submodule_and_no_numpy():
+    probe = ROADTWIN_MODULES + (
+        "import os\n"
+        "import roadtwin\n"
+        "print(roadtwin_modules(), 'numpy' in sys.modules, os.environ['OPENBLAS_NUM_THREADS'])\n"
+    )
+    assert run_probe(probe)[-1] == "['roadtwin'] False 1"
+
+
+GRAPH_LAYER = ("roadtwin.osm_ingest", "roadtwin.road_graph", "roadtwin.embedding",
+               "roadtwin.selection", "roadtwin.evaluation", "pyexpat")
+
+
+def test_profile_and_synthesize_load_no_graph_layer(tmp_path):
+    # each argument is one command's argv, as JSON
+    probe = (
+        "import json, sys\n"
+        "from roadtwin.cli import main\n"
+        "print([main(json.loads(argv)) for argv in sys.argv[1:]],\n"
+        f"      [m for m in {GRAPH_LAYER!r} if m in sys.modules])\n"
+    )
+    profile = ["profile", "--config", CONFIG, "--output_dir", str(tmp_path / "profile")]
+    synthesize = ["synthesize", "--config", CONFIG, "--output_dir", str(tmp_path / "synth"),
+                  "--source", "s1", "--start", "2019-12-18", "--end", "2019-12-20"]
+    assert run_probe(probe, json.dumps(profile), json.dumps(synthesize))[-1] == "[0, 0] []"
+    assert os.listdir(tmp_path / "profile") and os.listdir(tmp_path / "synth")
+
+
+def test_functions_set_before_the_graph_layer_loads_are_the_ones_called(tmp_path):
+    # perfbench/spans.py rebinds cli.parse_osm_extract and pipeline.ego_graph
+    # (among others) before cli.main runs; loading the graph layer must not
+    # bind the real functions over them
+    probe = (
+        "import importlib, sys\n"
+        "from roadtwin import cli, pipeline\n"
+        f"assert not [m for m in {GRAPH_LAYER!r} if m in sys.modules]\n"
+        "calls = {}\n"
+        "def counting(home, name):\n"
+        "    def call(*args, **kwargs):\n"
+        "        calls[name] = calls.get(name, 0) + 1\n"
+        "        return getattr(importlib.import_module(home), name)(*args, **kwargs)\n"
+        "    return call\n"
+        "cli.parse_osm_extract = counting('roadtwin.osm_ingest', 'parse_osm_extract')\n"
+        "pipeline.ego_graph = counting('roadtwin.road_graph', 'ego_graph')\n"
+        "print(cli.main(sys.argv[1:]), calls['parse_osm_extract'], calls['ego_graph'])\n"
+    )
+    patched, plain = tmp_path / "patched", tmp_path / "plain"
+    assert run_probe(probe, "embed", "--config", CONFIG,
+                     "--output_dir", str(patched))[-1] == "0 1 8"
+    from roadtwin.cli import main
+
+    assert main(["embed", "--config", CONFIG, "--output_dir", str(plain)]) == 0
+    with open(patched / "embeddings.csv", "rb") as a, open(plain / "embeddings.csv", "rb") as b:
+        assert a.read() == b.read()
 
 
 def test_cli_import_order_and_no_logging(tmp_path):
     # every module compiles from source when no bytecode cache is written,
-    # and peak memory then moves with the order modules first load in
-    probe = (
-        "import sys\n"
+    # and peak memory then moves with the order modules first load in; the
+    # graph layer loads as one block when a handler that uses it starts
+    probe = ROADTWIN_MODULES + (
         "import roadtwin.cli\n"
-        "order = [m for m in sys.modules if m == 'roadtwin' or m.startswith('roadtwin.')]\n"
+        "order = roadtwin_modules()\n"
         "rc = roadtwin.cli.main(sys.argv[1:])\n"
         "print(order)\n"
+        "print(roadtwin_modules()[len(order):])\n"
         "print(rc, 'logging' in sys.modules)\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.join(ROOT, "src") + os.pathsep + env.get("PYTHONPATH", "")
-    out = subprocess.run(
-        [sys.executable, "-c", probe, "benchmark",
-         "--config", os.path.join(FIXTURE_DIR, "config.json"),
-         "--output_dir", str(tmp_path / "out")],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert out.returncode == 0, out.stderr
-    order, result = out.stdout.splitlines()[-2:]
+    lines = run_probe(probe, "benchmark", "--config", CONFIG,
+                      "--output_dir", str(tmp_path / "out"))
+    order, in_handler, result = lines[-3:]
     assert ast.literal_eval(order) == [
         f"roadtwin.{m}" if m else "roadtwin" for m in (
-            "errors", "geo", "road_graph", "traffic_data", "osm_ingest", "embedding",
-            "selection", "config", "generation", "evaluation", "", "output", "pipeline",
+            "", "errors", "traffic_data", "generation", "config", "geo", "output", "pipeline",
             "svgplot", "cli",
         )
+    ]
+    assert ast.literal_eval(in_handler) == [
+        f"roadtwin.{m}" for m in ("road_graph", "osm_ingest", "embedding", "selection",
+                                  "evaluation")
     ]
     assert result == "0 False"

@@ -77,8 +77,7 @@ _HOMES = (
     # the road classes are config's, which checks default_speeds keys against them
     (".config", ("HighwayClass",)),
     (".osm_ingest", (
-        "RadiusView", "RawRoadData", "build_graph", "default_speed", "graph_to_csv",
-        "parse_osm_extract",
+        "RadiusView", "RawRoadData", "build_graph", "default_speed", "parse_osm_extract",
     )),
     (".road_graph", ("CentralNode", "Edge", "EgoGraph", "ego_graph", "insert_central_node")),
     (".selection", (

@@ -13,10 +13,10 @@ config, carry the config hash, and are written all-or-nothing.
 
 The module imports only what the parser and every handler need.  The
 graph layer (``osm_ingest``, ``road_graph``, ``embedding``, ``selection``
-and ``evaluation``) loads as one block on the first line of each handler
-that uses it, before any input is read: every handler but ``profile``
-and ``synthesize``.  ``evaluate`` loads it for ``evaluation``'s error
-metrics, since that module imports the selectors.
+and ``evaluation``) loads as one block in ``main``, once the arguments
+and the config are checked and before any input is read, for every
+command but ``profile`` and ``synthesize``.  ``evaluate`` needs it for
+``evaluation``'s error metrics, since that module imports the selectors.
 """
 from __future__ import annotations
 
@@ -24,6 +24,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from dataclasses import fields
 from datetime import date, timedelta
 
@@ -38,15 +39,17 @@ from .traffic_data import (
     slice_day,
 )
 
-# The graph layer, loaded as one block by the first line of each handler
-# that uses it; perfbench/spans.py rebinds parse_osm_extract by this name.
+# The graph layer, loaded as one block by ``main`` for every command that
+# uses it; perfbench/spans.py rebinds parse_osm_extract by this name.
 _graph_layer, __getattr__ = _lazy_names(globals(), (
-    (".osm_ingest", ("build_graph", "graph_to_csv", "parse_osm_extract")),
+    (".osm_ingest", ("build_graph", "parse_osm_extract")),
     (".embedding", ("EMBEDDING_DIMS", "normalize_pool")),
     (".selection", ("select_by_embedding", "select_by_geography", "similarity_percent")),
     (".", ("evaluation",)),
 ))
 
+NODES_HEADER = ["node_id", "lat", "lon"]
+EDGES_HEADER = ["src", "dst", "length_m", "speed_kph", "travel_time_s", "highway_class", "lanes"]
 SELECTION_HEADER = ["target_id", "rank", "sensor_id", "distance", "similarity_pct", "method"]
 PROFILE_HEADER = ["slot_index", "time_of_day", "median_flow", "stdev"]
 GENERATED_HEADER = ["target_id", "date", "method", "slot_index", "flow", "fallback_used"]
@@ -153,7 +156,6 @@ def _check_positions(args):
 
 
 def cmd_ingest(args, cfg: PipelineConfig):
-    _graph_layer()
     cfg.require("osm_path")
     if (args.center_lat is None) != (args.center_lon is None):
         raise ArgumentError("--center-lat and --center-lon must be given together")
@@ -169,15 +171,15 @@ def cmd_ingest(args, cfg: PipelineConfig):
         )
     graph = build_graph(raw, center, cfg.radius_m, cfg.default_speeds or None)
     chash = cfg.config_hash()
-    nodes_csv, edges_csv = graph_to_csv(graph, config_hash=chash)
-    class_counts: dict[str, int] = {}
-    for e in graph.edges:
-        class_counts[e.highway_class.value] = class_counts.get(e.highway_class.value, 0) + 1
+    class_counts = Counter(e.highway_class.value for e in graph.edges)
+    # floats are written with repr (shortest round-trip form), which fmt
+    # passes through, so a saved graph reloads with bit-identical attributes
+    node_rows = ([nid, repr(lat), repr(lon)] for nid, (lat, lon) in sorted(graph.nodes.items()))
+    edge_rows = ([e.src, e.dst, repr(e.length_m), repr(e.speed_kph), repr(e.travel_time_s),
+                  e.highway_class.value, e.lanes] for e in graph.edges)
     with OutputStage(cfg.output_dir) as stage:
-        with open(stage.path("nodes.csv"), "w", encoding="utf-8") as fh:
-            fh.write(nodes_csv)
-        with open(stage.path("edges.csv"), "w", encoding="utf-8") as fh:
-            fh.write(edges_csv)
+        write_csv(stage.path("nodes.csv"), NODES_HEADER, node_rows, config_hash=chash)
+        write_csv(stage.path("edges.csv"), EDGES_HEADER, edge_rows, config_hash=chash)
         write_json(
             stage.path("manifest.json"),
             {
@@ -199,7 +201,6 @@ def _embedding_rows(embeddings):
 
 
 def cmd_embed(args, cfg: PipelineConfig):
-    _graph_layer()
     cfg.require("osm_path", "sensors_path")
     raw = parse_osm_extract(cfg.osm_path)
     sensors = pipeline.load_sensors(cfg.sensors_path)
@@ -223,7 +224,6 @@ def _selection_rows(result):
 
 
 def cmd_select(args, cfg: PipelineConfig):
-    _graph_layer()
     cfg.require("osm_path", "sensors_path")
     raw = parse_osm_extract(cfg.osm_path)
     sensors = pipeline.load_sensors(cfg.sensors_path)
@@ -314,7 +314,6 @@ def cmd_synthesize(args, cfg: PipelineConfig):
 
 
 def cmd_evaluate(args, cfg: PipelineConfig):
-    _graph_layer()
     cfg.require("traffic_dir")
     chash = cfg.config_hash()
     found_hash, header, rows, first_line = read_csv(args.generated)
@@ -361,7 +360,6 @@ def cmd_evaluate(args, cfg: PipelineConfig):
 
 
 def cmd_benchmark(args, cfg: PipelineConfig):
-    _graph_layer()
     result = pipeline.run_benchmark(cfg)
     chash = cfg.config_hash()
     report = result["report"]
@@ -412,7 +410,6 @@ def cmd_benchmark(args, cfg: PipelineConfig):
 
 
 def cmd_estimate(args, cfg: PipelineConfig):
-    _graph_layer()
     cfg.require("osm_path", "sensors_path", "traffic_dir")
     d = _parse_date(args.date)
     raw = parse_osm_extract(cfg.osm_path)
@@ -477,6 +474,8 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         cfg = _config_from_args(args)
         _check_positions(args)
+        if args.command not in ("profile", "synthesize"):
+            _graph_layer()
         HANDLERS[args.command](args, cfg)
         return 0
     except RoadTwinError as exc:

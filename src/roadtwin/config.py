@@ -164,8 +164,10 @@ FIELD_TYPES = {f.name: _ANNOTATION_TYPES[f.type] for f in fields(PipelineConfig)
 def load_config(path: str | None = None, overrides: dict | None = None) -> PipelineConfig:
     """Config from a JSON file plus flag overrides (flags win).
 
-    Relative paths inside the file resolve against the file's directory;
-    unknown keys are rejected.
+    Relative paths inside the file resolve against the file's directory
+    as ``path`` names it, so a config reached by a relative path gives
+    relative paths and the same hash from any checkout; unknown keys are
+    rejected.
     """
     values: dict = {}
     base_dir = None
@@ -177,14 +179,14 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Pipel
             raise FormatError(f"config {path} is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise FormatError(f"config {path} must hold a JSON object")
-        base_dir = os.path.dirname(os.path.abspath(path))
+        base_dir = os.path.dirname(path)
         values.update(data)
 
     unknown = set(values) - set(FIELD_TYPES)
     if unknown:
         raise ArgumentError(f"unknown config keys: {', '.join(sorted(unknown))}")
     coerced = {k: _coerce(k, FIELD_TYPES[k], v) for k, v in values.items()}
-    if base_dir:
+    if base_dir is not None:
         for k in _PATH_FIELDS:
             if coerced.get(k) and not os.path.isabs(coerced[k]):
                 coerced[k] = os.path.normpath(os.path.join(base_dir, coerced[k]))

@@ -6,13 +6,10 @@ haversine lengths and travel times.  A position's graph is a lazy
 :class:`RadiusView` of the extract's index: its nodes are integer rows,
 and each row's ``(row, travel_time_s)`` adjacency is built the first
 time it is read.  :func:`build_graph` names every arc of a view by node
-id for ``ingest``, and :func:`graph_to_csv` writes it in the CSV
-on-disk format.
+id for ``ingest``.
 """
 from __future__ import annotations
 
-import csv
-import io
 import math
 import re
 import weakref
@@ -963,43 +960,3 @@ class RadiusView:
         self.out[row] = out
         self.inn[row] = inn
         self.classes[row] = tuple(arc.highway_class for arc in arcs)
-
-
-# ---------------------------------------------------------------------------
-# CSV on-disk format
-# ---------------------------------------------------------------------------
-# Floats are written with repr (shortest round-trip form) so that a
-# saved graph reloads with bit-identical attributes.
-
-NODES_HEADER = ["node_id", "lat", "lon"]
-EDGES_HEADER = ["src", "dst", "length_m", "speed_kph", "travel_time_s", "highway_class", "lanes"]
-
-
-def graph_to_csv(graph: Crop, config_hash: str | None = None) -> tuple[str, str]:
-    """Serialize a graph to (nodes_csv, edges_csv) text."""
-    prefix = f"# config_hash={config_hash}\n" if config_hash else ""
-    nbuf = io.StringIO()
-    nbuf.write(prefix)
-    w = csv.writer(nbuf, lineterminator="\n")
-    w.writerow(NODES_HEADER)
-    for nid in sorted(graph.nodes):
-        lat, lon = graph.nodes[nid]
-        w.writerow([nid, repr(lat), repr(lon)])
-
-    ebuf = io.StringIO()
-    ebuf.write(prefix)
-    w = csv.writer(ebuf, lineterminator="\n")
-    w.writerow(EDGES_HEADER)
-    for e in graph.edges:
-        w.writerow(
-            [
-                e.src,
-                e.dst,
-                repr(e.length_m),
-                repr(e.speed_kph),
-                repr(e.travel_time_s),
-                e.highway_class.value,
-                "" if e.lanes is None else e.lanes,
-            ]
-        )
-    return nbuf.getvalue(), ebuf.getvalue()

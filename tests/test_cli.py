@@ -185,19 +185,30 @@ def test_ingest_writes_graph_files(tmp_path):
     assert sorted(os.listdir(out)) == ["edges.csv", "manifest.json", "nodes.csv"]
 
     from roadtwin.config import load_config
-    from roadtwin.osm_ingest import build_graph, graph_to_csv, parse_osm_extract
+    from roadtwin.osm_ingest import build_graph, parse_osm_extract
 
     cfg = load_config(CONFIG, {"output_dir": str(out)})
     chash = cfg.config_hash()
-    nodes_lines = read_lines(out / "nodes.csv")
-    assert nodes_lines[0] == f"# config_hash={chash}"
 
-    # The CLI output must equal a direct in-process build byte for byte.
+    # The CLI output must equal a direct in-process build byte for byte:
+    # nodes sorted by id, edges in crop order, every float in its repr.
     raw = parse_osm_extract(cfg.osm_path)
     graph = build_graph(raw, (40.45, -3.69), cfg.radius_m)
-    nodes_csv, edges_csv = graph_to_csv(graph, config_hash=chash)
-    assert (out / "nodes.csv").read_text(encoding="utf-8") == nodes_csv
-    assert (out / "edges.csv").read_text(encoding="utf-8") == edges_csv
+    node_rows = [f"{nid},{lat!r},{lon!r}" for nid, (lat, lon) in sorted(graph.nodes.items())]
+    edge_rows = [
+        f"{e.src},{e.dst},{e.length_m!r},{e.speed_kph!r},{e.travel_time_s!r},"
+        f"{e.highway_class.value},{'' if e.lanes is None else e.lanes}"
+        for e in graph.edges
+    ]
+    assert read_lines(out / "nodes.csv") == [
+        f"# config_hash={chash}", "node_id,lat,lon", *node_rows,
+    ]
+    assert read_lines(out / "edges.csv") == [
+        f"# config_hash={chash}",
+        "src,dst,length_m,speed_kph,travel_time_s,highway_class,lanes",
+        *edge_rows,
+    ]
+    assert any(e.lanes is not None for e in graph.edges)
 
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     assert list(manifest)[0] == "config_hash"
@@ -205,6 +216,20 @@ def test_ingest_writes_graph_files(tmp_path):
     assert manifest["n_nodes"] == len(graph.nodes)
     assert manifest["n_edges"] == len(graph.edges)
     assert manifest["edges_by_class"]["secondary"] == 24
+
+
+def test_ingest_writes_through_the_one_csv_writer(tmp_path, monkeypatch):
+    from roadtwin import cli
+
+    write_csv, written = cli.write_csv, []
+
+    def counting(path, header, rows, config_hash=None):
+        written.append(os.path.basename(path))
+        return write_csv(path, header, rows, config_hash=config_hash)
+
+    monkeypatch.setattr(cli, "write_csv", counting)
+    assert cli.main(["ingest", "--config", CONFIG, "--output_dir", str(tmp_path)]) == 0
+    assert written == ["nodes.csv", "edges.csv"]
 
 
 def test_ingest_defaults_center_to_sensor_centroid(tmp_path):
@@ -565,12 +590,16 @@ def test_profile_unknown_sensor_exits_2(tmp_path):
 # synthesize / evaluate
 # ---------------------------------------------------------------------------
 
-def readme_command(subcommand, out_root):
-    """argv of the README's ``roadtwin <subcommand>`` example, its ``out*`` paths under ``out_root``."""
+README_CONFIG = "fixtures/minicity/config.json"
+
+
+def readme_command(subcommand, out_root, config=CONFIG):
+    """argv of the README's ``roadtwin <subcommand>`` example, its ``out*``
+    paths under ``out_root`` and its ``--config`` replaced by ``config``."""
     with open(os.path.join(FIXTURE_DIR, "..", "..", "README.md"), encoding="utf-8") as fh:
         text = fh.read().replace("\\\n", " ")
     line = re.search(rf"^roadtwin {subcommand} .*$", text, re.M).group(0)
-    return [CONFIG if a == "fixtures/minicity/config.json"
+    return [config if a == README_CONFIG
             else str(out_root / a) if a.startswith("out") else a
             for a in shlex.split(line)[1:]]
 
@@ -581,6 +610,20 @@ def test_readme_synthesize_then_evaluate_example_runs(tmp_path):
         assert proc.returncode == 0, proc.stderr
     assert os.path.isfile(tmp_path / "out" / "generated_days.csv")
     assert os.listdir(tmp_path / "out2")
+
+
+def test_two_checkouts_share_a_config_hash(tmp_path, monkeypatch):
+    # synthesize in one copy of the fixtures and evaluate in another, each
+    # run from its own root with README's relative --config: the configs
+    # name the same relative paths, so they hash alike
+    from roadtwin import cli
+
+    for copy in ("a", "b"):
+        shutil.copytree(os.path.join(FIXTURE_DIR, ".."), tmp_path / copy / "fixtures")
+    for copy, subcommand in (("a", "synthesize"), ("b", "evaluate")):
+        monkeypatch.chdir(tmp_path / copy)
+        assert cli.main(readme_command(subcommand, tmp_path, README_CONFIG)) == 0, subcommand
+    assert os.listdir(tmp_path / "out2") == ["errors.csv"]
 
 
 def test_synthesize_exact_class_no_fallback(tmp_path):

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import pytest
 
@@ -133,6 +134,18 @@ def test_load_config_resolves_paths_against_config_dir(tmp_path):
     p.write_text(json.dumps({"osm_path": "roads.osm"}))
     cfg = load_config(str(p))
     assert cfg.osm_path == str(sub / "roads.osm")
+
+
+def test_load_config_keeps_a_relative_config_relative(tmp_path, monkeypatch):
+    sub = tmp_path / "nested"
+    sub.mkdir()
+    (sub / "cfg.json").write_text(json.dumps({"osm_path": "maps/../roads.osm"}))
+    monkeypatch.chdir(tmp_path)
+    assert load_config(os.path.join("nested", "cfg.json")).osm_path == os.path.join(
+        "nested", "roads.osm"
+    )
+    monkeypatch.chdir(sub)
+    assert load_config("cfg.json").osm_path == "roads.osm"
 
 
 def test_load_config_leaves_absolute_paths(tmp_path):

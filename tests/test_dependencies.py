@@ -197,7 +197,7 @@ PUBLIC_NAMES = {
     "ClusterModel", "GeneratedDay", "day_class", "fit_cluster_model", "generate_cluster",
     "generate_copy", "generator",
     "HighwayClass", "RadiusView", "RawRoadData", "build_graph", "default_speed",
-    "graph_to_csv", "parse_osm_extract",
+    "parse_osm_extract",
     "CentralNode", "Edge", "EgoGraph", "ego_graph", "insert_central_node",
     "SelectionResult", "embedding_distance", "select_by_embedding", "select_by_geography",
     "similarity_percent",
@@ -209,7 +209,7 @@ PUBLIC_NAMES = {
 def test_public_names_are_the_imported_ones():
     import roadtwin
 
-    assert len(roadtwin.__all__) == len(PUBLIC_NAMES) == 57
+    assert len(roadtwin.__all__) == len(PUBLIC_NAMES) == 56
     assert set(roadtwin.__all__) == PUBLIC_NAMES
     # each name is its home module's object, not a copy or a module
     homes = {name: home for home, names in roadtwin._HOMES for name in names}

@@ -2,77 +2,71 @@
 recorded in ``GOLDEN``.
 
 Each command runs in-process through ``cli.main``, in README order, so
-``evaluate`` scores what ``synthesize`` wrote.  A file's digest leaves
-out what holds absolute input paths: the CSV ``# config_hash=`` line and
-the JSON ``config_hash`` and ``config`` keys.
+``evaluate`` scores what ``synthesize`` wrote.  They run from the
+repository root with README's own relative ``--config``, so the config
+holds the same relative input paths in any checkout, and a digest covers
+a whole file: its ``# config_hash=`` line or its JSON ``config_hash``
+and ``config`` keys included.
 
 The table changes only when a change means to change outputs: ROADMAP
 items 10, 1, 2 and 11 each update it, with a CHANGES.md note.
 """
 import hashlib
-import json
 import os
 
+from conftest import FIXTURE_DIR
 from roadtwin import cli
-from test_cli import readme_command
+from test_cli import README_CONFIG, readme_command
 
 COMMANDS = ["ingest", "embed", "select", "profile", "synthesize", "evaluate", "benchmark",
             "estimate"]
 
 GOLDEN = {
     "ingest/edges.csv":
-        "02e59d64e6d0e92b43cb76600343e22186514afd09e553f7abb38b01d05852c1",
+        "0fd23535b8d9bdf019438bff8273e14c13d6b7be9f33fb28a08bb9c136b9fa10",
     "ingest/manifest.json":
-        "53650baa2f0267e2abd621488c7e02f17f51fd7931816a8e7cbf737cd8a6cf7b",
+        "2ce00b3f8357dda06fc3a61ea124839262a69f227ac9cc752ad28d66d867e50f",
     "ingest/nodes.csv":
-        "77dd4963d69200dcaa498563ed9d4ee7f7bf60c33c82ce087bb6bc7fff768164",
+        "5b2150a078b64758eecc05e23d86175244fe64c0a178fd6daf1358d838d8352b",
     "embed/embeddings.csv":
-        "22c9d66aff33f7a761c34361afc5e9a83feab021178c3e64ba90c0944f59abb7",
+        "9a40ff9d53952d4a40b8d9398fb208f6d36e1a42fd64411fa2185147ee5762a7",
     "select/selection.csv":
-        "0f4b4aaf22977cf42e81ab559e32f6395df0196a72c9b370ee3b1cdf5935a063",
+        "25381c5365ed6792a70f532e9c6c6390387c84d912497feb58d34d0d4bcd215f",
     "profile/profile_s3.csv":
-        "af07057c61f9cd01c6413fe1557bf838220f560bd355768bf7c4e2e7d5b584c3",
+        "4ca90ab68bb0c79a2d56d968d2d71a9568ce19b54d8857a853e8c5245a2f9a8f",
     "profile/profile_s3.svg":
         "ed7f133d6b18ff90c670f7bfa2e122c3e3bc52e8e9f37c17b7386380c09fa2e5",
     "synthesize/generated_days.csv":
-        "44dec060f527c7a4906b50a3e6b7768095bb27befe294db2d51fc999664a5867",
+        "e36e8d87b8dcbb393cbdee630f9f42bec7520264661da6762adfc04c549e176f",
     "evaluate/errors.csv":
-        "d6d0c7f1a6315e6a04fb98e95f3d49a68e5962d633d09e0131a2c1696956587a",
+        "2279e439e34f60860bd288f05fd3de87d6e26d5645a4b15a72c879c24bc95515",
     "benchmark/generation_errors.csv":
-        "ee02e6210b76afdd0ceb2e03da00b4f05e5bdc9ba6383293eb33c945364a5edb",
+        "5dd53a9926553cd9d30f66c86339a66e823cfe31a98f42a8cc8ee6ca7d506653",
     "benchmark/report.json":
-        "4d71cc9d5730c8c9c53cfa8c23e48ee658d48d5b08a15898f734e12b77f72925",
+        "fb9e6740a25be5b9dc34a08756201d63c4123c2f3fae79084867921562a521cb",
     "benchmark/selection.csv":
-        "c97ac47496bbba3ce3d8eeb09bab3b6bc872b3ba451a0922dd5f6592e3912362",
+        "80a926603e384c2db6e264b11cc02a4226a8d77074ab5bc7f36c939455988ea9",
     "benchmark/summary.csv":
-        "e705225a655789ae2a96de7f1fa211f9fc792c28e971f0694af1f3d75828ecb5",
+        "e226cd66d63eed6ce63bcdd52c6ccdfd4f3b9c68719c6b70fcccfbb8294f4834",
     "estimate/estimate.json":
-        "c47f9fba25489578ef3e6a65d00141bf5a8d5ca6d971a69f7ffda48a429fe630",
+        "e3bdee9b8c75a120535cb65a5eaf71460f7ec32933cbc73dfe78c4f9f7c99a3b",
     "estimate/generated_day.csv":
-        "30b083fdb43f9cfdfb22ee0f8007a43ee5801484718fe8e8d717f65eaa51599c",
+        "dbee28d062dddb5ab37bf2c17da70b27c9a115c2b068a40fe341ed6420561f61",
 }
 
 
 def content_digest(path) -> str:
     with open(path, "rb") as fh:
-        data = fh.read()
-    if path.endswith(".json"):
-        doc = json.loads(data)
-        for key in ("config_hash", "config"):
-            doc.pop(key, None)
-        data = json.dumps(doc, indent=2).encode("utf-8")
-    else:
-        data = b"".join(line for line in data.splitlines(keepends=True)
-                        if not line.startswith(b"# config_hash="))
-    return hashlib.sha256(data).hexdigest()
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
-def test_readme_commands_write_the_recorded_bytes(tmp_path):
+def test_readme_commands_write_the_recorded_bytes(tmp_path, monkeypatch):
+    monkeypatch.chdir(os.path.join(FIXTURE_DIR, "..", ".."))
     digests = {}
     for command in COMMANDS:
         # evaluate reads synthesize's out/, so the two share a root
         root = tmp_path / ("synthesize" if command == "evaluate" else command)
-        argv = readme_command(command, root)
+        argv = readme_command(command, root, README_CONFIG)
         assert cli.main(argv) == 0, command
         out_dir = argv[argv.index("--output_dir") + 1]
         for name in sorted(os.listdir(out_dir)):

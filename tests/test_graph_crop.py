@@ -13,15 +13,21 @@ from oracles import build_graph_full_scan
 from roadtwin.errors import ArgumentError, DomainError
 from roadtwin.geo import haversine_m, haversine_m_array
 from roadtwin.osm_ingest import (
-    RadiusView, RawRoadData, build_graph, graph_to_csv, parse_osm_extract,
+    RadiusView, RawRoadData, build_graph, parse_osm_extract,
 )
 
 MINICITY_CENTERS = [(40.45, -3.69), (40.447, -3.693), (40.4532, -3.6861), (40.44, -3.70)]
 
 
+def crop_facts(graph):
+    """What ``ingest`` writes of a graph: node ids with their exact
+    coordinates, and the edges with exact floats, in order."""
+    return dict(graph.nodes), list(graph.edges)
+
+
 def assert_same_graph(raw, center, radius_m, speed_overrides=None):
-    expected = graph_to_csv(build_graph_full_scan(raw, center, radius_m, speed_overrides))
-    assert graph_to_csv(build_graph(raw, center, radius_m, speed_overrides)) == expected
+    expected = crop_facts(build_graph_full_scan(raw, center, radius_m, speed_overrides))
+    assert crop_facts(build_graph(raw, center, radius_m, speed_overrides)) == expected
 
 
 @pytest.mark.parametrize("center", MINICITY_CENTERS)
@@ -103,13 +109,13 @@ def test_concurrent_crops_of_a_fresh_extract():
     raw = grid_extract()
     coords = node_coords(raw)
     centers = [coords[f"j{i}_{j}"] for i in (3, 7, 10) for j in (2, 6, 11)]
-    expected = [graph_to_csv(build_graph_full_scan(raw, c, 600.0)) for c in centers]
+    expected = [crop_facts(build_graph_full_scan(raw, c, 600.0)) for c in centers]
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=6) as pool:
             futures = [pool.submit(build_graph, raw, c, 600.0) for c in centers * 3]
-            got = [graph_to_csv(f.result(timeout=60)) for f in futures]
+            got = [crop_facts(f.result(timeout=60)) for f in futures]
     finally:
         sys.setswitchinterval(old)
     assert got == expected * 3

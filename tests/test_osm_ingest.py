@@ -1,10 +1,13 @@
 import csv
+import os
 from collections import Counter
 
 import pytest
 
+from conftest import FIXTURE_DIR, MINICITY_CENTER
 from helpers import east_of, node_coords, north_of, osm_doc, row_of, shapes_extract
-from roadtwin.config import PipelineConfig
+from roadtwin import cli
+from roadtwin.config import PipelineConfig, load_config
 from roadtwin.errors import (
     DomainError,
     FormatError,
@@ -14,13 +17,10 @@ from roadtwin.errors import (
 )
 from roadtwin.geo import LocalProjection, haversine_m, point_segment_projection
 from roadtwin.osm_ingest import (
-    EDGES_HEADER,
-    NODES_HEADER,
     HighwayClass,
     RadiusView,
     build_graph,
     default_speed,
-    graph_to_csv,
     parse_lanes,
     parse_maxspeed_kph,
     parse_osm_extract,
@@ -299,31 +299,43 @@ def test_chord_box_keeps_every_edge_the_snap_can_pick():
 # CSV interchange
 # ---------------------------------------------------------------------------
 
+MINICITY_CONFIG = os.path.join(FIXTURE_DIR, "config.json")
+
+
+def ingest_minicity(out):
+    """nodes.csv and edges.csv text of ``roadtwin ingest`` on minicity,
+    centred where the ``minicity_graph`` fixture is."""
+    lat, lon = (repr(c) for c in MINICITY_CENTER)
+    argv = ["ingest", "--config", MINICITY_CONFIG, "--output_dir", str(out),
+            "--center-lat", lat, "--center-lon", lon]
+    assert cli.main(argv) == 0
+    return tuple((out / name).read_text(encoding="utf-8") for name in ("nodes.csv", "edges.csv"))
+
+
 def read_graph_csv(nodes_csv, edges_csv):
-    """(nodes, edges) read back from graph_to_csv's text; '#' lines skipped."""
+    """(nodes, edges) read back from ingest's CSV text; '#' lines skipped."""
     nrows, erows = (
         list(csv.reader(l for l in text.splitlines() if not l.startswith("#")))
         for text in (nodes_csv, edges_csv)
     )
-    assert (nrows[0], erows[0]) == (NODES_HEADER, EDGES_HEADER)
+    assert (nrows[0], erows[0]) == (cli.NODES_HEADER, cli.EDGES_HEADER)
     nodes = {n: (float(lat), float(lon)) for n, lat, lon in nrows[1:]}
     edges = [Edge(a, b, float(m), float(v), float(t), HighwayClass(c), int(k) if k else None)
              for a, b, m, v, t, c, k in erows[1:]]
     return nodes, edges
 
 
-def test_graph_csv_round_trip(minicity_graph):
-    nodes, edges = read_graph_csv(*graph_to_csv(minicity_graph))
+def test_graph_csv_round_trip(tmp_path, minicity_graph):
+    nodes, edges = read_graph_csv(*ingest_minicity(tmp_path))
     assert nodes == minicity_graph.nodes
     assert edges == minicity_graph.edges  # exact float round-trip
 
 
-def test_graph_csv_hash_comment(minicity_graph):
-    nodes_csv, edges_csv = graph_to_csv(minicity_graph, config_hash="ab12")
-    assert nodes_csv.startswith("# config_hash=ab12\n")
-    assert edges_csv.startswith("# config_hash=ab12\n")
-    # the comment is one line ahead of an unchanged body
-    assert read_graph_csv(nodes_csv, edges_csv) == read_graph_csv(*graph_to_csv(minicity_graph))
+def test_graph_csv_hash_comment(tmp_path):
+    chash = load_config(MINICITY_CONFIG).config_hash()
+    for text, header in zip(ingest_minicity(tmp_path), (cli.NODES_HEADER, cli.EDGES_HEADER)):
+        # the comment is the first line, one line ahead of the header
+        assert text.splitlines()[:2] == [f"# config_hash={chash}", ",".join(header)]
 
 
 def test_parse_missing_file_is_input_error(tmp_path):

@@ -20,6 +20,8 @@ import heapq
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .config import HighwayClass
 from .errors import ArgumentError
 from .road_graph import CentralNode, EgoGraph, IndexGraph, dijkstra_from
@@ -36,6 +38,10 @@ ROAD_TYPE_CODE = {
     HighwayClass.PRIMARY: 0.75,
     HighwayClass.MOTORWAY: 1.0,
 }
+
+# sources per array pass of Brandes, which bounds its arrays on a large
+# ego-graph
+_SOURCE_BLOCK = 128
 
 #: classes of features 4 and 5, in that order
 TRAVEL_TIME_CLASSES = (HighwayClass.MOTORWAY, HighwayClass.PRIMARY)
@@ -95,11 +101,106 @@ def betweenness(graph: IndexGraph) -> dict[str, float]:
     Travel-time-weighted directed shortest paths; all paths of exactly
     equal time are counted; endpoints are excluded; no normalization.
 
+    An ego-graph whose every source is tie-free takes one array pass
+    (:func:`_tree_centrality`); any other runs Brandes' loop
+    (:func:`_brandes_loop`).  Both give the same floats.
+    """
+    centrality = _tree_centrality(graph.out)
+    if centrality is None:
+        centrality = _brandes_loop(graph.out)
+    return dict(zip(graph.nodes, centrality))
+
+
+def _tree_centrality(out: list[list[tuple[int, float]]]) -> list[float] | None:
+    """Brandes in array passes, one block of sources at a time, or None
+    when some source has a tie.
+
+    - Distances: Bellman-Ford from every source of a block at once.
+      Its distances equal Dijkstra's, because both are the minimum over
+      paths of the same left-to-right float sums (``d + t`` never falls
+      below ``d`` and grows with it).
+    - Ties: an arc ``(v, w)`` is *tight* for source ``s`` when
+      ``dist[s, v] + t == dist[s, w]``.  A source is tie-free when every
+      node it reaches, itself aside, has exactly one tight in-arc.
+    - Then every shortest path is unique, each ``sigma`` is 1, and the
+      tight arcs form a tree whose dependency of ``v`` is the number of
+      nodes below ``v``: an integer, as in the loop, where each float
+      sum is exact, so the sum over sources is exact in any order.
+    """
+    n = len(out)
+    src = np.repeat(np.arange(n), [len(adjacent) for adjacent in out])
+    if not src.size:
+        return [0.0] * n
+    dst = np.array([w for adjacent in out for w, _ in adjacent])
+    times = np.array([t for adjacent in out for _, t in adjacent])
+    # the in-arcs of node into[i] are row i, padded with infinite arcs
+    order = np.argsort(dst, kind="stable")
+    into, first, degree = np.unique(dst[order], return_index=True, return_counts=True)
+    slot = np.arange(degree.max())
+    arc = order[np.minimum(first[:, None] + slot, order.size - 1)]
+    pad = slot >= degree[:, None]
+    tail = np.where(pad, 0, src[arc])
+    times = np.where(pad, math.inf, times[arc])[:, :, None]
+
+    counts = np.zeros(n + 1, dtype=np.int64)
+    for lo in range(0, n, _SOURCE_BLOCK):
+        sources = np.arange(lo, min(lo + _SOURCE_BLOCK, n))
+        below = _tree_dependencies(n, into, tail, times, sources)
+        if below is None:
+            return None
+        counts += below
+    return counts[:n].astype(float).tolist()
+
+
+def _tree_dependencies(n, into, tail, times, sources) -> np.ndarray | None:
+    """Per node (and a last slot to ignore), the sum of its dependencies
+    over ``sources``, or None when one of them has a tie; ``into``,
+    ``tail`` and ``times`` hold the padded in-arcs of
+    :func:`_tree_centrality`."""
+    # dist[v, i]: from source sources[i] to v.  A round extends every path
+    # by one arc; a shortest path has fewer than n arcs, so round n
+    # changes nothing
+    dist = np.full((n, sources.size), math.inf)
+    dist[sources, np.arange(sources.size)] = 0.0
+    for _ in range(n):
+        reach = dist[tail] + times
+        known = dist[into]
+        best = np.minimum(known, reach.min(axis=1))
+        if (best == known).all():
+            break
+        dist[into] = best
+
+    tight = (reach == known[:, None]) & (reach < math.inf) & (into[:, None, None] != sources)
+    if (tight.sum(axis=1) != ((known < math.inf) & (into[:, None] != sources))).any():
+        return None
+    # parent[i, w]: the tail of w's tight arc from sources[i], or n where
+    # there is no ancestor to count: for the source itself, the nodes
+    # whose tight arc leaves it, the nodes it does not reach and the
+    # sentinel column n
+    parent = np.full((sources.size, n + 1), n)
+    i, j, k = np.nonzero(tight)
+    parent[k, into[i]] = tail[i, j]
+    parent[parent == sources[:, None]] = n
+    # each node adds 1 to the dependency of every ancestor below the source
+    counts = np.zeros(n + 1, dtype=np.int64)
+    row = np.arange(sources.size)[:, None] * (n + 1)
+    up = parent
+    for _ in range(n):  # a tree is less than n deep
+        counts += np.bincount(up.ravel(), minlength=n + 1)
+        up = parent.ravel()[row + up]
+        if (up == n).all():
+            break
+    return counts
+
+
+def _brandes_loop(out: list[list[tuple[int, float]]]) -> list[float]:
+    """Brandes' algorithm, one source at a time: the exact path for any
+    graph.
+
     Heap entries break time ties on the index, which is the order of the
     ids themselves, so nodes settle, predecessors collect and
     dependencies add up in one fixed order.
     """
-    out = graph.out
     n = len(out)
     centrality = [0.0] * n
     heappush, heappop = heapq.heappush, heapq.heappop
@@ -138,7 +239,7 @@ def betweenness(graph: IndexGraph) -> dict[str, float]:
             for v in preds[w]:
                 delta[v] += sigma[v] * coeff
             centrality[w] += delta[w]
-    return dict(zip(graph.nodes, centrality))
+    return centrality
 
 
 def summarize_centrality(

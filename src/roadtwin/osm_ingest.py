@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import re
 import weakref
-from bisect import bisect_left
 from xml.parsers import expat
 from dataclasses import dataclass
 from functools import cached_property
@@ -127,9 +126,13 @@ class RawRoadData:
 # nodes closer to it than this are decided by the scalar haversine_m
 _PREFILTER_BAND_M = 1e-3
 
-# metres added to the radius of within()'s latitude band, so that rounding
-# in degrees never drops a row the haversine puts inside
-_BAND_MARGIN_M = 1.0
+# metres a whole segment must keep inside the radius, so that the rounding
+# of its length bound and of the haversine never passes a node outside it
+_WHOLE_MARGIN_M = 1.0
+
+# pairs measured per numpy haversine call while the index is built, which
+# bounds its temporaries
+_PAIR_CHUNK = 4096
 
 
 class MapIndex:
@@ -138,9 +141,7 @@ class MapIndex:
     The node lists of all ways are laid end to end as *occurrences*:
     occurrence ``k`` is one node at one position of one way, and
     ``way_start[w]`` is the first occurrence of way ``w``.  The arrays
-    over occurrences stand in for a node -> (way, position) map: one
-    gather of a per-node mask finds every way position a set of nodes
-    covers, in way order.
+    over occurrences stand in for a node -> (way, position) map.
 
     - ``lat``, ``lon``: the extract's own coordinate arrays, one row per
       node.  A node that :func:`geo.coordinate_problem` objects to
@@ -149,21 +150,24 @@ class MapIndex:
     - ``occ_node``, ``way_of``: node row and way of each occurrence.
     - ``occ_by_node[node_occ[row]:node_occ[row + 1]]``: the occurrences
       of one node row, in way order.
+    - The *segment table*.  A way is cut into junction-to-junction
+      segments at its first and last node and at every node of two or
+      more ways.  Segment ``s`` runs from occurrence ``seg_first[s]`` to
+      ``seg_last[s]``, in way order; ``seg_of_pair[k]`` is the segment
+      holding the pair of occurrences ``k`` and ``k + 1``, or -1 when
+      ``k`` ends its way.  ``seg_bound[s]`` is the numpy sum of its pair
+      distances, which is within rounding of its length; ``seg_box`` holds
+      the ``lat`` minimum and maximum and the ``lon`` minimum and maximum
+      of its nodes, one row each.
     - ``stretch_len[(a, b)]``: the length of the way stretch from
       occurrence ``a`` to ``b``, memoised by :meth:`stretch_length` the
       first time a :class:`RadiusView` builds a piece over it, so
       stretches no crop reaches are never measured.
-    - ``is_cut[k]``: the occurrence ends a junction-to-junction segment,
-      being a way's first or last node or a node of two or more ways.
-    - ``lat_order``: the node rows by latitude, and
-      ``lat_sorted``, ``lon_by_lat`` their coordinates in that order, for
-      the latitude band of :meth:`within`.
 
-    The index holds no segments and no edges: each :class:`RadiusView`
-    cuts its own in-radius occurrences into pieces with ``way_of`` and
-    ``is_cut`` and builds their edges, so views share stretch lengths only.
-    It is built from a :class:`RawRoadData` and from nothing else:
-    ``occ_node`` and ``way_start`` are the extract's own.
+    The index holds no edges: each :class:`RadiusView` cuts the segments
+    it reads into pieces and builds their edges, so views share stretch
+    lengths only.  It is built from a :class:`RawRoadData` and from
+    nothing else: ``occ_node`` and ``way_start`` are the extract's own.
     """
 
     def __init__(self, raw: RawRoadData):
@@ -187,12 +191,41 @@ class MapIndex:
         distinct = np.ones(way_node.size, dtype=bool)
         distinct[1:] = way_node[1:] != way_node[:-1]
         way_count = np.bincount(way_node[distinct] % n, minlength=n)
+        del way_node, distinct
 
         starts, stops = self.way_start[:-1], self.way_start[1:]
         nonempty = stops > starts
-        self.is_cut = way_count[self.occ_node] >= 2
-        self.is_cut[starts[nonempty]] = True
-        self.is_cut[stops[nonempty] - 1] = True
+        is_cut = way_count[self.occ_node] >= 2
+        is_cut[starts[nonempty]] = True
+        is_cut[stops[nonempty] - 1] = True
+        is_pair = np.ones(self.occ_node.size, dtype=bool)
+        is_pair[stops[nonempty] - 1] = False  # a way's last occurrence pairs with nothing
+        opens = is_cut & is_pair
+        self.seg_first = np.flatnonzero(opens).astype(np.int32)
+        cuts = np.flatnonzero(is_cut)
+        self.seg_last = cuts[np.searchsorted(cuts, self.seg_first, side="right")].astype(np.int32)
+        self.seg_of_pair = np.cumsum(opens, dtype=np.int32) - 1
+        self.seg_of_pair[~is_pair] = -1
+        del is_cut, is_pair, opens, cuts
+
+        # segment s holds occurrences seg_first[s] to seg_last[s]; a
+        # reduceat over ranges starting at each first and each last sums
+        # or bounds its pairs in the even results
+        ranges = np.stack((self.seg_first, self.seg_last), axis=1).ravel()
+        lat, lon = self.lat[self.occ_node], self.lon[self.occ_node]
+        step = np.zeros(self.occ_node.size)  # from occurrence k to k + 1
+        for k in range(0, step.size - 1, _PAIR_CHUNK):
+            end = min(k + _PAIR_CHUNK, step.size - 1)
+            step[k:end] = haversine_m_array(lat[k:end], lon[k:end], lat[k + 1 : end + 1],
+                                            lon[k + 1 : end + 1])
+        self.seg_bound = np.add.reduceat(step, ranges)[0::2]
+        del step
+        self.seg_box = np.empty((4, self.seg_first.size))
+        for i, coord in ((0, lat), (2, lon)):
+            last = coord[self.seg_last]
+            self.seg_box[i] = np.minimum(np.minimum.reduceat(coord, ranges)[0::2], last)
+            self.seg_box[i + 1] = np.maximum(np.maximum.reduceat(coord, ranges)[0::2], last)
+        del lat, lon
 
         self.stretch_len: dict[tuple[int, int], float] = {}
 
@@ -201,32 +234,21 @@ class MapIndex:
         self.node_occ = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(np.bincount(self.occ_node, minlength=n), out=self.node_occ[1:])
 
-        # within() reads its latitude band as slices of these
-        self.lat_order = np.argsort(self.lat, kind="stable").astype(np.int32)
-        self.lat_sorted = self.lat[self.lat_order]
-        self.lon_by_lat = self.lon[self.lat_order]
+    def within(self, center: tuple[float, float], radius_m: float,
+               rows: np.ndarray | None = None) -> np.ndarray:
+        """Boolean per node row (or per row of ``rows``): haversine to
+        ``center`` is ``<= radius_m``.
 
-    def within(self, center: tuple[float, float], radius_m: float) -> np.ndarray:
-        """Boolean per node row: haversine to ``center`` is ``<= radius_m``.
-
-        Only the rows of the latitude band ``|lat - center lat| <= (radius_m
-        + 1 m) / R`` (in degrees) are measured.  The band is exact: with
-        both latitudes within +-90 degrees (the index holds no other rows,
-        and ``center`` must be a valid coordinate), both cosines in the
-        haversine are non-negative, so the distance is at least ``R *
-        |dphi|`` and no row outside the band lies within the radius.  The
-        1 m margin covers the rounding of degrees.
+        One numpy haversine over the rows; the scalar ``haversine_m``
+        decides every row that lies within 1e-3 m of the radius, so a
+        row is inside exactly when a scalar crop would keep it.
         """
         lat0, lon0 = center
-        half = math.degrees((radius_m + _BAND_MARGIN_M) / EARTH_RADIUS_M)
-        lo = np.searchsorted(self.lat_sorted, lat0 - half, side="left")
-        hi = np.searchsorted(self.lat_sorted, lat0 + half, side="right")
-        rows = self.lat_order[lo:hi]
-        dist = haversine_m_array(lat0, lon0, self.lat_sorted[lo:hi], self.lon_by_lat[lo:hi])
-        inside = np.zeros(self.lat.size, dtype=bool)
-        inside[rows[dist <= radius_m - _PREFILTER_BAND_M]] = True
-        for r in rows[np.abs(dist - radius_m) <= _PREFILTER_BAND_M].tolist():
-            inside[r] = haversine_m(lat0, lon0, self.lat[r].item(), self.lon[r].item()) <= radius_m
+        lat, lon = (self.lat, self.lon) if rows is None else (self.lat[rows], self.lon[rows])
+        dist = haversine_m_array(lat0, lon0, lat, lon)
+        inside = dist <= radius_m - _PREFILTER_BAND_M
+        for r in np.flatnonzero(np.abs(dist - radius_m) <= _PREFILTER_BAND_M).tolist():
+            inside[r] = haversine_m(lat0, lon0, lat[r].item(), lon[r].item()) <= radius_m
         return inside
 
     def stretch_length(self, a: int, b: int) -> float:
@@ -690,11 +712,12 @@ def _way_attributes(way: Way, speed_overrides: dict[str, float] | None):
 class Arc(NamedTuple):
     """One directed edge of a :class:`RadiusView`, between node rows.
 
-    ``key`` is ``(piece, 0 forward / 1 backward)``, which sorts the arcs
-    in way order.
+    ``key`` is ``(first, last, 0 forward / 1 backward)``, where ``first``
+    and ``last`` are the occurrences that begin and end the arc's piece;
+    it sorts the arcs in way order.
     """
 
-    key: tuple[int, int]
+    key: tuple[int, int, int]
     src: int
     dst: int
     length_m: float
@@ -704,20 +727,20 @@ class Arc(NamedTuple):
     lanes: int | None
 
 
-def _segment_arcs(index: MapIndex, i: int, a: int, b: int, attrs: tuple) -> tuple[Arc, ...]:
-    """Arcs of piece ``i``, the way stretch from occurrence ``a`` to ``b``.
+def _segment_arcs(index: MapIndex, a: int, b: int, attrs: tuple) -> tuple[Arc, ...]:
+    """Arcs of the piece that runs from occurrence ``a`` to ``b``.
 
     Empty for a closed loop back to its start or a zero-length stretch.
     """
     speed, cls, lanes, oneway = attrs
     seg_len = index.stretch_length(a, b)
-    src, dst = index.occ_node[a].item(), index.occ_node[b].item()
+    src, dst = index.occ_node.item(a), index.occ_node.item(b)
     if src != dst and seg_len > 0.0:
         travel_time = seg_len / (speed / 3.6)
-        forward = Arc((i, 0), src, dst, seg_len, speed, travel_time, cls, lanes)
+        forward = Arc((a, b, 0), src, dst, seg_len, speed, travel_time, cls, lanes)
         if oneway:
             return (forward,)
-        return (forward, Arc((i, 1), dst, src, seg_len, speed, travel_time, cls, lanes))
+        return (forward, Arc((a, b, 1), dst, src, seg_len, speed, travel_time, cls, lanes))
     return ()
 
 
@@ -794,14 +817,19 @@ class RadiusView:
     order, and ``classes[v]`` the road classes of its edges; all three
     are filled together the first time one of them is read for ``v``.
 
-    The view's *pieces* are found once, up front, from the in-radius
-    occurrences of ``raw.index``: a piece is a maximal in-radius run of
-    one junction-to-junction segment holding at least one pair, and
-    ``_first[i]`` and ``_last[i]`` are the first and last occurrence of
-    piece ``i``, in way order.  A piece's arcs are built once, the first
-    time it is read, from the index's memoised stretch length.  A
-    row's edges are those of the pieces that start or end at one of its
-    occurrences.
+    The view's *pieces* are the maximal in-radius runs of one segment of
+    ``raw.index`` (see :class:`MapIndex`) holding at least one pair; a
+    piece is named by its first and last occurrence.  Creating a view
+    measures nothing: a segment is cut into pieces the first time a row
+    on it is read.  The segment is one whole piece when the scalar
+    haversine from ``center`` to that row plus the segment's length bound
+    is at most ``radius_m - 1`` m, since every node of the segment then
+    lies within the radius (triangle inequality); otherwise its rows are
+    decided by :meth:`MapIndex.within`.  Either way the pieces are those
+    a scan of every node in the radius would cut.  A piece's arcs are
+    built once, the first time it is read, from the index's memoised
+    stretch length.  A row's edges are those of the pieces that start or
+    end at one of its occurrences.
     """
 
     def __init__(
@@ -817,28 +845,16 @@ class RadiusView:
         if problem:
             raise ArgumentError(f"radius center: {problem}")
         self.raw = raw
-        self.index = index = raw.index
+        self.index = raw.index
         self.center = center
         self.radius_m = radius_m
         self.speed_overrides = speed_overrides
-        occ = np.flatnonzero(index.within(center, radius_m)[index.occ_node])
-        # pairs: in-radius occurrences followed by an in-radius one of their way
-        follows = (occ[1:] == occ[:-1] + 1) & (index.way_of[occ[1:]] == index.way_of[occ[:-1]])
-        pairs = occ[:-1][follows]
-        starts = np.ones(pairs.size, dtype=bool)
-        starts[1:] = pairs[1:] != pairs[:-1] + 1
-        starts |= index.is_cut[pairs]
-        ends = np.ones(pairs.size, dtype=bool)
-        ends[:-1] = starts[1:]
-        # lists, so that a row read looks its pieces up by bisection
-        self._first: list[int] = pairs[starts].tolist()
-        self._way: list[int] = index.way_of[pairs[starts]].tolist()
-        self._last: list[int] = (pairs[ends] + 1).tolist()
-        self._piece_arcs: dict[int, tuple[Arc, ...]] = {}
+        self._pieces: dict[int, tuple[tuple[int, int], ...]] = {}  # of each segment read
+        self._piece_arcs: dict[tuple[int, int], tuple[Arc, ...]] = {}
         self._attrs: dict[int, tuple] = {}
         self.site = len(raw.node_ids)
         self.site_id: str | None = None
-        self._halves: dict[tuple[int, int], tuple[float, float]] = {}
+        self._halves: dict[tuple[int, int, int], tuple[float, float]] = {}
         self.out = _Filled(self)
         self.inn = _Filled(self)
         self.classes = _Filled(self)
@@ -847,14 +863,18 @@ class RadiusView:
         return self.site_id if row == self.site else self.raw.node_ids[row]
 
     def coords(self, row: int) -> tuple[float, float]:
-        return self.index.lat[row].item(), self.index.lon[row].item()
+        return self.index.lat.item(row), self.index.lon.item(row)
 
     def arcs(self) -> list[Arc]:
-        """Every arc, in edge order.
+        """Every arc, in edge order, from one pass of
+        :meth:`MapIndex.within` over the whole map.
 
         Raises ``DomainError`` when the radius holds no edge.
         """
-        arcs = self._arcs(range(len(self._first)))
+        index = self.index
+        arcs = self._arcs(self._cut(
+            np.flatnonzero(index.within(self.center, self.radius_m)[index.occ_node])
+        ))
         if not arcs:
             raise DomainError(
                 f"no drivable roads within {self.radius_m:.0f} m of "
@@ -869,17 +889,30 @@ class RadiusView:
         A piece is kept when the box of its chord (the box spanned by its
         two end nodes), in the equirectangular projection around the
         position, comes within ``max_m`` (plus a margin).  Its arcs run
-        along that chord, which lies inside the box.
+        along that chord, which lies inside the box.  Only the segments
+        whose node box passes the same test are cut into pieces: a
+        piece's chord box lies inside its segment's node box.
         """
         index = self.index
-        ends = index.occ_node[np.array([self._first, self._last], dtype=np.intp)]
-        lat_end, lon_end = index.lat[ends], index.lon[ends]
         kx = math.radians(1.0) * EARTH_RADIUS_M * math.cos(math.radians(lat))
         ky = math.radians(1.0) * EARTH_RADIUS_M
-        dx = (np.clip(lon, lon_end.min(axis=0), lon_end.max(axis=0)) - lon) * kx
-        dy = (np.clip(lat, lat_end.min(axis=0), lat_end.max(axis=0)) - lat) * ky
-        near = np.flatnonzero(dx * dx + dy * dy <= (max_m + _NEAR_MARGIN_M) ** 2)
-        return self._arcs(near.tolist())
+        reach = (max_m + _NEAR_MARGIN_M) ** 2
+
+        def near(lat_lo, lat_hi, lon_lo, lon_hi):
+            dx = (np.clip(lon, lon_lo, lon_hi) - lon) * kx
+            dy = (np.clip(lat, lat_lo, lat_hi) - lat) * ky
+            return dx * dx + dy * dy <= reach
+
+        segments = np.flatnonzero(near(*index.seg_box)).tolist()
+        first = index.occ_node[index.seg_first[segments]].tolist()
+        pieces = [p for s, row in zip(segments, first) for p in self._segment_pieces(s, row)]
+        if not pieces:
+            return []
+        ends = index.occ_node[np.array(pieces, dtype=np.intp).T]
+        lat_end, lon_end = index.lat[ends], index.lon[ends]
+        keep = near(lat_end.min(axis=0), lat_end.max(axis=0),
+                    lon_end.min(axis=0), lon_end.max(axis=0))
+        return self._arcs(p for p, k in zip(pieces, keep.tolist()) if k)
 
     def split(self, host: Arc, t: float, site_id: str) -> None:
         """Split ``host`` at parameter ``t`` from its source through the
@@ -917,34 +950,63 @@ class RadiusView:
         self.classes[self.site] = (host.highway_class,)
 
     def _arcs(self, pieces) -> list[Arc]:
-        """Arcs of the given pieces (ascending), in edge order."""
-        return [arc for i in pieces for arc in self._arcs_of(i)]
+        """Arcs of the given pieces (in way order), in edge order."""
+        return [arc for piece in pieces for arc in self._arcs_of(piece)]
 
-    def _arcs_of(self, i: int) -> tuple[Arc, ...]:
-        """Arcs of piece ``i``, as :func:`build_graph` builds them."""
-        arcs = self._piece_arcs.get(i)
+    def _arcs_of(self, piece: tuple[int, int]) -> tuple[Arc, ...]:
+        """Arcs of the piece ``(first, last)``, as :func:`build_graph`
+        builds them."""
+        arcs = self._piece_arcs.get(piece)
         if arcs is None:
-            w = self._way[i]
+            a, b = piece
+            w = self.index.way_of.item(a)
             attrs = self._attrs.get(w)
             if attrs is None:
                 attrs = self._attrs[w] = _way_attributes(self.raw.ways[w], self.speed_overrides)
-            arcs = self._piece_arcs[i] = _segment_arcs(
-                self.index, i, self._first[i], self._last[i], attrs
-            )
+            arcs = self._piece_arcs[piece] = _segment_arcs(self.index, a, b, attrs)
         return arcs
 
-    def _touching(self, row: int) -> list[int]:
+    def _segment_pieces(self, s: int, row: int) -> tuple[tuple[int, int], ...]:
+        """The pieces of segment ``s``, in way order; ``row`` is a node of
+        the segment."""
+        pieces = self._pieces.get(s)
+        if pieces is None:
+            index = self.index
+            a, b = index.seg_first.item(s), index.seg_last.item(s)
+            dist_m = haversine_m(*self.center, *self.coords(row))
+            if dist_m + index.seg_bound.item(s) <= self.radius_m - _WHOLE_MARGIN_M:
+                pieces = ((a, b),)
+            else:
+                inside = index.within(self.center, self.radius_m, index.occ_node[a : b + 1])
+                pieces = tuple(self._cut(a + np.flatnonzero(inside)))
+            self._pieces[s] = pieces
+        return pieces
+
+    def _cut(self, occ: np.ndarray) -> list[tuple[int, int]]:
+        """The pieces of the in-radius occurrences ``occ`` (ascending):
+        each maximal run of their pairs within one segment."""
+        seg = self.index.seg_of_pair
+        # pairs: in-radius occurrences followed by an in-radius one of their way
+        pairs = occ[:-1][(occ[1:] == occ[:-1] + 1) & (seg[occ[:-1]] >= 0)]
+        starts = np.ones(pairs.size, dtype=bool)
+        starts[1:] = (pairs[1:] != pairs[:-1] + 1) | (seg[pairs[1:]] != seg[pairs[:-1]])
+        ends = np.ones(pairs.size, dtype=bool)
+        ends[:-1] = starts[1:]
+        return list(zip(pairs[starts].tolist(), (pairs[ends] + 1).tolist()))
+
+    def _touching(self, row: int) -> list[tuple[int, int]]:
         """The pieces that start or end at one of the row's occurrences,
-        ascending."""
+        in way order."""
         index = self.index
-        pieces = set()
+        seg = index.seg_of_pair
+        found = set()
         lo, hi = index.node_occ[row : row + 2].tolist()
         for k in index.occ_by_node[lo:hi].tolist():
-            for ends in (self._first, self._last):
-                i = bisect_left(ends, k)
-                if i < len(ends) and ends[i] == k:
-                    pieces.add(i)
-        return sorted(pieces)
+            # the pairs k - 1 and k, when they belong to k's way
+            for s in (seg.item(k - 1) if k else -1, seg.item(k)):
+                if s >= 0:
+                    found.update(p for p in self._segment_pieces(s, row) if k in p)
+        return sorted(found)
 
     def _fill(self, row: int) -> None:
         out: list[tuple[int, float]] = []

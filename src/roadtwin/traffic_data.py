@@ -155,15 +155,17 @@ def _parse_rows(text: str, interval_min: int) -> dict[str, TrafficSeries]:
     """Validate CSV text one row at a time; raises on the first bad row.
 
     Accepts every ``datetime.fromisoformat`` form on the grid, and is the
-    one place that names the failing row.
+    one place that names the failing row.  Rows are read as a stream, and
+    each is kept as its flow and its grid slot counted from 0001-01-01.
     """
-    rows = list(csv.reader(io.StringIO(text)))
-    rows_nonblank = [(i + 1, r) for i, r in enumerate(rows) if r]
-    if not rows_nonblank or [c.strip() for c in rows_nonblank[0][1]] != TRAFFIC_HEADER:
+    per_day = 1440 // interval_min
+    rows = ((i, r) for i, r in enumerate(csv.reader(io.StringIO(text)), start=1) if r)
+    header = next(rows, None)
+    if header is None or [c.strip() for c in header[1]] != TRAFFIC_HEADER:
         raise FormatError(f"bad traffic CSV header: expected {','.join(TRAFFIC_HEADER)}")
 
-    by_sensor: dict[str, dict[datetime, float]] = {}
-    for lineno, row in rows_nonblank[1:]:
+    by_sensor: dict[str, dict[int, float]] = {}
+    for lineno, row in rows:
         if len(row) != 3:
             raise FormatError(f"traffic CSV row {lineno}: expected 3 fields, got {len(row)}")
         sid, ts_text, flow_text = row
@@ -186,20 +188,21 @@ def _parse_rows(text: str, interval_min: int) -> dict[str, TrafficSeries]:
         except ValueError as exc:
             raise FormatError(f"traffic CSV row {lineno}: {exc}") from exc
         records = by_sensor.setdefault(sid, {})
-        if ts in records:
+        slot = ts.toordinal() * per_day + (ts.hour * 60 + ts.minute) // interval_min
+        if slot in records:
             raise FormatError(f"traffic CSV row {lineno}: duplicate timestamp {ts_text}")
-        records[ts] = flow
+        records[slot] = flow
     if not by_sensor:
         raise FormatError("traffic CSV holds no data rows")
 
     series = {}
     for sid, records in by_sensor.items():
-        stamps = list(records)
+        slots = np.fromiter(records, dtype=np.int64, count=len(records))
         series[sid] = _grid_series(
             sid,
             interval_min,
-            np.array([ts.toordinal() for ts in stamps]),
-            np.array([(ts.hour * 60 + ts.minute) // interval_min for ts in stamps]),
+            slots // per_day,
+            slots % per_day,
             np.fromiter(records.values(), dtype=float, count=len(records)),
         )
     return series

@@ -1,9 +1,12 @@
-"""Brandes on index lists and the latitude band of ``MapIndex.within``
-give exactly what their originals give (``oracles``): equal floats and
-equal masks, not merely close ones."""
+"""Brandes on index lists and ``MapIndex.within`` give exactly what
+their originals give (``oracles``): equal floats and equal masks, not
+merely close ones.  Both Brandes paths are checked: the array pass every
+tie-free ego-graph takes, and the loop that runs wherever a tie exists."""
 import math
 import os
 import random
+from collections import Counter
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -11,17 +14,20 @@ from hypothesis import given, strategies as st
 
 from conftest import FIXTURE_DIR
 from helpers import (
-    LAT0, LON0, RoadGraph, east_of, grid_extract, index_graph, node_coords, north_of,
-    shapes_extract, view_edges,
+    LAT0, LON0, RoadGraph, east_of, grid_extract, index_graph, make_graph, node_coords,
+    north_of, shapes_extract, view_edges,
 )
 from oracles import betweenness_dicts, within_full_scan
+from roadtwin import embedding
 from roadtwin.config import PipelineConfig
 from roadtwin.embedding import betweenness
 from roadtwin.errors import ArgumentError, FormatError, SnapError
 from roadtwin.geo import coordinate_problem, haversine_m
-from roadtwin.osm_ingest import HighwayClass, RadiusView, RawRoadData
+from roadtwin.osm_ingest import HighwayClass, RadiusView, RawRoadData, parse_osm_extract
 from roadtwin.pipeline import load_sensors
-from roadtwin.road_graph import Edge, IndexGraph, ego_graph, insert_central_node
+from roadtwin.road_graph import Edge, IndexGraph, dijkstra_from, ego_graph, insert_central_node
+
+from test_osm_parity import bench_city
 
 
 # ---------------------------------------------------------------------------
@@ -48,11 +54,45 @@ def tied_multigraphs(draw):
     return RoadGraph(nodes, edges)
 
 
-def assert_same_centrality(index: IndexGraph, graph: RoadGraph):
+@contextmanager
+def counted_loop():
+    """The graphs ``betweenness`` hands to Brandes' loop, as a list."""
+    calls = []
+    loop = embedding._brandes_loop
+
+    def counting(out):
+        calls.append(out)
+        return loop(out)
+
+    embedding._brandes_loop = counting
+    try:
+        yield calls
+    finally:
+        embedding._brandes_loop = loop
+
+
+def has_tie(index: IndexGraph) -> bool:
+    """Some source reaches a node other than itself over two arcs that
+    both end a shortest path, by one Dijkstra per source."""
+    out = index.out
+    for s in range(len(out)):
+        dist = dijkstra_from(out, s)
+        tight = Counter(w for v, d in dist.items() for w, t in out[v]
+                        if w != s and d + t == dist[w])
+        if any(count > 1 for count in tight.values()):
+            return True
+    return False
+
+
+def assert_same_centrality(index: IndexGraph, graph: RoadGraph) -> bool:
     """Brandes on ``index`` equals the dict Brandes on ``graph``, the same
-    subgraph as a RoadGraph: same floats, listed in sorted-id order."""
-    got = betweenness(index)
+    subgraph as a RoadGraph: same floats, listed in sorted-id order.  The
+    loop runs exactly when ``index`` has a tie; returns whether it ran."""
+    with counted_loop() as calls:
+        got = betweenness(index)
     assert list(got.items()) == sorted(betweenness_dicts(graph).items())
+    assert len(calls) == has_tie(index)
+    return bool(calls)
 
 
 def induced(view, nodes) -> RoadGraph:
@@ -69,6 +109,23 @@ def test_betweenness_equals_dict_brandes_on_tied_multigraphs(graph):
     assert_same_centrality(index_graph(graph, graph.nodes), graph)
 
 
+@pytest.mark.parametrize("arcs, tie", [
+    # b is reached from a directly and through c's zero-time arc
+    ([("a", "b", 1.0), ("a", "c", 1.0), ("c", "b", 0.0)], True),
+    # a zero-time cycle: each of b and c ends two shortest paths
+    ([("a", "b", 1.0), ("b", "c", 0.0), ("c", "b", 0.0), ("c", "d", 2.0)], True),
+    # zero-time arcs on a tree of unique shortest paths, one back into a
+    ([("a", "b", 1.0), ("b", "c", 0.0), ("c", "d", 2.0), ("b", "a", 0.0), ("d", "c", 3.0)],
+     False),
+    # a zero-time cycle through each source: an arc back into the source
+    # ends no shortest path that counts
+    ([("a", "b", 0.0), ("b", "a", 0.0), ("b", "c", 1.0)], False),
+], ids=["zero-time-side-path", "zero-time-cycle", "zero-time-tree", "zero-time-source-cycle"])
+def test_zero_time_arcs_take_the_loop_where_they_tie(arcs, tie):
+    graph = make_graph(arcs)
+    assert assert_same_centrality(index_graph(graph, graph.nodes), graph) is tie
+
+
 def test_betweenness_equals_dict_brandes_on_a_tied_grid():
     # a unit grid has many equal-time paths between most pairs
     edges = []
@@ -81,7 +138,7 @@ def test_betweenness_equals_dict_brandes_on_a_tied_grid():
                               Edge(v, u, 1.0, 3.6, 1.0, HighwayClass.RESIDENTIAL)]
     nodes = {f"g{i}_{j}": (0.0, 0.0) for j in range(5) for i in range(5)}
     graph = RoadGraph(nodes, edges)
-    assert_same_centrality(index_graph(graph, graph.nodes), graph)
+    assert assert_same_centrality(index_graph(graph, graph.nodes), graph)
 
 
 def ego_graphs(raw, positions, hops=(1, 2, 3, 4)):
@@ -100,18 +157,36 @@ def ego_graphs(raw, positions, hops=(1, 2, 3, 4)):
 
 def test_betweenness_equals_dict_brandes_on_minicity_ego_graphs(minicity_raw):
     sensors = load_sensors(os.path.join(FIXTURE_DIR, "sensors.csv"))
-    egos = list(ego_graphs(minicity_raw, [(s.sensor_id, (s.lat, s.lon)) for s in sensors]))
-    assert len(egos) == 4 * len(sensors)
-    for graph, ego in egos:
-        assert_same_centrality(ego.graph, induced(graph, ego.graph.nodes))
+    egos = list(ego_graphs(minicity_raw, [(s.sensor_id, (s.lat, s.lon)) for s in sensors],
+                           hops=(1, 2, 3, 4, 5)))
+    assert len(egos) == 5 * len(sensors)
+    # every minicity ego-graph is tie-free and takes the array pass
+    assert not any(assert_same_centrality(ego.graph, induced(graph, ego.graph.nodes))
+                   for graph, ego in egos)
 
 
 def test_betweenness_equals_dict_brandes_on_shapes_ego_graphs():
     raw, probes = shapes_extract()
-    egos = list(ego_graphs(raw, sorted(probes.items())))
-    assert len(egos) >= 4 * 9
-    for graph, ego in egos:
-        assert_same_centrality(ego.graph, induced(graph, ego.graph.nodes))
+    egos = list(ego_graphs(raw, sorted(probes.items()), hops=(1, 2, 3, 4, 5)))
+    assert len(egos) >= 5 * 9
+    looped = [assert_same_centrality(ego.graph, induced(graph, ego.graph.nodes))
+              for graph, ego in egos]
+    # the equal parallel ways and the equidistant carriageways tie; most
+    # ego-graphs do not
+    assert 0 < sum(looped) < len(looped) / 2
+
+
+def test_betweenness_takes_the_array_pass_on_a_bench_city(tmp_path):
+    raw = parse_osm_extract(bench_city(tmp_path, 14))
+    rng = random.Random(7)
+    rows = rng.sample(range(len(raw.node_ids)), 12)
+    positions = [(f"p{r}", (raw.lat[r].item() + 1e-4, raw.lon[r].item())) for r in rows]
+    egos = list(ego_graphs(raw, positions, hops=(2, 5, 12)))
+    assert len(egos) == 3 * len(rows)
+    # some ego-graph spans more than one block of sources
+    assert max(len(ego.graph.nodes) for _, ego in egos) > embedding._SOURCE_BLOCK
+    assert not any(assert_same_centrality(ego.graph, induced(graph, ego.graph.nodes))
+                   for graph, ego in egos)
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +271,9 @@ def test_within_near_the_poles_and_the_antimeridian(lat0, lon0):
 
 
 def test_nodes_and_centers_beyond_the_poles_are_rejected():
-    # the latitude band bounds no row beyond the poles, so no such node
-    # enters the index and no such center reaches within()
+    # the triangle inequality a view's whole segments rest on holds on the
+    # globe only, so no node beyond it enters the index and no such
+    # center reaches a view
     nodes = {"a": (LAT0, LON0), "b": (95.0, 180.0), "c": (89.99, 0.0), "d": (-91.0, LON0)}
     raw = RawRoadData.of(nodes, [("1", ["a", "b"], {"highway": "residential"})])
     with pytest.raises(FormatError, match=r"^node b: latitude 95\.0 is not a finite number"):

@@ -11,10 +11,12 @@ import random
 import pytest
 
 from helpers import (
-    RoadGraph, graph_edges, grid_extract, index_graph, node_coords, row_of, shapes_extract,
-    tangled_extract, view_edges, way_triples,
+    LAT0, LON0, RoadGraph, east_of, graph_edges, grid_extract, index_graph, node_coords,
+    north_of, row_of, shapes_extract, tangled_extract, view_edges, way_triples,
 )
-from oracles import _insert_central_node_scan, embed_position_radius_graph
+from oracles import (
+    _insert_central_node_scan, build_graph_full_scan, embed_position_radius_graph,
+)
 from roadtwin import osm_ingest, pipeline
 from roadtwin.config import DECISIONS, PipelineConfig
 from roadtwin.embedding import UNREACHABLE, build_embedding, normalize_pool
@@ -196,29 +198,118 @@ def classes(graph: RoadGraph, v: str) -> set:
     return {e.highway_class for e in graph.out_edges(v) + graph.in_edges(v)}
 
 
+def assert_view_reads_the_crop(raw, center, radius_m, speeds=None):
+    """Every row fill and arc of a view equals the oracle's crop, rows
+    read before the whole radius is; returns the crop, or None when the
+    radius holds no edge."""
+    try:
+        graph = build_graph_full_scan(raw, center, radius_m, speeds)
+    except RoadTwinError:
+        with pytest.raises(RoadTwinError):
+            RadiusView(raw, center, radius_m, speeds).arcs()
+        return None
+    view = RadiusView(raw, center, radius_m, speeds)
+    for v in list(graph.nodes)[::-1]:
+        assert view.coords(row_of(view, v)) == graph.nodes[v]
+        assert view_edges(view, [v]) == graph_edges(graph, [v])
+        assert view_edges(view, [v], "in") == graph_edges(graph, [v], "in")
+        assert set(view.classes[row_of(view, v)]) == classes(graph, v)
+    assert arc_edges(view, view.arcs()) == graph.edges
+    # a row off the radius graph has no edge
+    for v in set(raw.node_ids) - set(graph.nodes):
+        assert view.out[row_of(view, v)] == view.inn[row_of(view, v)] == []
+    return graph
+
+
 @pytest.mark.parametrize("extract", ["grid", "shapes", "tangled", "minicity"])
 def test_view_reads_what_build_graph_builds(minicity_raw, extract):
     raw = {"grid": grid_extract, "shapes": lambda: shapes_extract()[0],
            "tangled": tangled_extract, "minicity": lambda: minicity_raw}[extract]()
     for k, center in enumerate(random_positions(raw, 6, seed=5)):
         radius_m = [120.0, 300.0, 900.0, 5000.0][k % 4]
-        speeds = [None, SPEEDS][k % 2]
-        try:
-            graph = RoadGraph(*build_graph(raw, center, radius_m, speeds))
-        except RoadTwinError:
-            with pytest.raises(RoadTwinError):
-                RadiusView(raw, center, radius_m, speeds).arcs()
-            continue
-        view = RadiusView(raw, center, radius_m, speeds)
-        for v in list(graph.nodes)[::-1]:
-            assert view.coords(row_of(view, v)) == graph.nodes[v]
-            assert view_edges(view, [v]) == graph_edges(graph, [v])
-            assert view_edges(view, [v], "in") == graph_edges(graph, [v], "in")
-            assert set(view.classes[row_of(view, v)]) == classes(graph, v)
-        assert arc_edges(view, view.arcs()) == graph.edges
-        # a row off the radius graph has no edge
-        for v in set(raw.node_ids) - set(graph.nodes):
-            assert view.out[row_of(view, v)] == view.inn[row_of(view, v)] == []
+        assert_view_reads_the_crop(raw, center, radius_m, [None, SPEEDS][k % 2])
+
+
+def cut_segments(monkeypatch) -> list:
+    """The segments a view decides node by node (its radius cuts them),
+    recorded as the rows ``MapIndex.within`` is asked about."""
+    calls = []
+    within = osm_ingest.MapIndex.within
+
+    def recording(index, center, radius_m, rows=None):
+        if rows is not None:
+            calls.append(rows)
+        return within(index, center, radius_m, rows)
+
+    monkeypatch.setattr(osm_ingest.MapIndex, "within", recording)
+    return calls
+
+
+@pytest.mark.parametrize("radius_m", [55.0, 130.0, 200.0, 260.0])
+def test_view_reads_the_crop_where_its_radius_cuts_a_segment(monkeypatch, radius_m):
+    # junctions 110 m apart with two bends between: each radius ends
+    # between the nodes of a segment
+    raw = grid_extract()
+    coords = node_coords(raw)
+    cut = cut_segments(monkeypatch)
+    for center in (coords["j6_6"], coords["j2_9"], coords["j0_0"]):
+        graph = assert_view_reads_the_crop(raw, center, radius_m)
+        # some edge ends at a bend node, where the radius cut its segment
+        assert any("b" in edge.src + edge.dst for edge in graph.edges)
+    assert cut
+
+
+def polar_grid(lat0: float, lon0: float, spacing_m=60.0) -> RawRoadData:
+    """A 5 x 5 residential grid around ``(lat0, lon0)``, three bend nodes
+    between junctions, longitudes wrapped into [-180, 180)."""
+    nodes = {}
+
+    def point(x_m, y_m):
+        lat = north_of(lat0, y_m)
+        return lat, (east_of(lat, lon0, x_m) + 180.0) % 360.0 - 180.0
+
+    ways = []
+    for line in range(5):
+        for tag, at in (("h", lambda k: (k, line)), ("v", lambda k: (line, k))):
+            refs = []
+            for k in range(5):
+                i, j = at(k)
+                refs.append(f"j{i}_{j}")
+                nodes[refs[-1]] = point((i - 2) * spacing_m, (j - 2) * spacing_m)
+                if k < 4:
+                    for b in range(1, 4):
+                        (i0, j0), (i1, j1) = at(k), at(k + 1)
+                        refs.append(f"{tag}{line}_{k}_{b}")
+                        nodes[refs[-1]] = point((i0 + (i1 - i0) * b / 4 - 2) * spacing_m,
+                                                (j0 + (j1 - j0) * b / 4 - 2) * spacing_m)
+            ways.append((f"{tag}{line}", refs, {"highway": "residential"}))
+    return RawRoadData.of(nodes, ways)
+
+
+@pytest.mark.parametrize("lat0, lon0", [(89.9, 0.0), (-89.9, 120.0), (0.0, 180.0),
+                                        (45.0, -179.9995), (-60.0, 179.9999)])
+def test_view_reads_the_crop_near_the_poles_and_across_the_antimeridian(lat0, lon0):
+    raw = polar_grid(lat0, lon0)
+    coords = node_coords(raw)
+    crops = [assert_view_reads_the_crop(raw, coords[nid], radius_m)
+             for nid in ("j2_2", "j0_4", "h1_2_2") for radius_m in (20.0, 70.0, 130.0, 400.0)]
+    assert all(crops[1:4]) and crops[-1] is not None
+
+
+@pytest.mark.parametrize("radius_m", [1.0, 2.5, 4.0, 7.5])
+def test_view_reads_the_crop_of_a_radius_of_a_few_metres(radius_m):
+    # a way with nodes 2 m apart crossing another at its middle
+    nodes, refs = {}, []
+    for k in range(-5, 6):
+        refs.append(f"a{k}")
+        nodes[refs[-1]] = (LAT0, east_of(LAT0, LON0, 2.0 * k))
+    nodes["n"], nodes["s"] = (north_of(LAT0, 30.0), LON0), (north_of(LAT0, -30.0), LON0)
+    raw = RawRoadData.of(nodes, [("1", refs, {"highway": "residential"}),
+                                 ("2", ["n", "a0", "s"], {"highway": "primary"})])
+    crops = [assert_view_reads_the_crop(raw, center, radius_m)
+             for center in ((LAT0, LON0), (LAT0, east_of(LAT0, LON0, 1.0)),
+                            (north_of(LAT0, 1.5), east_of(LAT0, LON0, 3.0)))]
+    assert (crops[0] is not None) == (radius_m >= 2.0)
 
 
 def test_split_view_reads_what_the_split_graph_holds():
@@ -316,7 +407,7 @@ def test_embed_builds_no_graph_beyond_the_ego_graph(monkeypatch):
     segment_arcs = osm_ingest._segment_arcs
 
     def counting_segment_arcs(*args):
-        built.append(args[1])
+        built.append(args[1:3])
         return segment_arcs(*args)
 
     monkeypatch.setattr(osm_ingest, "_segment_arcs", counting_segment_arcs)
@@ -331,7 +422,10 @@ def test_embed_builds_no_graph_beyond_the_ego_graph(monkeypatch):
     positions = normalize_pool(embed_sensors(raw, sensors, PipelineConfig()))
     assert len(positions) == len(egos) == len(sensors)
     # an embedding builds the arcs of part of its radius's pieces (here
-    # 477 of 1,840), and its ego-graphs stay small
-    pieces = sum(len(RadiusView(raw, (s.lat, s.lon))._first) for s in sensors)
+    # 477 of 1,840), and its ego-graphs stay small; the radius's pieces
+    # are counted from its arc keys, without the spy
+    monkeypatch.setattr(osm_ingest, "_segment_arcs", segment_arcs)
+    pieces = sum(len({arc.key[:2] for arc in RadiusView(raw, (s.lat, s.lon)).arcs()})
+                 for s in sensors)
     assert 0 < len(built) < pieces / 2
     assert max(len(ego.graph.nodes) for ego in egos) < len(raw.node_ids) / 4

@@ -177,6 +177,25 @@ def test_one_sensor_file_takes_no_object_per_row(monkeypatch):
     assert peak < 8 * len(data)
 
 
+def test_row_loop_streams_its_rows():
+    # timestamps without seconds take the row loop; holding every csv
+    # row and a datetime per row peaked at about 21 times the file size
+    rows = [f"a,{(date(2019, 1, 7) + timedelta(days=i // 96)).isoformat()}"
+            f"T{i % 96 // 4:02d}:{i % 4 * 15:02d},{i % 500}" for i in range(365 * 96)]
+    text = HEADER + "\n".join(rows) + "\n"
+    data = text.encode()
+    assert traffic_data._parse_canonical(data, 15) is None
+    tracemalloc.start()
+    try:
+        got = outcome(load_traffic_csv, data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * len(data)
+    assert got == outcome(load_traffic_rowwise, text)
+    assert got[0] == "ok"
+
+
 def test_empty_id_names_its_row():
     text = HEADER + GOOD + "\n,2019-01-07T00:15:00,2\n"
     assert traffic_data._parse_canonical(text.encode(), 15) is None

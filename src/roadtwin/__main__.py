@@ -1,7 +1,5 @@
 """Allow ``python -m roadtwin`` as an alias for the ``roadtwin`` script."""
-import sys
-
-from .cli import main
+from .cli import entry
 
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -221,7 +221,18 @@ _HEADER_BYTES = [name.encode() for name in TRAFFIC_HEADER]
 _MAX_DECIMAL_DIGITS = 15
 _POW10 = np.array([float(10**k) for k in range(_MAX_DECIMAL_DIGITS + 1)])
 _INT_POW10 = 10 ** np.arange(_MAX_DECIMAL_DIGITS + 1, dtype=np.int64)
-_windows = np.lib.stride_tricks.sliding_window_view
+
+
+def _gather(buf: np.ndarray, at: np.ndarray, width: int) -> np.ndarray:
+    """The rows ``buf[at[i] : at[i] + width]``, as an ``(n, width)`` array.
+
+    Each row is gathered as one ``V{width}`` item of a stride-1 void view
+    of ``buf``, which numpy copies whole, not byte by byte.  A row that
+    would end past ``buf`` raises ``IndexError``; a negative offset would
+    count from the end, so callers pass none.
+    """
+    items = np.lib.stride_tricks.sliding_window_view(buf, width).view(np.dtype((np.void, width)))
+    return items[:, 0][at].view(np.uint8).reshape(-1, width)
 
 
 def _canonical_day_slot(
@@ -268,8 +279,9 @@ def _decimal_fields(buf: np.ndarray, begin: np.ndarray, end: np.ndarray, max_dig
     as a 0 digit, ``scale`` the number of digits after the point,
     ``minus`` and ``point`` whether the field holds them, ``digits`` the
     number of digits and ``first`` the field's first byte.  Each field
-    is read from a window that ends where the field ends; None also when
-    a window would start before ``buf``.
+    is gathered (:func:`_gather`) as the ``width`` bytes that end where
+    it ends, ``width`` being the longest field's length; None also when
+    those bytes would start before ``buf``, so no offset is negative.
     """
     length = end - begin
     if length.min() < 1 or length.max() > max_digits + 2:
@@ -278,9 +290,9 @@ def _decimal_fields(buf: np.ndarray, begin: np.ndarray, end: np.ndarray, max_dig
     if end.min() < width:
         return None
     n = len(end)
-    # column j of every field's window, one contiguous row per column
-    columns = _windows(buf, width)[end - width].T.copy()
-    lead = (width - length).astype(np.int8)  # window columns before the field
+    # column j of every field's gathered bytes, one contiguous row per column
+    columns = _gather(buf, end - width, width).T.copy()
+    lead = (width - length).astype(np.int8)  # columns before the field
     first = columns[lead, np.arange(n)]
     minus = first == ord("-")
     lead += minus  # columns before the digits
@@ -337,11 +349,14 @@ def _parse_canonical(data: bytes, interval_min: int) -> dict[str, TrafficSeries]
     of a sensor, and that hold no quote, carriage return or NUL.
     Anything else returns None and is left to :func:`_parse_rows`, which
     finds the bad row or parses the other ``fromisoformat`` and
-    ``float`` forms.  Every column is read at the separator offsets;
-    only a file holding more than one sensor id makes a Python object
-    per row (its ids).
+    ``float`` forms.  Every column is read at the separator offsets,
+    which are int32, so a file of 2**31 bytes or more returns None too
+    (as ``osm_ingest`` declines such an extract); only a file holding
+    more than one sensor id makes a Python object per row (its ids).
+    Each sensor's rows are taken in file order, and only a sensor whose
+    stamps do not strictly increase is sorted to find a repeat.
     """
-    if b'"' in data or b"\r" in data or b"\0" in data:
+    if b'"' in data or b"\r" in data or b"\0" in data or len(data) >= 2**31:
         return None
     start = data.find(b"\n") + 1  # the body follows the header line
     end = len(data)
@@ -353,15 +368,15 @@ def _parse_canonical(data: bytes, interval_min: int) -> dict[str, TrafficSeries]
         return None
     body = np.frombuffer(data, dtype=np.uint8)[start:end]
     # the last row's newline went with the trailing ones
-    row_end = np.append(np.flatnonzero(body == ord("\n")), body.size)
-    row_start = np.concatenate(([0], row_end[:-1] + 1))
-    commas = np.flatnonzero(body == ord(","))
+    row_end = np.append(np.flatnonzero(body == ord("\n")).astype(np.int32), np.int32(body.size))
+    row_start = np.append(np.int32(0), row_end[:-1] + 1)
+    commas = np.flatnonzero(body == ord(",")).astype(np.int32)
     c1, c2 = commas[0::2], commas[1::2]
     if commas.size != 2 * row_end.size or (c1 <= row_start).any() or (c2 >= row_end).any():
         return None  # a row without exactly 3 fields, a blank line or an empty id
     if (c2 - c1 != 20).any():
         return None  # a timestamp of other than 19 bytes
-    day_slot = _canonical_day_slot(_windows(body, 19)[c1 + 1], interval_min)
+    day_slot = _canonical_day_slot(_gather(body, c1 + 1, 19), interval_min)
     if day_slot is None:
         return None
     day, slot = day_slot
@@ -371,7 +386,7 @@ def _parse_canonical(data: bytes, interval_min: int) -> dict[str, TrafficSeries]
         return None  # a signed flow, left to the row loop
 
     k = int(c1[0])  # the first row's id length
-    if (c1 - row_start == k).all() and (_windows(body, k)[row_start] == body[:k]).all():
+    if (c1 - row_start == k).all() and (_gather(body, row_start, k) == body[:k]).all():
         names, groups = [data[start : start + k].decode()], [slice(None)]
     else:
         ids = [data[a:b] for a, b in zip((row_start + start).tolist(), (c1 + start).tolist())]
@@ -382,8 +397,11 @@ def _parse_canonical(data: bytes, interval_min: int) -> dict[str, TrafficSeries]
         order = np.argsort(code, kind="stable")  # rows of one sensor, in file order
         groups = np.split(order, np.flatnonzero(np.diff(code[order])) + 1)
     for rows in groups:
+        stamp = day[rows] * (1440 // interval_min) + slot[rows]
+        if (stamp[1:] > stamp[:-1]).all():
+            continue  # strictly increasing, so no repeat
         # np.sort, not a bare np.unique, which imports numpy.ma
-        stamp = np.sort(day[rows] * (1440 // interval_min) + slot[rows])
+        stamp.sort()
         if (stamp[1:] == stamp[:-1]).any():
             return None  # a repeated timestamp
     # every row is vouched for before any series is built, so a span error

@@ -4,6 +4,9 @@ Every test invokes ``python -m roadtwin.cli`` as a subprocess against the
 small fixture city, then inspects exit codes, the JSON error envelope on
 stderr, and the files written to the output directory.
 """
+import ast
+import gc
+import importlib
 import json
 import math
 import os
@@ -20,6 +23,7 @@ import pytest
 
 from conftest import FIXTURE_DIR
 from helpers import osm_doc
+from roadtwin import cli
 from roadtwin.traffic_data import MAX_SPAN_DAYS
 
 CONFIG = os.path.join(FIXTURE_DIR, "config.json")
@@ -60,6 +64,62 @@ def test_module_alias_runs_the_same_cli():
     )
     assert proc.returncode == 0
     assert "ingest" in proc.stdout
+
+
+def main_block(path):
+    """The statements under a module's ``if __name__ == "__main__":``."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    blocks = [node.body for node in tree.body
+              if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert len(blocks) == 1, path
+    return [ast.unparse(stmt) for stmt in blocks[0]]
+
+
+def test_script_and_both_module_entries_run_one_entry():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    root = os.path.join(FIXTURE_DIR, "..", "..")
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"roadtwin": "roadtwin.cli:entry"}
+    package = os.path.join(root, "src", "roadtwin")
+    assert main_block(os.path.join(package, "__main__.py")) == ["entry()"]
+    assert main_block(os.path.join(package, "cli.py")) == ["entry()"]
+    assert importlib.import_module("roadtwin.__main__").entry is cli.entry
+
+
+def test_in_process_main_leaves_the_collector_unfrozen(tmp_path):
+    assert gc.get_freeze_count() == 0
+    assert cli.main(["profile", "--config", CONFIG, "--output_dir", str(tmp_path)]) == 0
+    assert gc.get_freeze_count() == 0
+    assert gc.isenabled()
+
+
+def test_module_entry_error_is_one_json_object_and_exit_2(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "roadtwin", "profile", "--config", str(tmp_path / "none.json"),
+         "--output_dir", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.count("\n") == 1
+    assert stderr_error(proc)["error"] == "InputError"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["profile", "embed"])
+def test_module_entry_writes_the_recorded_bytes(tmp_path, command):
+    from test_golden import GOLDEN, content_digest
+
+    root = os.path.join(FIXTURE_DIR, "..", "..")
+    argv = readme_command(command, tmp_path, README_CONFIG)
+    proc = subprocess.run([sys.executable, "-m", "roadtwin", *argv], cwd=root,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out_dir = argv[argv.index("--output_dir") + 1]
+    got = {f"{command}/{name}": content_digest(os.path.join(out_dir, name))
+           for name in os.listdir(out_dir)}
+    assert got == {k: v for k, v in GOLDEN.items() if k.startswith(f"{command}/")}
 
 
 def test_bad_flag_value_exits_2(tmp_path):

@@ -196,6 +196,77 @@ def test_row_loop_streams_its_rows():
     assert got[0] == "ok"
 
 
+def year_of_rows(sensor_id="s001"):
+    """A year of 15-minute rows of one sensor, in time order."""
+    return [f"{sensor_id},{(date(2019, 1, 7) + timedelta(days=i // 96)).isoformat()}"
+            f"T{i % 96 // 4:02d}:{i % 4 * 15:02d}:00,{(i * 37) % 900 + 1}"
+            for i in range(365 * 96)]
+
+
+def test_canonical_parse_peaks_under_3_3_times_the_file(monkeypatch):
+    # int32 offsets: int64 ones peaked at 3.6 times this 1 MB file
+    data = (HEADER + "\n".join(year_of_rows()) + "\n").encode()
+    block_fallback(monkeypatch)
+    tracemalloc.start()
+    try:
+        load_traffic_csv(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.3 * len(data)
+
+
+def test_a_file_of_2_gib_or_more_declines_to_the_row_loop():
+    class Long(bytes):
+        """Bytes that report a length int32 offsets cannot reach."""
+
+        def __len__(self):
+            return 2**31
+
+    data = (HEADER + GOOD + "\n").encode()
+    assert traffic_data._parse_canonical(data, 15) is not None
+    assert traffic_data._parse_canonical(Long(data), 15) is None
+
+
+@pytest.mark.parametrize("width", range(1, 21))
+def test_gather_reads_the_window_rows(width):
+    rng = np.random.default_rng(width)
+    buf = rng.integers(0, 256, 500, dtype=np.uint8)[7:]  # a view at an offset
+    at = rng.integers(0, buf.size - width + 1, 300).astype(np.int32)
+    at[:2] = 0, buf.size - width  # the first and last rows that fit
+    got = traffic_data._gather(buf, at, width)
+    want = np.lib.stride_tricks.sliding_window_view(buf, width)[at]
+    assert got.dtype == np.uint8 and got.shape == (at.size, width)
+    assert (got == want).all()
+
+
+def test_gather_past_the_buffer_raises():
+    buf = np.frombuffer(b"0123456789", dtype=np.uint8)
+    assert traffic_data._gather(buf, np.array([6]), 4).tobytes() == b"6789"
+    with pytest.raises(IndexError):
+        traffic_data._gather(buf, np.array([7]), 4)  # would read one byte past the end
+
+
+def test_decimal_fields_decline_bytes_before_the_buffer():
+    # "5" ends one byte in, but the longest field is 3 bytes: its gather
+    # would start at -2, which numpy would read from the buffer's end
+    buf = np.frombuffer(b"5,123", dtype=np.uint8)
+    begin, end = np.array([0, 2]), np.array([1, 5])
+    assert traffic_data._decimal_fields(buf, begin, end, 15) is None
+    assert traffic_data._plain_decimals(buf, begin[1:], end[1:]).tolist() == [123.0]
+
+
+def test_an_adjacent_repeat_in_a_time_ordered_file_names_its_row():
+    rows = year_of_rows()[:500]
+    rows.insert(300, rows[299])  # row 301 of the body repeats row 300
+    text = HEADER + "\n".join(rows) + "\n"
+    assert traffic_data._parse_canonical(text.encode(), 15) is None
+    stamp = rows[299].split(",")[1]
+    assert assert_parse_parity(text) == (
+        FormatError, f"traffic CSV row 302: duplicate timestamp {stamp}")
+
+
+
 def test_empty_id_names_its_row():
     text = HEADER + GOOD + "\n,2019-01-07T00:15:00,2\n"
     assert traffic_data._parse_canonical(text.encode(), 15) is None

@@ -127,12 +127,8 @@ class RawRoadData:
 _PREFILTER_BAND_M = 1e-3
 
 # metres a whole segment must keep inside the radius, so that the rounding
-# of its length bound and of the haversine never passes a node outside it
+# of its length and of the haversine never passes a node outside it
 _WHOLE_MARGIN_M = 1.0
-
-# pairs measured per numpy haversine call while the index is built, which
-# bounds its temporaries
-_PAIR_CHUNK = 4096
 
 
 class MapIndex:
@@ -155,14 +151,14 @@ class MapIndex:
       more ways.  Segment ``s`` runs from occurrence ``seg_first[s]`` to
       ``seg_last[s]``, in way order; ``seg_of_pair[k]`` is the segment
       holding the pair of occurrences ``k`` and ``k + 1``, or -1 when
-      ``k`` ends its way.  ``seg_bound[s]`` is the numpy sum of its pair
-      distances, which is within rounding of its length; ``seg_box`` holds
-      the ``lat`` minimum and maximum and the ``lon`` minimum and maximum
-      of its nodes, one row each.
+      ``k`` ends its way.  ``seg_box`` holds the ``lat`` minimum and
+      maximum and the ``lon`` minimum and maximum of its nodes, one row
+      each.
     - ``stretch_len[(a, b)]``: the length of the way stretch from
       occurrence ``a`` to ``b``, memoised by :meth:`stretch_length` the
-      first time a :class:`RadiusView` builds a piece over it, so
-      stretches no crop reaches are never measured.
+      first time a :class:`RadiusView` decides a segment (its whole
+      stretch) or builds a piece over it, so stretches no crop reaches
+      are never measured.
 
     The index holds no edges: each :class:`RadiusView` cuts the segments
     it reads into pieces and builds their edges, so views share stretch
@@ -209,23 +205,16 @@ class MapIndex:
         del is_cut, is_pair, opens, cuts
 
         # segment s holds occurrences seg_first[s] to seg_last[s]; a
-        # reduceat over ranges starting at each first and each last sums
-        # or bounds its pairs in the even results
+        # reduceat over ranges starting at each first and each last bounds
+        # its nodes in the even results
         ranges = np.stack((self.seg_first, self.seg_last), axis=1).ravel()
-        lat, lon = self.lat[self.occ_node], self.lon[self.occ_node]
-        step = np.zeros(self.occ_node.size)  # from occurrence k to k + 1
-        for k in range(0, step.size - 1, _PAIR_CHUNK):
-            end = min(k + _PAIR_CHUNK, step.size - 1)
-            step[k:end] = haversine_m_array(lat[k:end], lon[k:end], lat[k + 1 : end + 1],
-                                            lon[k + 1 : end + 1])
-        self.seg_bound = np.add.reduceat(step, ranges)[0::2]
-        del step
         self.seg_box = np.empty((4, self.seg_first.size))
-        for i, coord in ((0, lat), (2, lon)):
+        for i, coord in ((0, self.lat), (2, self.lon)):
+            coord = coord[self.occ_node]
             last = coord[self.seg_last]
             self.seg_box[i] = np.minimum(np.minimum.reduceat(coord, ranges)[0::2], last)
             self.seg_box[i + 1] = np.maximum(np.maximum.reduceat(coord, ranges)[0::2], last)
-        del lat, lon
+        del coord
 
         self.stretch_len: dict[tuple[int, int], float] = {}
 
@@ -278,11 +267,13 @@ def parse_osm_extract(source) -> RawRoadData:
     all nodes and only the ways whose ``highway`` tag is a drivable
     class; non-drivable ways (footways, cycleways, ...) are discarded.
 
-    One expat pass with no element handlers judges the XML first.  A
-    document in canonical form (see :func:`_parse_canonical`) is then
-    read in array passes over its bytes, straight into the arrays of
-    :class:`RawRoadData`; any other document is streamed through
-    expat's element handlers.  Both give the same nodes, ways and errors.
+    A document that may be in canonical form (see
+    :func:`_parse_canonical`) by the checks that read no markup (see
+    :func:`_canonical_body`) is judged by one expat pass with no element
+    handlers, then read in array passes over its bytes, straight into
+    the arrays of :class:`RawRoadData`.  Any other document is streamed
+    through expat's element handlers, in one pass that also judges it.
+    Both give the same nodes, ways and errors.
 
     Raises ``ParseError`` with the byte index on malformed XML (including
     an entity reference it cannot expand), then ``FormatError`` for the
@@ -291,6 +282,8 @@ def parse_osm_extract(source) -> RawRoadData:
     ``StructuralError`` when a retained way references a missing node.
     """
     data = source_bytes(source, "OSM extract")
+    if _canonical_body(data) is None:
+        return _parse_events(data)  # whose one expat pass judges the XML
     _expat_parse(data)
     return _parse_canonical(data) or _parse_events(data)
 
@@ -448,18 +441,16 @@ def _attribute_is(words: np.ndarray, name: bytes) -> np.ndarray:
 
 def _markup(data: bytes, buf: np.ndarray, body: int):
     """Tags and attribute values of a well-formed document from byte
-    ``body`` on, or None unless they can be read off the byte offsets of
-    ``<``, ``>`` and ``"``: one ``>`` per tag, no ``<!`` or ``<?``, no
-    quote between tags, and every attribute double-quoted.
+    ``body`` on, where :func:`_canonical_body` found no ``<!`` or
+    ``<?``, or None unless they can be read off the byte offsets of
+    ``<``, ``>`` and ``"``: one ``>`` per tag, no quote between tags,
+    and every attribute double-quoted.
 
     Returns ``(lt, gt, opening, closing, attr_tag)``: the ``<`` and
     ``>`` of each tag, and the quotes around each attribute value with
     the value's tag.
     """
     lt = _offsets(buf, "<", body)
-    second = buf[lt + 1]
-    if ((second == ord("!")) | (second == ord("?"))).any():
-        return None  # a DTD, comment, CDATA section or processing instruction
     gt, quote = _offsets(buf, ">", body), _offsets(buf, '"', body)
     # one ">" per tag, so none in a value or between tags: each tag ends at the next one
     if gt.size != lt.size or lt.size < 2 or quote.size % 2:
@@ -554,6 +545,32 @@ def _element_spans(data: bytes, buf: np.ndarray, body: int):
     return *found, way_number[kind == _ND], way_number[kind == _TAG]
 
 
+def _canonical_body(data: bytes) -> int | None:
+    """Where the document follows its XML declaration, or None when a
+    check that reads no markup takes it out of canonical form (see
+    :func:`_parse_canonical`): a carriage return, 2**31 bytes or more, a
+    declared encoding other than UTF-8, a first byte other than ``<``,
+    or a ``<!`` or ``<?`` past the declaration.  It reads bytes only, so
+    it holds for a document expat has not judged yet."""
+    if b"\r" in data or len(data) >= 2**31:
+        return None
+    body = 0
+    if data.startswith(b"<?xml "):
+        body = data.find(b"?>") + 2
+        if body == 1:
+            return None  # a declaration that never ends
+        decl = data[:body].lower().replace(b"'", b'"')
+        if b"encoding" in decl and b'encoding="utf-8"' not in decl:
+            return None
+    elif not data.startswith(b"<"):
+        return None
+    for mark in (b"!", b"?"):
+        # a one-byte find is fast, and the mark is rare outside such markup
+        if data.find(mark, body) >= 0 and data.find(b"<" + mark, body) >= 0:
+            return None  # a DTD, comment, CDATA section or processing instruction
+    return body
+
+
 def _canonical_tables(data: bytes):
     """The elements :func:`parse_osm_extract` reads, found by array
     passes over the bytes of a well-formed document, or None when the
@@ -564,15 +581,8 @@ def _canonical_tables(data: bytes):
     file order; the ids and kept tags of the drivable ways; their integer
     refs, laid end to end; and the number of refs of each.
     """
-    if b"\r" in data or len(data) >= 2**31:
-        return None
-    body = 0  # where the document follows its declaration
-    if data.startswith(b"<?xml "):
-        body = data.index(b"?>") + 2
-        decl = data[:body].lower().replace(b"'", b'"')
-        if b"encoding" in decl and b'encoding="utf-8"' not in decl:
-            return None
-    elif not data.startswith(b"<"):
+    body = _canonical_body(data)
+    if body is None:
         return None
     buf = np.frombuffer(data, dtype=np.uint8)
     spans = _element_spans(data, buf, body)
@@ -767,9 +777,9 @@ def build_graph(
     into the edge).  Two-way roads produce one edge per direction.
 
     Every arc of a :class:`RadiusView` of the extract, named by node id:
-    only the in-radius stretches of ways are visited.  Nodes and edges
-    come out in way order, as a rescan of the whole extract would give
-    them.
+    only the segments holding an in-radius pair are visited.  Nodes and
+    edges come out in way order, as a rescan of the whole extract would
+    give them.
     """
     view = RadiusView(raw, center, radius_m, speed_overrides)
     ids = raw.node_ids
@@ -820,16 +830,16 @@ class RadiusView:
     The view's *pieces* are the maximal in-radius runs of one segment of
     ``raw.index`` (see :class:`MapIndex`) holding at least one pair; a
     piece is named by its first and last occurrence.  Creating a view
-    measures nothing: a segment is cut into pieces the first time a row
-    on it is read.  The segment is one whole piece when the scalar
-    haversine from ``center`` to that row plus the segment's length bound
-    is at most ``radius_m - 1`` m, since every node of the segment then
-    lies within the radius (triangle inequality); otherwise its rows are
-    decided by :meth:`MapIndex.within`.  Either way the pieces are those
-    a scan of every node in the radius would cut.  A piece's arcs are
-    built once, the first time it is read, from the index's memoised
-    stretch length.  A row's edges are those of the pieces that start or
-    end at one of its occurrences.
+    measures nothing: a segment is cut into pieces, and their arcs built,
+    the first time it is read, and the view keeps those arcs per segment.
+    The segment is one whole piece when the scalar haversine from
+    ``center`` to its first node plus its memoised length
+    (:meth:`MapIndex.stretch_length`) is at most ``radius_m - 1`` m,
+    since every node of the segment then lies within the radius
+    (triangle inequality); otherwise its rows are decided by
+    :meth:`MapIndex.within`.  Either way the pieces are those a scan of
+    every node in the radius would cut.  A row's edges are the arcs of
+    the segments through its occurrences that start or end at the row.
     """
 
     def __init__(
@@ -839,7 +849,7 @@ class RadiusView:
         radius_m: float = 2000.0,
         speed_overrides: dict[str, float] | None = None,
     ):
-        if radius_m <= 0:
+        if not radius_m > 0:  # NaN too
             raise ArgumentError(f"radius must be positive, got {radius_m}")
         problem = coordinate_problem(*center)
         if problem:
@@ -849,8 +859,7 @@ class RadiusView:
         self.center = center
         self.radius_m = radius_m
         self.speed_overrides = speed_overrides
-        self._pieces: dict[int, tuple[tuple[int, int], ...]] = {}  # of each segment read
-        self._piece_arcs: dict[tuple[int, int], tuple[Arc, ...]] = {}
+        self._seg_arcs: dict[int, tuple[Arc, ...]] = {}  # of each segment read
         self._attrs: dict[int, tuple] = {}
         self.site = len(raw.node_ids)
         self.site_id: str | None = None
@@ -866,15 +875,16 @@ class RadiusView:
         return self.index.lat.item(row), self.index.lon.item(row)
 
     def arcs(self) -> list[Arc]:
-        """Every arc, in edge order, from one pass of
-        :meth:`MapIndex.within` over the whole map.
+        """Every arc, in edge order: those of each segment holding a pair
+        that one pass of :meth:`MapIndex.within` over the whole map puts
+        inside the radius.
 
         Raises ``DomainError`` when the radius holds no edge.
         """
         index = self.index
-        arcs = self._arcs(self._cut(
-            np.flatnonzero(index.within(self.center, self.radius_m)[index.occ_node])
-        ))
+        inside = index.within(self.center, self.radius_m)[index.occ_node]
+        seg = index.seg_of_pair[:-1][inside[:-1] & inside[1:]]
+        arcs = [arc for s in np.unique(seg[seg >= 0]).tolist() for arc in self._segment(s)]
         if not arcs:
             raise DomainError(
                 f"no drivable roads within {self.radius_m:.0f} m of "
@@ -886,33 +896,20 @@ class RadiusView:
         """Every arc that may lie within ``max_m`` of the position, in
         edge order.
 
-        A piece is kept when the box of its chord (the box spanned by its
-        two end nodes), in the equirectangular projection around the
-        position, comes within ``max_m`` (plus a margin).  Its arcs run
-        along that chord, which lies inside the box.  Only the segments
-        whose node box passes the same test are cut into pieces: a
-        piece's chord box lies inside its segment's node box.
+        The arcs of a segment are kept when the box of its nodes
+        (``seg_box``), in the equirectangular projection around the
+        position, comes within ``max_m`` (plus a margin).  Each arc runs
+        along the chord of a piece of the segment, which lies inside the
+        box.
         """
         index = self.index
         kx = math.radians(1.0) * EARTH_RADIUS_M * math.cos(math.radians(lat))
         ky = math.radians(1.0) * EARTH_RADIUS_M
-        reach = (max_m + _NEAR_MARGIN_M) ** 2
-
-        def near(lat_lo, lat_hi, lon_lo, lon_hi):
-            dx = (np.clip(lon, lon_lo, lon_hi) - lon) * kx
-            dy = (np.clip(lat, lat_lo, lat_hi) - lat) * ky
-            return dx * dx + dy * dy <= reach
-
-        segments = np.flatnonzero(near(*index.seg_box)).tolist()
-        first = index.occ_node[index.seg_first[segments]].tolist()
-        pieces = [p for s, row in zip(segments, first) for p in self._segment_pieces(s, row)]
-        if not pieces:
-            return []
-        ends = index.occ_node[np.array(pieces, dtype=np.intp).T]
-        lat_end, lon_end = index.lat[ends], index.lon[ends]
-        keep = near(lat_end.min(axis=0), lat_end.max(axis=0),
-                    lon_end.min(axis=0), lon_end.max(axis=0))
-        return self._arcs(p for p, k in zip(pieces, keep.tolist()) if k)
+        lat_lo, lat_hi, lon_lo, lon_hi = index.seg_box
+        dx = (np.clip(lon, lon_lo, lon_hi) - lon) * kx
+        dy = (np.clip(lat, lat_lo, lat_hi) - lat) * ky
+        near = np.flatnonzero(dx * dx + dy * dy <= (max_m + _NEAR_MARGIN_M) ** 2)
+        return [arc for s in near.tolist() for arc in self._segment(s)]
 
     def split(self, host: Arc, t: float, site_id: str) -> None:
         """Split ``host`` at parameter ``t`` from its source through the
@@ -927,7 +924,7 @@ class RadiusView:
         if self.site_id is not None:
             raise ArgumentError(f"{self.site_id} already inserted in this view")
         halves = {host.key: (host.travel_time_s * t, host.travel_time_s * (1.0 - t))}
-        around = {arc.key: arc for arc in self._arcs(self._touching(host.dst))}
+        around = {arc.key: arc for arc in self._touching(host.dst)}
         for arc in around.values():
             if (
                 arc.key != host.key
@@ -949,70 +946,51 @@ class RadiusView:
         self.inn[self.site] = [(around[k].src, halves[k][0]) for k in sorted(halves)]
         self.classes[self.site] = (host.highway_class,)
 
-    def _arcs(self, pieces) -> list[Arc]:
-        """Arcs of the given pieces (in way order), in edge order."""
-        return [arc for piece in pieces for arc in self._arcs_of(piece)]
-
-    def _arcs_of(self, piece: tuple[int, int]) -> tuple[Arc, ...]:
-        """Arcs of the piece ``(first, last)``, as :func:`build_graph`
-        builds them."""
-        arcs = self._piece_arcs.get(piece)
+    def _segment(self, s: int) -> tuple[Arc, ...]:
+        """Arcs of the pieces of segment ``s``, in edge order, as
+        :func:`build_graph` builds them; memoised on ``s``."""
+        arcs = self._seg_arcs.get(s)
         if arcs is None:
-            a, b = piece
-            w = self.index.way_of.item(a)
+            index = self.index
+            a, b = index.seg_first.item(s), index.seg_last.item(s)
+            dist_m = haversine_m(*self.center, *self.coords(index.occ_node.item(a)))
+            if dist_m + index.stretch_length(a, b) <= self.radius_m - _WHOLE_MARGIN_M:
+                runs = [(0, b - a)]
+            else:
+                inside = index.within(self.center, self.radius_m, index.occ_node[a : b + 1])
+                # each maximal run of pairs with both nodes inside, as the
+                # offsets from a of its first and last occurrence
+                bounds = np.flatnonzero(
+                    np.diff(inside[:-1] & inside[1:], prepend=False, append=False)
+                ).tolist()
+                runs = zip(bounds[0::2], bounds[1::2])
+            w = index.way_of.item(a)
             attrs = self._attrs.get(w)
             if attrs is None:
                 attrs = self._attrs[w] = _way_attributes(self.raw.ways[w], self.speed_overrides)
-            arcs = self._piece_arcs[piece] = _segment_arcs(self.index, a, b, attrs)
+            arcs = self._seg_arcs[s] = tuple(
+                arc for i, j in runs for arc in _segment_arcs(index, a + i, a + j, attrs)
+            )
         return arcs
 
-    def _segment_pieces(self, s: int, row: int) -> tuple[tuple[int, int], ...]:
-        """The pieces of segment ``s``, in way order; ``row`` is a node of
-        the segment."""
-        pieces = self._pieces.get(s)
-        if pieces is None:
-            index = self.index
-            a, b = index.seg_first.item(s), index.seg_last.item(s)
-            dist_m = haversine_m(*self.center, *self.coords(row))
-            if dist_m + index.seg_bound.item(s) <= self.radius_m - _WHOLE_MARGIN_M:
-                pieces = ((a, b),)
-            else:
-                inside = index.within(self.center, self.radius_m, index.occ_node[a : b + 1])
-                pieces = tuple(self._cut(a + np.flatnonzero(inside)))
-            self._pieces[s] = pieces
-        return pieces
-
-    def _cut(self, occ: np.ndarray) -> list[tuple[int, int]]:
-        """The pieces of the in-radius occurrences ``occ`` (ascending):
-        each maximal run of their pairs within one segment."""
-        seg = self.index.seg_of_pair
-        # pairs: in-radius occurrences followed by an in-radius one of their way
-        pairs = occ[:-1][(occ[1:] == occ[:-1] + 1) & (seg[occ[:-1]] >= 0)]
-        starts = np.ones(pairs.size, dtype=bool)
-        starts[1:] = (pairs[1:] != pairs[:-1] + 1) | (seg[pairs[1:]] != seg[pairs[:-1]])
-        ends = np.ones(pairs.size, dtype=bool)
-        ends[:-1] = starts[1:]
-        return list(zip(pairs[starts].tolist(), (pairs[ends] + 1).tolist()))
-
-    def _touching(self, row: int) -> list[tuple[int, int]]:
-        """The pieces that start or end at one of the row's occurrences,
-        in way order."""
+    def _touching(self, row: int) -> list[Arc]:
+        """The arcs that start or end at ``row``, in edge order: those of
+        the segments through its occurrences."""
         index = self.index
         seg = index.seg_of_pair
         found = set()
         lo, hi = index.node_occ[row : row + 2].tolist()
         for k in index.occ_by_node[lo:hi].tolist():
             # the pairs k - 1 and k, when they belong to k's way
-            for s in (seg.item(k - 1) if k else -1, seg.item(k)):
-                if s >= 0:
-                    found.update(p for p in self._segment_pieces(s, row) if k in p)
-        return sorted(found)
+            found.update((seg.item(k - 1) if k else -1, seg.item(k)))
+        found.discard(-1)
+        return [arc for s in sorted(found) for arc in self._segment(s) if row in (arc.src, arc.dst)]
 
     def _fill(self, row: int) -> None:
         out: list[tuple[int, float]] = []
         inn: list[tuple[int, float]] = []
         halves = self._halves
-        arcs = self._arcs(self._touching(row))
+        arcs = self._touching(row)
         for arc in arcs:
             half = halves.get(arc.key)
             if arc.src == row:

@@ -482,8 +482,8 @@ def clean_series(
     of at most ``max_gap`` slots bounded by data on both sides are filled
     linearly; longer or unbounded runs stay missing.
     """
-    if spike_factor <= 0:
-        raise ArgumentError(f"spike factor must be positive, got {spike_factor}")
+    if not 0 < spike_factor < np.inf:  # false for NaN as well
+        raise ArgumentError(f"spike factor must be positive and finite, got {spike_factor}")
     if max_gap < 0:
         raise ArgumentError(f"max gap must be >= 0, got {max_gap}")
     flows = series.flows.copy()

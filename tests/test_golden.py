@@ -8,14 +8,18 @@ holds the same relative input paths in any checkout, and a digest covers
 a whole file: its ``# config_hash=`` line or its JSON ``config_hash``
 and ``config`` keys included.
 
-The table changes only when a change means to change outputs: ROADMAP
-items 10, 1, 2 and 11 each update it, with a CHANGES.md note.
+``CUT_GOLDEN`` does the same for ``ingest``, ``embed`` and ``benchmark``
+at radii that end inside road segments, so the views cut those segments
+node by node (``MapIndex.within`` over a segment's rows).
+
+The tables change only when a change means to change outputs: ROADMAP
+items 10, 1, 2 and 11 each update them, with a CHANGES.md note.
 """
 import hashlib
 import os
 
 from conftest import FIXTURE_DIR
-from roadtwin import cli
+from roadtwin import cli, osm_ingest
 from test_cli import README_CONFIG, readme_command
 
 COMMANDS = ["ingest", "embed", "select", "profile", "synthesize", "evaluate", "benchmark",
@@ -54,6 +58,32 @@ GOLDEN = {
         "dbee28d062dddb5ab37bf2c17da70b27c9a115c2b068a40fe341ed6420561f61",
 }
 
+# README's command, then these arguments
+CUT_COMMANDS = {
+    "ingest": ["--center-lat", "40.45", "--center-lon", "-3.69", "--radius_m", "500"],
+    "embed": ["--radius_m", "300"],
+    "benchmark": ["--radius_m", "300"],
+}
+
+CUT_GOLDEN = {
+    "ingest/edges.csv":
+        "14d3850e510dd318437e0eb3ba8f138aa6e8c438a39db65f8d9718bcdc2bb47f",
+    "ingest/manifest.json":
+        "b0e3e0c14167dc25dac790e87d708777a59eab1739870a49c9d769b87266466e",
+    "ingest/nodes.csv":
+        "078469517201297b2f243fbe7d40245b783a5824c8626a5646d0da1058c56b35",
+    "embed/embeddings.csv":
+        "fbb6c00fb0888e422716f357eea0caf4739d8232c79eef8f2a4478439d219f80",
+    "benchmark/generation_errors.csv":
+        "f1a32eacc396fb956256a89a7a6a43a2c05a30862716f34f75d0b401b168c853",
+    "benchmark/report.json":
+        "af4d1f2656060a5d51662020659c4f88a50f49b5b621f05dac4e5294ff0125e7",
+    "benchmark/selection.csv":
+        "69a5b9aa6eb88ef0fd2aef74aa829017d2cb89dc21e19bc0860a2a989c2e70a3",
+    "benchmark/summary.csv":
+        "613a2e582b5f7b2e0719148dcde6f7c59a464c9c91fd45f6f2412b49048559a6",
+}
+
 
 def content_digest(path) -> str:
     with open(path, "rb") as fh:
@@ -72,3 +102,26 @@ def test_readme_commands_write_the_recorded_bytes(tmp_path, monkeypatch):
         for name in sorted(os.listdir(out_dir)):
             digests[f"{command}/{name}"] = content_digest(os.path.join(out_dir, name))
     assert digests == GOLDEN
+
+
+def test_radius_cut_commands_write_the_recorded_bytes(tmp_path, monkeypatch):
+    monkeypatch.chdir(os.path.join(FIXTURE_DIR, "..", ".."))
+    within = osm_ingest.MapIndex.within
+    row_cuts = []
+
+    def counting_within(index, center, radius_m, rows=None):
+        if rows is not None:
+            row_cuts.append(rows.size)
+        return within(index, center, radius_m, rows)
+
+    monkeypatch.setattr(osm_ingest.MapIndex, "within", counting_within)
+    digests = {}
+    for command, extra in CUT_COMMANDS.items():
+        argv = readme_command(command, tmp_path / command, README_CONFIG) + extra
+        row_cuts.clear()
+        assert cli.main(argv) == 0, command
+        assert row_cuts, f"{command} cut no segment node by node"
+        out_dir = argv[argv.index("--output_dir") + 1]
+        for name in sorted(os.listdir(out_dir)):
+            digests[f"{command}/{name}"] = content_digest(os.path.join(out_dir, name))
+    assert digests == CUT_GOLDEN

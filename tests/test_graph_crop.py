@@ -123,7 +123,7 @@ def test_concurrent_crops_of_a_fresh_extract():
 
 def test_radius_and_empty_crop_errors():
     raw = grid_extract()
-    for radius_m in (0.0, -5.0):
+    for radius_m in (0.0, -5.0, float("nan")):
         with pytest.raises(ArgumentError, match="radius must be positive"):
             build_graph(raw, (LAT0, LON0), radius_m)
     with pytest.raises(DomainError, match="no drivable roads"):
@@ -156,6 +156,14 @@ def assert_stretches_are_haversine(index):
     return set(index.stretch_len)
 
 
+def with_segments(index, pieces):
+    """``pieces`` and the whole stretch ``(seg_first, seg_last)`` of each
+    segment holding one: a view measures a segment's length to decide
+    whether the radius holds all of it."""
+    segments = {index.seg_of_pair.item(a) for a, _ in pieces}
+    return pieces | {(index.seg_first.item(s), index.seg_last.item(s)) for s in segments}
+
+
 def whole_map(raw):
     lats, lons = raw.lat.tolist(), raw.lon.tolist()
     return ((min(lats) + max(lats)) / 2, (min(lons) + max(lons)) / 2), 50_000.0
@@ -175,9 +183,9 @@ def test_overlapping_crops_measure_pairs_on_demand(minicity_dir, extract, center
     first, second = (view_stretches(make, c, radius_m) for c in (center_a, center_b))
     every = view_stretches(make, *whole_map(raw))
     assert_same_graph(raw, center_a, radius_m)
-    assert assert_stretches_are_haversine(index) == first
+    assert assert_stretches_are_haversine(index) == with_segments(index, first)
     assert_same_graph(raw, center_b, radius_m)
-    assert assert_stretches_are_haversine(index) == first | second
+    assert assert_stretches_are_haversine(index) == with_segments(index, first | second)
     # the second crop reuses some stretches of the first and adds others,
     # and neither reaches every stretch of the map
     assert first & second and second - first

@@ -21,7 +21,7 @@ from roadtwin import osm_ingest, pipeline
 from roadtwin.config import DECISIONS, PipelineConfig
 from roadtwin.embedding import UNREACHABLE, build_embedding, normalize_pool
 from roadtwin.errors import RoadTwinError
-from roadtwin.geo import LocalProjection, point_segment_projection
+from roadtwin.geo import EARTH_RADIUS_M, LocalProjection, point_segment_projection
 from roadtwin.osm_ingest import RadiusView, RawRoadData, build_graph
 from roadtwin.pipeline import SensorSpec, embed_position, embed_sensors
 from roadtwin.road_graph import Edge, dijkstra_from, ego_graph, insert_central_node
@@ -349,6 +349,66 @@ def test_near_query_keeps_every_edge_within_reach():
             if d <= reach:
                 assert e in near
         assert len(near) < len(graph.edges)
+
+
+def test_a_row_reads_exactly_the_arcs_that_start_or_end_at_it():
+    # around curve_reentry the radius cuts the bend into two pieces, so
+    # the bend's segment through p2 also holds arcs that do not touch p2
+    raw, probes = shapes_extract()
+    cases = [(probes["curve_reentry"], 230.0)] + [
+        (position, 333.0) for position in random_positions(grid_extract(), 5, seed=4)]
+    for k, (center, radius_m) in enumerate(cases):
+        extract = raw if k == 0 else grid_extract()
+        arcs = RadiusView(extract, center, radius_m).arcs()
+        view = RadiusView(extract, center, radius_m)
+        for row in sorted({r for arc in arcs for r in (arc.src, arc.dst)}):
+            touching = [arc for arc in arcs if row in (arc.src, arc.dst)]
+            assert view.classes[row] == tuple(arc.highway_class for arc in touching)
+            assert view.out[row] == [(arc.dst, arc.travel_time_s) for arc in touching
+                                     if arc.src == row]
+            assert view.inn[row] == [(arc.src, arc.travel_time_s) for arc in touching
+                                     if arc.dst == row]
+    pieces = {}  # of each segment of the first view
+    for arc in RadiusView(raw, *cases[0]).arcs():
+        pieces.setdefault(raw.index.seg_of_pair.item(arc.key[0]), set()).add(arc.key[:2])
+    assert max(len(p) for p in pieces.values()) == 2
+
+
+@pytest.mark.parametrize("extract", ["grid", "shapes"])
+def test_near_query_keeps_the_arcs_of_every_segment_box_within_reach(extract):
+    # brute force: each segment's node box from its own nodes, tested in
+    # scalar arithmetic; the query keeps every arc of the segments it
+    # passes (those the radius holds), and no other; the shapes' probes
+    # include the hook, whose bend comes within reach before its chord
+    raw, probes = (grid_extract(), {}) if extract == "grid" else shapes_extract()
+    index = raw.index
+    boxes = []
+    for first, last in zip(index.seg_first.tolist(), index.seg_last.tolist()):
+        rows = index.occ_node[first : last + 1].tolist()
+        lats, lons = [raw.lat.item(r) for r in rows], [raw.lon.item(r) for r in rows]
+        boxes.append((first, last, min(lats), max(lats), min(lons), max(lons)))
+    kept = 0
+    positions = random_positions(raw, 40, seed=29) + list(probes.values())
+    for k, (lat, lon) in enumerate(positions):
+        radius_m = [300.0, 900.0, 2500.0][k % 3]
+        reach = [20.0, 60.0, 100.0, 250.0, 400.0][k % 5] + osm_ingest._NEAR_MARGIN_M
+        kx = math.radians(1.0) * EARTH_RADIUS_M * math.cos(math.radians(lat))
+        ky = math.radians(1.0) * EARTH_RADIUS_M
+        passing = []
+        for first, last, lat_lo, lat_hi, lon_lo, lon_hi in boxes:
+            dx = (min(max(lon, lon_lo), lon_hi) - lon) * kx
+            dy = (min(max(lat, lat_lo), lat_hi) - lat) * ky
+            if dx * dx + dy * dy <= reach * reach:
+                passing.append((first, last))
+        try:
+            every = RadiusView(raw, (lat, lon), radius_m).arcs()
+        except RoadTwinError:
+            every = []
+        expected = [arc for arc in every
+                    if any(first <= arc.key[0] < last for first, last in passing)]
+        assert RadiusView(raw, (lat, lon), radius_m).arcs_near(lat, lon, reach - 1.0) == expected
+        kept += len(expected)
+    assert kept
 
 
 # ---------------------------------------------------------------------------

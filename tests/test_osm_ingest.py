@@ -260,9 +260,10 @@ def test_speed_override_changes_travel_time():
     assert g.edges[0].travel_time_s == pytest.approx(60.0, abs=1e-6)
 
 
-def test_chord_box_keeps_every_edge_the_snap_can_pick():
-    """The near query keeps a piece by the box of its chord, not of its
-    geometry; the snap projects onto chords, so no snap changes."""
+def test_node_box_keeps_every_edge_the_snap_can_pick():
+    """The near query keeps a segment's arcs by the box of its nodes, so
+    a bend within reach brings its chord along; the snap projects onto
+    chords, so no snap changes."""
     raw, probes = shapes_extract()
     lat, lon = probes["hook"]
     proj = LocalProjection(lat, lon)
@@ -275,7 +276,9 @@ def test_chord_box_keeps_every_edge_the_snap_can_pick():
     assert 150.0 < chord_m < 170.0
     view = RadiusView(raw, (lat, lon), 2000.0)
     hk2 = row_of(view, "hk2")
-    assert not [a for a in view.arcs_near(lat, lon, 100.0) if hk2 in (a.src, a.dst)]
+    assert {(view.node_id(a.src), view.node_id(a.dst))
+            for a in view.arcs_near(lat, lon, 100.0) if hk2 in (a.src, a.dst)} == {
+        ("s_e", "hk2"), ("hk2", "s_e")}
     assert {(view.node_id(a.src), view.node_id(a.dst)) for a in view.arcs_near(lat, lon, 170.0)} == {
         ("s_e", "hk2"), ("hk2", "s_e")}
 

@@ -7,13 +7,14 @@ import importlib.util
 import os
 import sys
 import tracemalloc
+from xml.parsers import expat
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import FIXTURE_DIR
-from helpers import grid_extract, node_coords, osm_doc, way_triples
+from helpers import commented_doc, grid_extract, node_coords, osm_doc, way_triples
 from oracles import parse_osm_extract_etree
 from roadtwin import osm_ingest
 from roadtwin.errors import ParseError, StructuralError
@@ -277,6 +278,25 @@ def test_bench_city_takes_the_byte_path(tmp_path, monkeypatch):
     assert len(want[0]) == 12 * 12 + 2 * 12 * 11 * 3 and len(want[1]) == 24  # footways dropped
 
 
+def test_a_commented_extract_pays_for_one_expat_pass(tmp_path, monkeypatch):
+    # the comment is found before expat runs, so the element handlers'
+    # pass is the only one; a canonical document gets the judging pass
+    data = bench_city(tmp_path, 6)
+    create = expat.ParserCreate
+    created = []
+
+    def counting_create(*args, **kwargs):
+        created.append(args)
+        return create(*args, **kwargs)
+
+    monkeypatch.setattr(expat, "ParserCreate", counting_create)
+    for document, path in ((commented_doc(data), "events"), (data, "bytes")):
+        created.clear()
+        got, taken = path_taken(monkeypatch, document)
+        assert (taken, len(created)) == (path, 1)
+        assert got == outcome(parse_osm_extract_etree, document)
+
+
 def test_both_front_ends_give_one_flat_form(tmp_path):
     with open(os.path.join(FIXTURE_DIR, "minicity.osm"), "rb") as fh:
         documents = [bench_city(tmp_path, 6), fh.read()]
@@ -410,6 +430,18 @@ GATE_CASES = {
     "lookalike_names": (
         osm(NODES, '<nodes id="9" lat="1" lon="2"/>',
             way("5", ["1", "2"], DRIVABLE + '<nd2 ref="3"/><tags k="oneway" v="yes"/>')), "bytes"),
+    # found out of canonical form before expat runs: the element
+    # handlers' pass is the one that judges them, with the same errors
+    "endless_declaration": (b'<?xml version="1.0"', "events"),
+    "unclosed_under_latin1": (
+        b'<?xml version="1.0" encoding="latin-1"?><osm><node id="1"', "events"),
+    "junk_after_crlf": (b"<osm>\r\n<node id='1' lat='1' lon='2'/></osm><x/>", "events"),
+    "mismatched_after_a_comment": (
+        b'<osm><!-- c --><node id="1" lat="1" lon="2"></osm>', "events"),
+    "late_doctype": (b'<osm><!DOCTYPE osm><node id="1" lat="1" lon="2"/></osm>', "events"),
+    "bad_node_then_missing_ref_after_a_pi": (
+        b'<osm><?pi x?><node id="1" lat="x" lon="2"/><way id="2"><nd ref="9"/>'
+        b'<tag k="highway" v="residential"/></way></osm>', "events"),
 }
 
 

@@ -261,6 +261,13 @@ def test_spike_factor_configurable():
     assert stats.spikes_removed == 1
 
 
+@pytest.mark.parametrize("factor", [0.0, -1.0, float("nan"), float("inf")])
+def test_spike_factor_must_be_positive_and_finite(factor):
+    # a NaN or infinite factor would remove no spike at all
+    with pytest.raises(ArgumentError, match="spike factor must be positive and finite"):
+        clean_series(spike_series(), spike_factor=factor)
+
+
 def test_repeated_cleaning_is_identity():
     cleaned1, stats1 = clean_series(spike_series())
     cleaned2, stats2 = clean_series(cleaned1)

@@ -9,7 +9,10 @@ to a generated day, end to end).
 
 Configuration comes from an optional JSON file plus ``--key=value``
 flags (flags win).  Outputs are deterministic byte-for-byte for a fixed
-config, carry the config hash, and are written all-or-nothing.
+config.  Every handler computes all it writes first and then hands its
+files to :func:`_write`, the one writer: it stamps each file with the
+config hash and commits them all-or-nothing, so a command that fails
+before writing creates no output directory.
 
 The module imports only what the parser and every handler need.  The
 graph layer (``osm_ingest``, ``road_graph``, ``embedding``, ``selection``
@@ -151,6 +154,30 @@ def _check_positions(args):
             raise ArgumentError(f"{flags}: {problem}")
 
 
+def _write(cfg: PipelineConfig, files: dict):
+    """Write one command's files into ``cfg.output_dir``, all or none.
+
+    ``files`` maps each file name to its content by the name's extension:
+    a ``.csv`` name to ``(header, rows)``, a ``.json`` name to a payload,
+    and any other name to text written as is.  CSV and JSON files carry
+    the config hash.  The files are staged and move into the output
+    directory together, which this call creates.  ``write_csv`` and
+    ``write_json`` are looked up in this module at call time, where
+    perfbench/spans.py rebinds them to trace each write.
+    """
+    chash = cfg.config_hash()
+    with OutputStage(cfg.output_dir) as stage:
+        for name, content in files.items():
+            path = stage.path(name)
+            if name.endswith(".csv"):
+                write_csv(path, *content, config_hash=chash)
+            elif name.endswith(".json"):
+                write_json(path, content, config_hash=chash)
+            else:
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(content)
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers
 # ---------------------------------------------------------------------------
@@ -171,28 +198,24 @@ def cmd_ingest(args, cfg: PipelineConfig):
             sum(s.lon for s in sensors) / len(sensors),
         )
     graph = build_graph(raw, center, cfg.radius_m, cfg.default_speeds or None)
-    chash = cfg.config_hash()
     class_counts = Counter(e.highway_class.value for e in graph.edges)
     # floats are written with repr (shortest round-trip form), which fmt
     # passes through, so a saved graph reloads with bit-identical attributes
     node_rows = ([nid, repr(lat), repr(lon)] for nid, (lat, lon) in sorted(graph.nodes.items()))
     edge_rows = ([e.src, e.dst, repr(e.length_m), repr(e.speed_kph), repr(e.travel_time_s),
                   e.highway_class.value, e.lanes] for e in graph.edges)
-    with OutputStage(cfg.output_dir) as stage:
-        write_csv(stage.path("nodes.csv"), NODES_HEADER, node_rows, config_hash=chash)
-        write_csv(stage.path("edges.csv"), EDGES_HEADER, edge_rows, config_hash=chash)
-        write_json(
-            stage.path("manifest.json"),
-            {
-                "center": {"lat": round6(center[0]), "lon": round6(center[1])},
-                "radius_m": cfg.radius_m,
-                "n_nodes": len(graph.nodes),
-                "n_edges": len(graph.edges),
-                "edges_by_class": dict(sorted(class_counts.items())),
-                "config": cfg.snapshot(),
-            },
-            config_hash=chash,
-        )
+    _write(cfg, {
+        "nodes.csv": (NODES_HEADER, node_rows),
+        "edges.csv": (EDGES_HEADER, edge_rows),
+        "manifest.json": {
+            "center": {"lat": round6(center[0]), "lon": round6(center[1])},
+            "radius_m": cfg.radius_m,
+            "n_nodes": len(graph.nodes),
+            "n_edges": len(graph.edges),
+            "edges_by_class": dict(sorted(class_counts.items())),
+            "config": cfg.snapshot(),
+        },
+    })
     print(f"ingest: {len(graph.nodes)} nodes, {len(graph.edges)} edges -> {cfg.output_dir}")
 
 
@@ -206,13 +229,8 @@ def cmd_embed(args, cfg: PipelineConfig):
     raw = parse_osm_extract(cfg.osm_path)
     sensors = pipeline.load_sensors(cfg.sensors_path)
     embeddings = normalize_pool(pipeline.embed_sensors(raw, sensors, cfg))
-    with OutputStage(cfg.output_dir) as stage:
-        write_csv(
-            stage.path("embeddings.csv"),
-            ["sensor_id"] + [f"{p}{i}" for p in "fn" for i in range(1, EMBEDDING_DIMS + 1)],
-            _embedding_rows(embeddings),
-            config_hash=cfg.config_hash(),
-        )
+    header = ["sensor_id"] + [f"{p}{i}" for p in "fn" for i in range(1, EMBEDDING_DIMS + 1)]
+    _write(cfg, {"embeddings.csv": (header, _embedding_rows(embeddings))})
     print(f"embed: {len(embeddings)} embeddings -> {cfg.output_dir}/embeddings.csv")
 
 
@@ -233,13 +251,8 @@ def cmd_select(args, cfg: PipelineConfig):
     geo_res = select_by_geography(
         target.sensor_id, (args.lat, args.lon), [(s.sensor_id, (s.lat, s.lon)) for s in sensors]
     )
-    with OutputStage(cfg.output_dir) as stage:
-        write_csv(
-            stage.path("selection.csv"),
-            SELECTION_HEADER,
-            list(_selection_rows(emb_res)) + list(_selection_rows(geo_res)),
-            config_hash=cfg.config_hash(),
-        )
+    rows = list(_selection_rows(emb_res)) + list(_selection_rows(geo_res))
+    _write(cfg, {"selection.csv": (SELECTION_HEADER, rows)})
     print(
         f"select: embedding -> {emb_res.selected_id}, geographic -> {geo_res.selected_id} "
         f"({cfg.output_dir}/selection.csv)"
@@ -260,23 +273,20 @@ def cmd_profile(args, cfg: PipelineConfig):
             raise InputError(
                 f"sensor id {sid!r} contains a path separator; it cannot name a profile file"
             )
-    chash = cfg.config_hash()
-    with OutputStage(cfg.output_dir) as stage:
-        for sid in ids:
-            prof = daily_profile(series[sid], args.day_filter, holidays)
-            rows = [
-                [i, slot_label(i, prof.interval_min), float(v), float(s)]
-                for i, (v, s) in enumerate(zip(prof.values, prof.stdev))
-            ]
-            write_csv(stage.path(f"profile_{sid}.csv"), PROFILE_HEADER, rows, config_hash=chash)
-            svg = profile_svg(
-                prof.values,
-                prof.stdev,
-                prof.interval_min,
-                f"daily profile: {sid} ({args.day_filter}, {prof.n_days} days)",
-            )
-            with open(stage.path(f"profile_{sid}.svg"), "w", encoding="utf-8") as fh:
-                fh.write(svg)
+    files = {}
+    for sid in ids:
+        prof = daily_profile(series[sid], args.day_filter, holidays)
+        files[f"profile_{sid}.csv"] = (PROFILE_HEADER, [
+            [i, slot_label(i, prof.interval_min), float(v), float(s)]
+            for i, (v, s) in enumerate(zip(prof.values, prof.stdev))
+        ])
+        files[f"profile_{sid}.svg"] = profile_svg(
+            prof.values,
+            prof.stdev,
+            prof.interval_min,
+            f"daily profile: {sid} ({args.day_filter}, {prof.n_days} days)",
+        )
+    _write(cfg, files)
     print(f"profile: {len(ids)} sensor(s) -> {cfg.output_dir}")
 
 
@@ -301,13 +311,7 @@ def cmd_synthesize(args, cfg: PipelineConfig):
     generate = generation.generator(args.method, series[args.source], holidays)
     out_days = [generate(d) for d in dates]
     target_id = args.target_id or args.source
-    with OutputStage(cfg.output_dir) as stage:
-        write_csv(
-            stage.path("generated_days.csv"),
-            GENERATED_HEADER,
-            _generated_rows(target_id, out_days),
-            config_hash=cfg.config_hash(),
-        )
+    _write(cfg, {"generated_days.csv": (GENERATED_HEADER, _generated_rows(target_id, out_days))})
     print(
         f"synthesize: {len(out_days)} day(s) via {args.method} -> "
         f"{cfg.output_dir}/generated_days.csv"
@@ -316,9 +320,8 @@ def cmd_synthesize(args, cfg: PipelineConfig):
 
 def cmd_evaluate(args, cfg: PipelineConfig):
     cfg.require("traffic_dir")
-    chash = cfg.config_hash()
     found_hash, header, rows, first_line = read_csv(args.generated)
-    check_config_hash(found_hash, chash, args.generated)
+    check_config_hash(found_hash, cfg.config_hash(), args.generated)
     if header != GENERATED_HEADER:
         raise InputError(f"{args.generated} is not a generated-days CSV")
     series, _stats = pipeline.load_traffic_dir(cfg)
@@ -355,14 +358,12 @@ def cmd_evaluate(args, cfg: PipelineConfig):
         real = slice_day(target, d)
         r = evaluation.rmse(real, generated)
         out_rows.append([args.target, d_text, method, r, evaluation.normalize_rmse(r, mean_flow)])
-    with OutputStage(cfg.output_dir) as stage:
-        write_csv(stage.path("errors.csv"), ERRORS_HEADER, out_rows, config_hash=chash)
+    _write(cfg, {"errors.csv": (ERRORS_HEADER, out_rows)})
     print(f"evaluate: {len(out_rows)} day(s) scored -> {cfg.output_dir}/errors.csv")
 
 
 def cmd_benchmark(args, cfg: PipelineConfig):
     result = pipeline.run_benchmark(cfg)
-    chash = cfg.config_hash()
     report = result["report"]
 
     summary_rows = []
@@ -392,16 +393,12 @@ def cmd_benchmark(args, cfg: PipelineConfig):
         selection_rows.extend(_selection_rows(o.embedding_result))
         selection_rows.extend(_selection_rows(o.geographic_result))
 
-    with OutputStage(cfg.output_dir) as stage:
-        write_json(stage.path("report.json"), report, config_hash=chash)
-        write_csv(stage.path("summary.csv"), SUMMARY_HEADER, summary_rows, config_hash=chash)
-        write_csv(
-            stage.path("generation_errors.csv"),
-            DAILY_ERRORS_HEADER,
-            daily_rows,
-            config_hash=chash,
-        )
-        write_csv(stage.path("selection.csv"), SELECTION_HEADER, selection_rows, config_hash=chash)
+    _write(cfg, {
+        "report.json": report,
+        "summary.csv": (SUMMARY_HEADER, summary_rows),
+        "generation_errors.csv": (DAILY_ERRORS_HEADER, daily_rows),
+        "selection.csv": (SELECTION_HEADER, selection_rows),
+    })
     t = report["selection_tally"]
     print(
         f"benchmark: {len(report['targets'])} targets; selection "
@@ -422,27 +419,18 @@ def cmd_estimate(args, cfg: PipelineConfig):
         raise InputError(f"selected sensor {emb_res.selected_id!r} has no traffic series")
     holidays = pipeline.load_holidays(cfg)
     gen = generation.generator(args.method, series[emb_res.selected_id], holidays)(d)
-    chash = cfg.config_hash()
-    with OutputStage(cfg.output_dir) as stage:
-        write_csv(
-            stage.path("generated_day.csv"),
-            GENERATED_HEADER,
-            _generated_rows(target.sensor_id, [gen]),
-            config_hash=chash,
-        )
-        write_json(
-            stage.path("estimate.json"),
-            {
-                "target": {"lat": args.lat, "lon": args.lon, "date": args.date},
-                "selected_source": emb_res.selected_id,
-                "selection_distance": round6(emb_res.distance),
-                "similarity_pct": round6(emb_res.similarity_pct),
-                "method": args.method,
-                "fallback_used": gen.fallback,
-                "config": cfg.snapshot(),
-            },
-            config_hash=chash,
-        )
+    _write(cfg, {
+        "generated_day.csv": (GENERATED_HEADER, _generated_rows(target.sensor_id, [gen])),
+        "estimate.json": {
+            "target": {"lat": args.lat, "lon": args.lon, "date": args.date},
+            "selected_source": emb_res.selected_id,
+            "selection_distance": round6(emb_res.distance),
+            "similarity_pct": round6(emb_res.similarity_pct),
+            "method": args.method,
+            "fallback_used": gen.fallback,
+            "config": cfg.snapshot(),
+        },
+    })
     print(
         f"estimate: source {emb_res.selected_id}, method {args.method} -> "
         f"{cfg.output_dir}/generated_day.csv"

@@ -150,7 +150,8 @@ def _coerce(name: str, kind, raw):
         if kind is dict:
             return dict(json.loads(raw)) if isinstance(raw, str) else dict(raw)
         return str(raw)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
+        # OverflowError: int() of an infinite value, e.g. 1e400
         raise ArgumentError(f"bad value for config key {name!r}: {exc}") from exc
 
 

@@ -4,8 +4,10 @@ The CLI maps these onto exit codes: input/format problems exit with 2,
 domain problems (valid input, undefined result) with 3, and anything
 else with 4.  Every input file is read through :func:`read_bytes`,
 :func:`source_bytes` or :func:`read_text`, so an unreadable or non-UTF-8
-file is an input error.
+file is an input error, and every CSV row through :func:`csv_rows`, so
+is a row the csv module refuses.
 """
+import csv
 import os
 
 
@@ -87,3 +89,18 @@ def utf8_text(data: bytes, name: str) -> str:
 def read_text(path, what: str) -> str:
     """The UTF-8 text of the file at ``path``, its newlines untranslated."""
     return utf8_text(read_bytes(path, what), str(path))
+
+
+def csv_rows(reader, what: str, first_line: int = 1):
+    """The rows of ``reader``, a ``csv.reader`` whose first line is file
+    line ``first_line``.
+
+    A row the csv module refuses (a field over its 128 KiB limit, a bare
+    carriage return in the middle of a line) is a ``FormatError`` naming
+    ``what`` and the file line the read stopped on.  The module's
+    process-wide field limit is left as it is.
+    """
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise FormatError(f"{what} line {first_line - 1 + reader.line_num}: {exc}") from exc

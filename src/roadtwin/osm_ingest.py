@@ -662,7 +662,9 @@ def parse_maxspeed_kph(value: str | None) -> float | None:
     """First numeric token of a maxspeed tag, converted to km/h.
 
     Handles plain numbers, "NN mph" and multi-valued tags like "30;50"
-    (first value wins).  Returns None when nothing usable is present.
+    (first value wins).  Returns None when nothing usable is present,
+    and for a speed that is not positive and finite: a number too large
+    for a float reads as inf, which would make travel times 0.
     """
     if not value:
         return None
@@ -672,11 +674,12 @@ def parse_maxspeed_kph(value: str | None) -> float | None:
     speed = float(m.group(0))
     if "mph" in value.lower():
         speed *= MPH_TO_KPH
-    return speed if speed > 0 else None
+    return speed if 0 < speed < math.inf else None
 
 
 def parse_lanes(value: str | None) -> int | None:
-    """First integer token of a lanes tag, or None when unusable."""
+    """First integer token of a lanes tag, or None when unusable (none,
+    below 1, or too large for a float)."""
     if not value:
         return None
     m = _NUM_RE.search(value)
@@ -684,7 +687,7 @@ def parse_lanes(value: str | None) -> int | None:
         return None
     try:
         lanes = int(float(m.group(0)))
-    except ValueError:
+    except (ValueError, OverflowError):
         return None
     return lanes if lanes >= 1 else None
 

@@ -15,7 +15,7 @@ import os
 import shutil
 import tempfile
 
-from .errors import FormatError, InputError, read_text
+from .errors import FormatError, InputError, csv_rows, read_text
 
 
 def fmt(x) -> str:
@@ -63,7 +63,7 @@ def read_csv(path: str) -> tuple[str | None, list[str], list[list[str]], int]:
             body_start = i + 1
         else:
             break
-    rows = list(csv.reader(lines[body_start:]))
+    rows = list(csv_rows(csv.reader(lines[body_start:]), path, body_start + 1))
     if not rows:
         raise FormatError(f"{path} holds no CSV header")
     return config_hash, rows[0], rows[1:], body_start + 2

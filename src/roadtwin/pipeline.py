@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 from . import _lazy_names, generation
 from .config import DECISIONS, HighwayClass, PipelineConfig
-from .errors import ArgumentError, FormatError, InputError, read_text
+from .errors import ArgumentError, FormatError, InputError, csv_rows, read_text
 from .geo import coordinate_problem, parse_coordinate
 from .output import round6
 from .traffic_data import (
@@ -64,7 +64,8 @@ def load_sensors(path) -> list[SensorSpec]:
     text = read_text(path, f"sensors CSV {path}")
     reader = csv.reader(io.StringIO(text, newline=""))
     # line_num is the file line the row just read ends on
-    rows = [(reader.line_num, r) for r in reader if r and not r[0].startswith("#")]
+    rows = [(reader.line_num, r) for r in csv_rows(reader, f"sensors CSV {path}")
+            if r and not r[0].startswith("#")]
     if not rows:
         raise FormatError(f"sensors CSV {path} is empty")
     header = [c.strip() for c in rows[0][1]]

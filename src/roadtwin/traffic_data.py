@@ -19,6 +19,7 @@ from .errors import (
     AvailabilityError,
     DomainError,
     FormatError,
+    csv_rows,
     read_text,
     source_bytes,
     utf8_text,
@@ -151,7 +152,7 @@ def parse_flow(text: str) -> float:
     return flow
 
 
-def _parse_rows(text: str, interval_min: int) -> dict[str, TrafficSeries]:
+def _parse_rows(text: str, interval_min: int, what: str) -> dict[str, TrafficSeries]:
     """Validate CSV text one row at a time; raises on the first bad row.
 
     Accepts every ``datetime.fromisoformat`` form on the grid, and is the
@@ -159,7 +160,8 @@ def _parse_rows(text: str, interval_min: int) -> dict[str, TrafficSeries]:
     each is kept as its flow and its grid slot counted from 0001-01-01.
     """
     per_day = 1440 // interval_min
-    rows = ((i, r) for i, r in enumerate(csv.reader(io.StringIO(text)), start=1) if r)
+    rows = csv_rows(csv.reader(io.StringIO(text)), what)
+    rows = ((i, r) for i, r in enumerate(rows, start=1) if r)
     header = next(rows, None)
     if header is None or [c.strip() for c in header[1]] != TRAFFIC_HEADER:
         raise FormatError(f"bad traffic CSV header: expected {','.join(TRAFFIC_HEADER)}")
@@ -427,10 +429,13 @@ def load_traffic_csv(source, interval_min: int = 15) -> dict[str, TrafficSeries]
     data = source_bytes(source, "traffic CSV")
     if 1440 % interval_min != 0:
         raise ArgumentError(f"interval {interval_min} does not divide 1440 minutes")
+    name = "traffic CSV" if isinstance(source, bytes) else str(source)
     if not data.isascii():
         # raises on the first byte that is not UTF-8
-        utf8_text(data, "traffic CSV" if isinstance(source, bytes) else str(source))
-    by_sensor = _parse_canonical(data, interval_min) or _parse_rows(data.decode(), interval_min)
+        utf8_text(data, name)
+    by_sensor = _parse_canonical(data, interval_min) or _parse_rows(
+        data.decode(), interval_min, name
+    )
     return dict(sorted(by_sensor.items()))
 
 

@@ -788,11 +788,16 @@ def load_traffic_rowwise(text: str, interval_min: int = 15) -> dict[str, Traffic
     Every row goes through ``csv.reader`` and ``datetime.fromisoformat``
     and lands in a per-sensor timestamp -> flow dict before the grid is
     filled slot by slot.  The production parser must give the same
-    series, and the same exception type and message on bad input.
+    series, and the same exception type and message on bad input; a row
+    ``csv.reader`` refuses is a ``FormatError`` naming its line.
     """
     if 1440 % interval_min != 0:
         raise ArgumentError(f"interval {interval_min} does not divide 1440 minutes")
-    rows = list(csv.reader(io.StringIO(text)))
+    reader = csv.reader(io.StringIO(text))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        raise FormatError(f"traffic CSV line {reader.line_num}: {exc}") from exc
     rows_nonblank = [(i + 1, r) for i, r in enumerate(rows) if r]
     if not rows_nonblank or [c.strip() for c in rows_nonblank[0][1]] != TRAFFIC_HEADER:
         raise FormatError(f"bad traffic CSV header: expected {','.join(TRAFFIC_HEADER)}")

@@ -88,6 +88,23 @@ def test_script_and_both_module_entries_run_one_entry():
     assert importlib.import_module("roadtwin.__main__").entry is cli.entry
 
 
+OUTPUT_WRITERS = ("OutputStage", "write_csv", "write_json", "open")
+
+
+def test_only_the_cli_writer_writes_files():
+    # every handler hands its files to cli._write, which stamps and stages
+    # them; perfbench/spans.py traces writes through cli.write_csv/write_json
+    with open(cli.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    users = {}
+    for top in tree.body:
+        for node in ast.walk(top):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name in OUTPUT_WRITERS:
+                users.setdefault(name, set()).add(getattr(top, "name", "<module>"))
+    assert users == {name: {"_write"} for name in OUTPUT_WRITERS}
+
+
 def test_in_process_main_leaves_the_collector_unfrozen(tmp_path):
     assert gc.get_freeze_count() == 0
     assert cli.main(["profile", "--config", CONFIG, "--output_dir", str(tmp_path)]) == 0
@@ -200,6 +217,80 @@ def test_non_utf8_input_exits_2(tmp_path, make):
         "exit_code": 2,
         "message": f"{bad} is not valid UTF-8 at byte {at}: invalid start byte",
     }
+    assert not out.exists()
+
+
+HUGE = "1" + "0" * 400  # too large for a float: float() reads it as inf
+WIDE = "x" * (128 * 1024 + 1)  # one byte over the csv module's field limit
+
+
+def fixture_text(*parts):
+    with open(os.path.join(FIXTURE_DIR, *parts), encoding="utf-8") as fh:
+        return fh.read()
+
+
+def weekend_only_sensor(tmp_path):
+    # s1 as recorded, then z1 holding only s1's Saturday 2019-01-12: z1
+    # fails after s1's profile is done, and nothing may be written for it
+    traffic = tmp_path / "traffic"
+    traffic.mkdir()
+    s1 = fixture_text("traffic", "s1.csv")
+    (traffic / "s1.csv").write_text(s1)
+    saturday = [line.replace("s1,", "z1,", 1) for line in s1.splitlines()
+                if line.startswith("s1,2019-01-12T")]
+    (traffic / "z1.csv").write_text("\n".join(["sensor_id,timestamp,flow", *saturday, ""]))
+    return ("profile", "--traffic_dir", str(traffic)), (
+        "DomainError", 3, "sensor 'z1': no complete days match filter 'weekdays'")
+
+
+def sensors_with_row(row, message):
+    def make(tmp_path):
+        sensors = tmp_path / "sensors.csv"
+        sensors.write_text(fixture_text("sensors.csv") + row + "\n")
+        return ("embed", "--sensors_path", str(sensors)), (
+            "FormatError", 2, message.format(path=sensors))
+    return make
+
+
+def wide_traffic_id(tmp_path):
+    # a quoted id sends the file from the array parse to the row loop
+    traffic = tmp_path / "traffic"
+    traffic.mkdir()
+    (traffic / "t.csv").write_text(f'sensor_id,timestamp,flow\n"{WIDE}",2019-01-07T00:00:00,40\n')
+    return ("profile", "--traffic_dir", str(traffic)), (
+        "FormatError", 2, f"{traffic / 't.csv'} line 2: field larger than field limit (131072)")
+
+
+def wide_generated_field(tmp_path):
+    generated = tmp_path / "generated_days.csv"
+    generated.write_text("# config_hash=0\ntarget_id,date,method,slot_index,flow,fallback_used\n"
+                         f"{WIDE},2019-01-07,cluster,0,1,False\n")
+    return ("evaluate", "--generated", str(generated), "--target", "s1"), (
+        "FormatError", 2, f"{generated} line 3: field larger than field limit (131072)")
+
+
+FAILS_BEFORE_WRITING = {
+    "profile-no-complete-weekday": weekend_only_sensor,
+    "ego-hops-flag-1e400": lambda tmp_path: (("embed", "--ego_hops", "1e400"), (
+        "ArgumentError", 2, "bad value for config key 'ego_hops': "
+                            "cannot convert float infinity to integer")),
+    "lanes-override-400-digits": sensors_with_row(
+        f"s9,40.45,-3.69,,{HUGE}", f"sensors CSV row 10: bad lanes override {HUGE!r}"),
+    "sensors-csv-wide-field": sensors_with_row(
+        f"{WIDE},40.45,-3.69,,",
+        "sensors CSV {path} line 10: field larger than field limit (131072)"),
+    "traffic-csv-wide-field": wide_traffic_id,
+    "generated-csv-wide-field": wide_generated_field,
+}
+
+
+@pytest.mark.parametrize("make", FAILS_BEFORE_WRITING.values(), ids=FAILS_BEFORE_WRITING.keys())
+def test_a_command_that_fails_before_writing_creates_no_output_directory(tmp_path, make):
+    argv, (error, exit_code, message) = make(tmp_path)
+    out = tmp_path / "out"
+    proc = run_cli(*argv, "--config", CONFIG, "--output_dir", str(out))
+    assert proc.returncode == exit_code, proc.stderr
+    assert stderr_error(proc) == {"error": error, "exit_code": exit_code, "message": message}
     assert not out.exists()
 
 

@@ -5,7 +5,7 @@ import os
 import pytest
 
 from roadtwin.config import DECISIONS, PipelineConfig, load_config
-from roadtwin.errors import ArgumentError, FormatError, InputError
+from roadtwin.errors import ArgumentError, InputError
 from roadtwin.output import (
     OutputStage,
     check_config_hash,
@@ -174,9 +174,15 @@ def test_override_type_coercion():
     assert cfg.spike_factor == 6.5
 
 
-def test_override_rejects_fractional_int():
-    with pytest.raises((ArgumentError, FormatError)):
-        load_config(None, overrides={"ego_hops": "4.5"})
+def test_override_rejects_fractional_int(tmp_path):
+    # 1e400 reads as inf, which no int holds; so does 1e400 in a JSON file
+    for value in ("4.5", "nan", "inf", "-inf", "1e400"):
+        with pytest.raises(ArgumentError, match="'ego_hops'"):
+            load_config(None, overrides={"ego_hops": value})
+    p = tmp_path / "cfg.json"
+    p.write_text('{"max_gap": 1e400}')
+    with pytest.raises(ArgumentError, match="'max_gap': cannot convert float infinity"):
+        load_config(str(p))
 
 
 def test_load_config_missing_file(tmp_path):

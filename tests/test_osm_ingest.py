@@ -53,7 +53,13 @@ def test_maxspeed_first_of_multiple_values():
     assert parse_maxspeed_kph("30;50") == 30.0
 
 
-@pytest.mark.parametrize("raw", [None, "", "signals", "walk", "0", "-10"])
+HUGE = "1" + "0" * 400  # too large for a float: float() reads it as inf
+
+
+@pytest.mark.parametrize("raw", [
+    None, "", "signals", "walk", "0", "-10",
+    pytest.param(HUGE, id="400-digits"), pytest.param(f"{HUGE} mph", id="400-digits-mph"),
+])
 def test_maxspeed_unusable_values(raw):
     assert parse_maxspeed_kph(raw) is None
 
@@ -66,6 +72,7 @@ def test_lanes_parsing():
     assert parse_lanes("0") is None
     assert parse_lanes("") is None
     assert parse_lanes(None) is None
+    assert parse_lanes(HUGE) is None
 
 
 def test_default_speed_table():
